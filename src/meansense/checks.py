@@ -343,7 +343,7 @@ def check_prop_p_system(cfg=None, sched=None, epsilon: float = 0.1) -> Report:
         r = cesaro_avg_distance(x, z, n, depth=DEPTH_CAP)
         ones_z = z.prefix.count(1)
         # steps whose K-window sees a 1: at most K per 1, counted exactly
-        onespos = OccurrenceIndex(z.prefix).positions(1, n + K)
+        onespos = z.prefix.positions(1, 1, n + K)
         covered = 0
         prev_end = -1
         for p in onespos.tolist():

@@ -16,12 +16,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from . import checks as _checks
 from .constructions import (
@@ -45,9 +43,6 @@ EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
-
-#: words above this many runs are not materialized to disk by ``build``
-EMIT_RUN_CAP = 1_000_000
 
 
 @dataclass
@@ -90,6 +85,16 @@ class RunConfig:
         raise ParameterError(f"no schedule for construction {self.construction!r}")
 
     def validate(self):
+        for key, kinds in (("depth", int), ("seed", int),
+                           ("horizon", (int, type(None))),
+                           ("base", (dict, type(None))),
+                           ("output_dir", str), ("checks", list)):
+            value = getattr(self, key)
+            if not isinstance(value, kinds):
+                raise ParameterError(
+                    f"config {key} has type {type(value).__name__}")
+        if self.base is not None:
+            self.generator()
         if self.construction not in ("S3", "S4", "patched"):
             raise ParameterError(
                 f"construction must be S3, S4 or patched, got "
@@ -118,8 +123,13 @@ def schedule_hash(sched: Schedule) -> str:
 def _load_config(args) -> RunConfig:
     cfg = RunConfig()
     if args.config:
-        with open(args.config) as fh:
-            data = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ParameterError(f"cannot read config {args.config}: {exc}") from None
+        if not isinstance(data, dict):
+            raise ParameterError(f"config {args.config} is not a JSON object")
         for key, value in data.items():
             if not hasattr(cfg, key):
                 raise ParameterError(f"unknown config key {key!r}")
@@ -147,14 +157,13 @@ def cmd_build(cfg: RunConfig) -> int:
         a = construction.a_word(n)
         (out / f"A_{n}.rle").write_text(a.to_text() + "\n")
         manifest["emitted"].append(f"A_{n}")
-        lv = sched.level(n)
-        est_runs = (lv.len_a + 1) * 8 if cfg.construction == "S3" else 0
-        if n > 1 and cfg.construction == "S3" and est_runs > EMIT_RUN_CAP:
+        try:
+            b = construction.b_word(n)
+        except ResourceCapError as exc:
             manifest["omitted"].append(
-                {"word": f"B_{n}", "reason": f"about {est_runs} runs"}
+                {"word": f"B_{n}", "reason": f"about {exc.required} runs"}
             )
             continue
-        b = construction.b_word(n)
         (out / f"B_{n}.rle").write_text(b.to_text() + "\n")
         manifest["emitted"].append(f"B_{n}")
     (out / "build.json").write_text(canonical_json(manifest))
@@ -169,8 +178,11 @@ def _require_build(cfg: RunConfig) -> Schedule:
             f"{path} not found: run `meansense build` into this output "
             f"directory first"
         )
-    sched = Schedule.from_json(json.loads(path.read_text()))
-    return sched
+    try:
+        data = json.loads(path.read_text())
+    except ValueError as exc:
+        raise ParameterError(f"{path} is not JSON: {exc}") from None
+    return Schedule.from_json(data)
 
 
 def cmd_check(cfg: RunConfig, names: List[str]) -> int:
@@ -184,19 +196,7 @@ def cmd_check(cfg: RunConfig, names: List[str]) -> int:
                 f"{', '.join(sorted(_checks.REGISTRY))}"
             )
         todo.append(name)
-    workers = int(os.environ.get("MEANSENSE_THREADS", "0")) or None
-    results: Dict[str, Report] = {}
-
-    def run(name: str) -> Report:
-        return _checks.REGISTRY[name](cfg, sched)
-
-    if workers == 1 or len(todo) == 1:
-        for name in todo:
-            results[name] = run(name)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for name, rep in zip(todo, pool.map(run, todo)):
-                results[name] = rep
+    results = {name: _checks.REGISTRY[name](cfg, sched) for name in todo}
     failed = []
     for name, rep in results.items():
         rep.params["config_hash"] = cfg.hash

@@ -70,6 +70,8 @@ class GeneratorDescriptor:
     def __post_init__(self):
         if self.kind not in ("constant-zero", "sturmian", "thue-morse"):
             raise ParameterError(f"unknown generator kind {self.kind!r}")
+        if not all(isinstance(v, int) for v in (*self.cf_terms, self.cf_depth)):
+            raise ParameterError("continued-fraction terms and depth must be integers")
 
     def describe(self) -> str:
         if self.kind == "sturmian":
@@ -83,8 +85,11 @@ class GeneratorDescriptor:
 
     @staticmethod
     def from_json(d: dict) -> "GeneratorDescriptor":
-        return GeneratorDescriptor(d["kind"], tuple(d.get("cf_terms", ())),
-                                   d.get("cf_depth", 40))
+        try:
+            return GeneratorDescriptor(d["kind"], tuple(d.get("cf_terms", ())),
+                                       d.get("cf_depth", 40))
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ParameterError(f"malformed generator descriptor: {exc!r}") from None
 
 
 def _sturmian_slope(desc: GeneratorDescriptor) -> tuple:
@@ -167,12 +172,21 @@ class Schedule:
 
     @staticmethod
     def from_json(d: dict) -> "Schedule":
-        levels = tuple(
-            Level(l["n"], l["k_n"], l["len_A"], l["len_B"], l["t_n"])
-            for l in d["levels"]
-        )
-        base = GeneratorDescriptor.from_json(d["base"]) if d.get("base") else None
-        sched = Schedule(d["construction"], levels, base)
+        try:
+            fields = [(l["n"], l["k_n"], l["len_A"], l["len_B"], l["t_n"])
+                      for l in d["levels"]]
+            base = GeneratorDescriptor.from_json(d["base"]) if d.get("base") else None
+            construction = d["construction"]
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ParameterError(f"malformed schedule: {exc!r}") from None
+        if construction not in ("S3", "S4") or not fields:
+            raise ParameterError("a schedule needs construction S3 or S4 and "
+                                 "at least one level")
+        for i, f in enumerate(fields, start=1):
+            if f[0] != i or not all(isinstance(v, int) and v >= 1 for v in f):
+                raise ParameterError(f"schedule level {i} needs n = {i} and "
+                                     f"positive integer sizes")
+        sched = Schedule(construction, tuple(Level(*f) for f in fields), base)
         verify_schedule(sched)
         return sched
 

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import HorizonError, ParameterError
 from .language import LanguageApprox, cylinder_members
 from .reports import FAIL, INCONCLUSIVE, PASS, AverageReport, Report, fmt17
-from .words import PointView, diff_intervals, point_metric
+from .words import PointView, diff_intervals, interval_window_max, point_metric
 
 DEFAULT_DEPTH = 64
 
@@ -61,17 +61,7 @@ class IndexSet:
 
 def indicator_set_E(y: PointView, symbol: int = 1) -> IndexSet:
     """0-based positions i < horizon with y_{i+1} equal to ``symbol``."""
-    pos = 1
-    chunks = []
-    for s, c in y.prefix.runs:
-        if s == symbol:
-            chunks.append(np.arange(pos - 1, pos - 1 + c, dtype=np.int64))
-        pos += c
-    if chunks:
-        members = np.concatenate(chunks)
-    else:
-        members = np.empty(0, dtype=np.int64)
-    return IndexSet(members, y.horizon)
+    return IndexSet(y.prefix.positions(symbol) - 1, y.horizon)
 
 
 def upper_density(F: IndexSet, prefix_lengths: Sequence[int]) -> Report:
@@ -100,24 +90,16 @@ def upper_density(F: IndexSet, prefix_lengths: Sequence[int]) -> Report:
 def banach_window_max(F: IndexSet, window: int) -> tuple:
     """Exact sup over windows [M, M+window) ⊆ [0, horizon) of the member count.
 
-    Returns (count, window_start).  An optimal window can be anchored so it
-    begins at a member (or clamped at the right edge), so only |F| + 1
-    candidates need checking.
+    Returns (count, smallest attaining window start), sweeping the maximal
+    runs of consecutive members with ``interval_window_max``.
     """
     if not 1 <= window <= F.horizon:
         raise ParameterError("window outside [1, horizon]")
     pos = F.members
-    if len(pos) == 0:
-        return 0, 0
-    best, best_m = 0, 0
-    last_start = F.horizon - window
-    for p in pos:
-        m = min(int(p), last_start)
-        lo = int(np.searchsorted(pos, m))
-        hi = int(np.searchsorted(pos, m + window))
-        if hi - lo > best:
-            best, best_m = hi - lo, m
-    return best, best_m
+    # the sentinels sit at least two away from every member of [0, horizon)
+    los = pos[np.diff(pos, prepend=-2) != 1]
+    his = pos[np.diff(pos, append=F.horizon + 1) != 1]
+    return interval_window_max(los, his, F.horizon, window)
 
 
 def upper_banach_density(F: IndexSet, window_lengths: Sequence[int]) -> Report:
@@ -153,6 +135,22 @@ def _pair_limit(x: PointView, y: PointView, n: int, depth: int) -> int:
     return limit
 
 
+def _next_disagreement(los: np.ndarray, his: np.ndarray, steps: int):
+    """(steps 0..steps-1, first disagreement position p > i of each step i).
+
+    Positions come from the merged 1-based intervals [los, his]; a step with
+    no later disagreement gets the int64 maximum.
+    """
+    stepv = np.arange(steps, dtype=np.int64)
+    if len(los) == 0:
+        return stepv, np.full(steps, np.iinfo(np.int64).max)
+    idx = np.searchsorted(his, stepv + 1)
+    nd = np.where(idx < len(los),
+                  np.maximum(los[np.minimum(idx, len(los) - 1)], stepv + 1),
+                  np.iinfo(np.int64).max)
+    return stepv, nd
+
+
 def step_distance_array(x: PointView, y: PointView, n: int,
                         depth: int = DEFAULT_DEPTH):
     """Per-step distances d(sigma^i x, sigma^i y) for i in [0, n).
@@ -163,13 +161,7 @@ def step_distance_array(x: PointView, y: PointView, n: int,
     """
     _pair_limit(x, y, n, depth)
     los, his = diff_intervals(x.prefix, y.prefix, upto=n + depth)
-    steps = np.arange(n, dtype=np.int64)
-    if len(los) == 0:
-        return np.zeros(n), np.ones(n, dtype=bool)
-    idx = np.searchsorted(his, steps + 1)
-    nd = np.where(idx < len(los),
-                  np.maximum(los[np.minimum(idx, len(los) - 1)], steps + 1),
-                  np.iinfo(np.int64).max)
+    steps, nd = _next_disagreement(los, his, n)
     gap = nd - steps
     truncated = gap > depth
     values = np.where(truncated, 0.0, 1.0 / np.where(truncated, 1, gap))
@@ -334,13 +326,7 @@ def diam_sequence(members: Sequence[PointView], steps: int):
     if len(members) == 1:
         return np.zeros(steps), np.zeros(steps, dtype=bool)
     los, his = _union_diff_positions(members, upto=H)
-    stepv = np.arange(steps, dtype=np.int64)
-    if len(los) == 0:
-        return np.zeros(steps), np.ones(steps, dtype=bool)
-    idx = np.searchsorted(his, stepv + 1)
-    nd = np.where(idx < len(los),
-                  np.maximum(los[np.minimum(idx, len(los) - 1)], stepv + 1),
-                  np.iinfo(np.int64).max)
+    stepv, nd = _next_disagreement(los, his, steps)
     truncated = nd > H
     values = np.where(truncated, 0.0, 1.0 / np.maximum(nd - stepv, 1))
     return values, truncated

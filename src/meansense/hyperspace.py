@@ -305,20 +305,8 @@ def hyper_witness_family(construction, P: FiniteSet, epsilon: float,
 
 def _union_one_positions(S: FiniteSet, upto: int) -> np.ndarray:
     """Sorted 1-based positions <= upto where some member carries a 1."""
-    chunks = []
-    for m in S.members:
-        pos = 1
-        for s, c in m.prefix.runs:
-            if pos > upto:
-                break
-            if s == 1:
-                lo, hi = pos, min(pos + c - 1, upto)
-                if lo <= hi:
-                    chunks.append(np.arange(lo, hi + 1, dtype=np.int64))
-            pos += c
-    if not chunks:
-        return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(chunks))
+    return np.unique(np.concatenate([m.prefix.positions(1, 1, upto)
+                                     for m in S.members]))
 
 
 def certified_separation_steps(P: FiniteSet, Q: FiniteSet, n: int) -> np.ndarray:

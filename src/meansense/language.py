@@ -53,49 +53,29 @@ def subwords(la: LanguageApprox, n: int, cap: int = SUBWORD_CAP) -> SubwordSampl
     RLE-aware: windows wholly inside one run contribute a single constant
     word, so only windows near run boundaries need enumerating.
     """
-    import bisect
-
     src = la.source_prefix
     if not 1 <= n <= src.length:
         raise ParameterError(f"subword length {n} outside [1, {src.length}]")
-    run_starts = []
-    acc = 1
-    for _, c in src.runs:
-        run_starts.append(acc)
-        acc += c
-
-    def window(p: int) -> tuple:
-        # symbols at positions p .. p+n-1, walking runs from a bisect hit
-        i = bisect.bisect_right(run_starts, p) - 1
-        out = []
-        pos = p
-        while len(out) < n:
-            sym, c = src.runs[i]
-            take = min(run_starts[i] + c - pos, n - len(out))
-            out.extend([sym] * take)
-            pos += take
-            i += 1
-        return tuple(out)
-
     seen = set()
     truncated = False
     # constant windows from long runs
     for s, c in src.runs:
         if c >= n:
-            seen.add((s,) * n)
+            seen.add(Word(src.alphabet_size, [(s, n)]))
     # windows crossing a run boundary: starts within n-1 of each boundary
-    for boundary in run_starts[1:]:
+    _, ends = src.run_index
+    for boundary in (ends[:-1] + 1).tolist():
         for p in range(max(1, boundary - n + 1), boundary + 1):
             if p + n - 1 > src.length:
                 continue
             if len(seen) >= cap:
                 truncated = True
                 break
-            seen.add(window(p))
+            seen.add(src.subword(p, n))
         if truncated:
             break
-    words = [Word.from_symbols(t, src.alphabet_size) for t in sorted(seen)]
-    return SubwordSample(words, truncated)
+    # equal-length digit strings sort like the symbol tuples
+    return SubwordSample(sorted(seen, key=Word.as_string), truncated)
 
 
 def cylinder_members(la: LanguageApprox, u: Word, max_members: int = 32,

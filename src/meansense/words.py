@@ -69,9 +69,13 @@ class RunBuilder:
 
 
 class Word:
-    """An immutable run-length-encoded word."""
+    """An immutable run-length-encoded word.
 
-    __slots__ = ("alphabet_size", "runs", "length", "_hash")
+    ``runs`` is the canonical storage.  Position lookups go through
+    ``run_index``, built from it on first use.
+    """
+
+    __slots__ = ("alphabet_size", "runs", "length", "_hash", "_index")
 
     def __init__(self, alphabet_size: int, runs: Sequence[tuple] = (), _trusted=False):
         if alphabet_size not in (2, 4):
@@ -89,6 +93,7 @@ class Word:
         object.__setattr__(self, "runs", canon)
         object.__setattr__(self, "length", _check_length(sum(c for _, c in canon)))
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_index", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
@@ -125,11 +130,12 @@ class Word:
         if not line.startswith("alphabet="):
             raise ParameterError(f"malformed RLE line: {line[:40]!r}")
         head, _, rest = line.partition(";")
-        alphabet = int(head[len("alphabet="):])
-        runs = []
-        for tok in rest.split():
-            s, _, c = tok.partition(":")
-            runs.append((int(s), int(c)))
+        try:
+            alphabet = int(head[len("alphabet="):])
+            runs = [(int(s), int(c))
+                    for s, _, c in (tok.partition(":") for tok in rest.split())]
+        except ValueError:
+            raise ParameterError(f"malformed RLE line: {line[:40]!r}") from None
         w = Word(alphabet, runs)
         if w.runs != tuple(runs):
             raise ParameterError("RLE text not in canonical form")
@@ -164,30 +170,56 @@ class Word:
             raise ParameterError(f"refusing to stringify {self.length} symbols")
         return "".join(str(s) * c for s, c in self.runs)
 
+    @property
+    def run_index(self) -> tuple:
+        """(symbols, 1-based inclusive ends) of the runs as int64 arrays.
+
+        Built from ``runs`` on first use and cached on the word.
+        """
+        if self._index is None:
+            syms, lens = np.array(self.runs, dtype=np.int64).reshape(-1, 2).T
+            object.__setattr__(self, "_index", (syms, np.cumsum(lens)))
+        return self._index
+
     def expand(self) -> np.ndarray:
         """Symbols as a uint8 array; guarded against huge words."""
         if self.length > EXPAND_LIMIT:
             raise ParameterError(f"refusing to expand {self.length} symbols")
-        out = np.empty(self.length, dtype=np.uint8)
-        pos = 0
-        for s, c in self.runs:
-            out[pos:pos + c] = s
-            pos += c
-        return out
+        syms, ends = self.run_index
+        return np.repeat(syms.astype(np.uint8), np.diff(ends, prepend=0))
 
     def symbol_at(self, pos: int) -> int:
         """Symbol at 1-based position ``pos``."""
         if not 1 <= pos <= self.length:
             raise IndexRangeError(f"position {pos} outside [1, {self.length}]")
-        acc = 0
-        for s, c in self.runs:
-            acc += c
-            if pos <= acc:
-                return s
-        raise AssertionError("unreachable")
+        syms, ends = self.run_index
+        return int(syms[np.searchsorted(ends, pos)])
 
     def count(self, symbol: int = 1) -> int:
         return sum(c for s, c in self.runs if s == symbol)
+
+    def positions(self, symbol: int = 1, lo: int = 1,
+                  hi: Optional[int] = None) -> np.ndarray:
+        """Sorted 1-based positions p in [lo, hi] carrying ``symbol``.
+
+        A plain walk over the runs that stops past ``hi``: it never builds
+        the run index, which would cost more than the walk on the many tiny
+        words of a point family.
+        """
+        if hi is None:
+            hi = self.length
+        chunks = []
+        end = 0
+        for s, c in self.runs:
+            start, end = end + 1, end + c
+            if start > hi:
+                break
+            if s == symbol and end >= lo:
+                chunks.append(np.arange(max(start, lo), min(end, hi) + 1,
+                                        dtype=np.int64))
+        if not chunks:
+            return np.empty(0, dtype=np.int64)
+        return np.concatenate(chunks)
 
     def subword(self, start: int, length: int) -> "Word":
         """Extract ``length`` symbols starting at 1-based ``start`` by run slicing."""
@@ -197,21 +229,17 @@ class Word:
             raise IndexRangeError(
                 f"slice [{start}, {start + length - 1}] outside [1, {self.length}]"
             )
-        b = RunBuilder()
-        acc = 0
+        _, ends = self.run_index
         end = start + length - 1
-        for s, c in self.runs:
-            lo, hi = acc + 1, acc + c
-            acc = hi
-            if hi < start:
-                continue
-            take_lo = max(lo, start)
-            take_hi = min(hi, end)
-            if take_lo <= take_hi:
-                b.append(s, take_hi - take_lo + 1)
-            if hi >= end:
-                break
-        return b.build(self.alphabet_size)
+        i = int(np.searchsorted(ends, start))  # run holding the first symbol
+        j = int(np.searchsorted(ends, end))  # run holding the last symbol
+        runs = self.runs
+        if i == j:
+            canon = ((runs[i][0], length),)
+        else:
+            canon = (((runs[i][0], int(ends[i]) - start + 1),) + runs[i + 1:j]
+                     + ((runs[j][0], end - int(ends[j - 1])),))
+        return Word(self.alphabet_size, canon, _trusted=True)
 
     def starts_with(self, prefix: "Word") -> bool:
         if prefix.alphabet_size != self.alphabet_size:
@@ -262,25 +290,19 @@ class OccurrenceIndex:
     def __init__(self, word: Word, symbol: int = 1):
         self.word = word
         self.symbol = symbol
-        syms = np.array([s for s, _ in word.runs], dtype=np.int64)
-        lens = np.array([c for _, c in word.runs], dtype=np.int64)
-        ends = np.cumsum(lens)
-        self._run_ends = ends  # position of last symbol of each run
-        self._run_syms = syms
-        self._run_lens = lens
-        hit = np.where(syms == symbol, lens, 0)
+        syms, ends = word.run_index
+        hit = np.where(syms == symbol, np.diff(ends, prepend=0), 0)
         self._prefix = np.concatenate([[0], np.cumsum(hit)])
 
     def _count_prefix(self, pos: int) -> int:
-        """Occurrences of the designated symbol in [1, pos]."""
+        """Occurrences of the designated symbol in [1, pos], 0 <= pos <= length."""
         if pos <= 0:
             return 0
-        i = int(np.searchsorted(self._run_ends, pos, side="left"))
-        c = int(self._prefix[i])
-        if i < len(self._run_syms) and self._run_syms[i] == self.symbol:
-            run_start = int(self._run_ends[i] - self._run_lens[i] + 1)
-            c += pos - run_start + 1
-        return c
+        syms, ends = self.word.run_index
+        i = int(np.searchsorted(ends, pos))  # run holding pos
+        if syms[i] == self.symbol:
+            return int(self._prefix[i + 1]) - (int(ends[i]) - pos)
+        return int(self._prefix[i])
 
     def count_range(self, i: int, j: int) -> int:
         """Count of the designated symbol at positions p with i <= p <= j."""
@@ -295,53 +317,55 @@ class OccurrenceIndex:
 
     def positions(self, lo: int = 1, hi: Optional[int] = None) -> np.ndarray:
         """1-based positions of the designated symbol inside [lo, hi]."""
-        if hi is None:
-            hi = self.word.length
-        if hi < lo:
-            return np.empty(0, dtype=np.int64)
-        chunks = []
-        for s, end, ln in zip(self._run_syms, self._run_ends, self._run_lens):
-            if s != self.symbol:
-                continue
-            start = int(end) - int(ln) + 1
-            a, b = max(start, lo), min(int(end), hi)
-            if a <= b:
-                chunks.append(np.arange(a, b + 1, dtype=np.int64))
-        if not chunks:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(chunks)
+        return self.word.positions(self.symbol, lo, hi)
+
+
+def interval_window_max(los: np.ndarray, his: np.ndarray, span: int,
+                        window: int) -> tuple:
+    """Exact maximum count of marked positions over windows inside [0, span).
+
+    The marked positions are the sorted, disjoint, inclusive intervals
+    [los[k], his[k]].  Returns (max_count, smallest optimal window start).
+
+    The smallest optimal start p is 0, or the window one step to its left
+    holds fewer marks, so p - 1 is unmarked and p + window - 1 marked: then p
+    opens an interval, p + window - 1 closes one, or p is the last start.
+    Scanning those candidates in increasing order finds p.
+    """
+    if len(los) == 0:
+        return 0, 0
+    last = span - window
+    cands = np.unique(np.clip(np.concatenate([los, his - window + 1, [0, last]]),
+                              0, last))
+    cum = np.concatenate([[0], np.cumsum(his - los + 1)])
+
+    def marked_below(x):
+        # marked positions < x: whole intervals ending before x plus the part
+        # of the next interval that starts before x
+        k = np.searchsorted(his, x)
+        part = np.clip(x - los[np.minimum(k, len(los) - 1)], 0, None)
+        return cum[k] + np.where(k < len(los), part, 0)
+
+    counts = marked_below(cands + window) - marked_below(cands)
+    best = int(np.argmax(counts))
+    return int(counts[best]), int(cands[best])
 
 
 def max_window_count(index: OccurrenceIndex, window: int) -> tuple:
     """Exact maximum designated-symbol count over all windows of ``window`` symbols.
 
-    Runs a run-boundary sweep: an optimal window can always be chosen to
-    start at the first symbol of a designated-symbol run (slide the
-    rightmost optimum left inside the run) or to be flush against a word
-    boundary.  Never expands the word.
-
-    Returns (max_count, attaining 1-based start position).
+    Sweeps the designated runs with ``interval_window_max``; never expands
+    the word.  Returns (max_count, smallest attaining 1-based start).
     """
     w = index.word
     if not 1 <= window <= w.length:
         raise ParameterError(f"window {window} outside [1, {w.length}]")
-    last_start = w.length - window + 1
-    cands = {1, last_start}
-    for s, end, ln in zip(index._run_syms, index._run_ends, index._run_lens):
-        if s != index.symbol:
-            continue
-        start = int(end) - int(ln) + 1
-        cands.add(start)
-        cands.add(int(end) - window + 1)
-    best = -1
-    best_pos = 1
-    for p in sorted(cands):
-        if p < 1 or p > last_start:
-            continue
-        c = index.count_range(p, p + window - 1)
-        if c > best:
-            best, best_pos = c, p
-    return best, best_pos
+    syms, ends = w.run_index
+    hit = syms == index.symbol
+    starts = np.concatenate([[0], ends[:-1]])  # 0-based first symbol of each run
+    count, start = interval_window_max(starts[hit], ends[hit] - 1, w.length,
+                                       window)
+    return count, start + 1
 
 
 # ---------------------------------------------------------------------------
@@ -435,11 +459,8 @@ def find_occurrences(text: Word, pattern: Word, cap: int = 10_000,
     out = []
     pruns = pattern.runs
     truns = text.runs
-    tstarts = []
-    acc = 1
-    for s, c in truns:
-        tstarts.append(acc)
-        acc += c
+    _, tends = text.run_index
+    tstarts = np.concatenate([[1], tends[:-1] + 1]).tolist()
     if len(pruns) == 1:
         psym, plen = pruns[0]
         for (s, c), tpos in zip(truns, tstarts):

@@ -1,6 +1,9 @@
 import json
 
-from meansense import Schedule, Word
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from meansense import MeansenseError, Schedule, Word
 from meansense.cli import main
 
 
@@ -121,3 +124,58 @@ def test_report_flags_failures(tmp_path):
            "witnesses": [], "caveats": []}
     (out / "report-synthetic.json").write_text(json.dumps(bad))
     assert run("report", "--out", str(out)) == 1
+
+
+# -- malformed input -------------------------------------------------------
+
+_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=80)
+_json_value = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.text(max_size=4),
+    st.lists(st.integers(-3, 3), max_size=2),
+    st.fixed_dictionaries({"kind": st.sampled_from(["sturmian", "x"])},
+                          optional={"cf_terms": st.lists(st.text(max_size=2),
+                                                         max_size=2)}),
+)
+_configs = st.one_of(_text, st.dictionaries(
+    st.sampled_from(["construction", "depth", "base", "horizon", "seed",
+                     "checks", "bogus"]), _json_value).map(json.dumps))
+_level = st.fixed_dictionaries(
+    {}, optional={k: _json_value for k in ("n", "k_n", "len_A", "len_B", "t_n")})
+_schedules = st.one_of(_text, st.fixed_dictionaries(
+    {}, optional={"construction": _json_value, "base": _json_value,
+                  "levels": st.one_of(_json_value, st.lists(_level, max_size=2))}
+).map(json.dumps))
+
+
+@settings(max_examples=150, deadline=None)
+@example("not json")
+@example('{"depth": "x"}')
+@example("[1]")
+@given(text=_configs)
+def test_malformed_config_exits_2(tmp_path_factory, text):
+    tmp = tmp_path_factory.mktemp("cfg")
+    (tmp / "run.json").write_text(text)
+    assert run("check", "lemma-3.1", "--config", str(tmp / "run.json"),
+               "--out", str(tmp / "nobuild")) == 2
+
+
+@settings(max_examples=150, deadline=None)
+@example("not json")
+@example('{"construction": "S3"}')
+@given(text=_schedules)
+def test_malformed_schedule_exits_2(tmp_path_factory, text):
+    out = tmp_path_factory.mktemp("sched")
+    (out / "schedule.json").write_text(text)
+    assert run("check", "lemma-3.1", "--out", str(out)) == 2
+
+
+@example("alphabet=x;")
+@example("alphabet=2; 1:x")
+@example("alphabet=2; 1")
+@example("1")
+@given(line=st.one_of(_text, _text.map(lambda t: "alphabet=2; " + t)))
+def test_malformed_rle_raises_library_errors(line):
+    try:
+        Word.from_text(line)
+    except MeansenseError:
+        pass

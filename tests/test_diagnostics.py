@@ -85,6 +85,8 @@ def test_banach_window_max_examples():
     burst = IndexSet.from_iterable(range(40, 50), 200)
     cnt, start = banach_window_max(burst, 10)
     assert (cnt, start) == (10, 40)
+    # every window of {1, 3} holds one member; the smallest start wins
+    assert banach_window_max(IndexSet.from_iterable([1, 3], 4), 2) == (1, 0)
     rep = upper_banach_density(burst, [10])
     assert float(rep.witnesses[0]["windows"][0]["ratio"]) == 1.0
 
@@ -114,9 +116,9 @@ def test_banach_window_max_matches_naive():
         mask[members] = 1
         cs = np.concatenate([[0], np.cumsum(mask)])
         L = rng.randint(1, horizon)
-        want = int((cs[L:] - cs[:-L]).max())
-        got, _ = banach_window_max(F, L)
-        assert got == want
+        counts = cs[L:] - cs[:-L]
+        want = (int(counts.max()), int(np.argmax(counts)))
+        assert banach_window_max(F, L) == want
 
 
 # -- pairwise distances --------------------------------------------------

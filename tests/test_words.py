@@ -109,11 +109,8 @@ def test_window_max_matches_naive_sweep():
         sym = np.array(sym[:n], dtype=np.uint8)
         w = Word.from_symbols(sym.tolist())
         L = rng.randint(1, n)
-        got_cnt, got_pos = max_window_count(OccurrenceIndex(w), L)
-        want_cnt, _ = naive_window_max(sym, L)
-        assert got_cnt == want_cnt
-        # the returned witness must attain the maximum
-        assert int((sym[got_pos - 1:got_pos - 1 + L] == 1).sum()) == want_cnt
+        # the witness is the smallest optimal start, the naive first argmax
+        assert max_window_count(OccurrenceIndex(w), L) == naive_window_max(sym, L)
 
 
 def test_subword_examples():
@@ -130,6 +127,11 @@ def test_subword_matches_string_slice(data, w):
     start = data.draw(st.integers(1, len(s)))
     length = data.draw(st.integers(0, len(s) - start + 1))
     assert w.subword(start, length).as_string() == s[start - 1:start - 1 + length]
+    assert w.symbol_at(start) == int(s[start - 1])
+    assert "".join(map(str, w.expand().tolist())) == s
+    for sym in (0, 1):
+        want = [p for p in range(start, start + length) if s[p - 1] == str(sym)]
+        assert w.positions(sym, start, start + length - 1).tolist() == want
 
 
 def test_point_metric_examples():
