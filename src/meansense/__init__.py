@@ -75,6 +75,7 @@ from .language import (
 )
 from .reports import Report, fmt17, series_csv
 from .words import (
+    BlockFamily,
     OccurrenceIndex,
     PointView,
     Provenance,

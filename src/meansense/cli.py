@@ -182,7 +182,16 @@ def _require_build(cfg: RunConfig) -> Schedule:
         data = json.loads(path.read_text())
     except ValueError as exc:
         raise ParameterError(f"{path} is not JSON: {exc}") from None
-    return Schedule.from_json(data)
+    sched = Schedule.from_json(data)
+    want, have = schedule_hash(cfg.schedule()), schedule_hash(sched)
+    if want != have:
+        raise ParameterError(
+            f"config {cfg.construction} depth {cfg.depth} has schedule {want}, "
+            f"but the build in {cfg.output_dir} has schedule {have} "
+            f"({sched.construction} depth {sched.depth}): rebuild, or check "
+            f"with the build's config"
+        )
+    return sched
 
 
 def cmd_check(cfg: RunConfig, names: List[str]) -> int:

@@ -28,6 +28,8 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+import numpy as np
+
 from .errors import (
     DepthError,
     LengthOverflowError,
@@ -37,6 +39,7 @@ from .errors import (
 )
 from .words import (
     MAX_LENGTH,
+    BlockFamily,
     PointView,
     Provenance,
     RunBuilder,
@@ -458,12 +461,15 @@ class S3Construction(_ConstructionBase):
         out = sorted(set(out), key=lambda p: (p[1], p[0]))
         return out[:cap]
 
-    def witness_family(self, m: int, s: int, count: int, horizon: int) -> list:
+    def witness_family(self, m: int, s: int, count: int,
+                       horizon: int) -> BlockFamily:
         """The points w 0^j 1 0^... for j < count, w = x_{[m+1, m+s]}.
 
         Precondition: w is a suffix of some built A_i, which makes each of
         these points a limit of shifts of x (the decorated blocks of every
         deeper B realize w 0^j 1).  Raises WitnessUnavailableError otherwise.
+        The members share w, so they come back as one ``BlockFamily`` whose
+        marks are the positions s+1 .. s+count of the lone 1.
         """
         if s < 1 or count < 1:
             raise ParameterError("s and count must be >= 1")
@@ -481,23 +487,13 @@ class S3Construction(_ConstructionBase):
             )
         if horizon < s + count + 1:
             raise ParameterError("horizon too small for the requested family")
-        out = []
         note = (
             f"member of the cylinder of x[{m + 1}..{m + s}] because A_{align} "
             f"ends with it and each deeper decorated block realizes the "
             f"0^j 1 tail"
         )
-        for j in range(count):
-            b = RunBuilder()
-            b.extend(w)
-            b.append(0, j)
-            b.append(1, 1)
-            b.append(0, horizon - s - j - 1)
-            out.append(
-                PointView(b.build(2), Provenance("explicit-limit", detail=f"j={j}"),
-                          note)
-            )
-        return out
+        return BlockFamily(w, np.arange(s + 1, s + count + 1, dtype=np.int64),
+                           horizon, note)
 
 
 class S4Construction(_ConstructionBase):

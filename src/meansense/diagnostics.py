@@ -24,7 +24,13 @@ import numpy as np
 from .errors import HorizonError, ParameterError
 from .language import LanguageApprox, cylinder_members
 from .reports import FAIL, INCONCLUSIVE, PASS, AverageReport, Report, fmt17
-from .words import PointView, diff_intervals, interval_window_max, point_metric
+from .words import (
+    BlockFamily,
+    PointView,
+    diff_intervals,
+    interval_window_max,
+    point_metric,
+)
 
 DEFAULT_DEPTH = 64
 
@@ -278,36 +284,54 @@ def diam_of_members(members: Sequence[PointView]) -> tuple:
     return best, trunc
 
 
+def _shared_horizon(members: Sequence[PointView]) -> int:
+    """The shortest member horizon; a ``BlockFamily`` answers without
+    materializing its marked members."""
+    if isinstance(members, BlockFamily):
+        return min([members.horizon] + [e.horizon for e in members.extras])
+    return min(m.horizon for m in members)
+
+
+def _merge_intervals(pieces) -> tuple:
+    """Union of (los, his) arrays of 1-based inclusive intervals, merged."""
+    empty = np.empty(0, dtype=np.int64)
+    los = np.concatenate([empty] + [lo for lo, _ in pieces])
+    his = np.concatenate([empty] + [hi for _, hi in pieces])
+    if not len(los):
+        return los, his
+    order = np.argsort(los, kind="stable")
+    los, his = los[order], his[order]
+    reach = np.maximum.accumulate(his)
+    # an interval opens a new group unless it touches the reach so far
+    opens = np.ones(len(los), dtype=bool)
+    opens[1:] = los[1:] > reach[:-1] + 1
+    closes = np.append(np.nonzero(opens)[0][1:] - 1, len(los) - 1)
+    return los[opens], reach[closes]
+
+
 def _union_diff_positions(members: Sequence[PointView], upto: int):
     """Positions p <= upto where the members do not all agree.
 
     Any pairwise disagreement at p forces a disagreement with the base
     member at p, so the union over pairs equals the union over
     (base, other) pairs; the base is chosen with the fewest runs.
+
+    A ``BlockFamily`` with at least two marks needs no member at all.  Let
+    z = w 0^(horizon-s) be its zero-tail word.  At a position that is not a
+    mark every marked member equals z, so the members disagree there
+    exactly when some extra differs from z.  At a mark the member carrying
+    it reads 1 and every other marked member reads 0.  Hence the union is
+    the marks together with the disagreement sets of z and each extra.
     """
+    if isinstance(members, BlockFamily) and len(members.marks) >= 2:
+        z = members.zero_tail
+        marks = members.marks[members.marks <= upto]
+        return _merge_intervals([(marks, marks)] + [
+            diff_intervals(z, e.prefix, upto=upto) for e in members.extras])
+    members = list(members)
     base = min(members, key=lambda m: len(m.prefix.runs))
-    los_all, his_all = [], []
-    for m in members:
-        if m is base:
-            continue
-        los, his = diff_intervals(base.prefix, m.prefix, upto=upto)
-        los_all.append(los)
-        his_all.append(his)
-    if not los_all:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    los = np.concatenate(los_all)
-    his = np.concatenate(his_all)
-    order = np.argsort(los, kind="stable")
-    los, his = los[order], his[order]
-    # merge overlapping intervals
-    mlo, mhi = [], []
-    for lo, hi in zip(los.tolist(), his.tolist()):
-        if mhi and lo <= mhi[-1] + 1:
-            mhi[-1] = max(mhi[-1], hi)
-        else:
-            mlo.append(lo)
-            mhi.append(hi)
-    return np.array(mlo, dtype=np.int64), np.array(mhi, dtype=np.int64)
+    return _merge_intervals([diff_intervals(base.prefix, m.prefix, upto=upto)
+                             for m in members if m is not base])
 
 
 def diam_sequence(members: Sequence[PointView], steps: int):
@@ -316,11 +340,12 @@ def diam_sequence(members: Sequence[PointView], steps: int):
     Exact for the sampled members (hence a lower bound on the true set
     diameter).  Returns (values, truncated): a truncated step means the
     members all agree to the shared horizon and only the bias bound
-    1/(horizon - i + 1) is known.
+    1/(horizon - i + 1) is known.  A ``BlockFamily`` is handled from its
+    arrays, without materializing its members.
     """
     if not members:
         raise ParameterError("need at least one member")
-    H = min(m.horizon for m in members)
+    H = _shared_horizon(members)
     if steps > H:
         raise HorizonError(f"{steps} steps exceed shared horizon {H}")
     if len(members) == 1:
@@ -361,15 +386,19 @@ def sensitivity_times(members: Sequence[PointView], delta: float,
     Built on exact lower bounds, so membership certifies the separation;
     absence only means no sampled pair separates.
     """
-    values, _ = diam_sequence(members, steps)
+    return separation_times(diam_sequence(members, steps)[0], delta)
+
+
+def separation_times(values: np.ndarray, delta: float) -> IndexSet:
+    """Steps i < len(values) of a diameter sequence with values[i] > delta."""
     hits = np.nonzero(values > delta)[0].astype(np.int64)
-    return IndexSet(hits, steps)
+    return IndexSet(hits, len(values))
 
 
 def diam_mean_avg(members: Sequence[PointView], steps: int) -> AverageReport:
     """Cesaro average of the sampled-member diameter sequence."""
     values, truncated = diam_sequence(members, steps)
-    H = min(m.horizon for m in members)
+    H = _shared_horizon(members)
     idx = np.nonzero(truncated)[0]
     corr = float(np.sum(1.0 / (H - idx + 1))) / steps if len(idx) else 0.0
     caveats = ["diameters are lower bounds from sampled members"]

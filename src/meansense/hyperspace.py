@@ -25,7 +25,6 @@ from .reports import CAPPED, FAIL, PASS, AverageReport, Report, fmt17
 from .words import (
     PointView,
     Provenance,
-    RunBuilder,
     Word,
     find_occurrences,
     point_metric,
@@ -277,13 +276,9 @@ def hyper_witness_family(construction, P: FiniteSet, epsilon: float,
         if count < 1:
             raise ParameterError("horizon leaves no room for the tail family")
         fam = construction.witness_family(t, s, count, horizon)
-        w = fam[0].prefix.subword(1, s)
-        b = RunBuilder()
-        b.extend(w)
-        b.append(0, horizon - s)
-        fam.append(PointView(b.build(2), Provenance("explicit-limit",
-                                                    detail="zero-tail"),
-                             "all-zero continuation of the shared block"))
+        fam = fam + [PointView(fam.zero_tail,
+                               Provenance("explicit-limit", detail="zero-tail"),
+                               "all-zero continuation of the shared block")]
         q_members.extend(fam)
         details.append({"offset": t, "aligned_level": i, "block_len": s,
                         "family_size": len(fam)})

@@ -9,6 +9,7 @@ silently producing wrong sizes.
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -596,6 +597,66 @@ class PointView:
 
     def key(self):
         return (self.prefix.alphabet_size, self.prefix.runs)
+
+
+class BlockFamily(abc.Sequence):
+    """The points ``w 0^(p-s-1) 1 0^(horizon-p)``, one per mark p, then extras.
+
+    A family sharing the block ``w`` (length s) stored as arrays: ``marks``
+    holds the 1-based position of each member's lone 1, at least one,
+    strictly increasing inside (s, horizon].  ``extras`` are further views appended with ``+``.
+    A member is materialized only when indexed or iterated, marked members
+    first, with provenance ``explicit-limit`` and detail ``j=<p-s-1>``.
+    """
+
+    __slots__ = ("block", "marks", "horizon", "note", "extras")
+
+    def __init__(self, block: Word, marks, horizon: int, note: str = "",
+                 extras: Sequence[PointView] = ()):
+        marks = np.asarray(marks, dtype=np.int64)
+        if (marks.ndim != 1 or not len(marks) or marks[0] <= block.length
+                or marks[-1] > horizon or (np.diff(marks) <= 0).any()):
+            raise ParameterError(f"marks must be non-empty and increase "
+                                 f"strictly inside ({block.length}, {horizon}]")
+        self.block = block
+        self.marks = marks
+        self.horizon = horizon
+        self.note = note
+        self.extras = tuple(extras)
+
+    @property
+    def zero_tail(self) -> Word:
+        """The block followed by zeros up to the horizon, ``w 0^(horizon-s)``."""
+        return Word(self.block.alphabet_size,
+                    self.block.runs + ((0, self.horizon - self.block.length),))
+
+    def _member(self, p: int) -> PointView:
+        s = self.block.length
+        w = Word(self.block.alphabet_size,
+                 self.block.runs + ((0, p - s - 1), (1, 1), (0, self.horizon - p)))
+        return PointView(w, Provenance("explicit-limit", detail=f"j={p - s - 1}"),
+                         self.note)
+
+    def __len__(self):
+        return len(self.marks) + len(self.extras)
+
+    def __getitem__(self, i: int):
+        n = len(self)
+        if not -n <= i < n:
+            raise IndexError(f"member {i} outside a family of {n}")
+        i %= n
+        if i < len(self.marks):
+            return self._member(int(self.marks[i]))
+        return self.extras[i - len(self.marks)]
+
+    def __iter__(self):
+        for p in self.marks.tolist():
+            yield self._member(p)
+        yield from self.extras
+
+    def __add__(self, views):
+        return BlockFamily(self.block, self.marks, self.horizon, self.note,
+                           self.extras + tuple(views))
 
 
 def point_metric(x: PointView, y: PointView) -> tuple:

@@ -100,6 +100,17 @@ def test_config_file_drives_build_and_check(tmp_path):
     assert run("check", "prop-devaney", "--config", str(cfg_path)) == 0
 
 
+def test_check_rejects_config_not_matching_build(tmp_path):
+    out = tmp_path / "run"
+    assert run("build", "--construction", "S3", "--depth", "3",
+               "--out", str(out)) == 0
+    assert run("check", "lemma-count-3", "--construction", "S4", "--depth", "3",
+               "--out", str(out)) == 2
+    assert run("check", "lemma-count-3", "--construction", "S3", "--depth", "2",
+               "--out", str(out)) == 2
+    assert not list(out.glob("report-*.json"))
+
+
 def test_config_file_rejects_unknown_keys(tmp_path):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({"construktion": "S3"}))

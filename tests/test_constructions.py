@@ -3,10 +3,12 @@ import json
 import pytest
 
 from meansense import (
+    BlockFamily,
     GeneratorDescriptor,
     LengthOverflowError,
     OccurrenceIndex,
     ParameterError,
+    Provenance,
     S4Construction,
     Schedule,
     Word,
@@ -18,6 +20,7 @@ from meansense import (
     patched_step,
     verify_schedule,
 )
+from meansense.words import RunBuilder
 
 
 def test_s3_schedule_frozen_values():
@@ -185,12 +188,29 @@ def test_periodic_point_periodicity(s4):
 def test_witness_family_shape(s3):
     fam = s3.witness_family(0, 27, count=4, horizon=64)
     a2 = s3.a_word(2)
+    assert fam.block == a2 and len(fam) == 4
     for j, z in enumerate(fam):
         assert z.prefix.starts_with(a2)
         assert z.horizon == 64
         # the extra 1 sits right after the j zeros
         assert z.prefix.symbol_at(27 + j + 1) == 1
         assert z.prefix.count(1) == a2.count(1) + 1
+        b = RunBuilder()
+        b.extend(a2)
+        b.append(0, j)
+        b.append(1, 1)
+        b.append(0, 64 - 27 - j - 1)
+        assert z.prefix == b.build(2)
+        assert z.provenance == Provenance("explicit-limit", detail=f"j={j}")
+        assert fam[j - 4] == z
+    with pytest.raises(IndexError):
+        fam[4]
+    extra = s3.shift_view(0, 64)
+    more = fam + [extra]
+    assert len(more) == 5 and len(fam) == 4
+    assert more[-1] is extra and list(more)[:4] == list(fam)
+    with pytest.raises(ParameterError):
+        BlockFamily(a2, [27, 28], 64)  # a mark inside the block
     with pytest.raises(WitnessUnavailableError):
         s3.witness_family(1, 5, count=2, horizon=64)  # x[2..6] ends no A_i
 

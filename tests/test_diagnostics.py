@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from meansense import (
+    BlockFamily,
     HorizonError,
     IndexSet,
     LanguageApprox,
@@ -223,6 +224,36 @@ def test_diam_sequence_matches_naive_pairwise():
         assert np.array_equal(got_v, want_v)
         if count > 1:
             assert (got_t == want_t).all()
+
+
+def test_block_family_diam_matches_list_and_naive():
+    # the family route (marks plus extras, no members) against the member
+    # list route and the expanded pairwise oracle
+    rng = random.Random(229)
+    for _ in range(150):
+        s = rng.randint(1, 8)
+        block = random_view(rng, s).prefix
+        horizon = rng.randint(s + 8, 60)
+        k = rng.randint(1, 6)
+        if rng.random() < 0.5:
+            first = rng.randint(s + 1, horizon - k + 1)
+            marks = list(range(first, first + k))
+        else:
+            marks = sorted(rng.sample(range(s + 1, horizon + 1), k))
+        extras = []
+        for _ in range(rng.randint(0, 3)):
+            n = rng.randint(horizon - 5, horizon + 5)
+            tail = random_view(rng, n - s).prefix
+            head = block if rng.random() < 0.5 else random_view(rng, s).prefix
+            extras.append(PointView(Word(2, head.runs + tail.runs),
+                                    Provenance("explicit-limit")))
+        fam = BlockFamily(block, marks, horizon) + extras
+        steps = rng.randint(1, min(m.horizon for m in fam))
+        got_v, got_t = diam_sequence(fam, steps)
+        for want_v, want_t in (diam_sequence(list(fam), steps),
+                               naive_diam_sequence(list(fam), steps)):
+            assert np.array_equal(got_v, want_v)
+            assert np.array_equal(got_t, want_t)
 
 
 def test_diam_singleton_is_zero():
