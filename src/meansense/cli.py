@@ -95,25 +95,23 @@ class RunConfig:
                     f"config {key} has type {type(value).__name__}")
         if self.base is not None:
             self.generator()
-        if self.construction not in ("S3", "S4", "patched"):
+        if self.construction not in ("S3", "S4"):
             raise ParameterError(
-                f"construction must be S3, S4 or patched, got "
-                f"{self.construction!r}"
+                f"construction must be S3 or S4, got {self.construction!r}"
             )
         if self.depth < 1:
             raise ParameterError("depth must be >= 1")
         if self.horizon is not None:
             if self.horizon < 1:
                 raise ParameterError("horizon must be >= 1")
-            if self.construction in ("S3", "S4"):
-                sched = self.schedule()
-                top = sched.level(sched.depth)
-                if self.horizon > top.len_a + top.k:
-                    raise ParameterError(
-                        f"horizon {self.horizon} unreachable at depth "
-                        f"{self.depth}: the deepest exact prefix has "
-                        f"{top.len_a + top.k} symbols"
-                    )
+            sched = self.schedule()
+            top = sched.level(sched.depth)
+            if self.horizon > top.len_a + top.k:
+                raise ParameterError(
+                    f"horizon {self.horizon} unreachable at depth "
+                    f"{self.depth}: the deepest exact prefix has "
+                    f"{top.len_a + top.k} symbols"
+                )
 
 
 def schedule_hash(sched: Schedule) -> str:
@@ -256,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--construction", choices=["S3", "S4", "patched"])
+        p.add_argument("--construction", choices=["S3", "S4"])
         p.add_argument("--depth", type=int)
         p.add_argument("--horizon", type=int)
         p.add_argument("--seed", type=int)

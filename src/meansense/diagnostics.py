@@ -14,6 +14,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -418,6 +419,17 @@ def diam_mean_avg(members: Sequence[PointView], steps: int) -> AverageReport:
 # mean condition <-> density condition conversion
 
 
+def _exact_ratio(value, name: str):
+    """``value`` as an exact (numerator, denominator) pair; finite only."""
+    try:
+        if not hasattr(value, "as_integer_ratio"):
+            value = Fraction(value)  # numpy integers, decimal strings
+        return value.as_integer_ratio()
+    except (ValueError, OverflowError):
+        raise ParameterError(
+            f"{name} must be a finite number, got {value!r}") from None
+
+
 def mean_to_density_check(a: Sequence[float], delta: float, M: float,
                           sqrt_delta: Optional[float] = None) -> Report:
     """Check both conversion inequalities on a finite bounded sequence.
@@ -427,18 +439,25 @@ def mean_to_density_check(a: Sequence[float], delta: float, M: float,
     (ii) if the prefix-max density of {i : a_i >= delta} is <= delta then
          every prefix average is <= (M+1) delta.
 
-    Evaluated in exact rational arithmetic; pass ``sqrt_delta`` when delta
-    is a perfect square of a rational to keep side (i) exact too.
+    Evaluated exactly: every input becomes an integer over one common
+    denominator, and running maxima compare by cross-multiplication.  Pass
+    ``sqrt_delta`` when delta is a perfect square of a rational to keep
+    side (i) exact too.
     """
-    if delta <= 0:
+    nd, dd = _exact_ratio(delta, "delta")
+    if nd <= 0:
         raise ParameterError("delta must be positive")
-    seq = [Fraction(v) for v in a]
-    Mf = Fraction(M)
-    if any(v < 0 or v > Mf for v in seq):
+    nm, dm = _exact_ratio(M, "M")
+    nr, dr = _exact_ratio(math.sqrt(delta) if sqrt_delta is None else sqrt_delta,
+                          "sqrt_delta")
+    ratios = [_exact_ratio(v, "sequence value") for v in a]
+    dens = {dd, dm, dr, *(d for _, d in ratios)}
+    D = math.lcm(*dens)
+    scale = {d: D // d for d in dens}
+    seq = [n * scale[d] for n, d in ratios]
+    if seq and (min(seq) < 0 or max(seq) > nm * scale[dm]):
         raise ParameterError("sequence values must lie in [0, M]")
-    df = Fraction(delta)
-    rt = Fraction(sqrt_delta) if sqrt_delta is not None else Fraction(
-        math.sqrt(delta))
+    df, rt, Mf = Fraction(nd, dd), Fraction(nr, dr), Fraction(nm, dm)
     rep = Report("mean-to-density", params={
         "delta": fmt17(delta), "M": fmt17(M), "length": len(seq),
         "sqrt_delta": fmt17(float(rt)),
@@ -448,28 +467,28 @@ def mean_to_density_check(a: Sequence[float], delta: float, M: float,
         rep.caveats.append("empty sequence: vacuous")
         return rep
 
-    def max_prefix_avg(vals):
-        best = Fraction(0)
-        run = Fraction(0)
-        for n, v in enumerate(vals, start=1):
-            run += v
-            best = max(best, run / n)
-        return best
+    def max_prefix_avg():
+        # the best prefix as (sum, length), starting from 0/1
+        best_s, best_n = 0, 1
+        for n, s in enumerate(itertools.accumulate(seq), start=1):
+            if s * best_n > best_s * n:
+                best_s, best_n = s, n
+        return Fraction(best_s, D * best_n)
 
     def max_prefix_density(thresh):
-        best = Fraction(0)
-        cnt = 0
-        for n, v in enumerate(seq, start=1):
-            if v >= thresh:
-                cnt += 1
-            best = max(best, Fraction(cnt, n))
-        return best
+        # cnt/n only rises at a hit, so only hits can set the maximum
+        hits = [n for n, v in enumerate(seq, start=1) if v >= thresh]
+        best_c, best_n = 0, 1
+        for c, n in enumerate(hits, start=1):
+            if c * best_n > best_c * n:
+                best_c, best_n = c, n
+        return Fraction(best_c, best_n)
 
-    avg = max_prefix_avg(seq)
+    avg = max_prefix_avg()
     side1_premise = avg <= df
-    side1_density = max_prefix_density(rt)
+    side1_density = max_prefix_density(nr * scale[dr])
     side1_ok = (not side1_premise) or side1_density <= rt
-    side2_density = max_prefix_density(df)
+    side2_density = max_prefix_density(nd * scale[dd])
     side2_premise = side2_density <= df
     side2_ok = (not side2_premise) or avg <= (Mf + 1) * df
     rep.witnesses = [

@@ -9,6 +9,7 @@ silently producing wrong sizes.
 
 from __future__ import annotations
 
+import itertools
 from collections import abc
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -107,12 +108,12 @@ class Word:
 
     @staticmethod
     def from_symbols(symbols: Iterable[int], alphabet_size: int = 2) -> "Word":
-        b = RunBuilder()
-        for s in symbols:
+        runs = []
+        for s, group in itertools.groupby(symbols):
             if not 0 <= s < alphabet_size:
                 raise ParameterError(f"symbol {s} outside alphabet {alphabet_size}")
-            b.append(s, 1)
-        return b.build(alphabet_size)
+            runs.append((s, len(list(group))))
+        return Word(alphabet_size, runs, _trusted=True)
 
     @staticmethod
     def from_string(text: str, alphabet_size: int = 2) -> "Word":

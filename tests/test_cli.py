@@ -48,6 +48,20 @@ def test_usage_errors_exit_2(tmp_path):
     assert run("check", "nope", "--out", str(tmp_path)) == 2
 
 
+def test_patched_construction_is_rejected(tmp_path, capsys):
+    # the patched system has no level schedule, so nothing can build it
+    for cmd in (("build",), ("check", "thm-unpos")):
+        assert run(*cmd, "--construction", "patched", "--depth", "2",
+                   "--out", str(tmp_path)) == 2
+        assert "invalid choice: 'patched'" in capsys.readouterr().err
+        cfg_path = tmp_path / "patched.json"
+        cfg_path.write_text(json.dumps({"construction": "patched", "depth": 2}))
+        assert run(*cmd, "--config", str(cfg_path),
+                   "--out", str(tmp_path)) == 2
+        assert "construction must be S3 or S4" in capsys.readouterr().err
+    assert not (tmp_path / "schedule.json").exists()
+
+
 def test_check_requires_build_artifacts(tmp_path):
     assert run("check", "lemma-3.1", "--out", str(tmp_path / "missing")) == 2
 

@@ -1,8 +1,11 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meansense import (
     BlockFamily,
@@ -29,6 +32,7 @@ from meansense import (
     upper_banach_density,
     upper_density,
 )
+from meansense.reports import FAIL, PASS, Report, fmt17
 
 from conftest import naive_step_distances
 
@@ -342,6 +346,132 @@ def test_mean_to_density_randomized():
         r = rng.randint(1, 64) / 64
         rep = mean_to_density_check(a, r * r, M, sqrt_delta=r)
         assert rep.passed
+
+
+def naive_mean_to_density_check(a, delta, M, sqrt_delta=None):
+    """Oracle for ``mean_to_density_check``: every value a ``Fraction``,
+    every prefix ratio built and compared as a ``Fraction``."""
+    if delta <= 0:
+        raise ParameterError("delta must be positive")
+    seq = [Fraction(v) for v in a]
+    Mf = Fraction(M)
+    if any(v < 0 or v > Mf for v in seq):
+        raise ParameterError("sequence values must lie in [0, M]")
+    df = Fraction(delta)
+    rt = Fraction(sqrt_delta) if sqrt_delta is not None else Fraction(
+        math.sqrt(delta))
+    rep = Report("mean-to-density", params={
+        "delta": fmt17(delta), "M": fmt17(M), "length": len(seq),
+        "sqrt_delta": fmt17(float(rt)),
+    })
+    if not seq:
+        rep.verdict = PASS
+        rep.caveats.append("empty sequence: vacuous")
+        return rep
+
+    def max_prefix_avg(vals):
+        best = Fraction(0)
+        run = Fraction(0)
+        for n, v in enumerate(vals, start=1):
+            run += v
+            best = max(best, run / n)
+        return best
+
+    def max_prefix_density(thresh):
+        best = Fraction(0)
+        cnt = 0
+        for n, v in enumerate(seq, start=1):
+            if v >= thresh:
+                cnt += 1
+            best = max(best, Fraction(cnt, n))
+        return best
+
+    avg = max_prefix_avg(seq)
+    side1_premise = avg <= df
+    side1_density = max_prefix_density(rt)
+    side1_ok = (not side1_premise) or side1_density <= rt
+    side2_density = max_prefix_density(df)
+    side2_premise = side2_density <= df
+    side2_ok = (not side2_premise) or avg <= (Mf + 1) * df
+    rep.witnesses = [
+        {"side": "mean->density", "premise_holds": side1_premise,
+         "max_prefix_avg": fmt17(float(avg)),
+         "density_at_sqrt_delta": fmt17(float(side1_density)),
+         "holds": side1_ok,
+         "margin": fmt17(float(rt - side1_density)) if side1_premise else None},
+        {"side": "density->mean", "premise_holds": side2_premise,
+         "density_at_delta": fmt17(float(side2_density)),
+         "bound": fmt17(float((Mf + 1) * df)),
+         "holds": side2_ok,
+         "margin": fmt17(float((Mf + 1) * df - avg)) if side2_premise else None},
+    ]
+    rep.verdict = PASS if (side1_ok and side2_ok) else FAIL
+    if sqrt_delta is None:
+        rep.caveats.append("sqrt(delta) taken as the nearest float")
+    return rep
+
+
+@st.composite
+def _conversion_inputs(draw):
+    """Sequences on a dyadic grid (floats j/2^k), a non-dyadic float grid
+    (j/7) or a rational grid (Fraction(j, q)); delta either the square of a
+    grid point (passed as sqrt_delta) or a grid point (sqrt left to the
+    function).  Values equal to delta or sqrt(delta) are drawn on purpose."""
+    M = draw(st.sampled_from([0.5, 1, 2, 3, 4]))
+    grid = draw(st.sampled_from(["dyadic", "sevenths", "fraction"]))
+    if grid == "dyadic":
+        q = 2 ** draw(st.integers(0, 10))
+        make = lambda j: j / q
+    elif grid == "sevenths":
+        q = 7
+        make = lambda j: j / 7
+    else:
+        q = draw(st.sampled_from([3, 7, 12]))
+        make = lambda j: Fraction(j, q)
+    top = math.floor(M * q)
+    if draw(st.booleans()):
+        sqrt_delta = make(draw(st.integers(1, max(top, 1))))
+        delta = sqrt_delta * sqrt_delta
+        thresholds = [delta, sqrt_delta]
+    else:
+        sqrt_delta = None
+        delta = make(draw(st.integers(1, max(top, 1))))
+        thresholds = [delta, math.sqrt(delta)]
+    points = st.integers(0, top).map(make)
+    edges = [t for t in thresholds if 0 <= t <= M]
+    if edges:
+        points = st.one_of(points, st.sampled_from(edges))
+    a = draw(st.lists(points, max_size=60))
+    return a, delta, M, sqrt_delta
+
+
+@settings(max_examples=400, deadline=None)
+@given(args=_conversion_inputs())
+def test_mean_to_density_matches_fraction_oracle(args):
+    a, delta, M, sqrt_delta = args
+    want = naive_mean_to_density_check(a, delta, M, sqrt_delta=sqrt_delta)
+    got = mean_to_density_check(a, delta, M, sqrt_delta=sqrt_delta)
+    assert got.verdict == want.verdict
+    assert got.params == want.params
+    assert got.witnesses == want.witnesses
+    assert got.caveats == want.caveats
+
+
+@pytest.mark.parametrize("a, delta, M, sqrt_delta", [
+    ([math.nan], 0.25, 1, None),
+    ([0.5, math.inf], 0.25, 1, None),
+    ([0.5, -math.inf], 0.25, 1, 0.5),
+    ([0.5], math.nan, 1, None),
+    ([0.5], math.inf, 1, None),
+    ([0.5], 0.25, math.nan, 0.5),
+    ([0.5], 0.25, math.inf, None),
+    ([0.5], 0.25, 1, math.nan),
+    ([0.5], 0.25, 1, math.inf),
+    ([], 0.25, 1, math.nan),
+])
+def test_mean_to_density_rejects_non_finite(a, delta, M, sqrt_delta):
+    with pytest.raises(ParameterError, match="finite"):
+        mean_to_density_check(a, delta, M, sqrt_delta=sqrt_delta)
 
 
 # -- classification ------------------------------------------------------

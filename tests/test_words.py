@@ -22,6 +22,7 @@ from meansense import (
     point_metric,
     power,
 )
+from meansense.words import RunBuilder
 
 from conftest import naive_window_max
 
@@ -37,6 +38,29 @@ def test_canonical_form_merges_runs():
     w = Word(2, [(1, 3), (0, 9), (0, 3), (0, 9), (1, 3)])
     assert w.runs == ((1, 3), (0, 21), (1, 3))
     assert w.length == 27
+
+
+_feeds = {
+    "list": list,
+    "generator": lambda xs: (x for x in xs),
+    "int64": lambda xs: [np.int64(x) for x in xs],
+}
+
+
+@given(data=st.data(), k=st.sampled_from([2, 4]), feed=st.sampled_from(sorted(_feeds)))
+def test_from_symbols_matches_run_builder(data, k, feed):
+    syms = data.draw(st.lists(st.integers(0, k - 1), max_size=80))
+    b = RunBuilder()
+    for s in syms:
+        b.append(s, 1)
+    w = Word.from_symbols(_feeds[feed](syms), k)
+    assert w.runs == b.build(k).runs
+    assert w.length == len(syms)
+    bad = data.draw(st.sampled_from([-1, k, k + 5]))
+    at = data.draw(st.integers(0, len(syms)))
+    with pytest.raises(ParameterError) as exc:
+        Word.from_symbols(_feeds[feed](syms[:at] + [bad] + syms[at:]), k)
+    assert str(exc.value) == f"symbol {bad} outside alphabet {k}"
 
 
 def test_concat_examples():
