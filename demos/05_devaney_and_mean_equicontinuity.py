@@ -9,10 +9,17 @@ without iterating them.
 
 import json
 
-from meansense import LanguageApprox, check_dense_periodic_desk, check_transitive_desk
-from meansense.checks import check_prop_p_system, s4_construction
+from meansense import (
+    GeneratorDescriptor,
+    LanguageApprox,
+    S4Construction,
+    build_schedule_s4,
+    check_dense_periodic_desk,
+    check_transitive_desk,
+)
+from meansense.checks import check_prop_p_system
 
-c = s4_construction(4)
+c = S4Construction(build_schedule_s4(4, GeneratorDescriptor("constant-zero")))
 la = LanguageApprox(c.transitive_prefix(c.schedule.level(4).len_a).prefix)
 
 r1 = check_transitive_desk(la, 4)
@@ -25,7 +32,7 @@ for word, wit in r2.witnesses[0]["witness_table"].items():
     print(f"  {word:28s} <- level {wit['i']}, offset {wit['t']}")
 
 print()
-rep = check_prop_p_system(epsilon=0.1)
+rep = check_prop_p_system(c, epsilon=0.1)
 print("mean equicontinuity at the transitive point:", rep.verdict)
 print(json.dumps({k: rep.params[k] for k in
                   ("witnessing_m", "steps", "term_linear", "term_const")},

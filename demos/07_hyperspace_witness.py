@@ -10,15 +10,17 @@ import itertools
 
 from meansense import (
     FiniteSet,
+    S3Construction,
     banach_avg_distance,
+    build_schedule_s3,
     certified_separation_steps,
     hausdorff_distance,
     hyper_mean_avg,
     hyper_witness_family,
 )
-from meansense.checks import _thm18_points, s3_construction
+from meansense.checks import _thm18_points
 
-c = s3_construction(4)
+c = S3Construction(build_schedule_s3(4))
 n = 10_000
 horizon = n + 200
 P = FiniteSet.of(_thm18_points(c, horizon))

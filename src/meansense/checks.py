@@ -1,8 +1,11 @@
 """Named verification checks shared by the CLI and the acceptance suite.
 
-Every check builds what it needs deterministically, asserts the documented
+Every check is called as ``check(construction, seed)`` and computes on the
+construction it is given: under the CLI, the one built from the build's
+``schedule.json``.  ``NEEDS`` names the family a check needs; the checks
+absent from it ignore the construction.  Each check asserts the documented
 inequality exactly (integer or rational arithmetic wherever the claim is
-exact), and returns a Report.  Check names double as CLI tokens.
+exact) and returns a Report.  Check names double as CLI tokens.
 """
 
 from __future__ import annotations
@@ -10,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from functools import lru_cache
 from typing import Dict, List
 
 import numpy as np
@@ -19,7 +21,6 @@ from .constructions import (
     GeneratorDescriptor,
     S3Construction,
     S4Construction,
-    build_schedule_s3,
     build_schedule_s4,
     patched_point,
     patched_step,
@@ -64,26 +65,15 @@ from .words import (
 DEPTH_CAP = 64  # default per-step metric comparison depth
 
 
-@lru_cache(maxsize=None)
-def s3_construction(depth: int = 4) -> S3Construction:
-    return S3Construction(build_schedule_s3(depth))
-
-
-@lru_cache(maxsize=None)
-def s4_construction(depth: int = 4) -> S4Construction:
-    base = GeneratorDescriptor("constant-zero")
-    return S4Construction(build_schedule_s4(depth, base))
-
-
-@lru_cache(maxsize=None)
-def s4_construction_sharpened(epsilon_key: int = 10) -> S4Construction:
-    """Depth-6 variant whose level-5 gap parameter is raised so the level-5
-    density ratio supports a mean-equicontinuity margin of 1/epsilon_key.
+def s4_construction_sharpened(base: GeneratorDescriptor,
+                              epsilon_key: int = 10) -> S4Construction:
+    """Depth-6 S4 variant over ``base`` whose level-5 gap parameter is raised
+    so the level-5 density ratio supports a mean-equicontinuity margin of
+    1/epsilon_key.
 
     The recursion only lower-bounds the gap parameters, so any raise that
     re-verifies is legitimate; lengths stay inside 64 bits.
     """
-    base = GeneratorDescriptor("constant-zero")
     probe = build_schedule_s4(5, base)
     lv5 = probe.level(5)
     K = 5 * epsilon_key  # agreement depth making 1/(K+1) < eps/5
@@ -96,24 +86,12 @@ def s4_construction_sharpened(epsilon_key: int = 10) -> S4Construction:
     return S4Construction(sched)
 
 
-def _s3_x_prefix(depth: int = 4):
-    c = s3_construction(depth)
-    top = c.schedule.level(depth)
-    return c.transitive_prefix(top.len_a)
-
-
-@lru_cache(maxsize=None)
-def _s3_language(depth: int = 4) -> LanguageApprox:
-    return LanguageApprox(_s3_x_prefix(depth).prefix)
-
-
 # ---------------------------------------------------------------------------
 
 
-def check_lemma31(cfg=None, sched=None) -> Report:
+def check_lemma31(c: S3Construction, seed: int = 0) -> Report:
     """Window 1-count bound: every window of t_n symbols inside a deeper
     level word holds at most |A_n| + |B_n| ones.  Exact RLE sweep."""
-    c = s3_construction(4)
     rep = Report("lemma-3.1")
     rows = []
     ok = True
@@ -121,12 +99,7 @@ def check_lemma31(cfg=None, sched=None) -> Report:
     for n, kind, m in cases:
         lvn = c.schedule.level(n)
         bound = lvn.len_a + lvn.len_b
-        if kind == "A" and m == c.schedule.depth:
-            word = c.transitive_prefix(c.schedule.level(m).len_a).prefix
-        elif kind == "A":
-            word = c.a_word(m)
-        else:
-            word = c.b_word(m)
+        word = c.a_word(m) if kind == "A" else c.b_word(m)
         cnt, pos = max_window_count(OccurrenceIndex(word), lvn.t)
         rows.append({"n": n, "word": f"{kind}_{m}", "window": lvn.t,
                      "max_count": cnt, "at": pos, "bound": bound})
@@ -137,12 +110,10 @@ def check_lemma31(cfg=None, sched=None) -> Report:
     return rep
 
 
-def check_lemma32_density(cfg=None, sched=None) -> Report:
+def check_lemma32_density(c: S3Construction, seed: int = 0) -> Report:
     """Windowed frequency of the 1-positions of x decays through the level
     window lengths and meets the coarse level-3 budget exactly."""
-    c = s3_construction(4)
-    x = _s3_x_prefix(4)
-    E = indicator_set_E(x)
+    E = indicator_set_E(c.transitive_prefix(c.schedule.level(4).len_a))
     t = [c.schedule.level(n).t for n in (1, 2, 3)]
     counts = []
     for L in t:
@@ -170,10 +141,10 @@ def check_lemma32_density(cfg=None, sched=None) -> Report:
     return rep
 
 
-def check_thm13_cofinite(cfg=None, sched=None, horizon: int = 120_000) -> Report:
+def check_thm13_cofinite(c: S3Construction, seed: int = 0,
+                         horizon: int = 120_000) -> Report:
     """Past the cylinder block, every single step separates the witness
     family beyond 1/2: the separation-time set contains a full tail."""
-    c = s3_construction(4)
     m, s = 0, 27  # cylinder block = the level-2 word, a suffix of itself
     count = horizon - s - 1
     family = c.witness_family(m, s, count, horizon)
@@ -210,12 +181,12 @@ def _s3_deep_cylinders(c: S3Construction, how_many: int = 10):
     return out
 
 
-def check_thm13_banach_equi(cfg=None, sched=None, pairs_per_cylinder: int = 100,
+def check_thm13_banach_equi(c: S3Construction, seed: int = 0,
+                            pairs_per_cylinder: int = 100,
                             epsilon: float = 0.05) -> Report:
     """Banach-window averages stay below epsilon for every sampled pair in
     each of ten deep cylinders, truncation correction included."""
-    c = s3_construction(4)
-    la = _s3_language(4)
+    la = LanguageApprox(c.transitive_prefix(c.schedule.level(4).len_a).prefix)
     t2 = c.schedule.level(2).t
     member_h = 3 * t2 + DEPTH_CAP + 100
     rows = []
@@ -249,10 +220,9 @@ def check_thm13_banach_equi(cfg=None, sched=None, pairs_per_cylinder: int = 100,
     return rep
 
 
-def check_lemma_count3(cfg=None, sched=None) -> Report:
+def check_lemma_count3(c: S4Construction, seed: int = 0) -> Report:
     """Anchored 1-count bound for the S4 family: ranges that open on a copy
     of A_n hold at most ((len)/t_n + 2)(|A_n|+|B_n|) ones.  Exact integers."""
-    c = s4_construction(4)
     x = c.transitive_prefix(c.schedule.level(4).len_a)
     idx = OccurrenceIndex(x.prefix)
     rep = Report("lemma-count-3")
@@ -284,12 +254,14 @@ def check_lemma_count3(cfg=None, sched=None) -> Report:
     return rep
 
 
-def check_prop_p_system(cfg=None, sched=None, epsilon: float = 0.1) -> Report:
+def check_prop_p_system(c: S4Construction, seed: int = 0,
+                        epsilon: float = 0.1) -> Report:
     """The transitive point of the S4 family is empirically mean
     equicontinuous: some cylinder depth keeps every sampled co-member within
     epsilon in Cesaro average, and the supporting bound chain clears
-    epsilon/4 term by term."""
-    c = s4_construction_sharpened(int(round(1 / epsilon)))
+    epsilon/4 term by term.  Runs on the sharpened depth-6 variant of ``c``'s
+    base generator."""
+    c = s4_construction_sharpened(c.schedule.base, int(round(1 / epsilon)))
     K = math.floor(5.0 / epsilon)  # 1/(K+1) < eps/5
     rep = Report("prop-p-system", params={
         "epsilon": fmt17(epsilon), "K": K,
@@ -382,9 +354,8 @@ def check_prop_p_system(cfg=None, sched=None, epsilon: float = 0.1) -> Report:
     return rep
 
 
-def check_prop_devaney(cfg=None, sched=None, n: int = 4) -> Report:
+def check_prop_devaney(c: S4Construction, seed: int = 0, n: int = 4) -> Report:
     """Two-half recurrence plus periodic-prefix coverage for the S4 family."""
-    c = s4_construction(4)
     la = LanguageApprox(c.transitive_prefix(c.schedule.level(4).len_a).prefix)
     r1 = check_transitive_desk(la, n)
     r2 = check_dense_periodic_desk(c, la, n)
@@ -395,7 +366,7 @@ def check_prop_devaney(cfg=None, sched=None, n: int = 4) -> Report:
     return rep
 
 
-def check_thm_unpos(cfg=None, sched=None, steps: int = 64) -> Report:
+def check_thm_unpos(c=None, seed: int = 0, steps: int = 64) -> Report:
     """The patched map collapses the {2,3} cylinder to one orbit after a
     single step: its diameter sequence is exactly zero from step 1 on."""
     horizon = 2 * steps + 8
@@ -433,12 +404,11 @@ def _thm18_points(c: S3Construction, horizon: int):
     return [c.shift_view(t, horizon) for t in offsets]
 
 
-def check_thm18_witness(cfg=None, sched=None, epsilon: float = 0.1,
-                        n: int = 10_000) -> Report:
+def check_thm18_witness(c: S3Construction, seed: int = 0,
+                        epsilon: float = 0.1, n: int = 10_000) -> Report:
     """Hyperspace witness: a point within epsilon of P in Hausdorff distance
     whose induced orbit separates from P's on nearly every step, while the
     base-space pairs of P stay Banach-mean close."""
-    c = s3_construction(4)
     horizon = n + 200
     P = FiniteSet.of(_thm18_points(c, horizon))
     Q, wrep = hyper_witness_family(c, P, epsilon, horizon)
@@ -463,10 +433,9 @@ def check_thm18_witness(cfg=None, sched=None, epsilon: float = 0.1,
     return rep
 
 
-def check_remark_213(cfg=None, sched=None, trials: int = 1000) -> Report:
+def check_remark_213(c=None, seed: int = 0, trials: int = 1000) -> Report:
     """Randomized conversion trials between average bounds and density
     bounds, exact rational arithmetic, zero counterexamples allowed."""
-    seed = getattr(cfg, "seed", 0) if cfg else 0
     rng = random.Random(20_000 + seed)
     failures = []
     for trial in range(trials):
@@ -496,10 +465,9 @@ def _random_finite_set(rng: random.Random, horizon: int = 48) -> FiniteSet:
     return FiniteSet.of(members)
 
 
-def check_hausdorff_axioms(cfg=None, sched=None, trials: int = 1000) -> Report:
+def check_hausdorff_axioms(c=None, seed: int = 0, trials: int = 1000) -> Report:
     """Metric axioms plus the equality of the max-min and covering-radius
     formulas on random finite hyperspace points."""
-    seed = getattr(cfg, "seed", 0) if cfg else 0
     rng = random.Random(7 + seed)
     bad = []
     for trial in range(trials):
@@ -529,7 +497,7 @@ def check_hausdorff_axioms(cfg=None, sched=None, trials: int = 1000) -> Report:
     return rep
 
 
-def check_independence(cfg=None, sched=None) -> Report:
+def check_independence(c=None, seed: int = 0) -> Report:
     """Brute-force independence-set checks: the dense binary word realizes
     every pattern, a two-point periodic orbit cannot."""
     rep = Report("independence")
@@ -563,4 +531,16 @@ REGISTRY: Dict[str, callable] = {
     "remark-2.1.3": check_remark_213,
     "hausdorff-axioms": check_hausdorff_axioms,
     "independence": check_independence,
+}
+
+#: the family each construction-bound check computes on; the rest fit any build
+NEEDS: Dict[str, str] = {
+    "lemma-3.1": "S3",
+    "lemma-3.2-density": "S3",
+    "thm-1.3-cofinite": "S3",
+    "thm-1.3-banach-equi": "S3",
+    "thm-1.8-witness": "S3",
+    "lemma-count-3": "S4",
+    "prop-p-system": "S4",
+    "prop-devaney": "S4",
 }

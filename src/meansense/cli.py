@@ -17,18 +17,17 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional
 
 from . import checks as _checks
 from .constructions import (
     GeneratorDescriptor,
-    S3Construction,
-    S4Construction,
     Schedule,
     build_schedule_s3,
     build_schedule_s4,
+    construction_for,
 )
 from .errors import (
     LengthOverflowError,
@@ -50,20 +49,16 @@ class RunConfig:
     construction: str = "S3"
     depth: int = 3
     base: Optional[dict] = None
-    horizon: Optional[int] = None  # None: each check picks its default
     seed: int = 0
     output_dir: str = "out"
-    checks: List[dict] = field(default_factory=list)
 
     def to_json(self) -> dict:
         return {
             "construction": self.construction,
             "depth": self.depth,
             "base": self.base,
-            "horizon": self.horizon,
             "seed": self.seed,
             "output_dir": self.output_dir,
-            "checks": self.checks,
         }
 
     @property
@@ -86,9 +81,7 @@ class RunConfig:
 
     def validate(self):
         for key, kinds in (("depth", int), ("seed", int),
-                           ("horizon", (int, type(None))),
-                           ("base", (dict, type(None))),
-                           ("output_dir", str), ("checks", list)):
+                           ("base", (dict, type(None))), ("output_dir", str)):
             value = getattr(self, key)
             if not isinstance(value, kinds):
                 raise ParameterError(
@@ -101,17 +94,6 @@ class RunConfig:
             )
         if self.depth < 1:
             raise ParameterError("depth must be >= 1")
-        if self.horizon is not None:
-            if self.horizon < 1:
-                raise ParameterError("horizon must be >= 1")
-            sched = self.schedule()
-            top = sched.level(sched.depth)
-            if self.horizon > top.len_a + top.k:
-                raise ParameterError(
-                    f"horizon {self.horizon} unreachable at depth "
-                    f"{self.depth}: the deepest exact prefix has "
-                    f"{top.len_a + top.k} symbols"
-                )
 
 
 def schedule_hash(sched: Schedule) -> str:
@@ -132,7 +114,7 @@ def _load_config(args) -> RunConfig:
             if not hasattr(cfg, key):
                 raise ParameterError(f"unknown config key {key!r}")
             setattr(cfg, key, value)
-    for key in ("construction", "depth", "horizon", "seed"):
+    for key in ("construction", "depth", "seed"):
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
@@ -147,8 +129,7 @@ def cmd_build(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     sched = cfg.schedule()
     (out / "schedule.json").write_text(sched.to_json_str())
-    construction = (S3Construction(sched) if cfg.construction == "S3"
-                    else S4Construction(sched))
+    construction = construction_for(sched)
     manifest = {"config_hash": cfg.hash, "schedule_hash": schedule_hash(sched),
                 "emitted": [], "omitted": []}
     for n in range(1, cfg.depth + 1):
@@ -193,17 +174,29 @@ def _require_build(cfg: RunConfig) -> Schedule:
 
 
 def cmd_check(cfg: RunConfig, names: List[str]) -> int:
+    """Run ``names`` (or every check that fits the build, for ``all``) on one
+    construction built from the build's schedule; nothing is written unless
+    every check runs."""
     out = Path(cfg.output_dir)
     sched = _require_build(cfg)
-    todo = []
+    family = sched.construction
+    if names == ["all"]:
+        names = [name for name in sorted(_checks.REGISTRY)
+                 if _checks.NEEDS.get(name, family) == family]
     for name in names:
         if name not in _checks.REGISTRY:
             raise ParameterError(
                 f"unknown check {name!r}; known: "
                 f"{', '.join(sorted(_checks.REGISTRY))}"
             )
-        todo.append(name)
-    results = {name: _checks.REGISTRY[name](cfg, sched) for name in todo}
+        if _checks.NEEDS.get(name, family) != family:
+            raise ParameterError(
+                f"check {name!r} needs an {_checks.NEEDS[name]} build, but "
+                f"the build in {cfg.output_dir} is {family}"
+            )
+    construction = construction_for(sched)
+    results = {name: _checks.REGISTRY[name](construction, cfg.seed)
+               for name in names}
     failed = []
     for name, rep in results.items():
         rep.params["config_hash"] = cfg.hash
@@ -256,7 +249,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--construction", choices=["S3", "S4"])
         p.add_argument("--depth", type=int)
-        p.add_argument("--horizon", type=int)
         p.add_argument("--seed", type=int)
         p.add_argument("--out", help="output directory")
 
@@ -280,11 +272,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "build":
             return cmd_build(_load_config(args))
         if args.command == "check":
-            cfg = _load_config(args)
-            names = list(args.names)
-            if names == ["all"]:
-                names = sorted(_checks.REGISTRY)
-            return cmd_check(cfg, names)
+            return cmd_check(_load_config(args), list(args.names))
         if args.command == "report":
             return cmd_report(args.out)
         return EXIT_USAGE

@@ -540,6 +540,13 @@ class S4Construction(_ConstructionBase):
         )
 
 
+def construction_for(schedule: Schedule):
+    """The S3 or S4 builder for ``schedule``, named by its construction."""
+    if schedule.construction == "S3":
+        return S3Construction(schedule)
+    return S4Construction(schedule)
+
+
 # ---------------------------------------------------------------------------
 # patched system: shift on a base subshift, everything else resets to y
 

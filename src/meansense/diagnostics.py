@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -420,14 +421,16 @@ def diam_mean_avg(members: Sequence[PointView], steps: int) -> AverageReport:
 
 
 def _exact_ratio(value, name: str):
-    """``value`` as an exact (numerator, denominator) pair; finite only."""
+    """``value`` as an exact (numerator, denominator) pair; finite and within
+    float range only, since the report prints every input as a float."""
     try:
         if not hasattr(value, "as_integer_ratio"):
             value = Fraction(value)  # numpy integers, decimal strings
+        float(value)  # ints and Fractions beyond float range overflow here
         return value.as_integer_ratio()
     except (ValueError, OverflowError):
         raise ParameterError(
-            f"{name} must be a finite number, got {value!r}") from None
+            f"{name} must be a finite number within float range") from None
 
 
 def mean_to_density_check(a: Sequence[float], delta: float, M: float,
@@ -458,6 +461,8 @@ def mean_to_density_check(a: Sequence[float], delta: float, M: float,
     if seq and (min(seq) < 0 or max(seq) > nm * scale[dm]):
         raise ParameterError("sequence values must lie in [0, M]")
     df, rt, Mf = Fraction(nd, dd), Fraction(nr, dr), Fraction(nm, dm)
+    if (Mf + 1) * df > sys.float_info.max:
+        raise ParameterError("(M + 1) delta must be finite within float range")
     rep = Report("mean-to-density", params={
         "delta": fmt17(delta), "M": fmt17(M), "length": len(seq),
         "sqrt_delta": fmt17(float(rt)),

@@ -42,8 +42,6 @@ from meansense.checks import (
     _s3_deep_cylinders,
     _thm18_points,
     check_prop_p_system,
-    s3_construction,
-    s4_construction,
 )
 from meansense.constructions import minimal_generator, patched_point, patched_step
 from meansense.constructions import GeneratorDescriptor
@@ -57,9 +55,9 @@ def _verdict(num, ok, detail):
     assert ok, line
 
 
-def test_criterion_01_schedule_exactness():
+def test_criterion_01_schedule_exactness(s3):
     t0 = time.time()
-    c = s3_construction(4)
+    c = s3
     sched = c.schedule
     exact = (
         sched.level(1).k == 9
@@ -84,9 +82,9 @@ def test_criterion_01_schedule_exactness():
              f"schedule and 1-counts exact, {elapsed:.3f}s < 1s")
 
 
-def test_criterion_02_window_count_bound():
+def test_criterion_02_window_count_bound(s3):
     t0 = time.time()
-    c = s3_construction(4)
+    c = s3
     t1, bound1 = c.schedule.level(1).t, 3 + 3
     t2 = c.schedule.level(2).t
     bound2 = c.schedule.level(2).len_a + c.schedule.level(2).len_b
@@ -104,8 +102,8 @@ def test_criterion_02_window_count_bound():
                     f"{elapsed:.1f}s < 120s")
 
 
-def test_criterion_03_banach_density_trend():
-    c = s3_construction(4)
+def test_criterion_03_banach_density_trend(s3):
+    c = s3
     x4 = c.transitive_prefix(c.schedule.level(4).len_a)
     E = indicator_set_E(x4)
     counts = []
@@ -123,8 +121,8 @@ def test_criterion_03_banach_density_trend():
              f"final count {counts[2][1]} <= {2 * (lv3.len_a + lv3.len_b)}")
 
 
-def test_criterion_04_cofinite_sensitivity_witness():
-    c = s3_construction(4)
+def test_criterion_04_cofinite_sensitivity_witness(s3):
+    c = s3
     horizon = 120_000
     m, s = 0, 27
     family = c.witness_family(m, s, horizon - s - 1, horizon)
@@ -136,8 +134,8 @@ def test_criterion_04_cofinite_sensitivity_witness():
                     f"{horizon} (family of {len(family)})")
 
 
-def test_criterion_05_banach_mean_equicontinuity():
-    c = s3_construction(4)
+def test_criterion_05_banach_mean_equicontinuity(s3):
+    c = s3
     la = LanguageApprox(c.transitive_prefix(c.schedule.level(4).len_a).prefix)
     t2 = c.schedule.level(2).t
     eps = 0.05
@@ -160,9 +158,9 @@ def test_criterion_05_banach_mean_equicontinuity():
                     f"worst corrected Banach average {worst:.4f} < {eps}")
 
 
-def test_criterion_06_mean_equicontinuous_transitive_point():
+def test_criterion_06_mean_equicontinuous_transitive_point(s4):
     eps = 0.1
-    rep = check_prop_p_system(epsilon=eps)
+    rep = check_prop_p_system(s4, epsilon=eps)
     ok = rep.passed
     terms = [float(rep.params["term_linear"]), float(rep.params["term_const"]),
              float(rep.params["term_zero_cap"])]
@@ -175,8 +173,8 @@ def test_criterion_06_mean_equicontinuous_transitive_point():
                     f"{len(members)} cylinder members within {eps}")
 
 
-def test_criterion_07_devaney_desk_checks():
-    c = s4_construction(4)
+def test_criterion_07_devaney_desk_checks(s4):
+    c = s4
     la = LanguageApprox(c.transitive_prefix(c.schedule.level(4).len_a).prefix)
     r1 = check_transitive_desk(la, 4)
     r2 = check_dense_periodic_desk(c, la, 4)
@@ -203,8 +201,8 @@ def test_criterion_08_patched_system_collapse():
                     f"(reset branch collapses the cylinder)")
 
 
-def test_criterion_09_hyperspace_witness():
-    c = s3_construction(4)
+def test_criterion_09_hyperspace_witness(s3):
+    c = s3
     eps, n = 0.1, 10_000
     horizon = n + 200
     P = FiniteSet.of(_thm18_points(c, horizon))

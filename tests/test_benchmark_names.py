@@ -1,9 +1,10 @@
-"""The benchmark's per-layer metrics name public functions of the package.
+"""The benchmark's per-layer metrics and check spans name public functions.
 
 ``perfbench/tracer.py`` traces only public functions and methods defined in
 each ``meansense`` module, and the traced benchmark run stops when a metric
-names one that is gone.  This test applies the same rule to
-``BENCHMARK.json`` so that a rename fails here first.
+names one that is gone.  These tests apply the same rule to
+``BENCHMARK.json`` and to ``checks.REGISTRY`` so that a rename fails here
+first.
 """
 
 import importlib
@@ -38,3 +39,15 @@ def test_per_layer_names_resolve_to_public_functions():
         assert _public_function(owner, parts[-2], module_name), metric["name"]
         checked += 1
     assert checked
+
+
+def test_check_registry_holds_public_check_functions():
+    # the tracer rewraps each REGISTRY value and names its span
+    # checks.<key>, so each value must be a traced public function
+    from meansense import checks
+
+    for name, fn in checks.REGISTRY.items():
+        assert _public_function(checks, fn.__name__, checks.__name__), name
+        assert vars(checks)[fn.__name__] is fn, name
+    assert set(checks.NEEDS) <= set(checks.REGISTRY)
+    assert set(checks.NEEDS.values()) <= {"S3", "S4"}

@@ -68,9 +68,9 @@ def test_check_requires_build_artifacts(tmp_path):
 
 def test_check_writes_report_with_hashes(tmp_path):
     out = tmp_path / "run"
-    assert run("build", "--construction", "S3", "--depth", "3",
+    assert run("build", "--construction", "S3", "--depth", "4",
                "--out", str(out)) == 0
-    assert run("check", "lemma-3.1", "--construction", "S3", "--depth", "3",
+    assert run("check", "lemma-3.1", "--construction", "S3", "--depth", "4",
                "--out", str(out)) == 0
     rep = json.loads((out / "report-lemma-3.1.json").read_text())
     assert rep["verdict"] == "PASS"
@@ -81,9 +81,9 @@ def test_check_writes_report_with_hashes(tmp_path):
 
 def test_check_emits_csv_series(tmp_path):
     out = tmp_path / "run"
-    run("build", "--construction", "S3", "--depth", "3", "--out", str(out))
+    run("build", "--construction", "S3", "--depth", "4", "--out", str(out))
     assert run("check", "lemma-3.2-density", "--construction", "S3",
-               "--depth", "3", "--out", str(out)) == 0
+               "--depth", "4", "--out", str(out)) == 0
     csvs = list(out.glob("series-*.csv"))
     assert csvs
     head = csvs[0].read_text().splitlines()
@@ -92,9 +92,9 @@ def test_check_emits_csv_series(tmp_path):
 
 def test_report_aggregates_and_exit_codes(tmp_path):
     out = tmp_path / "run"
-    run("build", "--construction", "S3", "--depth", "3", "--out", str(out))
+    run("build", "--construction", "S3", "--depth", "4", "--out", str(out))
     run("check", "lemma-3.1", "thm-unpos", "--construction", "S3",
-        "--depth", "3", "--out", str(out))
+        "--depth", "4", "--out", str(out))
     assert run("report", "--out", str(out)) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["all_pass"]
@@ -102,16 +102,57 @@ def test_report_aggregates_and_exit_codes(tmp_path):
 
 
 def test_config_file_drives_build_and_check(tmp_path):
-    out = tmp_path / "cfgrun"
-    cfg = {"construction": "S4", "depth": 3,
-           "base": {"kind": "thue-morse"}, "seed": 3,
-           "output_dir": str(out)}
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps(cfg))
-    assert run("build", "--config", str(cfg_path)) == 0
-    sched = Schedule.from_json(json.loads((out / "schedule.json").read_text()))
-    assert sched.base.kind == "thue-morse"
-    assert run("check", "prop-devaney", "--config", str(cfg_path)) == 0
+    # prop-devaney computes on the configured base.  Over the thue-morse
+    # base, the |A_4| prefix holds length-4 subwords such as 0011 that no
+    # periodic point of levels 1-2 starts with; the desk proxy reports them
+    # rather than searching deeper levels
+    verdicts = {}
+    for kind in ("thue-morse", "constant-zero"):
+        out = tmp_path / kind
+        cfg_path = tmp_path / f"{kind}.json"
+        cfg_path.write_text(json.dumps({
+            "construction": "S4", "depth": 4, "base": {"kind": kind},
+            "seed": 3, "output_dir": str(out)}))
+        assert run("build", "--config", str(cfg_path)) == 0
+        sched = Schedule.from_json(json.loads((out / "schedule.json").read_text()))
+        assert sched.base.kind == kind
+        code = run("check", "prop-devaney", "--config", str(cfg_path))
+        rep = json.loads((out / "report-prop-devaney.json").read_text())
+        verdicts[kind] = (code, rep["verdict"])
+        if kind == "thue-morse":
+            periodic = rep["witnesses"][1]["dense-periodic"]["witnesses"]
+            assert "alphabet=2; 0:2 1:2" in periodic[1]["unwitnessed"]
+    assert verdicts == {"thue-morse": (1, "FAIL"), "constant-zero": (0, "PASS")}
+
+
+def test_check_refuses_a_build_too_shallow_or_of_another_family(tmp_path):
+    out3, out4 = tmp_path / "s3d3", tmp_path / "s3d4"
+    for out, depth in ((out3, "3"), (out4, "4")):
+        assert run("build", "--construction", "S3", "--depth", depth,
+                   "--out", str(out)) == 0
+    # lemma-3.1 reads level 4, which a depth-3 build does not have
+    assert run("check", "lemma-3.1", "--construction", "S3", "--depth", "3",
+               "--out", str(out3)) == 2
+    # lemma-count-3 is an S4 check; named next to an S3 check, neither runs
+    assert run("check", "thm-unpos", "lemma-count-3", "--construction", "S3",
+               "--depth", "4", "--out", str(out4)) == 2
+    assert run("check", "lemma-count-3", "--construction", "S3", "--depth", "4",
+               "--out", str(out4)) == 2
+    assert not list(out3.glob("report-*.json"))
+    assert not list(out4.glob("report-*.json"))
+
+
+def test_check_all_runs_the_checks_that_fit_the_build(tmp_path):
+    out = tmp_path / "s4"
+    assert run("build", "--construction", "S4", "--depth", "4",
+               "--out", str(out)) == 0
+    assert run("check", "all", "--construction", "S4", "--depth", "4",
+               "--out", str(out)) == 0
+    names = sorted(p.name[len("report-"):-len(".json")]
+                   for p in out.glob("report-*.json"))
+    assert names == ["hausdorff-axioms", "independence", "lemma-count-3",
+                     "prop-devaney", "prop-p-system", "remark-2.1.3",
+                     "thm-unpos"]
 
 
 def test_check_rejects_config_not_matching_build(tmp_path):
@@ -126,9 +167,15 @@ def test_check_rejects_config_not_matching_build(tmp_path):
 
 
 def test_config_file_rejects_unknown_keys(tmp_path):
-    cfg_path = tmp_path / "bad.json"
-    cfg_path.write_text(json.dumps({"construktion": "S3"}))
-    assert run("build", "--config", str(cfg_path)) == 2
+    # horizon and checks were once accepted, validated and hashed, but no
+    # check read them
+    for key, value in (("construktion", "S3"), ("horizon", 100), ("checks", [])):
+        cfg_path = tmp_path / f"{key}.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        assert run("build", "--config", str(cfg_path),
+                   "--out", str(tmp_path / key)) == 2
+    assert run("build", "--horizon", "100", "--out", str(tmp_path / "h")) == 2
+    assert not list(tmp_path.glob("*/schedule.json"))
 
 
 def test_check_reports_are_deterministic(tmp_path):

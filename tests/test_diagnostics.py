@@ -468,6 +468,10 @@ def test_mean_to_density_matches_fraction_oracle(args):
     ([0.5], 0.25, 1, math.nan),
     ([0.5], 0.25, 1, math.inf),
     ([], 0.25, 1, math.nan),
+    pytest.param([0.5], 10**400, 1, None, id="delta-beyond-float"),
+    pytest.param([0.5], 0.25, 10**400, None, id="M-beyond-float"),
+    pytest.param([0.5], 0.25, 1, 10**400, id="sqrt_delta-beyond-float"),
+    pytest.param([0.5], 1e200, 1e200, None, id="bound-beyond-float"),
 ])
 def test_mean_to_density_rejects_non_finite(a, delta, M, sqrt_delta):
     with pytest.raises(ParameterError, match="finite"):
