@@ -38,6 +38,7 @@ from .diagnostics import (
 from .hyperspace import (
     CylinderTuple,
     FiniteSet,
+    certified_separation_steps,
     hausdorff_distance,
     hausdorff_distance_inf_formula,
     hyper_mean_avg,
@@ -263,6 +264,12 @@ def check_prop_p_system(c: S4Construction, seed: int = 0,
     base generator."""
     c = s4_construction_sharpened(c.schedule.base, int(round(1 / epsilon)))
     K = math.floor(5.0 / epsilon)  # 1/(K+1) < eps/5
+    eps_num, eps_den = epsilon.as_integer_ratio()
+
+    def below_quarter_eps(num: int, den: int) -> bool:
+        """num/den < epsilon/4, by integer cross-multiplication."""
+        return 4 * num * eps_den < eps_num * den
+
     rep = Report("prop-p-system", params={
         "epsilon": fmt17(epsilon), "K": K,
     })
@@ -272,7 +279,8 @@ def check_prop_p_system(c: S4Construction, seed: int = 0,
         lv = c.schedule.level(m)
         term_linear = 2 * K * (lv.len_a + lv.len_b) / lv.t
         chain_rows.append({"m": m, "term_linear": fmt17(term_linear)})
-        if term_linear < epsilon / 4 and chosen is None:
+        if chosen is None and below_quarter_eps(2 * K * (lv.len_a + lv.len_b),
+                                                lv.t):
             chosen = m
     if chosen is None:
         rep.verdict = FAIL
@@ -336,8 +344,8 @@ def check_prop_p_system(c: S4Construction, seed: int = 0,
         })
         if r.upper >= epsilon:
             ok = False
-    terms_ok = (2 * K * (lv.len_a + lv.len_b) / lv.t < epsilon / 4
-                and term_const < epsilon / 4)
+    terms_ok = (below_quarter_eps(2 * K * (lv.len_a + lv.len_b), lv.t)
+                and below_quarter_eps(4 * K * (lv.len_a + lv.len_b), n))
     rep.params.update({
         "witnessing_m": m, "steps": n,
         "term_linear": fmt17(2 * K * (lv.len_a + lv.len_b) / lv.t),
@@ -413,6 +421,9 @@ def check_thm18_witness(c: S3Construction, seed: int = 0,
     P = FiniteSet.of(_thm18_points(c, horizon))
     Q, wrep = hyper_witness_family(c, P, epsilon, horizon)
     avg = hyper_mean_avg(P, Q, n)
+    # the certified steps bound the induced mean from below, whatever
+    # method ``avg`` used: at least 90 % of them, in integers
+    cert = certified_separation_steps(P, Q, n)
     t2 = c.schedule.level(2).t
     contrast = []
     contrast_ok = True
@@ -420,7 +431,7 @@ def check_thm18_witness(c: S3Construction, seed: int = 0,
         r = banach_avg_distance(a, b, t2, depth=DEPTH_CAP)
         contrast.append(fmt17(r.upper))
         contrast_ok = contrast_ok and r.upper < 0.05
-    ok = wrep.passed and avg.value >= 0.9 and contrast_ok
+    ok = wrep.passed and 10 * len(cert) >= 9 * n and contrast_ok
     rep = Report("thm-1.8-witness", params={
         "epsilon": fmt17(epsilon), "steps": n, "P": len(P), "Q": len(Q),
         "hausdorff_P_Q": wrep.params["hausdorff_P_Q"],

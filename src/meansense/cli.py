@@ -47,7 +47,7 @@ EXIT_RESOURCE = 3
 @dataclass
 class RunConfig:
     construction: str = "S3"
-    depth: int = 3
+    depth: int = 4
     base: Optional[dict] = None
     seed: int = 0
     output_dir: str = "out"

@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -23,41 +25,129 @@ from .errors import (
 from .language import LanguageApprox
 from .reports import CAPPED, FAIL, PASS, AverageReport, Report, fmt17
 from .words import (
+    BlockFamily,
     PointView,
     Provenance,
     Word,
+    diff_intervals,
     find_occurrences,
-    point_metric,
+    first_difference,
 )
 
 
-@dataclass(frozen=True)
+def _family_shape(fam: BlockFamily) -> tuple:
+    """(alphabet, block runs without a trailing zero run, horizon).
+
+    Two families of one shape have equal members exactly at equal marks.
+    Families of different shapes share no member: a member's last nonzero
+    symbol is its lone 1, so its word determines the block up to trailing
+    zeros, and its length is the horizon.
+    """
+    runs = fam.block.runs
+    if runs and runs[-1][0] == 0:
+        runs = runs[:-1]
+    return fam.block.alphabet_size, runs, fam.horizon
+
+
+def _is_marked_member(view: PointView, fam: BlockFamily) -> bool:
+    """Whether ``view`` equals one of the marked members of ``fam``."""
+    if (view.alphabet_size != fam.block.alphabet_size
+            or view.horizon != fam.horizon):
+        return False
+    los, his = diff_intervals(view.prefix, fam.zero_tail)
+    return (len(los) == 1 and los[0] == his[0]
+            and view.symbol_at(int(los[0])) == 1
+            and bool(np.isin(los[0], fam.marks)))
+
+
+@dataclass(frozen=True, eq=False)
 class FiniteSet:
     """A non-empty finite set of point views, deduplicated by prefix.
 
-    Distinct true points that agree through their horizons collapse here;
-    the ``collapsed`` counter records how many views were merged away.
+    ``plain`` holds single views sorted by prefix.  ``families`` holds
+    ``BlockFamily`` parts without extras, kept whole as a block and marks,
+    with no member in common with each other or with ``plain``.
+    ``members`` is the expanded view: every member, sorted by prefix, built
+    on first use.  Distinct true points that agree through their horizons
+    collapse here; the ``collapsed`` counter records how many views were
+    merged away.
     """
 
-    members: Tuple[PointView, ...]
+    plain: Tuple[PointView, ...]
+    families: Tuple[BlockFamily, ...] = ()
     collapsed: int = 0
 
     @staticmethod
-    def of(members: Sequence[PointView]) -> "FiniteSet":
-        if not members:
+    def of(items: Sequence) -> "FiniteSet":
+        """The set of the given views and ``BlockFamily`` members.
+
+        A family's extras join the plain views.  A mark already held by an
+        earlier family of the same shape (see ``_family_shape``) is dropped;
+        the remaining marks join an earlier family with the same block,
+        horizon and note, or form a new part.  A plain view equal to a
+        marked member is dropped; of equal plain views the first is kept.
+        """
+        if not items:
             raise ParameterError("a hyperspace point needs at least one member")
+        views, families = [], []
+        given = 0
+        for item in items:
+            if not isinstance(item, BlockFamily):
+                views.append(item)
+                continue
+            views.extend(item.extras)
+            given += len(item.marks)
+            marks = item.marks
+            for other in families:
+                if _family_shape(other) == _family_shape(item):
+                    marks = marks[~np.isin(marks, other.marks)]
+            if not len(marks):
+                continue
+            for k, other in enumerate(families):
+                if (other.block, other.horizon, other.note) == (
+                        item.block, item.horizon, item.note):
+                    families[k] = BlockFamily(other.block,
+                                              np.union1d(other.marks, marks),
+                                              other.horizon, other.note)
+                    break
+            else:
+                families.append(BlockFamily(item.block, marks, item.horizon,
+                                            item.note))
         seen = {}
-        for m in members:
-            seen.setdefault(m.key(), m)
-        kept = tuple(sorted(seen.values(), key=lambda m: m.key()))
-        return FiniteSet(kept, collapsed=len(members) - len(kept))
+        for v in views:
+            seen.setdefault(v.key(), v)
+        plain = tuple(sorted(
+            (v for v in seen.values()
+             if not any(_is_marked_member(v, fam) for fam in families)),
+            key=PointView.key))
+        kept = len(plain) + sum(len(fam.marks) for fam in families)
+        return FiniteSet(plain, tuple(families),
+                         collapsed=given + len(views) - kept)
+
+    @cached_property
+    def members(self) -> Tuple[PointView, ...]:
+        """Every member as a view, sorted by prefix; family parts are
+        expanded here, on first use."""
+        if not self.families:
+            return self.plain
+        return tuple(sorted(itertools.chain(self.plain, *self.families),
+                            key=PointView.key))
 
     @property
     def horizon(self) -> int:
-        return min(m.horizon for m in self.members)
+        return min([m.horizon for m in self.plain]
+                   + [fam.horizon for fam in self.families])
 
     def __len__(self):
-        return len(self.members)
+        return len(self.plain) + sum(len(fam.marks) for fam in self.families)
+
+    def __eq__(self, other):
+        return (isinstance(other, FiniteSet)
+                and (self.members, self.collapsed)
+                == (other.members, other.collapsed))
+
+    def __hash__(self):
+        return hash((self.members, self.collapsed))
 
     def to_json(self) -> list:
         return [
@@ -86,22 +176,77 @@ def union_factor(family: Sequence[FiniteSet]) -> FiniteSet:
 # Hausdorff metric, two independent routes
 
 
-def _pair_table(A: FiniteSet, B: FiniteSet):
-    vals = np.empty((len(A), len(B)))
-    trunc = False
-    for i, a in enumerate(A.members):
-        for j, b in enumerate(B.members):
-            v, t = point_metric(a, b)
-            vals[i, j] = v
-            trunc = trunc or t
-    return vals, trunc
+def _family_first_differences(p: PointView, fam: BlockFamily) -> np.ndarray:
+    """First difference of ``p`` with each marked member of ``fam``, 0 where
+    they agree through the shared horizon H (as ``point_metric`` truncates).
+
+    Let D be the positions <= H where p disagrees with the zero tail, and
+    d0 < d1 its first two.  The member marked m is the zero tail with a 1 at
+    m, so it disagrees with p on D minus m, and at m itself when m <= H and
+    p does not read 1 there; m lies past the block, where the zero tail
+    reads 0.  Its first difference is therefore min(d0, m) when m is not in
+    D (m alone when D is empty, none when also m > H), d1 when m = d0 and p
+    reads 1 there (none when D = {m}), and d0 otherwise.
+    """
+    H = min(p.horizon, fam.horizon)
+    marks = fam.marks
+    los, his = diff_intervals(p.prefix, fam.zero_tail)
+    if not len(los):
+        return np.where(marks <= H, marks, 0)
+    d0 = int(los[0])
+    out = np.minimum(marks, d0)
+    if p.symbol_at(d0) == 1:
+        d1 = d0 + 1 if his[0] > d0 else (int(los[1]) if len(los) > 1 else 0)
+        out[marks == d0] = d1
+    return out
+
+
+def _first_difference_row(a: PointView, B: FiniteSet) -> np.ndarray:
+    plain = [first_difference(a.prefix, b.prefix) or 0 for b in B.plain]
+    return np.concatenate([np.array(plain, dtype=np.int64)]
+                          + [_family_first_differences(a, fam)
+                             for fam in B.families])
+
+
+def _first_difference_table(A: FiniteSet, B: FiniteSet) -> np.ndarray:
+    """J[i, k]: the first 1-based position where member i of A and member k
+    of B differ, 0 where they agree through the shared horizon.
+
+    Members are ordered plain first, then family by family.  A family is
+    compared with a plain view in closed form, one numpy pass over its
+    marks; only when both sides hold families is one side expanded.
+    """
+    if not (A.families or B.families):
+        return np.array([[first_difference(a.prefix, b.prefix) or 0
+                          for b in B.plain] for a in A.plain],
+                        dtype=np.int64)
+    if A.families and (not B.families or len(A) > len(B)):
+        return _first_difference_table(B, A).T
+    views = itertools.chain(A.plain, *A.families)
+    return np.stack([_first_difference_row(a, B) for a in views])
+
+
+_AGREE = np.iinfo(np.int64).max  # a pair agreeing throughout: distance 0
+
+
+def _hausdorff_first_difference(A: FiniteSet, B: FiniteSet) -> tuple:
+    """(j, truncated) with d_H(A, B) = 1/j by the max-min formula, j None
+    when the distance is 0.
+
+    The distance 1/j shrinks as j grows, so the nearest point of B to a is
+    at the largest first difference in a's row, and the farthest of those
+    nearest points is the smallest such maximum.
+    """
+    J = _first_difference_table(A, B)
+    K = np.where(J > 0, J, _AGREE)
+    j = int(min(K.max(axis=1).min(), K.max(axis=0).min()))
+    return (None if j == _AGREE else j), not J.all()
 
 
 def hausdorff_distance(A: FiniteSet, B: FiniteSet) -> tuple:
     """max-min formula; the truncated flag propagates from any comparison."""
-    vals, trunc = _pair_table(A, B)
-    value = max(float(vals.min(axis=1).max()), float(vals.min(axis=0).max()))
-    return value, trunc
+    j, trunc = _hausdorff_first_difference(A, B)
+    return (0.0 if j is None else 1.0 / j), trunc
 
 
 def hausdorff_distance_inf_formula(A: FiniteSet, B: FiniteSet) -> tuple:
@@ -112,9 +257,13 @@ def hausdorff_distance_inf_formula(A: FiniteSet, B: FiniteSet) -> tuple:
     and returns the first that covers both ways; on finite sets this equals
     the max-min formula, which the acceptance suite checks exhaustively.
     """
-    vals, trunc = _pair_table(A, B)
+    J = _first_difference_table(A, B)
+    vals = np.zeros(J.shape)
+    np.divide(1.0, J, out=vals, where=J > 0)
+    trunc = not J.all()
+    near_b, near_a = vals.min(axis=1), vals.min(axis=0)
     for eps in sorted(set(vals.ravel().tolist())):
-        if (vals.min(axis=1) <= eps).all() and (vals.min(axis=0) <= eps).all():
+        if (near_b <= eps).all() and (near_a <= eps).all():
             return float(eps), trunc
     raise AssertionError("unreachable: the largest candidate always covers")
 
@@ -247,8 +396,9 @@ def hyper_witness_family(construction, P: FiniteSet, epsilon: float,
     leading block aligns with the tail of a built level word; Q collects,
     for each member, the points sharing that block and continuing
     0^j 1 0^... for every j the horizon supports, plus the all-zero tail.
-    Returns (Q, report); the report certifies d_H(P, Q) < epsilon and lists
-    the steps where the induced orbits sit at distance exactly 1.
+    Each such family stays one ``BlockFamily`` part of Q, never expanded.
+    Returns (Q, report); the report certifies d_H(P, Q) = 1/j < epsilon,
+    decided exactly on the integer first difference j.
     """
     if epsilon <= 0 or epsilon >= 1:
         raise ParameterError("epsilon must lie in (0, 1)")
@@ -259,7 +409,7 @@ def hyper_witness_family(construction, P: FiniteSet, epsilon: float,
                 f"shift of the transitive point"
             )
     s_min = math.floor(1.0 / epsilon) + 1  # agreement depth making 1/(s+1) < eps
-    q_members = []
+    families = []
     details = []
     for m in P.members:
         t = m.provenance.offset
@@ -279,16 +429,19 @@ def hyper_witness_family(construction, P: FiniteSet, epsilon: float,
         fam = fam + [PointView(fam.zero_tail,
                                Provenance("explicit-limit", detail="zero-tail"),
                                "all-zero continuation of the shared block")]
-        q_members.extend(fam)
+        families.append(fam)
         details.append({"offset": t, "aligned_level": i, "block_len": s,
                         "family_size": len(fam)})
-    Q = FiniteSet.of(q_members)
-    dpq, trunc = hausdorff_distance(P, Q)
+    Q = FiniteSet.of(families)
+    j, trunc = _hausdorff_first_difference(P, Q)
     rep = Report("hyper-witness", params={
         "epsilon": fmt17(epsilon), "horizon": horizon,
-        "hausdorff_P_Q": fmt17(dpq), "members": details,
+        "hausdorff_P_Q": fmt17(0.0 if j is None else 1.0 / j),
+        "members": details,
     })
-    rep.verdict = PASS if dpq < epsilon else FAIL
+    # no first difference: distance 0 up to the horizon, flagged below
+    close = j is None or Fraction(1, j) < Fraction(epsilon)
+    rep.verdict = PASS if close else FAIL
     if trunc:
         rep.caveats.append("some metric comparisons were horizon-truncated")
     rep.caveats.append(
@@ -299,9 +452,15 @@ def hyper_witness_family(construction, P: FiniteSet, epsilon: float,
 
 
 def _union_one_positions(S: FiniteSet, upto: int) -> np.ndarray:
-    """Sorted 1-based positions <= upto where some member carries a 1."""
-    return np.unique(np.concatenate([m.prefix.positions(1, 1, upto)
-                                     for m in S.members]))
+    """Sorted 1-based positions <= upto where some member carries a 1.
+
+    A family part contributes its block's ones and its marks: one
+    ``positions`` walk per family, none per member.
+    """
+    chunks = [m.prefix.positions(1, 1, upto) for m in S.plain]
+    for fam in S.families:
+        chunks += [fam.block.positions(1, 1, upto), fam.marks[fam.marks <= upto]]
+    return np.unique(np.concatenate(chunks))
 
 
 def certified_separation_steps(P: FiniteSet, Q: FiniteSet, n: int) -> np.ndarray:
@@ -314,7 +473,8 @@ def certified_separation_steps(P: FiniteSet, Q: FiniteSet, n: int) -> np.ndarray
     """
     if min(P.horizon, Q.horizon) < n:
         raise HorizonError("horizon below the requested step count")
-    if any(m.alphabet_size != 2 for m in P.members + Q.members):
+    if any(m.alphabet_size != 2 for m in P.plain + Q.plain) or any(
+            fam.block.alphabet_size != 2 for fam in P.families + Q.families):
         raise ParameterError("certification needs the binary alphabet")
     mask_p = np.zeros(n + 1, dtype=bool)
     mask_p[_union_one_positions(P, n)] = True

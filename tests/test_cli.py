@@ -155,6 +155,15 @@ def test_check_all_runs_the_checks_that_fit_the_build(tmp_path):
                      "thm-unpos"]
 
 
+def test_default_build_then_check_all_passes(tmp_path):
+    # with no construction or depth flags the build must reach every level
+    # the checks of the default S3 family read
+    out = tmp_path / "default"
+    assert run("build", "--out", str(out)) == 0
+    assert run("check", "all", "--out", str(out)) == 0
+    assert len(list(out.glob("report-*.json"))) == 9
+
+
 def test_check_rejects_config_not_matching_build(tmp_path):
     out = tmp_path / "run"
     assert run("build", "--construction", "S3", "--depth", "3",

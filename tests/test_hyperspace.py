@@ -3,6 +3,7 @@ import random
 import pytest
 
 from meansense import (
+    BlockFamily,
     CylinderTuple,
     FiniteSet,
     HorizonError,
@@ -25,6 +26,8 @@ from meansense import (
     union_factor,
     vietoris_member,
 )
+from meansense.checks import check_thm18_witness
+from meansense.reports import fmt17
 
 
 def view(text):
@@ -217,3 +220,119 @@ def test_hyper_witness_rejects_wrong_provenance():
     c = S3Construction(build_schedule_s3(2))
     with pytest.raises(WitnessUnavailableError):
         hyper_witness_family(c, bad, 0.25, 64)
+
+
+def naive_hausdorff(A_members, B_members):
+    """max-min formula over ``point_metric`` on expanded member lists."""
+    rows = [[point_metric(a, b) for b in B_members] for a in A_members]
+    trunc = any(t for row in rows for _, t in row)
+    forward = max(min(v for v, _ in row) for row in rows)
+    backward = max(min(row[k][0] for row in rows)
+                   for k in range(len(B_members)))
+    return max(forward, backward), trunc
+
+
+def random_family_items(rng, horizon, alphabet=2):
+    """Families and views in one list, with the expanded oracle list.
+
+    Blocks share prefixes and trailing zeros, so families of different
+    blocks can share members; marks come from a narrow range, so they
+    overlap; plain views are family members, zero tails with ones put on
+    marks, and their one-symbol flips, so that marks land on a view's ones
+    and on its first disagreement with a zero tail.  On four letters a mark
+    may also carry 2 or 3.
+    """
+    blocks = [Word.from_string(t, alphabet)
+              for t in ("1101", "110100", "11", "1100")]
+    fams, views = [], []
+    for _ in range(rng.randint(1, 3)):
+        block = rng.choice(blocks)
+        h = rng.choice([horizon, horizon, horizon - 3])
+        lo = block.length + 1
+        marks = sorted(rng.sample(range(lo, h + 1), rng.randint(1, min(5, h - lo + 1))))
+        fam = BlockFamily(block, marks, h, note=rng.choice(["a", "b"]))
+        fams.append(fam)
+    pool = []
+    for fam in fams:
+        z = fam.zero_tail.expand().tolist()
+        pool.append(z)
+        pool.extend(list(m.prefix.expand()) for m in fam)
+        on = z[:]
+        for m in rng.sample(fam.marks.tolist(), rng.randint(1, len(fam.marks))):
+            on[m - 1] = rng.choice([1, 1, 2, 3][:alphabet])
+        pool.append(on)
+    for _ in range(rng.randint(1, 4)):
+        sym = list(rng.choice(pool))
+        if rng.random() < 0.5:
+            i = rng.randrange(len(sym))
+            sym[i] = rng.choice([x for x in range(alphabet) if x != sym[i]])
+        cut = rng.choice([len(sym), len(sym), len(sym) - 2])
+        views.append(PointView(Word.from_symbols(sym[:cut], alphabet),
+                               Provenance("explicit-limit", detail="plain")))
+    items = []
+    for fam in fams:
+        if rng.random() < 0.5:
+            fam = fam + [rng.choice(views)]
+        items.append(fam)
+    items.extend(views)
+    rng.shuffle(items)
+    # the oracle keeps a marked member over an equal plain view, and the
+    # first of equal views otherwise
+    marked = [m for it in items if isinstance(it, BlockFamily)
+              for m in list(it)[:len(it.marks)]]
+    plain = [v for it in items for v in
+             (it.extras if isinstance(it, BlockFamily) else [it])]
+    return items, marked + plain
+
+
+def test_family_route_matches_expanded_route():
+    rng = random.Random(71)
+    for trial in range(400):
+        horizon = rng.randint(12, 20)
+        alphabet = 4 if trial % 4 == 3 else 2
+        items_a, flat_a = random_family_items(rng, horizon, alphabet)
+        if rng.random() < 0.7:
+            items_a = [v for v in flat_a if v.provenance.detail == "plain"][:3] \
+                or flat_a[:1]
+            flat_a = items_a
+        items_b, flat_b = random_family_items(rng, horizon, alphabet)
+        A, B = FiniteSet.of(items_a), FiniteSet.of(items_b)
+        A_x, B_x = FiniteSet.of(flat_a), FiniteSet.of(flat_b)
+        assert not A_x.families and not B_x.families
+        for got, want in ((A, A_x), (B, B_x)):
+            assert len(got) == len(want), trial
+            assert got.collapsed == want.collapsed, trial
+            assert got.members == want.members, trial
+            assert got.horizon == want.horizon
+        want = naive_hausdorff(A_x.members, B_x.members)
+        assert hausdorff_distance(A_x, B_x) == want
+        assert hausdorff_distance(A, B) == want, trial
+        assert hausdorff_distance(B, A) == want, trial
+        assert hausdorff_distance_inf_formula(A, B) == want, trial
+        assert hausdorff_distance_inf_formula(B, A) == want, trial
+        if alphabet != 2:
+            continue  # certification reads the binary alphabet only
+        n = min(A.horizon, B.horizon)
+        assert (certified_separation_steps(A, B, n).tolist()
+                == certified_separation_steps(A_x, B_x, n).tolist()), trial
+
+
+def test_thm18_witness_outputs_on_s3_depth_4(s3):
+    rep = check_thm18_witness(s3)
+    assert rep.passed
+    params = rep.params
+    assert (params["P"], params["Q"]) == (3, 10188)
+    assert params["hausdorff_P_Q"] == fmt17(1 / 14) == "0.071428571428571425"
+    assert params["mean_avg_lower"] == "0.99680000000000002"
+    assert params["method"] == "certified-lower"
+    assert params["base_pairs_banach_upper"] == [
+        "0.017076839340991884", "0.017053041798756011", "0.017076839340991884"]
+    details = rep.witnesses[0]["details"]
+    assert [d["family_size"] for d in details] == [10188] * 3
+    assert [d["offset"] for d in details] == [60524949, 64842069, 60349566]
+    assert {(d["aligned_level"], d["block_len"]) for d in details} == {(2, 12)}
+    assert rep.caveats == [
+        "tail members realize the separating blocks available at this "
+        "horizon; deeper blocks exist beyond it",
+        "lower bound: counts only steps with certified distance 1",
+    ]
