@@ -27,8 +27,6 @@ from .diagnostics import (
     banach_avg_distance,
     banach_window_max,
     cesaro_avg_distance,
-    classify_point,
-    diam_mean_avg,
     diam_of_members,
     diam_sequence,
     distance_sum,
@@ -37,8 +35,6 @@ from .diagnostics import (
     orbit_diam_sequence,
     sensitivity_times,
     step_distance_array,
-    upper_banach_density,
-    upper_density,
 )
 from .errors import (
     AlphabetMismatchError,
@@ -63,7 +59,6 @@ from .hyperspace import (
     independence_check,
     tk_step,
     union_factor,
-    vietoris_member,
 )
 from .language import (
     LanguageApprox,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from fractions import Fraction
 from typing import Dict, List
 
 import numpy as np
@@ -22,6 +23,7 @@ from .constructions import (
     S3Construction,
     S4Construction,
     build_schedule_s4,
+    minimal_generator,
     patched_point,
     patched_step,
 )
@@ -38,6 +40,7 @@ from .diagnostics import (
 from .hyperspace import (
     CylinderTuple,
     FiniteSet,
+    _hausdorff_first_difference,
     certified_separation_steps,
     hausdorff_distance,
     hausdorff_distance_inf_formula,
@@ -79,7 +82,9 @@ def s4_construction_sharpened(base: GeneratorDescriptor,
     lv5 = probe.level(5)
     K = 5 * epsilon_key  # agreement depth making 1/(K+1) < eps/5
     # want 2K (|A_5|+|B_5|) / t_5 < eps/4, i.e. t_5 > 8K (|A_5|+|B_5|) / eps;
-    # the extra 1/32 keeps the float-evaluated ratio clear of the boundary
+    # prop-p-system decides that ratio exactly, so it needs no extra margin;
+    # the extra 1/32 stays because it fixes the depth-6 schedule, and with it
+    # the prop-p-system report bytes
     need_t5 = 8 * K * (lv5.len_a + lv5.len_b) * epsilon_key
     need_t5 += need_t5 // 32
     floor_k5 = (need_t5 - lv5.len_a - lv5.len_b) // 2 + 1
@@ -379,8 +384,6 @@ def check_thm_unpos(c=None, seed: int = 0, steps: int = 64) -> Report:
     single step: its diameter sequence is exactly zero from step 1 on."""
     horizon = 2 * steps + 8
     y = GeneratorDescriptor("thue-morse")
-    from .constructions import minimal_generator
-
     y_prefix = Word(4, minimal_generator(y, horizon).runs)
     members = [
         patched_point(Word(4, [(2, horizon)]), horizon),
@@ -476,6 +479,14 @@ def _random_finite_set(rng: random.Random, horizon: int = 48) -> FiniteSet:
     return FiniteSet.of(members)
 
 
+def _triangle_holds(j_ac, j_ab, j_bc) -> bool:
+    """d(A,C) <= d(A,B) + d(B,C) for Hausdorff distances 1/j (0 where j is
+    None), decided exactly on the integer first differences."""
+    d_ac, d_ab, d_bc = (Fraction(0) if j is None else Fraction(1, j)
+                        for j in (j_ac, j_ab, j_bc))
+    return d_ac <= d_ab + d_bc
+
+
 def check_hausdorff_axioms(c=None, seed: int = 0, trials: int = 1000) -> Report:
     """Metric axioms plus the equality of the max-min and covering-radius
     formulas on random finite hyperspace points."""
@@ -485,17 +496,18 @@ def check_hausdorff_axioms(c=None, seed: int = 0, trials: int = 1000) -> Report:
         A = _random_finite_set(rng)
         B = _random_finite_set(rng)
         C = _random_finite_set(rng)
-        dab, _ = hausdorff_distance(A, B)
+        j_ab, _ = _hausdorff_first_difference(A, B)
+        j_ac, _ = _hausdorff_first_difference(A, C)
+        j_bc, _ = _hausdorff_first_difference(B, C)
+        dab = 0.0 if j_ab is None else 1.0 / j_ab  # as hausdorff_distance
         dba, _ = hausdorff_distance(B, A)
-        dac, _ = hausdorff_distance(A, C)
-        dbc, _ = hausdorff_distance(B, C)
         dual, _ = hausdorff_distance_inf_formula(A, B)
         ident, _ = hausdorff_distance(A, A)
         checks = [
             dab == dba,
             dab == dual,
             ident == 0.0,
-            dac <= dab + dbc + 1e-15,
+            _triangle_holds(j_ac, j_ab, j_bc),
         ]
         if not all(checks):
             bad.append({"trial": trial, "checks": checks})

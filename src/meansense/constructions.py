@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import (
     DepthError,
+    HorizonError,
     LengthOverflowError,
     ParameterError,
     ResourceCapError,
@@ -44,7 +45,7 @@ from .words import (
     Provenance,
     RunBuilder,
     Word,
-    concat,
+    find_occurrences,
     power,
 )
 
@@ -75,12 +76,6 @@ class GeneratorDescriptor:
             raise ParameterError(f"unknown generator kind {self.kind!r}")
         if not all(isinstance(v, int) for v in (*self.cf_terms, self.cf_depth)):
             raise ParameterError("continued-fraction terms and depth must be integers")
-
-    def describe(self) -> str:
-        if self.kind == "sturmian":
-            terms = self.cf_terms or "golden"
-            return f"sturmian(cf={terms}, depth={self.cf_depth})"
-        return self.kind
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "cf_terms": list(self.cf_terms),
@@ -441,8 +436,6 @@ class S3Construction(_ConstructionBase):
         position m+s with its start at or before m+1; scanning occurrence
         ends beyond m surfaces the choices instead of guessing one.
         """
-        from .words import find_occurrences
-
         out = []
         depth = self.schedule.depth
         host = self.a_word(depth)
@@ -569,8 +562,6 @@ def patched_step(p: PointView, y_prefix: Word) -> PointView:
     if p.alphabet_size != 4:
         raise ParameterError("patched system uses alphabet size 4")
     if p.horizon == 0:
-        from .errors import HorizonError
-
         raise HorizonError("patched_step on an exhausted view")
     lead = p.symbol_at(1)
     if lead in (2, 3):

@@ -24,8 +24,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import HorizonError, ParameterError
-from .language import LanguageApprox, cylinder_members
-from .reports import FAIL, INCONCLUSIVE, PASS, AverageReport, Report, fmt17
+from .reports import FAIL, PASS, AverageReport, Report, fmt17
 from .words import (
     BlockFamily,
     PointView,
@@ -72,29 +71,6 @@ def indicator_set_E(y: PointView, symbol: int = 1) -> IndexSet:
     return IndexSet(y.prefix.positions(symbol) - 1, y.horizon)
 
 
-def upper_density(F: IndexSet, prefix_lengths: Sequence[int]) -> Report:
-    """Prefix frequencies #(F ∩ [0, n))/n at each requested n.
-
-    The headline is the maximum over the tail half of the requested lengths,
-    a desk proxy for the limsup and labeled as such.
-    """
-    lens = sorted(set(int(n) for n in prefix_lengths))
-    if not lens or lens[0] < 1 or lens[-1] > F.horizon:
-        raise ParameterError("prefix lengths must lie in [1, horizon]")
-    rows = []
-    for n in lens:
-        cnt = int(np.searchsorted(F.members, n))
-        rows.append({"n": n, "count": cnt, "ratio": fmt17(cnt / n)})
-    tail = rows[len(rows) // 2:]
-    headline = max(float(r["ratio"]) for r in tail)
-    rep = Report("upper-density", params={"headline": fmt17(headline)})
-    rep.witnesses = [{"prefixes": rows}]
-    rep.caveats = ["headline is max over the tail half of requested prefixes, "
-                   "a proxy for the limsup"]
-    rep.verdict = PASS
-    return rep
-
-
 def banach_window_max(F: IndexSet, window: int) -> tuple:
     """Exact sup over windows [M, M+window) ⊆ [0, horizon) of the member count.
 
@@ -108,25 +84,6 @@ def banach_window_max(F: IndexSet, window: int) -> tuple:
     los = pos[np.diff(pos, prepend=-2) != 1]
     his = pos[np.diff(pos, append=F.horizon + 1) != 1]
     return interval_window_max(los, his, F.horizon, window)
-
-
-def upper_banach_density(F: IndexSet, window_lengths: Sequence[int]) -> Report:
-    """Exact supremal windowed frequency of F at each requested window length.
-
-    The headline is the value at the largest requested length.
-    """
-    lens = sorted(set(int(L) for L in window_lengths))
-    rows = []
-    for L in lens:
-        cnt, m = banach_window_max(F, L)
-        rows.append({"L": L, "count": cnt, "start": m, "ratio": fmt17(cnt / L)})
-    rep = Report("upper-banach-density",
-                 params={"headline": rows[-1]["ratio"] if rows else "0"})
-    rep.witnesses = [{"windows": rows}]
-    rep.caveats = ["exact sup at each finite window length; a proxy for the "
-                   "limsup over growing windows"]
-    rep.verdict = PASS
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +194,7 @@ def cesaro_avg_distance(x: PointView, y: PointView, n: int,
 
 
 def banach_avg_distance(x: PointView, y: PointView, L: int,
-                        depth: int = DEFAULT_DEPTH,
-                        steps: Optional[int] = None) -> AverageReport:
+                        depth: int = DEFAULT_DEPTH) -> AverageReport:
     """Exact sup over windows of length L of the windowed average distance.
 
     The sup ranges over every window [M, M+L) inside the usable horizon
@@ -246,9 +202,7 @@ def banach_avg_distance(x: PointView, y: PointView, L: int,
     correction reports how far the corrected sup (counting every truncated
     comparison at its worst) sits above the plain sup.
     """
-    limit = min(x.horizon, y.horizon)
-    if steps is None:
-        steps = limit - depth
+    steps = min(x.horizon, y.horizon) - depth
     if steps < L:
         raise HorizonError(f"window {L} does not fit in {steps} usable steps")
     d, trunc = step_distance_array(x, y, steps, depth)
@@ -397,25 +351,6 @@ def separation_times(values: np.ndarray, delta: float) -> IndexSet:
     return IndexSet(hits, len(values))
 
 
-def diam_mean_avg(members: Sequence[PointView], steps: int) -> AverageReport:
-    """Cesaro average of the sampled-member diameter sequence."""
-    values, truncated = diam_sequence(members, steps)
-    H = _shared_horizon(members)
-    idx = np.nonzero(truncated)[0]
-    corr = float(np.sum(1.0 / (H - idx + 1))) / steps if len(idx) else 0.0
-    caveats = ["diameters are lower bounds from sampled members"]
-    if len(members) < 2:
-        caveats.append("degenerate: fewer than two members")
-    return AverageReport(
-        value=float(values.sum()) / steps,
-        window=(0, steps),
-        truncation_correction=corr,
-        samples=steps,
-        method="diam-cesaro",
-        caveats=caveats,
-    )
-
-
 # ---------------------------------------------------------------------------
 # mean condition <-> density condition conversion
 
@@ -511,72 +446,4 @@ def mean_to_density_check(a: Sequence[float], delta: float, M: float,
     rep.verdict = PASS if (side1_ok and side2_ok) else FAIL
     if sqrt_delta is None:
         rep.caveats.append("sqrt(delta) taken as the nearest float")
-    return rep
-
-
-# ---------------------------------------------------------------------------
-# empirical point classification
-
-
-def classify_point(la: LanguageApprox, p: PointView, epsilon: float,
-                   n_or_L: int, mode: str = "cesaro",
-                   sample_budget: int = 24,
-                   depths: Optional[Sequence[int]] = None,
-                   depth: int = DEFAULT_DEPTH) -> Report:
-    """Empirical mean-equicontinuity classification of one point.
-
-    Searches cylinder depths (deepest first) for one where every sampled
-    co-member stays epsilon-close in the requested average; stops at the
-    first depth that works.  The verdict is about the sampled members only.
-    """
-    if mode not in ("cesaro", "banach"):
-        raise ParameterError("mode must be 'cesaro' or 'banach'")
-    member_h = n_or_L * (2 if mode == "banach" else 1) + depth + 1
-    if depths is None:
-        top = min(p.horizon, member_h)
-        depths = []
-        d = 1
-        while d * 2 <= top:
-            d *= 2
-        while d >= 8:
-            depths.append(d)
-            d //= 2
-    depths = sorted(set(depths), reverse=True)
-    rep = Report("classify-point", params={
-        "mode": mode, "epsilon": fmt17(epsilon), "steps": n_or_L,
-        "sample_budget": sample_budget,
-    })
-    per_depth = []
-    for dep in depths:
-        if dep > p.horizon:
-            continue
-        u = p.prefix.subword(1, dep)
-        qs = [q for q in cylinder_members(la, u, max_members=sample_budget,
-                                          member_horizon=member_h)
-              if q.provenance != p.provenance]
-        if not qs:
-            per_depth.append({"depth": dep, "sampled": 0})
-            continue
-        worst = None
-        for q in qs:
-            if mode == "cesaro":
-                r = cesaro_avg_distance(p, q, n_or_L, depth)
-            else:
-                r = banach_avg_distance(p, q, n_or_L, depth)
-            if worst is None or r.upper > worst[0]:
-                worst = (r.upper, q.provenance.offset)
-        entry = {"depth": dep, "sampled": len(qs),
-                 "worst_avg_upper": fmt17(worst[0]),
-                 "worst_offset": worst[1]}
-        per_depth.append(entry)
-        if worst[0] < epsilon:
-            rep.verdict = PASS
-            rep.params["witnessing_depth"] = dep
-            break
-    else:
-        rep.verdict = FAIL if any(e.get("sampled") for e in per_depth) \
-            else INCONCLUSIVE
-    rep.witnesses = [{"depth_search": per_depth}]
-    rep.caveats = ["empirical: sampled co-members only, averages over a "
-                   "finite range"]
     return rep

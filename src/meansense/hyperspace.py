@@ -34,6 +34,13 @@ from .words import (
     first_difference,
 )
 
+#: occurrences of one cylinder scanned by ``independence_check``; a pattern
+#: missing past this many makes the verdict CAPPED, not FAIL
+OCCURRENCE_CAP = 200_000
+#: member pairs times steps that ``hyper_mean_avg`` method 'auto' still walks
+#: exactly; 'exact' refuses work beyond four times this
+EXACT_BUDGET = 20_000_000
+
 
 def _family_shape(fam: BlockFamily) -> tuple:
     """(alphabet, block runs without a trailing zero run, horizon).
@@ -282,19 +289,6 @@ def family_hausdorff(famA: Sequence[FiniteSet], famB: Sequence[FiniteSet]) -> tu
     return value, trunc
 
 
-def vietoris_member(A: FiniteSet, opens: Sequence[Word]) -> bool:
-    """Membership in the basis element spanned by the cylinder words.
-
-    True when every member starts with one of the words and every word
-    claims at least one member.
-    """
-    if not opens:
-        raise ParameterError("empty open list")
-    covered = all(any(m.starts_with(u) for u in opens) for m in A.members)
-    touches = all(any(m.starts_with(u) for m in A.members) for u in opens)
-    return covered and touches
-
-
 # ---------------------------------------------------------------------------
 # independence sets (brute force over the language approximation)
 
@@ -313,14 +307,13 @@ class CylinderTuple:
 
 
 def independence_check(tup: CylinderTuple, J: Sequence[int],
-                       la: LanguageApprox, exhaust_cap: int = 4096,
-                       occurrence_cap: int = 200_000) -> Report:
+                       la: LanguageApprox, exhaust_cap: int = 4096) -> Report:
     """Brute-force independence of the times in J for the cylinder tuple.
 
     For every assignment of cylinders to the times of J, searches the
-    language approximation for one point realizing the whole pattern.
-    PASS and the witness table certify independence relative to the true
-    language; FAIL only means no witness exists in the approximation.
+    source prefix for one position realizing the whole pattern.  PASS and
+    the witness table certify independence relative to the true language;
+    FAIL only means no witness exists in the approximation.
     """
     J = sorted(set(int(j) for j in J))
     if not J or J[0] < 0:
@@ -332,41 +325,33 @@ def independence_check(tup: CylinderTuple, J: Sequence[int],
             f"{n_patterns} patterns exceed the cap {exhaust_cap}",
             required=n_patterns,
         )
-    texts = [("source", la.source_prefix)]
-    for idx, sp in enumerate(la.specials):
-        texts.append((f"special-{idx}", sp.prefix))
-    # occurrence sets per (text, cylinder), 0-based starts
-    occ = {}
+    text = la.source_prefix
+    # 0-based occurrence starts per cylinder
+    occ = []
     capped = False
-    for ti, (_, text) in enumerate(texts):
-        for ci, cyl in enumerate(tup.cylinders):
-            if cyl.length > text.length:
-                occ[ti, ci] = np.empty(0, dtype=np.int64)
-                continue
-            hits = find_occurrences(text, cyl, cap=occurrence_cap)
-            if len(hits) >= occurrence_cap:
-                capped = True
-            occ[ti, ci] = np.asarray(hits, dtype=np.int64) - 1
+    for cyl in tup.cylinders:
+        if cyl.length > text.length:
+            occ.append(np.empty(0, dtype=np.int64))
+            continue
+        hits = find_occurrences(text, cyl, cap=OCCURRENCE_CAP)
+        if len(hits) >= OCCURRENCE_CAP:
+            capped = True
+        occ.append(np.asarray(hits, dtype=np.int64) - 1)
     table = {}
     missing = []
     for pattern in itertools.product(range(k), repeat=len(J)):
-        witness = None
-        for ti, (name, _) in enumerate(texts):
-            sets = [occ[ti, ci] - j for j, ci in zip(J, pattern)]
-            common = sets[0]
-            for s in sets[1:]:
-                common = np.intersect1d(common, s, assume_unique=False)
-                if len(common) == 0:
-                    break
-            good = common[common >= 0]
-            if len(good):
-                witness = {"text": name, "position": int(good[0])}
+        sets = [occ[ci] - j for j, ci in zip(J, pattern)]
+        common = sets[0]
+        for s in sets[1:]:
+            common = np.intersect1d(common, s, assume_unique=False)
+            if len(common) == 0:
                 break
+        good = common[common >= 0]
         key = "".join(str(c) for c in pattern)
-        if witness is None:
-            missing.append(key)
+        if len(good):
+            table[key] = {"text": "source", "position": int(good[0])}
         else:
-            table[key] = witness
+            missing.append(key)
     rep = Report("independence", params={
         "J": J, "arity": k, "patterns": n_patterns,
     })
@@ -485,8 +470,7 @@ def certified_separation_steps(P: FiniteSet, Q: FiniteSet, n: int) -> np.ndarray
 
 
 def hyper_mean_avg(P: FiniteSet, Q: FiniteSet, n: int,
-                   method: str = "auto",
-                   exact_budget: int = 20_000_000) -> AverageReport:
+                   method: str = "auto") -> AverageReport:
     """Cesaro average of the Hausdorff distance along the induced orbits.
 
     method 'exact' walks the orbits and evaluates the max-min formula per
@@ -497,10 +481,10 @@ def hyper_mean_avg(P: FiniteSet, Q: FiniteSet, n: int,
     if n < 1:
         raise ParameterError("need at least one step")
     if method == "auto":
-        method = "exact" if len(P) * len(Q) * n <= exact_budget \
+        method = "exact" if len(P) * len(Q) * n <= EXACT_BUDGET \
             else "certified-lower"
     if method == "exact":
-        if len(P) * len(Q) * n > 4 * exact_budget:
+        if len(P) * len(Q) * n > 4 * EXACT_BUDGET:
             raise ResourceCapError("exact hyperspace average over budget",
                                    required=len(P) * len(Q) * n)
         H = min(P.horizon, Q.horizon)

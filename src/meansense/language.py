@@ -1,14 +1,13 @@
 """Desk-scale approximation of a subshift's language.
 
 The language is under-approximated by the subwords of one long prefix of
-the transitive point together with explicitly registered special points
-(periodic points, limit points of the form B 0^infinity, witness families).
-Every verdict that depends on the approximation says so.
+the transitive point.  Every verdict that depends on the approximation says
+so.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from .errors import ParameterError
@@ -20,19 +19,13 @@ SUBWORD_CAP = 65_536
 
 @dataclass
 class LanguageApprox:
-    """Subwords of ``source_prefix`` plus registered special points."""
+    """The subwords of ``source_prefix``."""
 
     source_prefix: Word
-    specials: List[PointView] = field(default_factory=list)
 
     @property
     def horizon(self) -> int:
         return self.source_prefix.length
-
-    def register_special(self, p: PointView):
-        if p.alphabet_size != self.source_prefix.alphabet_size:
-            raise ParameterError("special carries a different alphabet")
-        self.specials.append(p)
 
 
 @dataclass
@@ -79,20 +72,18 @@ def subwords(la: LanguageApprox, n: int, cap: int = SUBWORD_CAP) -> SubwordSampl
 
 
 def cylinder_members(la: LanguageApprox, u: Word, max_members: int = 32,
-                     member_horizon: int = 4096,
-                     min_offset: int = 0) -> List[PointView]:
+                     member_horizon: int = 4096) -> List[PointView]:
     """Known points of the cylinder of ``u``, truncated to ``member_horizon``.
 
     Members are the shifts of the source point at each occurrence of ``u``
-    (RLE occurrence scan, left to right from ``min_offset``), plus any
-    registered special starting with ``u``.  An empty result is not an
-    error: it only means the approximation holds no witness.
+    (RLE occurrence scan, left to right).  An empty result is not an error:
+    it only means the approximation holds no witness.
     """
     if u.length == 0:
         raise ParameterError("empty cylinder word")
     src = la.source_prefix
     out = []
-    occs = find_occurrences(src, u, cap=max_members * 4, start=min_offset + 1)
+    occs = find_occurrences(src, u, cap=max_members * 4)
     for pos in occs:
         t = pos - 1
         if t + member_horizon > src.length:
@@ -106,14 +97,6 @@ def cylinder_members(la: LanguageApprox, u: Word, max_members: int = 32,
         out.append(view)
         if len(out) >= max_members:
             break
-    for sp in la.specials:
-        if len(out) >= max_members:
-            break
-        if sp.horizon >= u.length and sp.starts_with(u):
-            if sp.horizon > member_horizon:
-                sp = PointView(sp.prefix.subword(1, member_horizon),
-                               sp.provenance, sp.truncation_note)
-            out.append(sp)
     return out
 
 

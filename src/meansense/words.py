@@ -314,13 +314,6 @@ class OccurrenceIndex:
             )
         return self._count_prefix(j) - self._count_prefix(i - 1)
 
-    def total(self) -> int:
-        return int(self._prefix[-1])
-
-    def positions(self, lo: int = 1, hi: Optional[int] = None) -> np.ndarray:
-        """1-based positions of the designated symbol inside [lo, hi]."""
-        return self.word.positions(self.symbol, lo, hi)
-
 
 def interval_window_max(los: np.ndarray, his: np.ndarray, span: int,
                         window: int) -> tuple:

@@ -11,7 +11,6 @@ from meansense import (
     BlockFamily,
     HorizonError,
     IndexSet,
-    LanguageApprox,
     ParameterError,
     PointView,
     Provenance,
@@ -19,8 +18,6 @@ from meansense import (
     banach_avg_distance,
     banach_window_max,
     cesaro_avg_distance,
-    classify_point,
-    diam_mean_avg,
     diam_of_members,
     diam_sequence,
     distance_sum,
@@ -29,8 +26,6 @@ from meansense import (
     point_metric,
     sensitivity_times,
     step_distance_array,
-    upper_banach_density,
-    upper_density,
 )
 from meansense.reports import FAIL, PASS, Report, fmt17
 
@@ -62,15 +57,6 @@ def test_indicator_set_examples(s3):
     assert indicator_set_E(x27).members.tolist() == [0, 1, 2, 24, 25, 26]
 
 
-def test_upper_density_trivial_cases():
-    full = IndexSet.from_iterable(range(100), 100)
-    rep = upper_density(full, [10, 50, 100])
-    assert float(rep.params["headline"]) == 1.0
-    evens = IndexSet.from_iterable(range(0, 100, 2), 100)
-    rep = upper_density(evens, [4, 40, 100])
-    assert abs(float(rep.params["headline"]) - 0.5) < 0.02
-
-
 def test_upper_density_of_x_meets_level_one_budget(s3):
     # prefix frequency of the 1-positions of x against the coarse per-level
     # budget (r+1) (|A_1|+|B_1|) / (r t_1) at n = |A_3|
@@ -92,8 +78,6 @@ def test_banach_window_max_examples():
     assert (cnt, start) == (10, 40)
     # every window of {1, 3} holds one member; the smallest start wins
     assert banach_window_max(IndexSet.from_iterable([1, 3], 4), 2) == (1, 0)
-    rep = upper_banach_density(burst, [10])
-    assert float(rep.witnesses[0]["windows"][0]["ratio"]) == 1.0
 
 
 def test_banach_dominates_prefix_count():
@@ -293,9 +277,9 @@ def test_sensitivity_witness_family(s3):
 
 
 def test_diam_mean_avg_cases():
-    assert diam_mean_avg([view("0" * 30)], 10).value == 0.0
+    assert diam_sequence([view("0" * 30)], 10)[0].sum() / 10 == 0.0
     two = [view("0" * 30), view("0" * 30)]
-    assert diam_mean_avg(two, 10).value == 0.0
+    assert diam_sequence(two, 10)[0].sum() / 10 == 0.0
 
 
 def test_sensitivity_singleton_is_empty():
@@ -308,8 +292,7 @@ def test_diam_mean_of_witness_family_near_half_or_more(s3):
     n, m, s = 400, 0, 27
     fam = s3.witness_family(m, s, count=n - s, horizon=n + 4)
     members = fam + [s3.shift_view(m, n + 4)]
-    rep = diam_mean_avg(members, n)
-    assert rep.value >= (n - m - s) / (2 * n)
+    assert diam_sequence(members, n)[0].sum() / n >= (n - m - s) / (2 * n)
 
 
 # -- conversion inequalities ---------------------------------------------
@@ -476,26 +459,3 @@ def test_mean_to_density_matches_fraction_oracle(args):
 def test_mean_to_density_rejects_non_finite(a, delta, M, sqrt_delta):
     with pytest.raises(ParameterError, match="finite"):
         mean_to_density_check(a, delta, M, sqrt_delta=sqrt_delta)
-
-
-# -- classification ------------------------------------------------------
-
-
-def test_classify_periodic_point_is_mean_equicontinuous(s4):
-    lv1, lv2 = s4.schedule.level(1), s4.schedule.level(2)
-    period = lv1.len_a + lv2.len_a
-    horizon = 4096
-    p = s4.periodic_point(1, 0, horizon)
-    la = LanguageApprox(s4.transitive_prefix(s4.schedule.level(4).len_a).prefix)
-    la.register_special(s4.periodic_point(1, 0, horizon))
-    rep = classify_point(la, p, epsilon=0.35, n_or_L=512, mode="cesaro",
-                         sample_budget=8)
-    assert rep.verdict in ("PASS", "INCONCLUSIVE")
-
-
-def test_classify_transitive_point_banach(s3, s3_language):
-    p = s3.shift_view(0, 3 * 4443 + 64 + 32)
-    rep = classify_point(s3_language, p, epsilon=0.3, n_or_L=4443,
-                         mode="banach", sample_budget=6)
-    assert rep.passed
-    assert "witnessing_depth" in rep.params

@@ -24,9 +24,8 @@ from meansense import (
     power,
     tk_step,
     union_factor,
-    vietoris_member,
 )
-from meansense.checks import check_thm18_witness
+from meansense.checks import _triangle_holds, check_thm18_witness
 from meansense.reports import fmt17
 
 
@@ -78,6 +77,17 @@ def test_hausdorff_formulas_agree_and_axioms_hold():
         assert dab <= dac + dbc + 1e-15
 
 
+def test_triangle_decided_on_integer_first_differences():
+    # 1/5 = 1/6 + 1/30 exactly, yet the float 1/5 exceeds 1/6 + 1/30
+    assert 1 / 5 > 1 / 6 + 1 / 30
+    assert _triangle_holds(5, 6, 30)
+    assert not _triangle_holds(4, 6, 30)
+    # no first difference is distance 0
+    assert _triangle_holds(None, None, None)
+    assert _triangle_holds(7, None, 7)
+    assert not _triangle_holds(7, None, None)
+
+
 def test_tk_step_shifts_and_dedups():
     A = FiniteSet.of([view("10110"), view("00110")])
     B = tk_step(A)
@@ -98,17 +108,6 @@ def test_tk_step_matches_elementwise_definition():
             FiniteSet.of([m.shift(1) for m in B.members]),
         )[0]
         assert stepped == direct
-
-
-def test_vietoris_membership():
-    A = FiniteSet.of([view("0101"), view("0011")])
-    u_all = Word.from_string("0")
-    assert vietoris_member(A, [u_all])
-    assert vietoris_member(A, [Word.from_string("01"), Word.from_string("00")])
-    # containment failure: a member outside every open
-    assert not vietoris_member(A, [Word.from_string("00")])
-    # intersection failure: an open claiming no member
-    assert not vietoris_member(A, [u_all, Word.from_string("1")])
 
 
 def test_union_factor_identities():
@@ -136,6 +135,8 @@ def test_independence_on_dense_word():
     rep = independence_check(tup, [0, 1, 2], la)
     assert rep.passed
     assert len(rep.witnesses[0]["pattern_witnesses"]) == 8
+    assert {w["text"] for w in rep.witnesses[0]["pattern_witnesses"].values()} \
+        == {"source"}
     # single-position case passes whenever both cylinders occur
     assert independence_check(tup, [0], la).passed
 

@@ -5,8 +5,6 @@ import pytest
 from meansense import (
     LanguageApprox,
     ParameterError,
-    PointView,
-    Provenance,
     Word,
     check_dense_periodic_desk,
     check_transitive_desk,
@@ -65,16 +63,6 @@ def test_cylinder_members_start_with_word(s3_language, s3):
     assert members
     assert all(m.starts_with(u) for m in members)
     assert all(m.horizon == 256 for m in members)
-
-
-def test_cylinder_members_includes_registered_special(s3, s3_x4):
-    la = LanguageApprox(s3_x4.prefix)
-    special = PointView(Word(2, [(1, 4), (0, 60)]),
-                        Provenance("explicit-limit"), "decorated tail")
-    la.register_special(special)
-    got = cylinder_members(la, Word.from_string("1111"), max_members=8,
-                           member_horizon=64)
-    assert any(m.provenance.kind == "explicit-limit" for m in got)
 
 
 def test_cylinder_members_empty_is_not_error(s3_language):
