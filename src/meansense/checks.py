@@ -40,7 +40,6 @@ from .diagnostics import (
 from .hyperspace import (
     CylinderTuple,
     FiniteSet,
-    _hausdorff_first_difference,
     certified_separation_steps,
     hausdorff_distance,
     hausdorff_distance_inf_formula,
@@ -266,7 +265,13 @@ def check_prop_p_system(c: S4Construction, seed: int = 0,
     equicontinuous: some cylinder depth keeps every sampled co-member within
     epsilon in Cesaro average, and the supporting bound chain clears
     epsilon/4 term by term.  Runs on the sharpened depth-6 variant of ``c``'s
-    base generator."""
+    base generator.
+
+    Each member's Cesaro upper bound is compared with epsilon exactly, as
+    the rational ``upper_exact``; the report prints its float.  The
+    ``term_zero_window`` field is informational: (epsilon/5) times the share
+    of steps whose K-window sees no 1 is at most epsilon/5 < epsilon/4 for
+    every member, so as a verdict term it would hold by construction."""
     c = s4_construction_sharpened(c.schedule.base, int(round(1 / epsilon)))
     K = math.floor(5.0 / epsilon)  # 1/(K+1) < eps/5
     eps_num, eps_den = epsilon.as_integer_ratio()
@@ -347,7 +352,7 @@ def check_prop_p_system(c: S4Construction, seed: int = 0,
             "term_zero_window": fmt17(term_zero),
             "term_nonzero_window": fmt17(frac_nonzero),
         })
-        if r.upper >= epsilon:
+        if r.upper_exact >= Fraction(epsilon):
             ok = False
     terms_ok = (below_quarter_eps(2 * K * (lv.len_a + lv.len_b), lv.t)
                 and below_quarter_eps(4 * K * (lv.len_a + lv.len_b), n))
@@ -471,12 +476,108 @@ def check_remark_213(c=None, seed: int = 0, trials: int = 1000) -> Report:
     return rep
 
 
-def _random_finite_set(rng: random.Random, horizon: int = 48) -> FiniteSet:
-    members = []
-    for _ in range(rng.randint(1, 5)):
-        w = Word.from_symbols([rng.randint(0, 1) for _ in range(horizon)])
-        members.append(PointView(w, Provenance("explicit-limit"), "random"))
-    return FiniteSet.of(members)
+#: random sets parsed per block by ``_random_sets`` (five axiom trials)
+_BLOCK_SETS = 15
+#: generator outputs first drawn per set of a block; the mean use is about
+#: 290 (one size draw, then about 3 x 48 bit draws at two outputs each)
+_OUTPUTS_PER_SET = 400
+
+
+def _mt_outputs(rng: random.Random, m: int) -> np.ndarray:
+    """The next m 32-bit outputs of ``rng``, in order.
+
+    ``getrandbits(32 * m)`` fills its result from the least significant
+    32-bit word up, one output per word.
+    """
+    return np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"),
+                         dtype="<u4")
+
+
+def _word_runs(bits: np.ndarray) -> list:
+    """The RLE runs of each row of a 0/1 matrix, in one numpy pass."""
+    rows, width = bits.shape
+    edge = np.ones((rows, width + 1), dtype=bool)
+    edge[:, 1:width] = bits[:, 1:] != bits[:, :-1]
+    r, col = np.nonzero(edge)
+    lens = np.diff(col)
+    keep = lens > 0  # drop the step from one row's end to the next's start
+    r, col, lens = r[:-1][keep], col[:-1][keep], lens[keep]
+    pairs = list(zip(bits[r, col].tolist(), lens.tolist()))
+    ends = np.cumsum(np.bincount(r, minlength=rows)).tolist()
+    return [tuple(pairs[lo:hi]) for lo, hi in zip([0] + ends, ends)]
+
+
+def _random_sets(rng: random.Random, count: int, horizon: int = 48):
+    """Yield ``count`` random sets as (member words, members packed as ints),
+    members in draw order, drawn as the per-call loop
+
+        for _ in range(rng.randint(1, 5)):
+            [rng.randint(0, 1) for _ in range(horizon)]
+
+    draws each set.  A packed member holds position 1 in its top bit.
+
+    ``randint(a, b)`` is a + r for the first r < n = b - a + 1 among the top
+    ``n.bit_length()`` bits of successive 32-bit outputs.  So
+    ``randint(1, 5)`` takes the top three bits of an output, accepted below
+    5, and ``randint(0, 1)`` takes bit 30 of an output whose bit 31 is 0.
+    Each block of sets is parsed from an overdrawn run of outputs; then
+    ``rng`` is rewound and advanced past exactly the outputs used.  Once the
+    generator is exhausted, ``rng`` is in the state the per-call loop leaves
+    it in.
+    """
+    weights = np.int64(1) << np.arange(horizon - 1, -1, -1, dtype=np.int64)
+    for first in range(0, count, _BLOCK_SETS):
+        sets = min(_BLOCK_SETS, count - first)
+        saved = rng.getstate()
+        out = _mt_outputs(rng, sets * _OUTPUTS_PER_SET)
+        size_ok = np.flatnonzero(out >> 29 < 5)
+        bit_ok = np.flatnonzero(out >> 31 == 0)
+        used, sizes, picks = 0, [], []
+        for _ in range(sets):
+            while True:
+                k = int(np.searchsorted(size_ok, used))
+                if k < len(size_ok):
+                    at = int(size_ok[k])
+                    n = 1 + int(out[at] >> 29)
+                    b = int(np.searchsorted(bit_ok, at + 1))
+                    if b + n * horizon <= len(bit_ok):
+                        break
+                out = np.concatenate([out, _mt_outputs(rng, len(out))])
+                size_ok = np.flatnonzero(out >> 29 < 5)
+                bit_ok = np.flatnonzero(out >> 31 == 0)
+            pick = bit_ok[b:b + n * horizon]
+            used = int(pick[-1]) + 1
+            sizes.append(n)
+            picks.append(pick)
+        rng.setstate(saved)
+        rng.getrandbits(32 * used)
+        bits = (out[np.concatenate(picks)] >> 30 & 1).reshape(-1, horizon)
+        words = [Word(2, runs, _trusted=True) for runs in _word_runs(bits)]
+        packed = (bits.astype(np.int64) @ weights).tolist()
+        lo = 0
+        for n in sizes:
+            yield tuple(words[lo:lo + n]), tuple(packed[lo:lo + n])
+            lo += n
+
+
+def _packed_hausdorff_j(A, B, horizon: int = 48):
+    """j with d_H(A, B) = 1/j by the max-min formula, None for distance 0,
+    on members packed as ints with position 1 in the top of ``horizon`` bits.
+
+    Distinct members a and b first differ at position
+    ``horizon + 1 - (a ^ b).bit_length()``.  A member's nearest point of the
+    other set is the one with the largest such position, and j is the
+    smallest of those largest positions over both sets.
+    """
+    j = None
+    for X, Y in ((A, B), (B, A)):
+        for a in X:
+            if a in Y:
+                continue
+            row = horizon + 1 - min((a ^ b).bit_length() for b in Y)
+            if j is None or row < j:
+                j = row
+    return j
 
 
 def _triangle_holds(j_ac, j_ab, j_bc) -> bool:
@@ -489,16 +590,22 @@ def _triangle_holds(j_ac, j_ab, j_bc) -> bool:
 
 def check_hausdorff_axioms(c=None, seed: int = 0, trials: int = 1000) -> Report:
     """Metric axioms plus the equality of the max-min and covering-radius
-    formulas on random finite hyperspace points."""
+    formulas on random finite hyperspace points.
+
+    Each library route is held to ``_packed_hausdorff_j``, an exact
+    integer oracle on the members packed as ints."""
     rng = random.Random(7 + seed)
+    draws = _random_sets(rng, 3 * trials)
+    origin = Provenance("explicit-limit")
     bad = []
     for trial in range(trials):
-        A = _random_finite_set(rng)
-        B = _random_finite_set(rng)
-        C = _random_finite_set(rng)
-        j_ab, _ = _hausdorff_first_difference(A, B)
-        j_ac, _ = _hausdorff_first_difference(A, C)
-        j_bc, _ = _hausdorff_first_difference(B, C)
+        (A, pa), (B, pb), (C, pc) = (
+            (FiniteSet.of([PointView(w, origin, "random") for w in words]),
+             packed)
+            for words, packed in itertools.islice(draws, 3))
+        j_ab = _packed_hausdorff_j(pa, pb)
+        j_ac = _packed_hausdorff_j(pa, pc)
+        j_bc = _packed_hausdorff_j(pb, pc)
         dab = 0.0 if j_ab is None else 1.0 / j_ab  # as hausdorff_distance
         dba, _ = hausdorff_distance(B, A)
         dual, _ = hausdorff_distance_inf_formula(A, B)

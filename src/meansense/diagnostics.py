@@ -146,16 +146,23 @@ def _harmonic_table(depth: int) -> np.ndarray:
 
 def distance_sum(x: PointView, y: PointView, n: int,
                  depth: int = DEFAULT_DEPTH) -> tuple:
-    """(sum of step distances over [0, n), truncated step count), closed form.
+    """(sum of step distances over [0, n), truncated step count, exact sum),
+    closed form.
 
     Walks the disagreement intervals instead of the steps, so n may be
-    astronomically large as long as the views carry the runs.
+    astronomically large as long as the views carry the runs.  The float sum
+    adds ``_harmonic_table`` differences.  The exact sum is a Fraction: an
+    approach segment adds each gap g in [g_lo, min(g_hi, depth)] once, so an
+    integer difference array over g counts c_g, and the sum is the steps
+    inside disagreements plus sum_g c_g / g over lcm(1..depth).
     """
     _pair_limit(x, y, n, depth)
     los, his = diff_intervals(x.prefix, y.prefix, upto=n + depth)
     table = _harmonic_table(depth)
     total = 0.0
     truncated = 0
+    inside = 0
+    gap_marks = [0] * (depth + 2)  # difference array of the counts c_g
     prev_hi = 0  # sentinel: position 0
     for lo, hi in zip(los.tolist(), his.tolist()):
         # approach segment: steps prev_hi .. min(lo, n) - 1, next diff at lo
@@ -165,24 +172,34 @@ def distance_sum(x: PointView, y: PointView, n: int,
             g_lo = lo - b          # smallest gap (>= 1)
             total += table[min(depth, g_hi)] - table[min(depth, g_lo - 1)]
             truncated += max(0, g_hi - max(depth, g_lo - 1))
+            if g_lo <= depth:
+                gap_marks[g_lo] += 1
+                gap_marks[min(g_hi, depth) + 1] -= 1
         # inside segment: steps lo .. min(hi, n) - 1 all have distance 1
         a, b = lo, min(hi, n) - 1
         if b >= a:
             total += float(b - a + 1)
+            inside += b - a + 1
         prev_hi = hi
         if prev_hi >= n:
             break
     if prev_hi < n:
         truncated += n - prev_hi
-    return total, truncated
+    lcm = math.lcm(*range(1, depth + 1))
+    count = num = 0
+    for g in range(1, depth + 1):
+        count += gap_marks[g]
+        num += count * (lcm // g)
+    return total, truncated, inside + Fraction(num, lcm)
 
 
 def cesaro_avg_distance(x: PointView, y: PointView, n: int,
                         depth: int = DEFAULT_DEPTH) -> AverageReport:
-    """Cesaro average (1/n) sum d(sigma^i x, sigma^i y) over i in [0, n)."""
+    """Cesaro average (1/n) sum d(sigma^i x, sigma^i y) over i in [0, n),
+    with the exact rational upper bound in ``upper_exact``."""
     if n < 1:
         raise ParameterError("need at least one step")
-    total, truncated = distance_sum(x, y, n, depth)
+    total, truncated, exact = distance_sum(x, y, n, depth)
     return AverageReport(
         value=total / n,
         window=(0, n),
@@ -190,6 +207,7 @@ def cesaro_avg_distance(x: PointView, y: PointView, n: int,
         samples=n,
         method="closed-form",
         caveats=[f"per-step comparisons capped at depth {depth}"],
+        upper_exact=(exact + Fraction(truncated, depth + 1)) / n,
     )
 
 

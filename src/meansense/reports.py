@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import List
+from fractions import Fraction
+from typing import List, Optional
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -66,6 +67,8 @@ class AverageReport:
     ``truncation_correction`` bounds how much the true average could exceed
     it because of comparisons cut off at the metric depth or horizon.  No
     report ever claims a limit; ``window`` records the finite range used.
+    ``upper_exact``, where a route computes it, is the exact rational value
+    of ``upper`` for verdicts to compare; it is not serialized.
     """
 
     value: float
@@ -74,6 +77,7 @@ class AverageReport:
     samples: int
     method: str = "exact"
     caveats: List[str] = field(default_factory=list)
+    upper_exact: Optional[Fraction] = None
 
     @property
     def upper(self) -> float:

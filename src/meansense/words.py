@@ -443,7 +443,9 @@ def find_occurrences(text: Word, pattern: Word, cap: int = 10_000,
 
     RLE-aware: interior pattern runs must match text runs exactly, boundary
     runs may sit inside longer text runs.  At most ``cap`` positions are
-    returned, scanning left to right from ``start``.
+    returned, scanning left to right from ``start``; the scan begins at the
+    first text run ending at or after ``start``, since no occurrence at or
+    after ``start`` begins in an earlier run.
     """
     if pattern.alphabet_size != text.alphabet_size:
         raise AlphabetMismatchError("alphabet mismatch in find_occurrences")
@@ -455,15 +457,15 @@ def find_occurrences(text: Word, pattern: Word, cap: int = 10_000,
     pruns = pattern.runs
     truns = text.runs
     _, tends = text.run_index
-    tstarts = np.concatenate([[1], tends[:-1] + 1]).tolist()
+    first = int(np.searchsorted(tends, start))
+    end = int(tends[first - 1]) if first else 0  # last position before run
     if len(pruns) == 1:
         psym, plen = pruns[0]
-        for (s, c), tpos in zip(truns, tstarts):
+        for s, c in itertools.islice(truns, first, None):
+            tpos, end = end + 1, end + c
             if s != psym or c < plen:
                 continue
-            for p in range(tpos, tpos + c - plen + 1):
-                if p < start:
-                    continue
+            for p in range(max(tpos, start), end - plen + 2):
                 out.append(p)
                 if len(out) >= cap:
                     return out
@@ -471,11 +473,13 @@ def find_occurrences(text: Word, pattern: Word, cap: int = 10_000,
     p0_sym, p0_len = pruns[0]
     pL_sym, pL_len = pruns[-1]
     interior = pruns[1:-1]
-    for i, ((s, c), tpos) in enumerate(zip(truns, tstarts)):
+    for i in range(first, len(truns)):
         # pattern's first run ends where text run i ends
+        s, c = truns[i]
+        end += c
         if s != p0_sym or c < p0_len:
             continue
-        cand = tpos + c - p0_len
+        cand = end - p0_len + 1
         if cand < start:
             continue
         j = i + 1

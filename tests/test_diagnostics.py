@@ -135,10 +135,18 @@ def test_distance_sum_matches_array_path():
         depth = rng.choice([4, 64])
         steps = rng.randint(1, n - depth)
         x, y = random_view(rng, n), random_view(rng, n)
-        total, truncated = distance_sum(x, y, steps, depth)
+        total, truncated, exact = distance_sum(x, y, steps, depth)
         v, t = step_distance_array(x, y, steps, depth)
         assert truncated == int(t.sum())
         assert math.isclose(total, float(v.sum()), rel_tol=1e-12, abs_tol=1e-12)
+        # exact oracle: 1/g per step from the expanded symbols
+        a, b = x.prefix.expand(), y.prefix.expand()
+        want = Fraction(0)
+        for i in range(steps):
+            diff = np.flatnonzero(a[i:i + depth] != b[i:i + depth])
+            if len(diff):
+                want += Fraction(1, int(diff[0]) + 1)
+        assert exact == want
 
 
 def test_distance_sum_scales_to_huge_ranges():
@@ -146,8 +154,9 @@ def test_distance_sum_scales_to_huge_ranges():
     big = 10 ** 12
     x = PointView(Word(2, [(1, 1), (0, big + 100)]), Provenance("explicit-limit"))
     y = PointView(Word(2, [(0, big + 101)]), Provenance("explicit-limit"))
-    total, truncated = distance_sum(x, y, big, 64)
+    total, truncated, exact = distance_sum(x, y, big, 64)
     assert total == 1.0  # the single disagreement at position 1
+    assert exact == 1
     assert truncated == big - 1
 
 
@@ -156,9 +165,11 @@ def test_cesaro_examples():
     y = view("0" * 80)
     rep = cesaro_avg_distance(x, y, 8, depth=16)
     assert rep.value == 1.0  # every early step differs at the first symbol
+    assert rep.upper_exact == 1
     same = cesaro_avg_distance(x, x, 10, depth=16)
     assert same.value == 0.0
     assert math.isclose(same.truncation_correction, 1 / 17)
+    assert same.upper_exact == Fraction(1, 17)
 
 
 def test_banach_avg_dominates_initial_window():

@@ -222,6 +222,23 @@ def test_find_occurrences_matches_string_search():
         assert got == want
 
 
+def test_find_occurrences_from_start_matches_string_search():
+    rng = random.Random(37)
+    for _ in range(400):
+        runs = [(k % 2, rng.randint(1, 5)) for k in range(rng.randint(1, 40))]
+        text = "".join(str(s) * c for s, c in runs)
+        plen = rng.randint(1, min(8, len(text)))
+        p0 = rng.randint(0, len(text) - plen)
+        pat = text[p0:p0 + plen]
+        start = rng.randint(2, len(text) + 2)
+        cap = rng.choice([1, 3, 10_000])
+        got = find_occurrences(Word.from_string(text), Word.from_string(pat),
+                               cap=cap, start=start)
+        want = [i + 1 for i in range(start - 1, len(text) - plen + 1)
+                if text[i:i + plen] == pat]
+        assert got == want[:cap]
+
+
 def test_de_bruijn_contains_every_word():
     for order in (1, 2, 3, 4, 6):
         w = de_bruijn_word(order)
