@@ -190,7 +190,8 @@ def check_thm13_banach_equi(c: S3Construction, seed: int = 0,
                             pairs_per_cylinder: int = 100,
                             epsilon: float = 0.05) -> Report:
     """Banach-window averages stay below epsilon for every sampled pair in
-    each of ten deep cylinders, truncation correction included."""
+    each of ten deep cylinders, truncation correction and rounding bound
+    included."""
     la = LanguageApprox(c.transitive_prefix(c.schedule.level(4).len_a).prefix)
     t2 = c.schedule.level(2).t
     member_h = 3 * t2 + DEPTH_CAP + 100
@@ -209,7 +210,7 @@ def check_thm13_banach_equi(c: S3Construction, seed: int = 0,
             if r.upper > worst:
                 worst = r.upper
                 worst_pair = (y1.provenance.offset, y2.provenance.offset)
-            if r.upper >= epsilon:
+            if r.upper + r.rounding_bound >= epsilon:
                 ok = False
         rows.append({"cylinder_len": u.length, "members": len(members),
                      "pairs": len(pairs), "worst_upper": fmt17(worst),
@@ -421,10 +422,12 @@ def _thm18_points(c: S3Construction, horizon: int):
 
 
 def check_thm18_witness(c: S3Construction, seed: int = 0,
-                        epsilon: float = 0.1, n: int = 10_000) -> Report:
+                        epsilon: float = 0.1, n: int = 10_000,
+                        contrast_epsilon: float = 0.05) -> Report:
     """Hyperspace witness: a point within epsilon of P in Hausdorff distance
     whose induced orbit separates from P's on nearly every step, while the
-    base-space pairs of P stay Banach-mean close."""
+    base-space pairs of P stay Banach-mean close: each pair's windowed
+    upper, rounding bound included, below ``contrast_epsilon``."""
     horizon = n + 200
     P = FiniteSet.of(_thm18_points(c, horizon))
     Q, wrep = hyper_witness_family(c, P, epsilon, horizon)
@@ -438,7 +441,8 @@ def check_thm18_witness(c: S3Construction, seed: int = 0,
     for a, b in itertools.combinations(P.members, 2):
         r = banach_avg_distance(a, b, t2, depth=DEPTH_CAP)
         contrast.append(fmt17(r.upper))
-        contrast_ok = contrast_ok and r.upper < 0.05
+        contrast_ok = (contrast_ok
+                       and r.upper + r.rounding_bound < contrast_epsilon)
     ok = wrep.passed and 10 * len(cert) >= 9 * n and contrast_ok
     rep = Report("thm-1.8-witness", params={
         "epsilon": fmt17(epsilon), "steps": n, "P": len(P), "Q": len(Q),

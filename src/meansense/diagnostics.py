@@ -219,26 +219,74 @@ def banach_avg_distance(x: PointView, y: PointView, L: int,
     (all steps whose depth-capped comparison is fully determined).  The
     correction reports how far the corrected sup (counting every truncated
     comparison at its worst) sits above the plain sup.
+
+    Swept over breakpoints, with no per-step array.  Step k is nonzero
+    exactly when a disagreement lies in (k, k+depth], so the nonzero steps
+    are the union of [lo - depth, hi - 1] over the disagreement intervals;
+    every other step is truncated.  Adding 0.0 is exact, so the running sum
+    of the K nonzero terms in step order equals the dense running sum at
+    every step, and a window holds L minus its nonzero steps truncated.
+    Both window sums are constant between the breakpoints
+    {0} ∪ {k+1} ∪ {k+1-L} (k nonzero, clipped to [0, steps-L]), so the
+    maxima, and the smallest start attaining the plain one, are reached
+    there: the result is bit-identical to the dense sweep.
+
+    ``rounding_bound`` bounds |upper - U| for the exact corrected sup U
+    (1/g per nonzero step, 1/(depth+1) per truncated one).  With
+    u = 2^-53, each term fl(1/g) is within u of 1/g, and a running sum of
+    at most K terms in [0, 1] is off by at most K u + K^2 u (1+u) / (1-Ku)
+    <= 1.01 K^2 u + K u (recursive summation, K u < 2^-10); a window sum,
+    the difference of two of them rounded once more, by at most
+    2.1 K^2 u + 3.1 K u <= 3 K (K+1) u, which is 3 K (K+1) u / L on the
+    average.  The window sum and its count term are each at most L, so
+    adding ``tcounts/(depth+1)`` (one rounding) and dividing by L (one
+    more) add at most 4u to the average, which is at most 1; the max is
+    1-Lipschitz and exact in floats; forming
+    ``value + (corrected - value)`` adds at most 3u; and 3u more covers
+    the caller's sum ``upper + rounding_bound``.
     """
+    if L < 1 or depth < 1:
+        raise ParameterError("window length and depth must be positive")
     steps = min(x.horizon, y.horizon) - depth
     if steps < L:
         raise HorizonError(f"window {L} does not fit in {steps} usable steps")
-    d, trunc = step_distance_array(x, y, steps, depth)
-    cs = np.concatenate([[0.0], np.cumsum(d)])
-    ct = np.concatenate([[0], np.cumsum(trunc)])
-    sums = cs[L:] - cs[:-L]
-    tcounts = ct[L:] - ct[:-L]
-    value = float(sums.max()) / L
+    los, his = diff_intervals(x.prefix, y.prefix, upto=steps + depth)
+    # nonzero steps, interval by interval: [lo - depth, hi - 1] clipped to
+    # the usable steps and past the previous interval's steps; clipping
+    # can only empty a tail of the intervals
+    a = np.maximum(los - depth, 0)
+    b = np.minimum(his - 1, steps - 1)
+    a[1:] = np.maximum(a[1:], b[:-1] + 1)
+    J = int((a <= b).sum())
+    a, b = a[:J], b[:J]
+    n = b - a + 1
+    K = int(n.sum())
+    # in step order: a running sum of ones that jumps to each interval's a
+    inc = np.ones(K, dtype=np.int64)
+    inc[np.cumsum(n) - n] = np.concatenate([a[:1], a[1:] - b[:-1]])
+    nz = np.cumsum(inc)
+    gap = np.maximum(los[np.searchsorted(his, nz + 1)], nz + 1) - nz
+    cs = np.concatenate([[0.0], np.cumsum(1.0 / gap)])
+    starts = np.concatenate([[0], nz + 1, nz + 1 - L])
+    starts = np.minimum(np.maximum(starts, 0), steps - L)
+    i0 = np.searchsorted(nz, starts)
+    i1 = np.searchsorted(nz, starts + L)
+    sums = cs[i1] - cs[i0]
+    tcounts = L - (i1 - i0)
+    best = sums.max()
+    value = float(best) / L
     corrected = float((sums + tcounts / (depth + 1)).max()) / L
-    m = int(np.argmax(sums))
+    m = int(starts[sums == best].min())
+    samples = steps - L + 1
     return AverageReport(
         value=value,
         window=(m, m + L),
         truncation_correction=corrected - value,
-        samples=int(len(sums)),
+        samples=samples,
         method="window-sweep",
-        caveats=[f"sup over {len(sums)} windows of length {L} within "
+        caveats=[f"sup over {samples} windows of length {L} within "
                  f"{steps} usable steps"],
+        rounding_bound=(3 * K * (K + 1) / L + 10) * 2.0 ** -53,
     )
 
 

@@ -68,7 +68,9 @@ class AverageReport:
     it because of comparisons cut off at the metric depth or horizon.  No
     report ever claims a limit; ``window`` records the finite range used.
     ``upper_exact``, where a route computes it, is the exact rational value
-    of ``upper`` for verdicts to compare; it is not serialized.
+    of ``upper`` for verdicts to compare, and ``rounding_bound``, where a
+    float route states one, bounds |upper - exact upper| for verdicts to
+    clear; neither is serialized.
     """
 
     value: float
@@ -78,6 +80,7 @@ class AverageReport:
     method: str = "exact"
     caveats: List[str] = field(default_factory=list)
     upper_exact: Optional[Fraction] = None
+    rounding_bound: Optional[float] = None
 
     @property
     def upper(self) -> float:

@@ -437,6 +437,11 @@ def diff_intervals(a: Word, b: Word, upto: Optional[int] = None):
     return np.array(los, dtype=np.int64), np.array(his, dtype=np.int64)
 
 
+# candidate runs per prefilter block of ``find_occurrences``: keeps its
+# temporaries at 32 KB each and lets a small cap stop the scan early
+_SCAN_BLOCK = 4096
+
+
 def find_occurrences(text: Word, pattern: Word, cap: int = 10_000,
                      start: int = 1) -> list:
     """1-based start positions where ``pattern`` occurs in ``text``.
@@ -456,7 +461,7 @@ def find_occurrences(text: Word, pattern: Word, cap: int = 10_000,
     out = []
     pruns = pattern.runs
     truns = text.runs
-    _, tends = text.run_index
+    syms, tends = text.run_index
     first = int(np.searchsorted(tends, start))
     end = int(tends[first - 1]) if first else 0  # last position before run
     if len(pruns) == 1:
@@ -470,35 +475,34 @@ def find_occurrences(text: Word, pattern: Word, cap: int = 10_000,
                 if len(out) >= cap:
                     return out
         return out
-    p0_sym, p0_len = pruns[0]
+    # candidate runs i hold the first pattern run at their end and the last
+    # one at the start of run i + R - 1; with R >= 3, run i + 1 is the
+    # second pattern run exactly.  One mask per block of candidates, then
+    # the rest of the interior as one tuple slice.
+    R = len(pruns)
+    (p0_sym, p0_len), (p1_sym, p1_len) = pruns[0], pruns[1]
     pL_sym, pL_len = pruns[-1]
-    interior = pruns[1:-1]
-    for i in range(first, len(truns)):
-        # pattern's first run ends where text run i ends
-        s, c = truns[i]
-        end += c
-        if s != p0_sym or c < p0_len:
-            continue
-        cand = end - p0_len + 1
-        if cand < start:
-            continue
-        j = i + 1
-        ok = True
-        for isym, ilen in interior:
-            if j >= len(truns) or truns[j] != (isym, ilen):
-                ok = False
-                break
-            j += 1
-        if not ok:
-            continue
-        if j >= len(truns):
-            continue
-        ls, lc = truns[j]
-        if ls != pL_sym or lc < pL_len:
-            continue
-        out.append(cand)
-        if len(out) >= cap:
-            return out
+    rest = pruns[2:-1]
+
+    def lengths(lo, hi):  # lengths of text runs lo .. hi - 1
+        return np.diff(tends[lo:hi], prepend=tends[lo - 1] if lo else 0)
+
+    stop = len(truns) - R + 1  # candidate runs are first .. stop - 1
+    for lo in range(first, stop, _SCAN_BLOCK):
+        hi = min(lo + _SCAN_BLOCK, stop)
+        mask = ((syms[lo:hi] == p0_sym) & (lengths(lo, hi) >= p0_len)
+                & (tends[lo:hi] >= start + p0_len - 1)
+                & (syms[lo + R - 1:hi + R - 1] == pL_sym)
+                & (lengths(lo + R - 1, hi + R - 1) >= pL_len))
+        if R >= 3:
+            mask &= ((syms[lo + 1:hi + 1] == p1_sym)
+                     & (lengths(lo + 1, hi + 1) == p1_len))
+        for i in (np.flatnonzero(mask) + lo).tolist():
+            if R > 3 and truns[i + 2:i + R - 1] != rest:
+                continue
+            out.append(int(tends[i]) - p0_len + 1)
+            if len(out) >= cap:
+                return out
     return out
 
 

@@ -154,7 +154,7 @@ def test_criterion_05_banach_mean_equicontinuity(s3):
         for y1, y2 in pairs:
             r = banach_avg_distance(y1, y2, t2, depth=DEPTH_CAP)
             worst = max(worst, r.upper)
-            ok = ok and r.upper < eps
+            ok = ok and r.upper + r.rounding_bound < eps
         total_pairs += len(pairs)
     _verdict(5, ok, f"{total_pairs} pairs in {len(cylinders)} cylinders, "
                     f"worst corrected Banach average {worst:.4f} < {eps}")
@@ -216,7 +216,7 @@ def test_criterion_09_hyperspace_witness(s3):
     t2 = c.schedule.level(2).t
     for a, b in itertools.combinations(P.members, 2):
         r = banach_avg_distance(a, b, t2, depth=DEPTH_CAP)
-        contrast_ok = contrast_ok and r.upper < 0.05
+        contrast_ok = contrast_ok and r.upper + r.rounding_bound < 0.05
     ok = d_pq < eps and avg.value >= 0.9 and contrast_ok
     _verdict(9, ok, f"d_H(P,Q)={d_pq:.4f} < {eps}; induced mean average "
                     f">= {avg.value:.4f} (>= 0.9 at n={n}); base pairs "

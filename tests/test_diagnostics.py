@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -27,7 +28,7 @@ from meansense import (
     sensitivity_times,
     step_distance_array,
 )
-from meansense.reports import FAIL, PASS, Report, fmt17
+from meansense.reports import FAIL, PASS, AverageReport, Report, fmt17
 
 from conftest import naive_step_distances
 
@@ -187,6 +188,82 @@ def test_banach_avg_requires_window_room():
     x, y = view("0" * 50), view("0" * 50)
     with pytest.raises(HorizonError):
         banach_avg_distance(x, y, 64, depth=16)
+    with pytest.raises(ParameterError):
+        banach_avg_distance(x, y, 0, depth=16)
+    with pytest.raises(ParameterError):
+        banach_avg_distance(x, y, 4, depth=0)
+
+
+def naive_banach_avg_distance(x, y, L, depth):
+    """The dense sweep: one distance per usable step, cumsum, window
+    differences and argmax."""
+    steps = min(x.horizon, y.horizon) - depth
+    d, trunc = step_distance_array(x, y, steps, depth)
+    cs = np.concatenate([[0.0], np.cumsum(d)])
+    ct = np.concatenate([[0], np.cumsum(trunc)])
+    sums = cs[L:] - cs[:-L]
+    tcounts = ct[L:] - ct[:-L]
+    value = float(sums.max()) / L
+    corrected = float((sums + tcounts / (depth + 1)).max()) / L
+    m = int(np.argmax(sums))
+    return AverageReport(value=value, window=(m, m + L),
+                         truncation_correction=corrected - value,
+                         samples=int(len(sums)))
+
+
+def exact_banach_upper(x, y, L, depth):
+    """Exact corrected sup: 1/g per step whose first disagreement is g <=
+    depth ahead, 1/(depth+1) per truncated step, from expanded symbols."""
+    a, b = x.prefix.expand(), y.prefix.expand()
+    steps = min(x.horizon, y.horizon) - depth
+    lcm = math.lcm(*range(1, depth + 2))
+    weights = []
+    for i in range(steps):
+        diff = np.flatnonzero(a[i:i + depth] != b[i:i + depth])
+        g = int(diff[0]) + 1 if len(diff) else depth + 1
+        weights.append(lcm // g)
+    cs = [0, *itertools.accumulate(weights)]
+    best = max(cs[m + L] - cs[m] for m in range(steps - L + 1))
+    return Fraction(best, lcm * L)
+
+
+def _banach_cases(rng):
+    """(x, y, L, depth): random pairs and the edges of the sweep."""
+    for trial in range(600):
+        n = rng.randint(2, 160)
+        depth = rng.choice([1, 1, 2, 3, 5, 16])
+        if n <= depth:
+            continue
+        xs = [rng.randint(0, 1) for _ in range(n)]
+        if trial % 3 == 0:  # independent words: dense disagreements
+            ys = [rng.randint(0, 1) for _ in range(n)]
+        else:  # a few disagreement bursts, ties between windows
+            ys = list(xs)
+            for _ in range(rng.randint(0, 5)):
+                p = rng.randrange(n)
+                for q in range(p, min(n, p + rng.randint(1, 4))):
+                    ys[q] ^= 1
+        steps = n - depth
+        L = rng.choice([1, steps, rng.randint(1, steps)])
+        yield view(xs), view(ys), L, depth
+    zeros = "0" * 40
+    for depth in (1, 4, 16):
+        for L in (1, 7, 40 - depth):
+            yield view(zeros), view(zeros), L, depth  # equal words
+            yield view(zeros), view("1" + zeros[1:]), L, depth  # position 1
+            yield view(zeros), view(zeros[1:] + "1"), L, depth  # horizon
+
+
+def test_banach_sweep_matches_dense_oracle_and_exact_upper():
+    rng = random.Random(109)
+    for x, y, L, depth in _banach_cases(rng):
+        got = banach_avg_distance(x, y, L, depth)
+        want = naive_banach_avg_distance(x, y, L, depth)
+        assert (got.value, got.truncation_correction, got.window,
+                got.samples) == (want.value, want.truncation_correction,
+                                 want.window, want.samples)
+        exact = exact_banach_upper(x, y, L, depth)
+        assert abs(Fraction(got.upper) - exact) <= Fraction(got.rounding_bound)
 
 
 # -- diameters -----------------------------------------------------------

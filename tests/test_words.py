@@ -208,34 +208,64 @@ def test_find_occurrences_basics():
     assert find_occurrences(text, pat, start=3) == [5]
 
 
+def _run_spanning_pattern(rng, runs):
+    """A substring of the text of ``runs`` covering 3 to 40 runs, its end
+    runs cut at random; the whole text when there are too few runs."""
+    k = rng.randint(3, 40)
+    if k >= len(runs):
+        return "".join(str(s) * c for s, c in runs)
+    i = rng.randrange(len(runs) - k + 1)
+    head, tail = runs[i], runs[i + k - 1]
+    return (str(head[0]) * rng.randint(1, head[1])
+            + "".join(str(s) * c for s, c in runs[i + 1:i + k - 1])
+            + str(tail[0]) * rng.randint(1, tail[1]))
+
+
 def test_find_occurrences_matches_string_search():
     rng = random.Random(31)
-    for _ in range(400):
-        text = "".join(rng.choice("01") for _ in range(rng.randint(4, 120)))
-        plen = rng.randint(1, min(6, len(text)))
-        p0 = rng.randint(0, len(text) - plen)
-        pat = text[p0:p0 + plen]
+    for trial in range(800):
+        if trial < 400:
+            text = "".join(rng.choice("01")
+                           for _ in range(rng.randint(4, 120)))
+            plen = rng.randint(1, min(6, len(text)))
+            p0 = rng.randint(0, len(text) - plen)
+            pat, cap = text[p0:p0 + plen], 10_000
+        else:  # patterns of 3 to 40 runs, over texts of short runs
+            runs = [(k % 2, rng.randint(1, 3))
+                    for k in range(rng.randint(3, 60))]
+            text = "".join(str(s) * c for s, c in runs)
+            pat = _run_spanning_pattern(rng, runs)
+            cap = rng.choice([1, 2, 3, 10_000])
         got = find_occurrences(Word.from_string(text), Word.from_string(pat),
-                               cap=10_000)
-        want = [i + 1 for i in range(len(text) - plen + 1)
-                if text[i:i + plen] == pat]
-        assert got == want
+                               cap=cap)
+        want = [i + 1 for i in range(len(text) - len(pat) + 1)
+                if text[i:i + len(pat)] == pat]
+        assert got == want[:cap]
 
 
 def test_find_occurrences_from_start_matches_string_search():
     rng = random.Random(37)
-    for _ in range(400):
-        runs = [(k % 2, rng.randint(1, 5)) for k in range(rng.randint(1, 40))]
+    for trial in range(820):
+        # the last texts span a few prefilter blocks of 4096 runs; half of
+        # them alternate single symbols, so a match sits at every other run
+        nruns = rng.randint(1, 40) if trial < 800 else rng.randint(8200, 9000)
+        most = 1 if trial >= 800 and trial % 2 else 5
+        runs = [(k % 2, rng.randint(1, most)) for k in range(nruns)]
         text = "".join(str(s) * c for s, c in runs)
-        plen = rng.randint(1, min(8, len(text)))
-        p0 = rng.randint(0, len(text) - plen)
-        pat = text[p0:p0 + plen]
-        start = rng.randint(2, len(text) + 2)
-        cap = rng.choice([1, 3, 10_000])
+        if trial < 400:
+            plen = rng.randint(1, min(8, len(text)))
+            p0 = rng.randint(0, len(text) - plen)
+            pat = text[p0:p0 + plen]
+            start = rng.randint(2, len(text) + 2)
+            cap = rng.choice([1, 3, 10_000])
+        else:  # patterns of 3 to 40 runs, the whole text among them
+            pat = _run_spanning_pattern(rng, runs)
+            start = rng.randint(1, len(text) + 2)
+            cap = rng.choice([1, 2, 3, 10_000]) if trial < 800 else 10_000
         got = find_occurrences(Word.from_string(text), Word.from_string(pat),
                                cap=cap, start=start)
-        want = [i + 1 for i in range(start - 1, len(text) - plen + 1)
-                if text[i:i + plen] == pat]
+        want = [i + 1 for i in range(start - 1, len(text) - len(pat) + 1)
+                if text[i:i + len(pat)] == pat]
         assert got == want[:cap]
 
 
