@@ -421,13 +421,16 @@ def _thm18_points(c: S3Construction, horizon: int):
     return [c.shift_view(t, horizon) for t in offsets]
 
 
+#: Banach-mean closeness required of the base pairs of ``thm-1.8-witness``
+_CONTRAST_EPSILON = 0.05
+
+
 def check_thm18_witness(c: S3Construction, seed: int = 0,
-                        epsilon: float = 0.1, n: int = 10_000,
-                        contrast_epsilon: float = 0.05) -> Report:
+                        epsilon: float = 0.1, n: int = 10_000) -> Report:
     """Hyperspace witness: a point within epsilon of P in Hausdorff distance
     whose induced orbit separates from P's on nearly every step, while the
     base-space pairs of P stay Banach-mean close: each pair's windowed
-    upper, rounding bound included, below ``contrast_epsilon``."""
+    upper, rounding bound included, below ``_CONTRAST_EPSILON``."""
     horizon = n + 200
     P = FiniteSet.of(_thm18_points(c, horizon))
     Q, wrep = hyper_witness_family(c, P, epsilon, horizon)
@@ -442,7 +445,7 @@ def check_thm18_witness(c: S3Construction, seed: int = 0,
         r = banach_avg_distance(a, b, t2, depth=DEPTH_CAP)
         contrast.append(fmt17(r.upper))
         contrast_ok = (contrast_ok
-                       and r.upper + r.rounding_bound < contrast_epsilon)
+                       and r.upper + r.rounding_bound < _CONTRAST_EPSILON)
     ok = wrep.passed and 10 * len(cert) >= 9 * n and contrast_ok
     rep = Report("thm-1.8-witness", params={
         "epsilon": fmt17(epsilon), "steps": n, "P": len(P), "Q": len(Q),

@@ -100,20 +100,19 @@ def _pair_limit(x: PointView, y: PointView, n: int, depth: int) -> int:
     return limit
 
 
-def _next_disagreement(los: np.ndarray, his: np.ndarray, steps: int):
-    """(steps 0..steps-1, first disagreement position p > i of each step i).
+def _next_disagreement(los: np.ndarray, his: np.ndarray,
+                       stepv: np.ndarray) -> np.ndarray:
+    """The first disagreement position p > i of each step i in ``stepv``.
 
     Positions come from the merged 1-based intervals [los, his]; a step with
     no later disagreement gets the int64 maximum.
     """
-    stepv = np.arange(steps, dtype=np.int64)
     if len(los) == 0:
-        return stepv, np.full(steps, np.iinfo(np.int64).max)
+        return np.full(len(stepv), np.iinfo(np.int64).max)
     idx = np.searchsorted(his, stepv + 1)
-    nd = np.where(idx < len(los),
-                  np.maximum(los[np.minimum(idx, len(los) - 1)], stepv + 1),
-                  np.iinfo(np.int64).max)
-    return stepv, nd
+    return np.where(idx < len(los),
+                    np.maximum(los[np.minimum(idx, len(los) - 1)], stepv + 1),
+                    np.iinfo(np.int64).max)
 
 
 def step_distance_array(x: PointView, y: PointView, n: int,
@@ -126,8 +125,8 @@ def step_distance_array(x: PointView, y: PointView, n: int,
     """
     _pair_limit(x, y, n, depth)
     los, his = diff_intervals(x.prefix, y.prefix, upto=n + depth)
-    steps, nd = _next_disagreement(los, his, n)
-    gap = nd - steps
+    steps = np.arange(n, dtype=np.int64)
+    gap = _next_disagreement(los, his, steps) - steps
     truncated = gap > depth
     values = np.where(truncated, 0.0, 1.0 / np.where(truncated, 1, gap))
     return values, truncated
@@ -265,7 +264,7 @@ def banach_avg_distance(x: PointView, y: PointView, L: int,
     inc = np.ones(K, dtype=np.int64)
     inc[np.cumsum(n) - n] = np.concatenate([a[:1], a[1:] - b[:-1]])
     nz = np.cumsum(inc)
-    gap = np.maximum(los[np.searchsorted(his, nz + 1)], nz + 1) - nz
+    gap = _next_disagreement(los, his, nz) - nz
     cs = np.concatenate([[0.0], np.cumsum(1.0 / gap)])
     starts = np.concatenate([[0], nz + 1, nz + 1 - L])
     starts = np.minimum(np.maximum(starts, 0), steps - L)
@@ -373,7 +372,8 @@ def diam_sequence(members: Sequence[PointView], steps: int):
     if len(members) == 1:
         return np.zeros(steps), np.zeros(steps, dtype=bool)
     los, his = _union_diff_positions(members, upto=H)
-    stepv, nd = _next_disagreement(los, his, steps)
+    stepv = np.arange(steps, dtype=np.int64)
+    nd = _next_disagreement(los, his, stepv)
     truncated = nd > H
     values = np.where(truncated, 0.0, 1.0 / np.maximum(nd - stepv, 1))
     return values, truncated

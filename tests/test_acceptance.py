@@ -38,6 +38,7 @@ from meansense import (
     union_factor,
 )
 from meansense.checks import (
+    _CONTRAST_EPSILON,
     DEPTH_CAP,
     _s3_deep_cylinders,
     _thm18_points,
@@ -216,11 +217,12 @@ def test_criterion_09_hyperspace_witness(s3):
     t2 = c.schedule.level(2).t
     for a, b in itertools.combinations(P.members, 2):
         r = banach_avg_distance(a, b, t2, depth=DEPTH_CAP)
-        contrast_ok = contrast_ok and r.upper + r.rounding_bound < 0.05
+        contrast_ok = (contrast_ok
+                       and r.upper + r.rounding_bound < _CONTRAST_EPSILON)
     ok = d_pq < eps and avg.value >= 0.9 and contrast_ok
     _verdict(9, ok, f"d_H(P,Q)={d_pq:.4f} < {eps}; induced mean average "
                     f">= {avg.value:.4f} (>= 0.9 at n={n}); base pairs "
-                    f"Banach-close (< 0.05)")
+                    f"Banach-close (< {_CONTRAST_EPSILON})")
 
 
 def test_criterion_10_hausdorff_metric_oracle():
