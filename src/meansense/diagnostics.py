@@ -454,7 +454,10 @@ def mean_to_density_check(a: Sequence[float], delta: float, M: float,
     nm, dm = _exact_ratio(M, "M")
     nr, dr = _exact_ratio(math.sqrt(delta) if sqrt_delta is None else sqrt_delta,
                           "sqrt_delta")
-    ratios = [_exact_ratio(v, "sequence value") for v in a]
+    # a finite float is read directly; anything else, non-finite floats
+    # included, goes through the checks of _exact_ratio
+    ratios = [v.as_integer_ratio() if type(v) is float and math.isfinite(v)
+              else _exact_ratio(v, "sequence value") for v in a]
     dens = {dd, dm, dr, *(d for _, d in ratios)}
     D = math.lcm(*dens)
     scale = {d: D // d for d in dens}

@@ -67,7 +67,8 @@ class RunBuilder:
             self.append(s, c)
 
     def build(self, alphabet_size: int) -> "Word":
-        return Word(alphabet_size, tuple(zip(self._syms, self._lens)), _trusted=True)
+        return Word(alphabet_size, tuple(zip(self._syms, self._lens)),
+                    _length=self.total)
 
 
 class Word:
@@ -75,25 +76,28 @@ class Word:
 
     ``runs`` is the canonical storage.  Position lookups go through
     ``run_index``, built from it on first use.
+
+    ``_length`` is the private path of the constructors in this package
+    that already hold canonical runs as a tuple and know their total
+    length: the runs are then stored as given, unchecked.
     """
 
     __slots__ = ("alphabet_size", "runs", "length", "_hash", "_index")
 
-    def __init__(self, alphabet_size: int, runs: Sequence[tuple] = (), _trusted=False):
+    def __init__(self, alphabet_size: int, runs: Sequence[tuple] = (),
+                 _length: Optional[int] = None):
         if alphabet_size not in (2, 4):
             raise ParameterError(f"unsupported alphabet size {alphabet_size}")
-        if _trusted:
-            canon = tuple(runs)
-        else:
+        if _length is None:
             b = RunBuilder()
             for s, c in runs:
                 if not 0 <= s < alphabet_size:
                     raise ParameterError(f"symbol {s} outside alphabet {alphabet_size}")
                 b.append(s, c)
-            canon = tuple(zip(b._syms, b._lens))
+            runs, _length = tuple(zip(b._syms, b._lens)), b.total
         object.__setattr__(self, "alphabet_size", alphabet_size)
-        object.__setattr__(self, "runs", canon)
-        object.__setattr__(self, "length", _check_length(sum(c for _, c in canon)))
+        object.__setattr__(self, "runs", runs)
+        object.__setattr__(self, "length", _length)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_index", None)
 
@@ -108,12 +112,14 @@ class Word:
 
     @staticmethod
     def from_symbols(symbols: Iterable[int], alphabet_size: int = 2) -> "Word":
-        runs = []
+        runs, total = [], 0
         for s, group in itertools.groupby(symbols):
             if not 0 <= s < alphabet_size:
                 raise ParameterError(f"symbol {s} outside alphabet {alphabet_size}")
-            runs.append((s, len(list(group))))
-        return Word(alphabet_size, runs, _trusted=True)
+            c = len(list(group))
+            runs.append((s, c))
+            total += c
+        return Word(alphabet_size, tuple(runs), _length=_check_length(total))
 
     @staticmethod
     def from_string(text: str, alphabet_size: int = 2) -> "Word":
@@ -241,7 +247,7 @@ class Word:
         else:
             canon = (((runs[i][0], int(ends[i]) - start + 1),) + runs[i + 1:j]
                      + ((runs[j][0], end - int(ends[j - 1])),))
-        return Word(self.alphabet_size, canon, _trusted=True)
+        return Word(self.alphabet_size, canon, _length=length)
 
     def starts_with(self, prefix: "Word") -> bool:
         if prefix.alphabet_size != self.alphabet_size:
@@ -372,30 +378,26 @@ def first_difference(a: Word, b: Word, upto: Optional[int] = None) -> Optional[i
 
     Compares at most ``min(len(a), len(b), upto)`` symbols and returns None
     when they agree throughout that range.
+
+    Both words are canonical, so they agree up to the start of their first
+    unequal pair of runs.  If the two runs differ in symbol, that start is
+    the answer.  If they differ only in count, the word with the shorter
+    run moves on to another symbol (or ends) just past it, while the other
+    still reads the same symbol there.
     """
     if a.alphabet_size != b.alphabet_size:
         raise AlphabetMismatchError("alphabet mismatch in first_difference")
     limit = min(a.length, b.length)
     if upto is not None:
         limit = min(limit, upto)
-    ia = ib = 0
-    pos = 0
-    off_a = off_b = 0
-    while pos < limit:
-        sa, ca = a.runs[ia]
-        sb, cb = b.runs[ib]
-        avail = min(ca - off_a, cb - off_b, limit - pos)
-        if sa != sb:
-            return pos + 1
-        pos += avail
-        off_a += avail
-        off_b += avail
-        if off_a == ca:
-            ia += 1
-            off_a = 0
-        if off_b == cb:
-            ib += 1
-            off_b = 0
+    start = 0  # symbols before the current pair of runs
+    for x, y in zip(a.runs, b.runs):
+        if start >= limit:
+            return None
+        if x != y:
+            j = start + 1 if x[0] != y[0] else start + min(x[1], y[1]) + 1
+            return j if j <= limit else None
+        start += x[1]
     return None
 
 

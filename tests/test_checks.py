@@ -27,9 +27,10 @@ def _replays(seed, count, horizon=48):
     naive, bulk = random.Random(seed), random.Random(seed)
     want = [_random_finite_set(naive, horizon) for _ in range(count)]
     got = list(_random_sets(bulk, count, horizon))
-    assert [words for words, _ in got] == want
-    for words, packed in got:
-        assert packed == tuple(int(w.as_string(), 2) for w in words)
+    assert [runs for runs, _ in got] == [tuple(w.runs for w in words)
+                                         for words in want]
+    assert [packed for _, packed in got] == [
+        tuple(int(w.as_string(), 2) for w in words) for words in want]
     assert bulk.getstate() == naive.getstate()
     assert bulk.random() == naive.random()
 

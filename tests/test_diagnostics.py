@@ -543,6 +543,14 @@ def test_mean_to_density_matches_fraction_oracle(args):
     pytest.param([0.5], 0.25, 10**400, None, id="M-beyond-float"),
     pytest.param([0.5], 0.25, 1, 10**400, id="sqrt_delta-beyond-float"),
     pytest.param([0.5], 1e200, 1e200, None, id="bound-beyond-float"),
+    # sequence values past finite floats, which skip _exact_ratio
+    pytest.param([0.25, 0.5, math.nan], 0.25, 1, 0.5, id="nan-after-floats"),
+    pytest.param([0.25, math.inf, 0.5], 0.25, 1, 0.5, id="inf-after-floats"),
+    pytest.param([0.5, np.float64(math.inf)], 0.25, 1, 0.5, id="numpy-inf"),
+    pytest.param([0.5, np.float64(math.nan)], 0.25, 1, 0.5, id="numpy-nan"),
+    pytest.param([0.5, 10**400], 0.25, 1, 0.5, id="int-beyond-float"),
+    pytest.param([0.5, Fraction(10**400, 3)], 0.25, 1, 0.5,
+                 id="fraction-beyond-float"),
 ])
 def test_mean_to_density_rejects_non_finite(a, delta, M, sqrt_delta):
     with pytest.raises(ParameterError, match="finite"):

@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from meansense import (
@@ -22,6 +22,7 @@ from meansense import (
     point_metric,
     power,
 )
+from meansense.checks import _RUN_TABLE, _word_runs
 from meansense.words import RunBuilder
 
 from conftest import naive_window_max
@@ -185,6 +186,75 @@ def test_prefix_agreement_transitive(a, b, c):
     jxz = first_difference(a, c) or h + 1
     j = min(jxy, jyz, h + 1)
     assert jxz >= min(j, h + 1)
+
+
+@st.composite
+def _word_pairs(draw):
+    """Two words over one alphabet built from a common list of runs and two
+    drawn tails: a changed symbol, a run of the same symbol and another
+    count, or one word a prefix of the other."""
+    k = draw(st.sampled_from([2, 4]))
+    runs = st.lists(st.tuples(st.integers(0, k - 1), st.integers(1, 5)),
+                    max_size=10)
+    common = draw(runs)
+    return Word(k, common + draw(runs)), Word(k, common + draw(runs))
+
+
+@example(pair=(Word.from_string("0011"), Word.from_string("00110")), upto=None)
+@example(pair=(Word.from_string("0001"), Word.from_string("0011")), upto=2)
+@example(pair=(Word.from_string("0001"), Word.from_string("0011")), upto=None)
+@example(pair=(Word.from_string("001"), Word.from_string("0001")), upto=None)
+@given(pair=_word_pairs(), upto=st.one_of(st.none(), st.integers(0, 60)))
+def test_first_difference_matches_expanded(pair, upto):
+    a, b = pair
+    limit = min(a.length, b.length, b.length if upto is None else upto)
+    diff = np.flatnonzero(a.expand()[:limit] != b.expand()[:limit])
+    want = int(diff[0]) + 1 if len(diff) else None
+    assert first_difference(a, b, upto) == want
+    assert first_difference(b, a, upto) == want
+
+
+def _assert_canonical(w):
+    assert isinstance(w.runs, tuple)
+    assert all(c > 0 for _, c in w.runs)
+    assert all(x[0] != y[0] for x, y in zip(w.runs, w.runs[1:]))
+    assert w.length == sum(c for _, c in w.runs)
+
+
+@given(data=st.data(), k=st.sampled_from([2, 4]))
+def test_constructors_return_canonical_runs(data, k):
+    syms = data.draw(st.lists(st.integers(0, k - 1), max_size=60))
+    w = Word.from_symbols(syms, k)
+    b = RunBuilder()
+    for s, c in data.draw(st.lists(st.tuples(st.integers(0, k - 1),
+                                             st.integers(0, 4)), max_size=12)):
+        b.append(s, c)
+    built = b.build(k)
+    m = data.draw(st.integers(0, 3))
+    start = data.draw(st.integers(1, len(syms) + 1))
+    sub = w.subword(start, data.draw(st.integers(0, len(syms) - start + 1)))
+    cases = [
+        (w, syms),
+        (built, built.expand().tolist()),
+        (concat([w, built, w]), syms + built.expand().tolist() + syms),
+        (power(built, m), built.expand().tolist() * m),
+        (sub, syms[start - 1:start - 1 + sub.length]),
+    ]
+    for word, want in cases:
+        _assert_canonical(word)
+        assert word.expand().tolist() == want
+
+
+@example(rows=[[0] * 63, [1] * 63, [0, 1] * 31 + [0]])
+@given(rows=st.integers(1, 63).flatmap(lambda width: st.lists(
+    st.lists(st.integers(0, 1), min_size=width, max_size=width),
+    min_size=1, max_size=5)))
+def test_word_runs_are_canonical_and_shared(rows):
+    for row, runs in zip(rows, _word_runs(np.array(rows, dtype=np.uint32))):
+        w = Word(2, runs, _length=len(row))
+        _assert_canonical(w)
+        assert w.expand().tolist() == row
+        assert all(run is _RUN_TABLE[run[0] * 64 + run[1]] for run in runs)
 
 
 def test_rle_text_round_trip():
