@@ -33,7 +33,7 @@ from .words import (
     point_metric,
 )
 
-DEFAULT_DEPTH = 64
+DEFAULT_DEPTH = 64  # default per-step metric comparison depth
 
 
 @dataclass(frozen=True)
@@ -52,10 +52,6 @@ class IndexSet:
 
     def __len__(self):
         return len(self.members)
-
-    def __contains__(self, i: int) -> bool:
-        j = int(np.searchsorted(self.members, i))
-        return j < len(self.members) and int(self.members[j]) == i
 
     def contains_range(self, lo: int, hi: int) -> bool:
         """True when every integer in [lo, hi] belongs to the set."""

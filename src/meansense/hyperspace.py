@@ -37,9 +37,6 @@ from .words import (
 #: occurrences of one cylinder scanned by ``independence_check``; a pattern
 #: missing past this many makes the verdict CAPPED, not FAIL
 OCCURRENCE_CAP = 200_000
-#: member pairs times steps that ``hyper_mean_avg`` method 'auto' still walks
-#: exactly; 'exact' refuses work beyond four times this
-EXACT_BUDGET = 20_000_000
 
 
 def _family_shape(fam: BlockFamily) -> tuple:
@@ -57,14 +54,14 @@ def _family_shape(fam: BlockFamily) -> tuple:
 
 
 def _is_marked_member(view: PointView, fam: BlockFamily) -> bool:
-    """Whether ``view`` equals one of the marked members of ``fam``."""
-    if (view.alphabet_size != fam.block.alphabet_size
-            or view.horizon != fam.horizon):
-        return False
-    los, his = diff_intervals(view.prefix, fam.zero_tail)
-    return (len(los) == 1 and los[0] == his[0]
-            and view.symbol_at(int(los[0])) == 1
-            and bool(np.isin(los[0], fam.marks)))
+    """Whether ``view`` equals one of the marked members of ``fam``.
+
+    A view with the family's alphabet and horizon does exactly when one of
+    its first differences with them (``_family_first_differences``) is 0.
+    """
+    return (view.alphabet_size == fam.block.alphabet_size
+            and view.horizon == fam.horizon
+            and not _family_first_differences(view, fam).all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,9 +86,8 @@ class FiniteSet:
         """The set of the given views and ``BlockFamily`` members.
 
         A family's extras join the plain views.  A mark already held by an
-        earlier family of the same shape (see ``_family_shape``) is dropped;
-        the remaining marks join an earlier family with the same block,
-        horizon and note, or form a new part.  A plain view equal to a
+        earlier part of the same shape (see ``_family_shape``) is dropped;
+        the remaining marks form a new part.  A plain view equal to a
         marked member is dropped; of equal plain views the first is kept.
         """
         if not items:
@@ -108,16 +104,7 @@ class FiniteSet:
             for other in families:
                 if _family_shape(other) == _family_shape(item):
                     marks = marks[~np.isin(marks, other.marks)]
-            if not len(marks):
-                continue
-            for k, other in enumerate(families):
-                if (other.block, other.horizon, other.note) == (
-                        item.block, item.horizon, item.note):
-                    families[k] = BlockFamily(other.block,
-                                              np.union1d(other.marks, marks),
-                                              other.horizon, other.note)
-                    break
-            else:
+            if len(marks):
                 families.append(BlockFamily(item.block, marks, item.horizon,
                                             item.note))
         seen = {}
@@ -216,19 +203,22 @@ def _first_difference_row(a: PointView, B: FiniteSet) -> np.ndarray:
 
 
 def _first_difference_table(A: FiniteSet, B: FiniteSet) -> np.ndarray:
-    """J[i, k]: the first 1-based position where member i of A and member k
-    of B differ, 0 where they agree through the shared horizon.
+    """J[i, k]: the first 1-based position where member i of one set and
+    member k of the other differ, 0 where they agree through the shared
+    horizon.
 
-    Members are ordered plain first, then family by family.  A family is
-    compared with a plain view in closed form, one numpy pass over its
-    marks; only when both sides hold families is one side expanded.
+    Which set gives the rows is left open: both Hausdorff routes reduce
+    rows and columns alike.  Members are ordered plain first, then family
+    by family.  A family is compared with a plain view in closed form, one
+    numpy pass over its marks; only when both sides hold families is one
+    side, the smaller, expanded into rows.
     """
     if not (A.families or B.families):
         return np.array([[first_difference(a.prefix, b.prefix) or 0
                           for b in B.plain] for a in A.plain],
                         dtype=np.int64)
     if A.families and (not B.families or len(A) > len(B)):
-        return _first_difference_table(B, A).T
+        A, B = B, A
     views = itertools.chain(A.plain, *A.families)
     return np.stack([_first_difference_row(a, B) for a in views])
 
@@ -469,47 +459,17 @@ def certified_separation_steps(P: FiniteSet, Q: FiniteSet, n: int) -> np.ndarray
     return np.nonzero(cert[1:])[0].astype(np.int64)
 
 
-def hyper_mean_avg(P: FiniteSet, Q: FiniteSet, n: int,
-                   method: str = "auto") -> AverageReport:
-    """Cesaro average of the Hausdorff distance along the induced orbits.
+def hyper_mean_avg(P: FiniteSet, Q: FiniteSet, n: int) -> AverageReport:
+    """Certified lower bound on the Cesaro average of the Hausdorff distance
+    along the induced orbits, steps 0..n-1.
 
-    method 'exact' walks the orbits and evaluates the max-min formula per
-    step; 'certified-lower' counts only the steps where the distance is
-    provably 1, a sound lower bound that scales to large member sets;
-    'auto' picks exact when the work fits the budget.
+    Counts only the steps where the distance is provably 1 (see
+    ``certified_separation_steps``), so it scales to member sets far too
+    large to walk step by step.  ``upper_exact`` holds the same count over
+    n as a ``Fraction``, for verdicts to compare.
     """
     if n < 1:
         raise ParameterError("need at least one step")
-    if method == "auto":
-        method = "exact" if len(P) * len(Q) * n <= EXACT_BUDGET \
-            else "certified-lower"
-    if method == "exact":
-        if len(P) * len(Q) * n > 4 * EXACT_BUDGET:
-            raise ResourceCapError("exact hyperspace average over budget",
-                                   required=len(P) * len(Q) * n)
-        H = min(P.horizon, Q.horizon)
-        if H < n:
-            raise HorizonError("horizon below the requested step count")
-        a, b = P, Q
-        total = 0.0
-        corr = 0.0
-        for i in range(n):
-            v, t = hausdorff_distance(a, b)
-            total += v
-            if t:
-                # truncated comparisons understate by at most the bias bound
-                corr += 1.0 / (H - i + 1)
-            if i + 1 < n:
-                a, b = tk_step(a), tk_step(b)
-        return AverageReport(
-            value=total / n,
-            window=(0, n),
-            truncation_correction=corr / n,
-            samples=n,
-            method="exact",
-        )
-    if method != "certified-lower":
-        raise ParameterError(f"unknown method {method!r}")
     cert = certified_separation_steps(P, Q, n)
     return AverageReport(
         value=len(cert) / n,
@@ -518,4 +478,5 @@ def hyper_mean_avg(P: FiniteSet, Q: FiniteSet, n: int,
         samples=n,
         method="certified-lower",
         caveats=["lower bound: counts only steps with certified distance 1"],
+        upper_exact=Fraction(len(cert), n),
     )

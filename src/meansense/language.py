@@ -33,12 +33,6 @@ class SubwordSample:
     words: List[Word]
     truncated: bool
 
-    def __contains__(self, w: Word) -> bool:
-        return w in set(self.words)
-
-    def __len__(self):
-        return len(self.words)
-
 
 def subwords(la: LanguageApprox, n: int, cap: int = SUBWORD_CAP) -> SubwordSample:
     """Distinct length-n subwords of the source prefix (an under-approximation).

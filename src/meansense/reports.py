@@ -70,7 +70,8 @@ class AverageReport:
     ``upper_exact``, where a route computes it, is the exact rational value
     of ``upper`` for verdicts to compare, and ``rounding_bound``, where a
     float route states one, bounds |upper - exact upper| for verdicts to
-    clear; neither is serialized.
+    clear.  Nothing serializes the report itself: checks copy the fields
+    they print into their report's params.
     """
 
     value: float
@@ -85,16 +86,6 @@ class AverageReport:
     @property
     def upper(self) -> float:
         return self.value + self.truncation_correction
-
-    def to_json(self) -> dict:
-        return {
-            "value": fmt17(self.value),
-            "window": list(self.window),
-            "truncation_correction": fmt17(self.truncation_correction),
-            "samples": self.samples,
-            "method": self.method,
-            "caveats": self.caveats,
-        }
 
 
 def series_csv(values, start_step: int = 0) -> str:

@@ -62,10 +62,6 @@ class RunBuilder:
         for s, c in word.runs:
             self.append(s, c)
 
-    def extend_runs(self, runs: Iterable[tuple]):
-        for s, c in runs:
-            self.append(s, c)
-
     def build(self, alphabet_size: int) -> "Word":
         return Word(alphabet_size, tuple(zip(self._syms, self._lens)),
                     _length=self.total)

@@ -39,13 +39,13 @@ from meansense import (
 )
 from meansense.checks import (
     _CONTRAST_EPSILON,
-    DEPTH_CAP,
     _s3_deep_cylinders,
     _thm18_points,
     _triangle_holds,
     check_prop_p_system,
 )
 from meansense.constructions import minimal_generator, patched_point, patched_step
+from meansense.diagnostics import DEFAULT_DEPTH
 from meansense.hyperspace import _hausdorff_first_difference
 from meansense.constructions import GeneratorDescriptor
 
@@ -142,7 +142,7 @@ def test_criterion_05_banach_mean_equicontinuity(s3):
     la = LanguageApprox(c.transitive_prefix(c.schedule.level(4).len_a).prefix)
     t2 = c.schedule.level(2).t
     eps = 0.05
-    member_h = 3 * t2 + DEPTH_CAP + 100
+    member_h = 3 * t2 + DEFAULT_DEPTH + 100
     cylinders = _s3_deep_cylinders(c, 10)
     total_pairs = 0
     worst = 0.0
@@ -153,7 +153,7 @@ def test_criterion_05_banach_mean_equicontinuity(s3):
         pairs = list(itertools.combinations(members, 2))[:100]
         ok = ok and len(pairs) >= 100
         for y1, y2 in pairs:
-            r = banach_avg_distance(y1, y2, t2, depth=DEPTH_CAP)
+            r = banach_avg_distance(y1, y2, t2, depth=DEFAULT_DEPTH)
             worst = max(worst, r.upper)
             ok = ok and r.upper + r.rounding_bound < eps
         total_pairs += len(pairs)
@@ -216,7 +216,7 @@ def test_criterion_09_hyperspace_witness(s3):
     contrast_ok = True
     t2 = c.schedule.level(2).t
     for a, b in itertools.combinations(P.members, 2):
-        r = banach_avg_distance(a, b, t2, depth=DEPTH_CAP)
+        r = banach_avg_distance(a, b, t2, depth=DEFAULT_DEPTH)
         contrast_ok = (contrast_ok
                        and r.upper + r.rounding_bound < _CONTRAST_EPSILON)
     ok = d_pq < eps and avg.value >= 0.9 and contrast_ok

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from hypothesis import example, given, settings
@@ -9,6 +10,40 @@ from meansense.cli import main
 
 def run(*argv):
     return main(list(argv))
+
+
+def output_digests(out):
+    """sha256 of every report and series file in ``out``, by file name."""
+    paths = sorted(out.glob("report-*.json")) + sorted(out.glob("series-*.csv"))
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+
+
+# report and series bytes of the default build (S3 depth 4, seed 0); they do
+# not depend on the output directory
+S3_DEPTH4_DIGESTS = {
+    "report-hausdorff-axioms.json": "5b5619ef10d424a39d2155c42385ce7ac8118fa7e8173090a1e026a0fef4e166",
+    "report-independence.json": "a6a8a94015458f01c0e85e635b6885313c2d2faafe1fbc96ef9ce9fe936fb330",
+    "report-lemma-3.1.json": "cd024e2c1299cfed2cafba78942ddc8936652dd8d7e183e244d97bc3c098bd2a",
+    "report-lemma-3.2-density.json": "e086412eb263934a007ec1d84a3779d08e596d74d3b5336de22abf39e36cfd87",
+    "report-remark-2.1.3.json": "fa8cfcf4b102e5b4d7973dc7b5570db8a66755f5853cc2e10a2b4ecc623c1d2c",
+    "report-thm-1.3-banach-equi.json": "d6561c53005f3ded0835289fa444ff6a836a8c530ec27b5ed0a4598a70881d2e",
+    "report-thm-1.3-cofinite.json": "44c3ad609c63b12947ac93cae36506281cdb6860a2b9d730661a014c2f68eb64",
+    "report-thm-1.8-witness.json": "4cbbef06293b20c2ceefbd1b8f9f497cb322a9be2f484e0eaf20ab7799ce9e5b",
+    "report-thm-unpos.json": "d2c837459c0cd7045088b250d96034c2104eb6386c641125c83753afc691e3a7",
+    "series-lemma-3.2-density-banach-density.csv": "91970dfb74852da7fb3575d1cbe6c5dffaa85ef67cdeacfb3ab8d54777a1bf60",
+    "series-thm-1.3-cofinite-diam-head.csv": "5ed2882e916613c5d9b9b649cb501f8b43875a27db2fa062c307df356348b79e",
+}
+
+# the same for S4 depth 4 over the default constant-zero base, seed 0
+S4_DEPTH4_DIGESTS = {
+    "report-hausdorff-axioms.json": "50a263f49f459d8e75518da7f08c01d0c508b9786b1f02d549de6228440fbaa6",
+    "report-independence.json": "0d0bb7912ca0229227e3cc8850bbb15499c28d832d01c8001c65f7a2e4ff53bd",
+    "report-lemma-count-3.json": "d3869884e364a860463ca8bbc15423f74e27d45befd3814b330367d9ab1c4932",
+    "report-prop-devaney.json": "3c853975fb163dae25f3eea3e2ed4c2038cece5240e273904bf22c7371c4972f",
+    "report-prop-p-system.json": "fb799cee23d1899d9717590172d8ea034e325112513ceae7136603e5ba876b96",
+    "report-remark-2.1.3.json": "30d92a5c4abeb3b4f5d6571d4bb209f47a68f7120fb2be733ebebe5d88eec9a2",
+    "report-thm-unpos.json": "350794183fa090ac6b740f0e989f79abe5814181c01f391378e15e95dbde3eba",
+}
 
 
 def test_build_emits_schedule_and_words(tmp_path):
@@ -153,6 +188,7 @@ def test_check_all_runs_the_checks_that_fit_the_build(tmp_path):
     assert names == ["hausdorff-axioms", "independence", "lemma-count-3",
                      "prop-devaney", "prop-p-system", "remark-2.1.3",
                      "thm-unpos"]
+    assert output_digests(out) == S4_DEPTH4_DIGESTS
 
 
 def test_default_build_then_check_all_passes(tmp_path):
@@ -162,6 +198,7 @@ def test_default_build_then_check_all_passes(tmp_path):
     assert run("build", "--out", str(out)) == 0
     assert run("check", "all", "--out", str(out)) == 0
     assert len(list(out.glob("report-*.json"))) == 9
+    assert output_digests(out) == S3_DEPTH4_DIGESTS
 
 
 def test_check_rejects_config_not_matching_build(tmp_path):

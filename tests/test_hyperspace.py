@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -184,29 +185,39 @@ def test_hyper_witness_small_scale(s3):
     assert set(range(lo, 600)) <= set(cert.tolist())
 
 
-def test_hyper_mean_avg_exact_agrees_with_certified_bound(s3):
+def naive_hyper_mean_avg(P, Q, n):
+    """(average, distances): the Hausdorff distance at each of the steps
+    0..n-1, walking both induced orbits with ``tk_step``, and its mean."""
+    a, b = P, Q
+    distances = []
+    for i in range(n):
+        distances.append(hausdorff_distance(a, b)[0])
+        if i + 1 < n:
+            a, b = tk_step(a), tk_step(b)
+    return sum(distances) / n, distances
+
+
+def test_hyper_mean_avg_is_a_lower_bound_on_the_walked_average(s3):
     horizon = 260
     P = FiniteSet.of([s3.shift_view(0, horizon)])
     Q, _ = hyper_witness_family(s3, P, epsilon=0.25, horizon=horizon)
     n = 160
-    exact = hyper_mean_avg(P, Q, n, method="exact")
-    lower = hyper_mean_avg(P, Q, n, method="certified-lower")
-    assert exact.value >= lower.value - 1e-12
-    # on certified steps the exact distance is exactly 1
+    avg = hyper_mean_avg(P, Q, n)
     cert = certified_separation_steps(P, Q, n)
-    a, b = P, Q
-    for i in range(n):
-        v, _ = hausdorff_distance(a, b)
-        if i in cert:
-            assert v == 1.0
-        if i + 1 < n:
-            a, b = tk_step(a), tk_step(b)
+    assert avg.upper_exact == Fraction(len(cert), n)
+    assert avg.value == len(cert) / n and avg.method == "certified-lower"
+    exact, distances = naive_hyper_mean_avg(P, Q, n)
+    assert exact >= avg.value
+    # on certified steps the walked distance is exactly 1
+    assert all(distances[i] == 1.0 for i in cert.tolist())
+    assert 0 < len(cert) < n
 
 
 def test_hyper_mean_avg_identity():
     A = FiniteSet.of([view("0101010101")])
-    rep = hyper_mean_avg(A, A, 5, method="exact")
-    assert rep.value == 0.0
+    rep = hyper_mean_avg(A, A, 5)
+    assert rep.value == 0.0 and rep.upper_exact == 0
+    assert naive_hyper_mean_avg(A, A, 5) == (0.0, [0.0] * 5)
 
 
 def test_finite_set_serialization():
