@@ -25,6 +25,7 @@ from .diagnostics import (
     AverageReport,
     IndexSet,
     banach_avg_distance,
+    banach_avg_distances,
     banach_window_max,
     cesaro_avg_distance,
     diam_of_members,

@@ -29,7 +29,7 @@ from .constructions import (
 )
 from .diagnostics import (
     DEFAULT_DEPTH,
-    banach_avg_distance,
+    banach_avg_distances,
     banach_window_max,
     cesaro_avg_distance,
     diam_sequence,
@@ -198,16 +198,18 @@ def check_thm13_banach_equi(c: S3Construction, seed: int = 0,
     for u in _s3_deep_cylinders(c, 10):
         members = cylinder_members(la, u, max_members=15,
                                    member_horizon=member_h)
-        pairs = list(itertools.combinations(members, 2))[:pairs_per_cylinder]
+        pairs = list(itertools.combinations(range(len(members)),
+                                            2))[:pairs_per_cylinder]
         if len(pairs) < pairs_per_cylinder:
             ok = False
         worst = 0.0
         worst_pair = None
-        for y1, y2 in pairs:
-            r = banach_avg_distance(y1, y2, t2, depth=DEFAULT_DEPTH)
+        reports = banach_avg_distances(members, pairs, t2, depth=DEFAULT_DEPTH)
+        for (i, j), r in zip(pairs, reports):
             if r.upper > worst:
                 worst = r.upper
-                worst_pair = (y1.provenance.offset, y2.provenance.offset)
+                worst_pair = (members[i].provenance.offset,
+                              members[j].provenance.offset)
             if r.upper + r.rounding_bound >= epsilon:
                 ok = False
         rows.append({"cylinder_len": u.length, "members": len(members),
@@ -438,8 +440,9 @@ def check_thm18_witness(c: S3Construction, seed: int = 0,
     t2 = c.schedule.level(2).t
     contrast = []
     contrast_ok = True
-    for a, b in itertools.combinations(P.members, 2):
-        r = banach_avg_distance(a, b, t2, depth=DEFAULT_DEPTH)
+    base_pairs = list(itertools.combinations(range(len(P.members)), 2))
+    for r in banach_avg_distances(P.members, base_pairs, t2,
+                                  depth=DEFAULT_DEPTH):
         contrast.append(fmt17(r.upper))
         contrast_ok = (contrast_ok
                        and r.upper + r.rounding_bound < _CONTRAST_EPSILON)

@@ -17,7 +17,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import List, Optional
 
@@ -83,7 +83,8 @@ class RunConfig:
         for key, kinds in (("depth", int), ("seed", int),
                            ("base", (dict, type(None))), ("output_dir", str)):
             value = getattr(self, key)
-            if not isinstance(value, kinds):
+            # bool is an int subclass, but true is not a depth or a seed
+            if not isinstance(value, kinds) or isinstance(value, bool):
                 raise ParameterError(
                     f"config {key} has type {type(value).__name__}")
         if self.base is not None:
@@ -110,8 +111,9 @@ def _load_config(args) -> RunConfig:
             raise ParameterError(f"cannot read config {args.config}: {exc}") from None
         if not isinstance(data, dict):
             raise ParameterError(f"config {args.config} is not a JSON object")
+        known = {f.name for f in fields(RunConfig)}
         for key, value in data.items():
-            if not hasattr(cfg, key):
+            if key not in known:
                 raise ParameterError(f"unknown config key {key!r}")
             setattr(cfg, key, value)
     for key in ("construction", "depth", "seed"):

@@ -210,21 +210,58 @@ def banach_avg_distance(x: PointView, y: PointView, L: int,
                         depth: int = DEFAULT_DEPTH) -> AverageReport:
     """Exact sup over windows of length L of the windowed average distance.
 
-    The sup ranges over every window [M, M+L) inside the usable horizon
-    (all steps whose depth-capped comparison is fully determined).  The
-    correction reports how far the corrected sup (counting every truncated
-    comparison at its worst) sits above the plain sup.
+    The one-pair call of ``banach_avg_distances``, which documents the sweep.
+    """
+    return banach_avg_distances([x, y], [(0, 1)], L, depth)[0]
+
+
+#: pairs per batch of ``banach_avg_distances``: bounds its (pairs x K) sum
+#: tables, about 75 KB each for a deep S3 cylinder
+_PAIR_CHUNK = 25
+
+
+def banach_avg_distances(members: Sequence[PointView], pairs, L: int,
+                         depth: int = DEFAULT_DEPTH) -> list:
+    """``banach_avg_distance`` of each index pair (i, j) of ``members``.
+
+    For each pair, the sup ranges over every window [M, M+L) inside the
+    usable horizon (all steps whose depth-capped comparison is fully
+    determined).  The correction reports how far the corrected sup
+    (counting every truncated comparison at its worst) sits above the plain
+    sup.  Returns one report per pair, in order.
+
+    Disagreements.  On a binary alphabet a pair disagrees exactly where one
+    of its two members disagrees with a shared base member, so each member
+    is walked once against the base (the member of longest horizon) and a
+    pair's disagreement set is the symmetric difference of its two members'
+    sets, clipped to the pair's shorter horizon.  Other alphabets walk each
+    pair directly.
 
     Swept over breakpoints, with no per-step array.  Step k is nonzero
     exactly when a disagreement lies in (k, k+depth], so the nonzero steps
-    are the union of [lo - depth, hi - 1] over the disagreement intervals;
-    every other step is truncated.  Adding 0.0 is exact, so the running sum
-    of the K nonzero terms in step order equals the dense running sum at
-    every step, and a window holds L minus its nonzero steps truncated.
-    Both window sums are constant between the breakpoints
-    {0} ∪ {k+1} ∪ {k+1-L} (k nonzero, clipped to [0, steps-L]), so the
-    maxima, and the smallest start attaining the plain one, are reached
-    there: the result is bit-identical to the dense sweep.
+    are the union of [lo - depth, hi - 1] over the disagreement intervals,
+    and the next disagreement of such a step is max(lo, k+1) of its own
+    interval; every other step is truncated.  Adding 0.0 is exact, so the
+    running sum of the K nonzero terms in step order equals the dense
+    running sum at every step, and a window holds L minus its nonzero steps
+    truncated.  Each pair's terms fill one row of a table summed along the
+    row, so every pair adds from 0 in step order on its own.
+
+    Candidate starts are {0} ∪ {k+1-L >= 0} over the nonzero steps k.
+    Moving a window start from s-1 to s drops step s-1 and takes in step
+    s+L-1.  When neither is nonzero, both window sums keep their value (in
+    floats too: the running-sum indices are the same), so s is neither
+    needed for the maximum nor the smallest start attaining it.  When only
+    step s-1 is nonzero (s = k+1, not of the form j+1-L), the plain sum
+    loses a term of at least 1/depth and the corrected sum gains at most
+    1/(depth+1) for the truncated step taken in: both fall strictly.  In
+    floats the plain sum cannot rise either, since the two differences
+    share their upper running sum and the lower one grew; the corrected sum
+    falls while its drop of at least 1/(depth (depth+1)) exceeds the
+    rounding error of two window sums (below), by many orders here.  So
+    the maxima and the smallest start attaining the plain one lie in the
+    candidates, and the result is bit-identical to the dense sweep.  A
+    candidate k+1-L ends its window at step k, so its upper index is k's.
 
     ``rounding_bound`` bounds |upper - U| for the exact corrected sup U
     (1/g per nonzero step, 1/(depth+1) per truncated one).  With
@@ -242,47 +279,137 @@ def banach_avg_distance(x: PointView, y: PointView, L: int,
     """
     if L < 1 or depth < 1:
         raise ParameterError("window length and depth must be positive")
-    steps = min(x.horizon, y.horizon) - depth
-    if steps < L:
-        raise HorizonError(f"window {L} does not fit in {steps} usable steps")
-    los, his = diff_intervals(x.prefix, y.prefix, upto=steps + depth)
+    pairs = list(pairs)
+    steps = [min(members[i].horizon, members[j].horizon) - depth
+             for i, j in pairs]
+    for s in steps:
+        if s < L:
+            raise HorizonError(f"window {L} does not fit in {s} usable steps")
+    if not pairs:
+        return []
+    used = sorted({m for pair in pairs for m in pair})
+    # row r of a batch keys position p as r * stride + p; a horizon too long
+    # for that takes one pair per batch, walked directly
+    stride = max(members[m].horizon for m in used) + 2
+    per = _PAIR_CHUNK if _PAIR_CHUNK * stride < 2 ** 63 else 1
+    walks = None
+    if per > 1 and all(members[m].alphabet_size == 2 for m in used):
+        base = max(used, key=lambda m: members[m].horizon)
+        # each member's flip points lo and hi+1 against the base, in order
+        walks = {m: (np.column_stack(diff_intervals(
+                     members[base].prefix, members[m].prefix)) + (0, 1)).ravel()
+                 for m in used if m != base}
+        walks[base] = np.empty(0, dtype=np.int64)
+    out = []
+    for c in range(0, len(pairs), per):
+        chunk, chunk_steps = pairs[c:c + per], steps[c:c + per]
+        if walks is None:
+            los, his, row = _walked_intervals(members, chunk, chunk_steps,
+                                              depth)
+        else:
+            los, his, row = _shared_intervals(walks, chunk, chunk_steps,
+                                              depth, stride)
+        out += _sweep_rows(los, his, row, chunk_steps, L, depth,
+                           stride if per > 1 else 0)
+    return out
+
+
+def _walked_intervals(members, pairs, steps, depth) -> tuple:
+    """(los, his, row) of each pair's own disagreement walk, row by row."""
+    parts = [diff_intervals(members[i].prefix, members[j].prefix,
+                            upto=s + depth) for (i, j), s in zip(pairs, steps)]
+    row = np.repeat(np.arange(len(parts)), [len(lo) for lo, _ in parts])
+    return (np.concatenate([lo for lo, _ in parts]),
+            np.concatenate([hi for _, hi in parts]), row)
+
+
+def _shared_intervals(walks, pairs, steps, depth, stride) -> tuple:
+    """(los, his, row) of each pair's symmetric difference of base walks,
+    clipped to its shorter horizon, row by row."""
+    flips = [walks[m] for pair in pairs for m in pair]
+    keys = np.concatenate(flips) + np.repeat(
+        np.arange(len(pairs)) * stride,
+        [len(walks[i]) + len(walks[j]) for i, j in pairs])
+    keys.sort()
+    # a position flipped by both members flips nothing; each member's
+    # points are distinct, so a key occurs at most twice
+    twin = keys[1:] == keys[:-1]
+    keep = np.ones(len(keys), dtype=bool)
+    keep[1:] &= ~twin
+    keep[:-1] &= ~twin
+    keys = keys[keep]
+    row = keys[0::2] // stride
+    los = keys[0::2] - row * stride
+    his = keys[1::2] - row * stride - 1
+    upto = np.asarray(steps, dtype=np.int64)[row] + depth
+    inside = los <= upto
+    return los[inside], np.minimum(his, upto)[inside], row[inside]
+
+
+def _sweep_rows(los, his, row, steps, L, depth, stride) -> list:
+    """The window sweep of ``banach_avg_distances`` over the merged
+    disagreement intervals of a batch of pairs, sorted by row (pair) and
+    position; one report per row."""
+    P = len(steps)
+    stepv = np.asarray(steps, dtype=np.int64)
     # nonzero steps, interval by interval: [lo - depth, hi - 1] clipped to
-    # the usable steps and past the previous interval's steps; clipping
-    # can only empty a tail of the intervals
+    # the usable steps and past the previous interval's steps of the row
     a = np.maximum(los - depth, 0)
-    b = np.minimum(his - 1, steps - 1)
-    a[1:] = np.maximum(a[1:], b[:-1] + 1)
-    J = int((a <= b).sum())
-    a, b = a[:J], b[:J]
+    b = np.minimum(his - 1, stepv[row] - 1)
+    a[1:] = np.maximum(a[1:], np.where(row[1:] == row[:-1], b[:-1] + 1, 0))
+    keep = a <= b
+    a, b, los, row = a[keep], b[keep], los[keep], row[keep]
     n = b - a + 1
-    K = int(n.sum())
-    # in step order: a running sum of ones that jumps to each interval's a
-    inc = np.ones(K, dtype=np.int64)
-    inc[np.cumsum(n) - n] = np.concatenate([a[:1], a[1:] - b[:-1]])
-    nz = np.cumsum(inc)
-    gap = _next_disagreement(los, his, nz) - nz
-    cs = np.concatenate([[0.0], np.cumsum(1.0 / gap)])
-    starts = np.concatenate([[0], nz + 1, nz + 1 - L])
-    starts = np.minimum(np.maximum(starts, 0), steps - L)
-    i0 = np.searchsorted(nz, starts)
-    i1 = np.searchsorted(nz, starts + L)
-    sums = cs[i1] - cs[i0]
-    tcounts = L - (i1 - i0)
-    best = sums.max()
-    value = float(best) / L
-    corrected = float((sums + tcounts / (depth + 1)).max()) / L
-    m = int(starts[sums == best].min())
-    samples = steps - L + 1
-    return AverageReport(
-        value=value,
-        window=(m, m + L),
-        truncation_correction=corrected - value,
-        samples=samples,
-        method="window-sweep",
-        caveats=[f"sup over {samples} windows of length {L} within "
-                 f"{steps} usable steps"],
-        rounding_bound=(3 * K * (K + 1) / L + 10) * 2.0 ** -53,
-    )
+    K = np.bincount(row, weights=n, minlength=P).astype(np.int64)
+    first = np.cumsum(K) - K  # flat index of each row's first step
+    # the flat nonzero steps, by row and step, and the index ``at`` of the
+    # running sum through each in a (P, W) table whose rows start at 0
+    flat = np.arange(int(n.sum()))
+    nz = np.repeat(a - (np.cumsum(n) - n), n) + flat
+    srow = np.repeat(row, n)
+    W = int(K.max()) + 1
+    rows = np.arange(P)
+    # flat step g -> table index of its row's sum over the steps before g
+    shift = (rows * W - first)[srow]
+    at = flat + shift + 1
+    gap = np.maximum(np.repeat(los, n) - nz, 1)
+    cs = np.zeros(P * W)
+    cs[at] = 1.0 / gap
+    cs = np.cumsum(cs.reshape(P, W), axis=1).ravel()
+    # window sums by table column: 0 for start 0, and the column of step k
+    # for start k+1-L
+    sums = np.full(P * W, -np.inf)
+    corr = np.full(P * W, -np.inf)
+    key = srow * stride + nz
+    heads = rows * W
+    i1 = np.searchsorted(key, rows * stride + L) - first
+    sums[heads] = cs[heads + i1]
+    corr[heads] = sums[heads] + (L - i1) / (depth + 1)
+    cand = nz + 1 >= L
+    hi = at[cand]
+    lo = np.searchsorted(key, key[cand] + 1 - L) + shift[cand]
+    sums[hi] = cs[hi] - cs[lo]
+    corr[hi] = sums[hi] + (L - (hi - lo)) / (depth + 1)
+    sums, corr = sums.reshape(P, W), corr.reshape(P, W)
+    best = sums.max(axis=1)
+    corrected = corr.max(axis=1)
+    mcol = sums.argmax(axis=1).tolist()  # the first, hence smallest, start
+    out = []
+    for r in range(P):
+        value = float(best[r]) / L
+        m = int(nz[first[r] + mcol[r] - 1]) + 1 - L if mcol[r] else 0
+        k, samples = int(K[r]), steps[r] - L + 1
+        out.append(AverageReport(
+            value=value,
+            window=(m, m + L),
+            truncation_correction=float(corrected[r]) / L - value,
+            samples=samples,
+            method="window-sweep",
+            caveats=[f"sup over {samples} windows of length {L} within "
+                     f"{steps[r]} usable steps"],
+            rounding_bound=(3 * k * (k + 1) / L + 10) * 2.0 ** -53,
+        ))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -39,11 +39,10 @@ def _check_length(n: int, context: str = "word"):
 class RunBuilder:
     """Accumulates (symbol, count) runs, merging adjacent equal symbols."""
 
-    __slots__ = ("_syms", "_lens", "total")
+    __slots__ = ("runs", "total")
 
     def __init__(self):
-        self._syms = []
-        self._lens = []
+        self.runs = []
         self.total = 0
 
     def append(self, symbol: int, count: int):
@@ -51,20 +50,25 @@ class RunBuilder:
             raise ParameterError("negative run length")
         if count == 0:
             return
-        if self._syms and self._syms[-1] == symbol:
-            self._lens[-1] += count
+        runs = self.runs
+        if runs and runs[-1][0] == symbol:
+            runs[-1] = (symbol, runs[-1][1] + count)
         else:
-            self._syms.append(symbol)
-            self._lens.append(count)
+            runs.append((symbol, count))
         self.total = _check_length(self.total + count, "builder")
 
     def extend(self, word: "Word"):
-        for s, c in word.runs:
-            self.append(s, c)
+        """Append a word's runs: they are canonical, so only the first can
+        merge, at the seam."""
+        runs, new = self.runs, word.runs
+        if runs and new and runs[-1][0] == new[0][0]:
+            runs[-1] = (new[0][0], runs[-1][1] + new[0][1])
+            new = new[1:]
+        runs.extend(new)
+        self.total = _check_length(self.total + word.length, "builder")
 
     def build(self, alphabet_size: int) -> "Word":
-        return Word(alphabet_size, tuple(zip(self._syms, self._lens)),
-                    _length=self.total)
+        return Word(alphabet_size, tuple(self.runs), _length=self.total)
 
 
 class Word:
@@ -90,7 +94,7 @@ class Word:
                 if not 0 <= s < alphabet_size:
                     raise ParameterError(f"symbol {s} outside alphabet {alphabet_size}")
                 b.append(s, c)
-            runs, _length = tuple(zip(b._syms, b._lens)), b.total
+            runs, _length = tuple(b.runs), b.total
         object.__setattr__(self, "alphabet_size", alphabet_size)
         object.__setattr__(self, "runs", runs)
         object.__setattr__(self, "length", _length)

@@ -214,13 +214,27 @@ def test_check_rejects_config_not_matching_build(tmp_path):
 
 def test_config_file_rejects_unknown_keys(tmp_path):
     # horizon and checks were once accepted, validated and hashed, but no
-    # check read them
-    for key, value in (("construktion", "S3"), ("horizon", 100), ("checks", [])):
+    # check read them; the method and property names of RunConfig are no
+    # config fields either
+    for key, value in (("construktion", "S3"), ("horizon", 100), ("checks", []),
+                       ("generator", {"kind": "thue-morse"}), ("schedule", 5),
+                       ("validate", 0), ("to_json", 0), ("hash", 1)):
         cfg_path = tmp_path / f"{key}.json"
         cfg_path.write_text(json.dumps({key: value}))
         assert run("build", "--config", str(cfg_path),
                    "--out", str(tmp_path / key)) == 2
     assert run("build", "--horizon", "100", "--out", str(tmp_path / "h")) == 2
+    assert not list(tmp_path.glob("*/schedule.json"))
+
+
+def test_config_rejects_booleans_as_integers(tmp_path):
+    # bool is an int subclass: true would build depth 1 under another hash
+    for key in ("depth", "seed"):
+        for value in (True, False):
+            cfg_path = tmp_path / f"{key}-{value}.json"
+            cfg_path.write_text(json.dumps({key: value}))
+            assert run("build", "--config", str(cfg_path),
+                       "--out", str(tmp_path / f"{key}-{value}")) == 2
     assert not list(tmp_path.glob("*/schedule.json"))
 
 
@@ -256,7 +270,8 @@ _json_value = st.one_of(
 )
 _configs = st.one_of(_text, st.dictionaries(
     st.sampled_from(["construction", "depth", "base", "horizon", "seed",
-                     "checks", "bogus"]), _json_value).map(json.dumps))
+                     "checks", "bogus", "generator", "schedule", "validate",
+                     "to_json", "hash"]), _json_value).map(json.dumps))
 _level = st.fixed_dictionaries(
     {}, optional={k: _json_value for k in ("n", "k_n", "len_A", "len_B", "t_n")})
 _schedules = st.one_of(_text, st.fixed_dictionaries(

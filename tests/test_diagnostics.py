@@ -17,6 +17,7 @@ from meansense import (
     Provenance,
     Word,
     banach_avg_distance,
+    banach_avg_distances,
     banach_window_max,
     cesaro_avg_distance,
     diam_of_members,
@@ -28,6 +29,7 @@ from meansense import (
     sensitivity_times,
     step_distance_array,
 )
+from meansense.diagnostics import _PAIR_CHUNK
 from meansense.reports import FAIL, PASS, AverageReport, Report, fmt17
 
 from conftest import naive_step_distances
@@ -264,6 +266,91 @@ def test_banach_sweep_matches_dense_oracle_and_exact_upper():
                                  want.window, want.samples)
         exact = exact_banach_upper(x, y, L, depth)
         assert abs(Fraction(got.upper) - exact) <= Fraction(got.rounding_bound)
+
+
+def _member_lists(rng):
+    """(members, L, depth): member lists for the batched sweep, every pair
+    of which is compared."""
+    for trial in range(60):
+        alphabet = 4 if trial % 4 == 3 else 2
+        n = rng.randint(20, 140)
+        depth = rng.choice([1, 2, 3, 5, 16])
+        base = [rng.randrange(alphabet) for _ in range(n)]
+        words = [list(base)]
+        for _ in range(rng.randint(1, 9)):
+            w = list(base)
+            for _ in range(rng.randint(0, 6)):  # disagreement bursts
+                p = rng.randrange(n)
+                for q in range(p, min(n, p + rng.randint(1, 5))):
+                    w[q] = rng.randrange(alphabet)
+            words.append(w)
+        words.append(list(base))  # a duplicate of the base: K = 0 pairs
+        if trial % 3 == 1:  # unequal horizons, all beyond the depth
+            words = [w[:rng.randint(depth + 1, n)] for w in words]
+        rng.shuffle(words)
+        # a copy of the first longest member, which the binary lists walk
+        # against: its walk is empty too
+        words.append(list(max(words, key=len)))
+        members = [PointView(Word.from_symbols(w, alphabet),
+                             Provenance("explicit-limit")) for w in words]
+        steps = min(len(w) for w in words) - depth
+        yield members, rng.choice([1, steps, rng.randint(1, steps)]), depth
+
+
+def test_batched_sweep_matches_each_pair_dense_oracle():
+    # binary lists take the shared base walks, alphabet 4 walks each pair;
+    # every list also pairs each member with itself, and a list of 9 or
+    # more members spans more than one batch
+    rng = random.Random(113)
+    spanned = False
+    for members, L, depth in _member_lists(rng):
+        pairs = [(i, j) for i in range(len(members))
+                 for j in range(i, len(members))]
+        spanned = spanned or len(pairs) > _PAIR_CHUNK
+        got = banach_avg_distances(members, pairs, L, depth)
+        assert len(got) == len(pairs)
+        for (i, j), r in zip(pairs, got):
+            x, y = members[i], members[j]
+            want = naive_banach_avg_distance(x, y, L, depth)
+            assert (r.value, r.truncation_correction, r.window,
+                    r.samples) == (want.value, want.truncation_correction,
+                                   want.window, want.samples)
+            steps = min(x.horizon, y.horizon) - depth
+            _, truncated = step_distance_array(x, y, steps, depth)
+            K = int((~truncated).sum())
+            assert r.rounding_bound == (3 * K * (K + 1) / L + 10) * 2.0 ** -53
+    assert spanned
+
+
+def test_batched_sweep_takes_huge_horizons_one_pair_at_a_time():
+    # positions keyed by batch row would overflow int64 at this horizon;
+    # the reports equal those of the same pairs at a short horizon, apart
+    # from the window count
+    def pair(h):
+        lead = PointView(Word(2, [(1, 1), (0, h - 1)]), Provenance("explicit-limit"))
+        late = PointView(Word(2, [(0, 40), (1, 2), (0, h - 42)]),
+                         Provenance("explicit-limit"))
+        zero = PointView(Word(2, [(0, h)]), Provenance("explicit-limit"))
+        return [lead, late, zero]
+
+    pairs = [(0, 1), (0, 2), (1, 2), (2, 2)]
+    for L in (1, 7, 60):
+        huge = banach_avg_distances(pair(2 ** 62), pairs, L, 16)
+        short = banach_avg_distances(pair(200), pairs, L, 16)
+        for a, b in zip(huge, short):
+            assert (a.value, a.truncation_correction, a.window,
+                    a.rounding_bound) == (b.value, b.truncation_correction,
+                                          b.window, b.rounding_bound)
+            assert a.samples - b.samples == 2 ** 62 - 200
+
+
+def test_batched_sweep_checks_its_arguments():
+    x, y = view("0" * 50), view("1" * 60)
+    assert banach_avg_distances([x, y], [], 4, depth=16) == []
+    with pytest.raises(HorizonError):
+        banach_avg_distances([x, y], [(1, 1), (0, 1)], 40, depth=16)
+    with pytest.raises(ParameterError):
+        banach_avg_distances([x, y], [(0, 1)], 0, depth=16)
 
 
 # -- diameters -----------------------------------------------------------
