@@ -67,6 +67,14 @@ def indicator_set_E(y: PointView, symbol: int = 1) -> IndexSet:
     return IndexSet(y.prefix.positions(symbol) - 1, y.horizon)
 
 
+def _consecutive_runs(pos: np.ndarray) -> tuple:
+    """(los, his) of the maximal runs of consecutive integers in the sorted,
+    distinct ``pos``, cut where a step is not 1."""
+    cut = np.flatnonzero(np.diff(pos) != 1)
+    return (np.concatenate([pos[:1], pos[cut + 1]]),
+            np.concatenate([pos[cut], pos[-1:]]))
+
+
 def banach_window_max(F: IndexSet, window: int) -> tuple:
     """Exact sup over windows [M, M+window) ⊆ [0, horizon) of the member count.
 
@@ -75,11 +83,8 @@ def banach_window_max(F: IndexSet, window: int) -> tuple:
     """
     if not 1 <= window <= F.horizon:
         raise ParameterError("window outside [1, horizon]")
-    pos = F.members
-    # the sentinels sit at least two away from every member of [0, horizon)
-    los = pos[np.diff(pos, prepend=-2) != 1]
-    his = pos[np.diff(pos, append=F.horizon + 1) != 1]
-    return interval_window_max(los, his, F.horizon, window)
+    return interval_window_max(*_consecutive_runs(F.members), F.horizon,
+                               window)
 
 
 # ---------------------------------------------------------------------------
@@ -96,19 +101,25 @@ def _pair_limit(x: PointView, y: PointView, n: int, depth: int) -> int:
     return limit
 
 
-def _next_disagreement(los: np.ndarray, his: np.ndarray,
-                       stepv: np.ndarray) -> np.ndarray:
-    """The first disagreement position p > i of each step i in ``stepv``.
+def _gap_distances(los: np.ndarray, his: np.ndarray, steps: int,
+                   cap: int) -> tuple:
+    """(values, truncated) of each step i < steps against the merged 1-based
+    disagreement intervals [los, his].
 
-    Positions come from the merged 1-based intervals [los, his]; a step with
-    no later disagreement gets the int64 maximum.
+    The first disagreement p > i sets the gap p - i; step i reads 1/gap,
+    or 0 and truncated when the gap exceeds ``cap`` or no p follows.  Steps
+    his[j-1] .. his[j]-1 meet interval j first, at max(lo_j, i+1), so one
+    int64 buffer repeats each lo over its steps (the int64 maximum past the
+    last interval), subtracts the step and floors at 1 in place.
     """
-    if len(los) == 0:
-        return np.full(len(stepv), np.iinfo(np.int64).max)
-    idx = np.searchsorted(his, stepv + 1)
-    return np.where(idx < len(los),
-                    np.maximum(los[np.minimum(idx, len(los) - 1)], stepv + 1),
-                    np.iinfo(np.int64).max)
+    counts = np.diff(np.minimum(his, steps), prepend=0, append=steps)
+    gap = np.repeat(np.append(los, np.iinfo(np.int64).max), counts)
+    gap -= np.arange(steps, dtype=np.int64)
+    np.maximum(gap, 1, out=gap)
+    truncated = gap > cap
+    values = np.divide(1.0, gap)
+    values[truncated] = 0.0
+    return values, truncated
 
 
 def step_distance_array(x: PointView, y: PointView, n: int,
@@ -121,11 +132,7 @@ def step_distance_array(x: PointView, y: PointView, n: int,
     """
     _pair_limit(x, y, n, depth)
     los, his = diff_intervals(x.prefix, y.prefix, upto=n + depth)
-    steps = np.arange(n, dtype=np.int64)
-    gap = _next_disagreement(los, his, steps) - steps
-    truncated = gap > depth
-    values = np.where(truncated, 0.0, 1.0 / np.where(truncated, 1, gap))
-    return values, truncated
+    return _gap_distances(los, his, n, depth)
 
 
 _HARMONIC_CACHE = {}
@@ -469,8 +476,8 @@ def _union_diff_positions(members: Sequence[PointView], upto: int):
     """
     if isinstance(members, BlockFamily) and len(members.marks) >= 2:
         z = members.zero_tail
-        marks = members.marks[members.marks <= upto]
-        return _merge_intervals([(marks, marks)] + [
+        marks = members.marks[:np.searchsorted(members.marks, upto, "right")]
+        return _merge_intervals([_consecutive_runs(marks)] + [
             diff_intervals(z, e.prefix, upto=upto) for e in members.extras])
     members = list(members)
     base = min(members, key=lambda m: len(m.prefix.runs))
@@ -495,11 +502,9 @@ def diam_sequence(members: Sequence[PointView], steps: int):
     if len(members) == 1:
         return np.zeros(steps), np.zeros(steps, dtype=bool)
     los, his = _union_diff_positions(members, upto=H)
-    stepv = np.arange(steps, dtype=np.int64)
-    nd = _next_disagreement(los, his, stepv)
-    truncated = nd > H
-    values = np.where(truncated, 0.0, 1.0 / np.maximum(nd - stepv, 1))
-    return values, truncated
+    # every disagreement lies within H, so only a step with none later has
+    # a gap above H
+    return _gap_distances(los, his, steps, H)
 
 
 def orbit_diam_sequence(members: Sequence[PointView], steps: int,
@@ -536,8 +541,7 @@ def sensitivity_times(members: Sequence[PointView], delta: float,
 
 def separation_times(values: np.ndarray, delta: float) -> IndexSet:
     """Steps i < len(values) of a diameter sequence with values[i] > delta."""
-    hits = np.nonzero(values > delta)[0].astype(np.int64)
-    return IndexSet(hits, len(values))
+    return IndexSet(np.flatnonzero(values > delta), len(values))
 
 
 # ---------------------------------------------------------------------------

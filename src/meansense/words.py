@@ -619,7 +619,7 @@ class BlockFamily(abc.Sequence):
                  extras: Sequence[PointView] = ()):
         marks = np.asarray(marks, dtype=np.int64)
         if (marks.ndim != 1 or not len(marks) or marks[0] <= block.length
-                or marks[-1] > horizon or (np.diff(marks) <= 0).any()):
+                or marks[-1] > horizon or (marks[1:] <= marks[:-1]).any()):
             raise ParameterError(f"marks must be non-empty and increase "
                                  f"strictly inside ({block.length}, {horizon}]")
         self.block = block

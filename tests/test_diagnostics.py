@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -129,6 +130,24 @@ def test_step_distances_match_naive_oracle():
             y.prefix.expand().astype(np.int64), steps, depth)
         assert (got_t == want_t).all()
         assert np.array_equal(got_v, want_v)
+
+
+@pytest.mark.parametrize("x, y, depth", [
+    ("0110" * 10, "0110" * 10, 4),          # no disagreement at all
+    ("0" * 40, "0" * 39 + "1", 4),          # only at the horizon
+    ("0" * 40, "0" * 39 + "1", 36),
+    ("1" + "0" * 39, "0" * 40, 4),          # only at position 1
+    ("0011" * 10, "1100" * 10, 1),          # everywhere
+])
+def test_step_distances_edge_cases_match_naive_oracle(x, y, depth):
+    x, y = view(x), view(y)
+    n = x.horizon - depth  # the last position compared is the horizon
+    got_v, got_t = step_distance_array(x, y, n, depth)
+    want_v, want_t = naive_step_distances(
+        x.prefix.expand().astype(np.int64),
+        y.prefix.expand().astype(np.int64), n, depth)
+    assert np.array_equal(got_t, want_t)
+    assert np.array_equal(got_v, want_v)
 
 
 def test_distance_sum_matches_array_path():
@@ -417,6 +436,57 @@ def test_block_family_diam_matches_list_and_naive():
                                naive_diam_sequence(list(fam), steps)):
             assert np.array_equal(got_v, want_v)
             assert np.array_equal(got_t, want_t)
+
+
+def _family(block, marks, horizon, extras=()):
+    block = view(block).prefix
+    return BlockFamily(block, marks, horizon) + [
+        PointView(Word(2, block.runs + view(t).prefix.runs),
+                  Provenance("explicit-limit")) for t in extras]
+
+
+@pytest.mark.parametrize("members, steps", [
+    # no disagreement at all
+    ([view("0110" * 8)] * 3, 32),
+    ([view("0110" * 8), view("0110" * 8 + "11")], 20),
+    # a disagreement only at the shared horizon H, over all H steps
+    ([view("0" * 30), view("0" * 29 + "1"), view("0" * 30)], 30),
+    ([view("0" * 30), view("0" * 29 + "1" + "0101")], 30),
+    # steps == H with disagreements throughout
+    ([view("0011" * 8), view("0101" * 8), view("0110" * 8)], 32),
+    # family marks in several runs of consecutive positions
+    (_family("101", [4, 5, 6, 9, 12, 13, 20], 24), 24),
+    (_family("101", [4, 5, 6, 9, 12, 13, 24], 24, ["0" * 21]), 24),
+    (_family("11", [3, 5, 7, 8, 9], 30, ["0" * 4 + "1" + "0" * 23]), 30),
+    # every mark lies past a shorter extra's horizon: no mark enters
+    (_family("101", [50, 51, 55], 60, ["0" * 37]), 40),
+    (_family("101", [50, 51, 55], 60, ["0" * 30 + "1" * 7]), 40),
+    (_family("101", [50, 52], 60, ["0" * 37, "0" * 40]), 38),
+])
+def test_diam_sequence_edge_cases_match_naive(members, steps):
+    got_v, got_t = diam_sequence(members, steps)
+    for want_v, want_t in (diam_sequence(list(members), steps),
+                           naive_diam_sequence(list(members), steps)):
+        assert np.array_equal(got_v, want_v)
+        assert np.array_equal(got_t, want_t)
+
+
+def test_cofinite_diam_sequence_stays_within_four_step_arrays(s3):
+    # the thm-1.3-cofinite family: its 119,972 marks enter the union as one
+    # run, and the sweep holds a single int64 gap buffer beside the step
+    # vector, so the traced peak stays below four int64 arrays of the steps
+    horizon = 120_000
+    steps = horizon - 1
+    members = (s3.witness_family(0, 27, horizon - 28, horizon)
+               + [s3.shift_view(0, horizon)])
+    tracemalloc.start()
+    try:
+        values, _ = diam_sequence(members, steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (values[28:] > 0.5).all()
+    assert peak < 4 * 8 * steps
 
 
 def test_diam_singleton_is_zero():
