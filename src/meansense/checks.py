@@ -144,10 +144,10 @@ def check_lemma32_density(c: S3Construction, seed: int = 0) -> Report:
     return rep
 
 
-def check_thm13_cofinite(c: S3Construction, seed: int = 0,
-                         horizon: int = 120_000) -> Report:
+def check_thm13_cofinite(c: S3Construction, seed: int = 0) -> Report:
     """Past the cylinder block, every single step separates the witness
     family beyond 1/2: the separation-time set contains a full tail."""
+    horizon = 120_000
     m, s = 0, 27  # cylinder block = the level-2 word, a suffix of itself
     count = horizon - s - 1
     family = c.witness_family(m, s, count, horizon)
@@ -161,7 +161,7 @@ def check_thm13_cofinite(c: S3Construction, seed: int = 0,
         "tail": [lo, hi], "sensitive_steps": len(sens),
     })
     rep.witnesses = [
-        {"first_sensitive": int(sens.members[0]) if len(sens) else None},
+        {"first_sensitive": int(sens.los[0]) if len(sens) else None},
         {"csv_series": {"name": "diam-head",
                         "body": series_csv(values[:2000].tolist())}},
     ]
@@ -184,12 +184,11 @@ def _s3_deep_cylinders(c: S3Construction, how_many: int = 10):
     return out
 
 
-def check_thm13_banach_equi(c: S3Construction, seed: int = 0,
-                            pairs_per_cylinder: int = 100,
-                            epsilon: float = 0.05) -> Report:
+def check_thm13_banach_equi(c: S3Construction, seed: int = 0) -> Report:
     """Banach-window averages stay below epsilon for every sampled pair in
     each of ten deep cylinders, truncation correction and rounding bound
     included."""
+    pairs_per_cylinder, epsilon = 100, 0.05
     la = LanguageApprox(c.transitive_prefix(c.schedule.level(4).len_a).prefix)
     t2 = c.schedule.level(2).t
     member_h = 3 * t2 + DEFAULT_DEPTH + 100
@@ -332,17 +331,13 @@ def check_prop_p_system(c: S4Construction, seed: int = 0,
     for z in zs:
         r = cesaro_avg_distance(x, z, n, depth=DEFAULT_DEPTH)
         ones_z = z.prefix.count(1)
-        # steps whose K-window sees a 1: at most K per 1, counted exactly
-        onespos = z.prefix.positions(1, 1, n + K)
-        covered = 0
-        prev_end = -1
-        for p in onespos.tolist():
-            lo, hi = max(0, p - K), min(n - 1, p - 1)
-            if hi >= lo:
-                lo = max(lo, prev_end + 1)
-                if hi >= lo:
-                    covered += hi - lo + 1
-                    prev_end = hi
+        # steps whose K-window sees a 1, counted exactly: a 1-run [lo, hi]
+        # covers steps max(lo-K, 0) .. min(hi-1, n-1); the spans come in
+        # order, so each counts only past the end of the previous one
+        los, his = z.prefix.runs_of(1, n + K)
+        a, b = np.maximum(los - K, 0), np.minimum(his - 1, n - 1)
+        a[1:] = np.maximum(a[1:], b[:-1] + 1)
+        covered = int(np.maximum(b - a + 1, 0).sum())
         frac_nonzero = covered / n
         term_zero = (epsilon / 5) * (1 - frac_nonzero)
         rows.append({
@@ -385,9 +380,10 @@ def check_prop_devaney(c: S4Construction, seed: int = 0, n: int = 4) -> Report:
     return rep
 
 
-def check_thm_unpos(c=None, seed: int = 0, steps: int = 64) -> Report:
+def check_thm_unpos(c=None, seed: int = 0) -> Report:
     """The patched map collapses the {2,3} cylinder to one orbit after a
     single step: its diameter sequence is exactly zero from step 1 on."""
+    steps = 64
     horizon = 2 * steps + 8
     y = GeneratorDescriptor("thue-morse")
     y_prefix = Word(4, minimal_generator(y, horizon).runs)
@@ -425,12 +421,12 @@ def _thm18_points(c: S3Construction, horizon: int):
 _CONTRAST_EPSILON = 0.05
 
 
-def check_thm18_witness(c: S3Construction, seed: int = 0,
-                        epsilon: float = 0.1, n: int = 10_000) -> Report:
+def check_thm18_witness(c: S3Construction, seed: int = 0) -> Report:
     """Hyperspace witness: a point within epsilon of P in Hausdorff distance
     whose induced orbit separates from P's on nearly every step, while the
     base-space pairs of P stay Banach-mean close: each pair's windowed
     upper, rounding bound included, below ``_CONTRAST_EPSILON``."""
+    epsilon, n = 0.1, 10_000
     horizon = n + 200
     P = FiniteSet.of(_thm18_points(c, horizon))
     Q, wrep = hyper_witness_family(c, P, epsilon, horizon)
@@ -459,9 +455,10 @@ def check_thm18_witness(c: S3Construction, seed: int = 0,
     return rep
 
 
-def check_remark_213(c=None, seed: int = 0, trials: int = 1000) -> Report:
+def check_remark_213(c=None, seed: int = 0) -> Report:
     """Randomized conversion trials between average bounds and density
     bounds, exact rational arithmetic, zero counterexamples allowed."""
+    trials = 1000
     rng = random.Random(20_000 + seed)
     failures = []
     for trial in range(trials):

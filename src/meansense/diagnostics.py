@@ -38,9 +38,12 @@ DEFAULT_DEPTH = 64  # default per-step metric comparison depth
 
 @dataclass(frozen=True)
 class IndexSet:
-    """A finite set of non-negative integers below a horizon."""
+    """A finite set of non-negative integers below a horizon, held as its
+    maximal runs: the inclusive [los[k], his[k]], increasing, with a
+    non-member between any two runs."""
 
-    members: np.ndarray  # sorted int64, deduplicated
+    los: np.ndarray  # int64
+    his: np.ndarray  # int64
     horizon: int
 
     @staticmethod
@@ -48,23 +51,33 @@ class IndexSet:
         arr = np.unique(np.asarray(list(it), dtype=np.int64))
         if len(arr) and (arr[0] < 0 or arr[-1] >= horizon):
             raise ParameterError("index set member outside [0, horizon)")
-        return IndexSet(arr, horizon)
+        return IndexSet(*_consecutive_runs(arr), horizon)
+
+    @property
+    def members(self) -> np.ndarray:
+        """Every member, sorted: the runs expanded."""
+        lens = self.his - self.los + 1
+        return (np.repeat(self.los - (np.cumsum(lens) - lens), lens)
+                + np.arange(int(lens.sum()), dtype=np.int64))
 
     def __len__(self):
-        return len(self.members)
+        return int((self.his - self.los + 1).sum())
 
     def contains_range(self, lo: int, hi: int) -> bool:
-        """True when every integer in [lo, hi] belongs to the set."""
+        """True when every integer in [lo, hi] belongs to the set: the
+        runs are maximal, so [lo, hi] lies inside the first run ending at
+        or after lo."""
         if hi < lo:
             return True
-        a = int(np.searchsorted(self.members, lo))
-        b = int(np.searchsorted(self.members, hi, side="right"))
-        return b - a == hi - lo + 1
+        k = int(np.searchsorted(self.his, lo))
+        return bool(k < len(self.his) and self.los[k] <= lo
+                    and hi <= self.his[k])
 
 
 def indicator_set_E(y: PointView, symbol: int = 1) -> IndexSet:
     """0-based positions i < horizon with y_{i+1} equal to ``symbol``."""
-    return IndexSet(y.prefix.positions(symbol) - 1, y.horizon)
+    los, his = y.prefix.runs_of(symbol)
+    return IndexSet(los - 1, his - 1, y.horizon)
 
 
 def _consecutive_runs(pos: np.ndarray) -> tuple:
@@ -78,13 +91,12 @@ def _consecutive_runs(pos: np.ndarray) -> tuple:
 def banach_window_max(F: IndexSet, window: int) -> tuple:
     """Exact sup over windows [M, M+window) ⊆ [0, horizon) of the member count.
 
-    Returns (count, smallest attaining window start), sweeping the maximal
-    runs of consecutive members with ``interval_window_max``.
+    Returns (count, smallest attaining window start), sweeping the runs of
+    ``F`` with ``interval_window_max``.
     """
     if not 1 <= window <= F.horizon:
         raise ParameterError("window outside [1, horizon]")
-    return interval_window_max(*_consecutive_runs(F.members), F.horizon,
-                               window)
+    return interval_window_max(F.los, F.his, F.horizon, window)
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +308,11 @@ def banach_avg_distances(members: Sequence[PointView], pairs, L: int,
         return []
     used = sorted({m for pair in pairs for m in pair})
     # row r of a batch keys position p as r * stride + p; a horizon too long
-    # for that takes one pair per batch, walked directly
+    # for that takes one pair per batch, whose row 0 keys are plain positions
     stride = max(members[m].horizon for m in used) + 2
     per = _PAIR_CHUNK if _PAIR_CHUNK * stride < 2 ** 63 else 1
     walks = None
-    if per > 1 and all(members[m].alphabet_size == 2 for m in used):
+    if all(members[m].alphabet_size == 2 for m in used):
         base = max(used, key=lambda m: members[m].horizon)
         # each member's flip points lo and hi+1 against the base, in order
         walks = {m: (np.column_stack(diff_intervals(
@@ -316,13 +328,13 @@ def banach_avg_distances(members: Sequence[PointView], pairs, L: int,
         else:
             los, his, row = _shared_intervals(walks, chunk, chunk_steps,
                                               depth, stride)
-        out += _sweep_rows(los, his, row, chunk_steps, L, depth,
-                           stride if per > 1 else 0)
+        out += _sweep_rows(los, his, row, chunk_steps, L, depth, stride)
     return out
 
 
 def _walked_intervals(members, pairs, steps, depth) -> tuple:
-    """(los, his, row) of each pair's own disagreement walk, row by row."""
+    """(los, his, row) of each pair's own disagreement walk, row by row;
+    for alphabets other than binary, where base walks do not combine."""
     parts = [diff_intervals(members[i].prefix, members[j].prefix,
                             upto=s + depth) for (i, j), s in zip(pairs, steps)]
     row = np.repeat(np.arange(len(parts)), [len(lo) for lo, _ in parts])
@@ -540,8 +552,10 @@ def sensitivity_times(members: Sequence[PointView], delta: float,
 
 
 def separation_times(values: np.ndarray, delta: float) -> IndexSet:
-    """Steps i < len(values) of a diameter sequence with values[i] > delta."""
-    return IndexSet(np.flatnonzero(values > delta), len(values))
+    """Steps i < len(values) of a diameter sequence with values[i] > delta;
+    the runs open and close at the edges of the mask, padded false."""
+    edges = np.flatnonzero(np.diff(values > delta, prepend=False, append=False))
+    return IndexSet(edges[0::2], edges[1::2] - 1, len(values))
 
 
 # ---------------------------------------------------------------------------

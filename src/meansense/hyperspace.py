@@ -426,16 +426,20 @@ def hyper_witness_family(construction, P: FiniteSet, epsilon: float,
     return Q, rep
 
 
-def _union_one_positions(S: FiniteSet, upto: int) -> np.ndarray:
-    """Sorted 1-based positions <= upto where some member carries a 1.
-
-    A family part contributes its block's ones and its marks: one
-    ``positions`` walk per family, none per member.
-    """
-    chunks = [m.prefix.positions(1, 1, upto) for m in S.plain]
+def _ones_mask(S: FiniteSet, n: int) -> np.ndarray:
+    """Mask over positions 0..n, True at each 1-based p <= n where some
+    member carries a 1.  The 1-runs of the plain members and of each family
+    block add +1 at lo and -1 past hi in one difference array; a family's
+    marks are set after the running sum, none of its members is built."""
+    runs = ([m.prefix.runs_of(1, n) for m in S.plain]
+            + [fam.block.runs_of(1, n) for fam in S.families])
+    edges = np.zeros(n + 2, dtype=np.int64)
+    np.add.at(edges, np.concatenate([lo for lo, _ in runs]), 1)
+    np.add.at(edges, np.concatenate([hi for _, hi in runs]) + 1, -1)
+    mask = np.cumsum(edges[:-1]) > 0
     for fam in S.families:
-        chunks += [fam.block.positions(1, 1, upto), fam.marks[fam.marks <= upto]]
-    return np.unique(np.concatenate(chunks))
+        mask[fam.marks[:np.searchsorted(fam.marks, n, "right")]] = True
+    return mask
 
 
 def certified_separation_steps(P: FiniteSet, Q: FiniteSet, n: int) -> np.ndarray:
@@ -451,11 +455,7 @@ def certified_separation_steps(P: FiniteSet, Q: FiniteSet, n: int) -> np.ndarray
     if any(m.alphabet_size != 2 for m in P.plain + Q.plain) or any(
             fam.block.alphabet_size != 2 for fam in P.families + Q.families):
         raise ParameterError("certification needs the binary alphabet")
-    mask_p = np.zeros(n + 1, dtype=bool)
-    mask_p[_union_one_positions(P, n)] = True
-    mask_q = np.zeros(n + 1, dtype=bool)
-    mask_q[_union_one_positions(Q, n)] = True
-    cert = mask_p ^ mask_q
+    cert = _ones_mask(P, n) ^ _ones_mask(Q, n)
     return np.nonzero(cert[1:])[0].astype(np.int64)
 
 

@@ -88,9 +88,9 @@ class AverageReport:
         return self.value + self.truncation_correction
 
 
-def series_csv(values, start_step: int = 0) -> str:
-    """Per-step series as ``step,value`` lines (header included)."""
+def series_csv(values) -> str:
+    """Per-step series as ``step,value`` lines from step 0 (header included)."""
     lines = ["step,value"]
-    for i, v in enumerate(values, start=start_step):
+    for i, v in enumerate(values):
         lines.append(f"{i},{fmt17(v)}")
     return "\n".join(lines) + "\n"

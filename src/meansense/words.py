@@ -206,31 +206,20 @@ class Word:
     def count(self, symbol: int = 1) -> int:
         return sum(c for s, c in self.runs if s == symbol)
 
-    def positions(self, symbol: int = 1, lo: int = 1,
-                  hi: Optional[int] = None) -> np.ndarray:
-        """Sorted 1-based positions p in [lo, hi] carrying ``symbol``.
-
-        A plain walk over the runs that stops past ``hi``: it never builds
-        the run index, which would cost more than the walk on the many tiny
-        words of a point family.
+    def runs_of(self, symbol: int = 1, hi: Optional[int] = None) -> tuple:
+        """(los, his): the 1-based inclusive runs of ``symbol`` that start at
+        or before ``hi``, the last one cut at ``hi``; read from the run index.
         """
-        if hi is None:
-            hi = self.length
-        chunks = []
-        end = 0
-        for s, c in self.runs:
-            start, end = end + 1, end + c
-            if start > hi:
-                break
-            if s == symbol and end >= lo:
-                chunks.append(np.arange(max(start, lo), min(end, hi) + 1,
-                                        dtype=np.int64))
-        if not chunks:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(chunks)
+        syms, ends = self.run_index
+        los = ends - np.diff(ends, prepend=0) + 1
+        hi = self.length if hi is None else hi
+        keep = (syms == symbol) & (los <= hi)
+        return los[keep], np.minimum(ends[keep], hi)
 
     def subword(self, start: int, length: int) -> "Word":
         """Extract ``length`` symbols starting at 1-based ``start`` by run slicing."""
+        if start == 1 and length == self.length:
+            return self  # words are immutable
         if length == 0:
             return Word.empty(self.alphabet_size)
         if length < 0 or start < 1 or start + length - 1 > self.length:
@@ -361,11 +350,8 @@ def max_window_count(index: OccurrenceIndex, window: int) -> tuple:
     w = index.word
     if not 1 <= window <= w.length:
         raise ParameterError(f"window {window} outside [1, {w.length}]")
-    syms, ends = w.run_index
-    hit = syms == index.symbol
-    starts = np.concatenate([[0], ends[:-1]])  # 0-based first symbol of each run
-    count, start = interval_window_max(starts[hit], ends[hit] - 1, w.length,
-                                       window)
+    los, his = w.runs_of(index.symbol)
+    count, start = interval_window_max(los - 1, his - 1, w.length, window)
     return count, start + 1
 
 

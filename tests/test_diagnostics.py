@@ -30,7 +30,7 @@ from meansense import (
     sensitivity_times,
     step_distance_array,
 )
-from meansense.diagnostics import _PAIR_CHUNK
+from meansense.diagnostics import _PAIR_CHUNK, separation_times
 from meansense.reports import FAIL, PASS, AverageReport, Report, fmt17
 
 from conftest import naive_step_distances
@@ -71,6 +71,50 @@ def test_upper_density_of_x_meets_level_one_budget(s3):
     r = n // t1
     count = int(np.searchsorted(E.members, n))
     assert count * (r * t1) <= (r + 1) * 6 * n
+
+
+def test_index_set_runs_match_python_set_oracle():
+    rng = random.Random(41)
+    cases = [(set(), 1), (set(), 30), ({0}, 1), ({7}, 30), ({29}, 30),
+             (set(range(30)), 30)]
+    for _ in range(300):
+        horizon = rng.randint(1, 80)
+        cases.append((set(rng.sample(range(horizon),
+                                     rng.randint(0, horizon))), horizon))
+    for want, horizon in cases:
+        F = IndexSet.from_iterable(list(want) * 2, horizon)
+        assert F.members.tolist() == sorted(want)
+        assert len(F) == len(want)
+        los, his = F.los.tolist(), F.his.tolist()
+        # maximal runs: each holds members only, with a non-member on
+        # either side
+        for lo, hi in zip(los, his):
+            assert lo <= hi
+            assert lo - 1 not in want and hi + 1 not in want
+        assert all(h + 1 < lo for h, lo in zip(his, los[1:]))
+        for lo in range(-1, horizon + 1):
+            for hi in range(lo - 1, horizon + 1):
+                assert F.contains_range(lo, hi) == want.issuperset(
+                    range(lo, hi + 1)), (want, lo, hi)
+
+
+def test_separation_times_match_flatnonzero():
+    rng = random.Random(43)
+    cases = [np.zeros(0), np.ones(9), np.zeros(9), np.array([0.5, 0.7]),
+             np.array([0.7, 0.5, 0.7])]
+    for _ in range(200):
+        cases.append(np.array([rng.choice([0.0, 0.5, 1.0])
+                               for _ in range(rng.randint(1, 60))]))
+    for values in cases:
+        F = separation_times(values, 0.5)
+        want = np.flatnonzero(values > 0.5)
+        assert F.horizon == len(values)
+        assert F.members.tolist() == want.tolist()
+        assert len(F) == len(want)
+        # the same maximal runs as the set built from its members
+        G = IndexSet.from_iterable(want, len(values))
+        assert (F.los.tolist(), F.his.tolist()) == (G.los.tolist(),
+                                                    G.his.tolist())
 
 
 def test_banach_window_max_examples():

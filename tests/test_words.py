@@ -141,7 +141,7 @@ def test_window_max_matches_naive_sweep():
 def test_subword_examples():
     w = Word.from_string("10110")
     assert w.subword(2, 3) == Word.from_string("011")
-    assert w.subword(1, w.length) == w
+    assert w.subword(1, w.length) is w
     with pytest.raises(IndexRangeError):
         w.subword(3, 9)
 
@@ -152,11 +152,23 @@ def test_subword_matches_string_slice(data, w):
     start = data.draw(st.integers(1, len(s)))
     length = data.draw(st.integers(0, len(s) - start + 1))
     assert w.subword(start, length).as_string() == s[start - 1:start - 1 + length]
+    assert w.subword(1, len(s)) is w
     assert w.symbol_at(start) == int(s[start - 1])
     assert "".join(map(str, w.expand().tolist())) == s
+    hi = data.draw(st.integers(0, len(s)))
     for sym in (0, 1):
-        want = [p for p in range(start, start + length) if s[p - 1] == str(sym)]
-        assert w.positions(sym, start, start + length - 1).tolist() == want
+        los, his = w.runs_of(sym, hi)
+        # each run is maximal in the prefix cut at hi, and together they
+        # hold exactly its sym positions
+        cut = s[:hi]
+        assert [p for lo, h in zip(los.tolist(), his.tolist())
+                for p in range(lo, h + 1)] == [
+                    p for p in range(1, hi + 1) if cut[p - 1] == str(sym)]
+        for lo, h in zip(los.tolist(), his.tolist()):
+            assert lo == 1 or cut[lo - 2] != str(sym)
+            assert h == hi or cut[h] != str(sym)
+        whole = w.runs_of(sym)
+        assert len(whole[0]) == sum(1 for x, _ in w.runs if x == sym)
 
 
 def test_point_metric_examples():
