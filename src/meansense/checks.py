@@ -262,16 +262,17 @@ def check_lemma_count3(c: S4Construction, seed: int = 0) -> Report:
 def check_prop_p_system(c: S4Construction, seed: int = 0,
                         epsilon: float = 0.1) -> Report:
     """The transitive point of the S4 family is empirically mean
-    equicontinuous: some cylinder depth keeps every sampled co-member within
-    epsilon in Cesaro average, and the supporting bound chain clears
-    epsilon/4 term by term.  Runs on the sharpened depth-6 variant of ``c``'s
-    base generator.
+    equicontinuous: at the first cylinder depth whose density term clears
+    epsilon/4, every sampled co-member stays within epsilon in Cesaro
+    average.  Runs on the sharpened depth-6 variant of ``c``'s base
+    generator.
 
     Each member's Cesaro upper bound is compared with epsilon exactly, as
-    the rational ``upper_exact``; the report prints its float.  The
-    ``term_zero_window`` field is informational: (epsilon/5) times the share
-    of steps whose K-window sees no 1 is at most epsilon/5 < epsilon/4 for
-    every member, so as a verdict term it would hold by construction."""
+    the rational ``upper_exact``; the report prints its float.  The bound
+    chain's terms are reported, not judged, since each holds by
+    construction: ``term_linear`` < epsilon/4 is how the level is chosen,
+    ``term_const`` is 1/(8 round(1/epsilon)) < epsilon/4 by the choice of
+    the step count, and ``term_zero_window`` is at most epsilon/5."""
     c = s4_construction_sharpened(c.schedule.base, int(round(1 / epsilon)))
     K = math.floor(5.0 / epsilon)  # 1/(K+1) < eps/5
     eps_num, eps_den = epsilon.as_integer_ratio()
@@ -350,8 +351,6 @@ def check_prop_p_system(c: S4Construction, seed: int = 0,
         })
         if r.upper_exact >= Fraction(epsilon):
             ok = False
-    terms_ok = (below_quarter_eps(2 * K * (lv.len_a + lv.len_b), lv.t)
-                and below_quarter_eps(4 * K * (lv.len_a + lv.len_b), n))
     rep.params.update({
         "witnessing_m": m, "steps": n,
         "term_linear": fmt17(2 * K * (lv.len_a + lv.len_b) / lv.t),
@@ -360,7 +359,7 @@ def check_prop_p_system(c: S4Construction, seed: int = 0,
         "shift_member_offset": t_m_shift,
     })
     rep.witnesses = [{"chain": chain_rows}, {"members": rows}]
-    rep.verdict = PASS if (ok and terms_ok) else FAIL
+    rep.verdict = PASS if ok else FAIL
     rep.caveats = [
         "averages are closed-form sums over the finite range with the "
         "depth correction included",
@@ -480,26 +479,9 @@ def check_remark_213(c=None, seed: int = 0) -> Report:
     return rep
 
 
-#: random sets parsed per block by ``_random_sets`` (five axiom trials)
-_BLOCK_SETS = 15
-#: generator outputs first drawn per set of a block; the mean use is about
-#: 290 (one size draw, then about 3 x 48 bit draws at two outputs each)
-_OUTPUTS_PER_SET = 400
-
-
-def _mt_outputs(rng: random.Random, m: int) -> np.ndarray:
-    """The next m 32-bit outputs of ``rng``, in order.
-
-    ``getrandbits(32 * m)`` fills its result from the least significant
-    32-bit word up, one output per word.
-    """
-    return np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"),
-                         dtype="<u4")
-
-
 #: every run a row of ``_word_runs`` can hold, at ``symbol * 64 + length``
-#: (rows are at most 63 bits wide, as ``_random_sets`` packs them in int64);
-#: an object array, so that one fancy index looks up a block's runs
+#: (so rows are at most 63 symbols wide); an object array, so that one fancy
+#: index looks up the runs of a whole matrix
 _RUN_TABLE = np.fromiter(((s, n) for s in (0, 1) for n in range(64)),
                          dtype=object, count=128)
 
@@ -517,61 +499,6 @@ def _word_runs(bits: np.ndarray) -> list:
     pairs = _RUN_TABLE[bits[r, col].astype(np.int64) << 6 | lens].tolist()
     ends = np.cumsum(np.bincount(r, minlength=rows)).tolist()
     return [tuple(pairs[lo:hi]) for lo, hi in zip([0] + ends, ends)]
-
-
-def _random_sets(rng: random.Random, count: int, horizon: int):
-    """Yield ``count`` random sets as (member runs, members packed as ints),
-    members in draw order, drawn as the per-call loop
-
-        for _ in range(rng.randint(1, 5)):
-            [rng.randint(0, 1) for _ in range(horizon)]
-
-    draws each set.  A member's runs are the canonical RLE runs of its
-    ``horizon`` symbols; a packed member holds position 1 in its top bit,
-    so ``horizon`` is at most 63.
-
-    ``randint(a, b)`` is a + r for the first r < n = b - a + 1 among the top
-    ``n.bit_length()`` bits of successive 32-bit outputs.  So
-    ``randint(1, 5)`` takes the top three bits of an output, accepted below
-    5, and ``randint(0, 1)`` takes bit 30 of an output whose bit 31 is 0.
-    Each block of sets is parsed from an overdrawn run of outputs; then
-    ``rng`` is rewound and advanced past exactly the outputs used.  Once the
-    generator is exhausted, ``rng`` is in the state the per-call loop leaves
-    it in.
-    """
-    weights = np.int64(1) << np.arange(horizon - 1, -1, -1, dtype=np.int64)
-    for first in range(0, count, _BLOCK_SETS):
-        sets = min(_BLOCK_SETS, count - first)
-        saved = rng.getstate()
-        out = _mt_outputs(rng, sets * _OUTPUTS_PER_SET)
-        size_ok = np.flatnonzero(out >> 29 < 5)
-        bit_ok = np.flatnonzero(out >> 31 == 0)
-        used, sizes, picks = 0, [], []
-        for _ in range(sets):
-            while True:
-                k = int(size_ok.searchsorted(used))
-                if k < len(size_ok):
-                    at = int(size_ok[k])
-                    n = 1 + int(out[at] >> 29)
-                    b = int(bit_ok.searchsorted(at + 1))
-                    if b + n * horizon <= len(bit_ok):
-                        break
-                out = np.concatenate([out, _mt_outputs(rng, len(out))])
-                size_ok = np.flatnonzero(out >> 29 < 5)
-                bit_ok = np.flatnonzero(out >> 31 == 0)
-            pick = bit_ok[b:b + n * horizon]
-            used = int(pick[-1]) + 1
-            sizes.append(n)
-            picks.append(pick)
-        rng.setstate(saved)
-        rng.getrandbits(32 * used)
-        bits = (out[np.concatenate(picks)] >> 30 & 1).reshape(-1, horizon)
-        runs = _word_runs(bits)
-        packed = (bits.astype(np.int64) @ weights).tolist()
-        lo = 0
-        for n in sizes:
-            yield tuple(runs[lo:lo + n]), tuple(packed[lo:lo + n])
-            lo += n
 
 
 def _packed_hausdorff_j(A, B, horizon: int):
@@ -610,17 +537,24 @@ def check_hausdorff_axioms(c=None, seed: int = 0, trials: int = 1000) -> Report:
     Each library route is held to ``_packed_hausdorff_j``, an exact
     integer oracle on the members packed as ints.  The third set C of a
     trial enters only the triangle term, which the oracle decides, so it
-    never becomes a ``FiniteSet``."""
+    never becomes a ``FiniteSet``.
+
+    Each set draws its size ``rng.randint(1, 5)``, then that many members
+    of ``rng.getrandbits(horizon)``; position 1 of a member is its top bit.
+    """
     horizon = 48
     rng = random.Random(7 + seed)
-    draws = _random_sets(rng, 3 * trials, horizon)
+    shifts = np.arange(horizon - 1, -1, -1)
     origin = Provenance("explicit-limit")
     bad = []
     for trial in range(trials):
-        (ra, pa), (rb, pb), (_, pc) = itertools.islice(draws, 3)
+        pa, pb, pc = [[rng.getrandbits(horizon)
+                       for _ in range(rng.randint(1, 5))] for _ in range(3)]
+        runs = _word_runs(np.array(pa + pb, dtype=np.int64)[:, None]
+                          >> shifts & 1)
         A, B = (FiniteSet.of([PointView(Word(2, r, _length=horizon), origin,
-                                        "random") for r in runs])
-                for runs in (ra, rb))
+                                        "random") for r in rs])
+                for rs in (runs[:len(pa)], runs[len(pa):]))
         j_ab = _packed_hausdorff_j(pa, pb, horizon)
         j_ac = _packed_hausdorff_j(pa, pc, horizon)
         j_bc = _packed_hausdorff_j(pb, pc, horizon)

@@ -36,11 +36,14 @@ from .words import (
 DEFAULT_DEPTH = 64  # default per-step metric comparison depth
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndexSet:
     """A finite set of non-negative integers below a horizon, held as its
     maximal runs: the inclusive [los[k], his[k]], increasing, with a
-    non-member between any two runs."""
+    non-member between any two runs.
+
+    Sets compare and hash by identity: a field-wise ``==`` over the run
+    arrays would raise."""
 
     los: np.ndarray  # int64
     his: np.ndarray  # int64

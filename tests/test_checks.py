@@ -1,4 +1,5 @@
-"""The bulk random-set replay of ``hausdorff-axioms`` and its exact oracle."""
+"""``hausdorff-axioms``: its exact packed-int oracle, and a verdict that
+fails when a library route is wrong."""
 
 import os
 import random
@@ -10,59 +11,10 @@ import pytest
 
 from meansense import FiniteSet, PointView, Provenance, Word
 from meansense import checks
-from meansense.checks import _mt_outputs, _packed_hausdorff_j, _random_sets
+from meansense.checks import _packed_hausdorff_j, check_hausdorff_axioms
 from meansense.hyperspace import _hausdorff_first_difference
 
 ROOT = Path(__file__).resolve().parents[1]
-
-
-def _random_finite_set(rng, horizon=48):
-    """The members of one random finite set, in draw order, drawn call by
-    call: the naive oracle that ``checks._random_sets`` replays in bulk."""
-    return tuple(Word.from_symbols([rng.randint(0, 1) for _ in range(horizon)])
-                 for _ in range(rng.randint(1, 5)))
-
-
-def _replays(seed, count, horizon=48):
-    naive, bulk = random.Random(seed), random.Random(seed)
-    want = [_random_finite_set(naive, horizon) for _ in range(count)]
-    got = list(_random_sets(bulk, count, horizon))
-    assert [runs for runs, _ in got] == [tuple(w.runs for w in words)
-                                         for words in want]
-    assert [packed for _, packed in got] == [
-        tuple(int(w.as_string(), 2) for w in words) for words in want]
-    assert bulk.getstate() == naive.getstate()
-    assert bulk.random() == naive.random()
-
-
-def test_outputs_come_in_stream_order():
-    # getrandbits(32 m) puts the first output in the least significant word
-    for seed in (0, 7, 12345):
-        a, b = random.Random(seed), random.Random(seed)
-        assert _mt_outputs(a, 50).tolist() == [b.getrandbits(32)
-                                               for _ in range(50)]
-        assert a.getstate() == b.getstate()
-
-
-@pytest.mark.parametrize("seed", range(20))
-def test_random_sets_replay_the_per_call_stream(seed):
-    # counts below, at and across the 15-set blocks
-    for count in (1, 2, 14, 15, 16, 29, 30, 31, 46, 100):
-        _replays(seed, count)
-    _replays(seed, 7, horizon=5)
-
-
-@pytest.mark.parametrize("seed", [7, 8, 100, 12345])
-def test_random_sets_replay_a_whole_check(seed):
-    _replays(seed, 3000)
-
-
-def test_random_sets_replay_when_the_overdraw_runs_short(monkeypatch):
-    # one output per set is never enough: every set extends its block's draw
-    monkeypatch.setattr(checks, "_OUTPUTS_PER_SET", 1)
-    for seed in range(5):
-        for count in (1, 15, 16, 40):
-            _replays(seed, count)
 
 
 def _as_set(packed, horizon):
@@ -90,6 +42,24 @@ def test_packed_oracle_matches_first_difference_table():
                                               _as_set(B, horizon))
         assert _packed_hausdorff_j(A, B, horizon) == want
         assert _packed_hausdorff_j(B, A, horizon) == want
+
+
+@pytest.mark.parametrize("route", ["hausdorff_distance",
+                                   "hausdorff_distance_inf_formula"])
+def test_hausdorff_axioms_fails_on_a_wrong_route(monkeypatch, route):
+    assert check_hausdorff_axioms(None, 0, trials=40).verdict == "PASS"
+    right = getattr(checks, route)
+
+    def halved(A, B):
+        d, trunc = right(A, B)
+        return d / 2, trunc
+
+    monkeypatch.setattr(checks, route, halved)
+    rep = check_hausdorff_axioms(None, 0, trials=40)
+    assert rep.verdict == "FAIL"
+    trials = [f["trial"] for f in rep.witnesses[0]["failures"]]
+    assert trials and trials == sorted(set(trials))
+    assert all(0 <= t < 40 for t in trials)
 
 
 def test_hausdorff_axioms_never_imports_numpy_random():

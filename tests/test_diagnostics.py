@@ -98,6 +98,14 @@ def test_index_set_runs_match_python_set_oracle():
                     range(lo, hi + 1)), (want, lo, hi)
 
 
+def test_index_sets_compare_and_hash_by_identity():
+    F = IndexSet.from_iterable([1, 2, 5], 9)
+    G = IndexSet.from_iterable([1, 2, 5], 9)
+    assert F == F and F != G
+    assert hash(F) == hash(F)
+    assert {F, G, F} == {F, G}
+
+
 def test_separation_times_match_flatnonzero():
     rng = random.Random(43)
     cases = [np.zeros(0), np.ones(9), np.zeros(9), np.array([0.5, 0.7]),
