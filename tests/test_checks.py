@@ -1,5 +1,5 @@
-"""``hausdorff-axioms``: its exact packed-int oracle, and a verdict that
-fails when a library route is wrong."""
+"""``hausdorff-axioms``: the random sets it draws, its exact packed-int
+oracle, and a verdict that fails when a library route is wrong."""
 
 import os
 import random
@@ -42,6 +42,41 @@ def test_packed_oracle_matches_first_difference_table():
                                               _as_set(B, horizon))
         assert _packed_hausdorff_j(A, B, horizon) == want
         assert _packed_hausdorff_j(B, A, horizon) == want
+
+
+@pytest.mark.parametrize("seed", [7, 8, 100, 12345])
+def test_random_sets_replay_a_whole_check(monkeypatch, seed):
+    # the check runs on random.Random(7 + its seed): each set is a size
+    # randint(1, 5), then that many getrandbits(48) members
+    horizon, trials = 48, 1000
+    naive = random.Random(seed)
+    want = [[[naive.getrandbits(horizon) for _ in range(naive.randint(1, 5))]
+             for _ in range(3)] for _ in range(trials)]
+    packed, sets = [], []
+    oracle = checks._packed_hausdorff_j
+    dual = checks.hausdorff_distance_inf_formula
+
+    def recording_oracle(A, B, h):
+        packed.append((A, B))
+        return oracle(A, B, h)
+
+    def recording_dual(A, B):
+        sets.append((A, B))
+        return dual(A, B)
+
+    monkeypatch.setattr(checks, "_packed_hausdorff_j", recording_oracle)
+    monkeypatch.setattr(checks, "hausdorff_distance_inf_formula",
+                        recording_dual)
+    assert check_hausdorff_axioms(None, seed - 7, trials).verdict == "PASS"
+    assert packed == [pair for pa, pb, pc in want
+                      for pair in ((pa, pb), (pa, pc), (pb, pc))]
+
+    def prefixes(X):
+        return [(v.prefix.runs, v.prefix.length) for v in X.plain]
+
+    assert [(prefixes(A), prefixes(B)) for A, B in sets] == [
+        (prefixes(_as_set(pa, horizon)), prefixes(_as_set(pb, horizon)))
+        for pa, pb, _ in want]
 
 
 @pytest.mark.parametrize("route", ["hausdorff_distance",
