@@ -459,12 +459,21 @@ def check_remark_213(c=None, seed: int = 0) -> Report:
     bounds, exact rational arithmetic, zero counterexamples allowed."""
     trials = 1000
     rng = random.Random(20_000 + seed)
+    bits = rng.getrandbits
     failures = []
     for trial in range(trials):
         length = rng.randint(1, 120)
         M = rng.choice([1, 1, 2, 4])
         scale = 1 << 10
-        a = [rng.randint(0, M * scale) / scale for _ in range(length)]
+        # each a_i is rng.randint(0, M * scale), drawn as CPython draws it:
+        # getrandbits(k) for the k bits of the range size, again while the
+        # value lies past the range
+        n = M * scale + 1
+        k = n.bit_length()
+        a = []
+        while len(a) < length:
+            if (v := bits(k)) < n:
+                a.append(v / scale)
         r = rng.randint(1, scale) / scale
         delta = r * r
         res = mean_to_density_check(a, delta, M, sqrt_delta=r)
@@ -479,26 +488,26 @@ def check_remark_213(c=None, seed: int = 0) -> Report:
     return rep
 
 
-#: every run a row of ``_word_runs`` can hold, at ``symbol * 64 + length``
-#: (so rows are at most 63 symbols wide); an object array, so that one fancy
-#: index looks up the runs of a whole matrix
-_RUN_TABLE = np.fromiter(((s, n) for s in (0, 1) for n in range(64)),
-                         dtype=object, count=128)
+#: the RLE runs of each byte, top bit first
+_BYTE_RUNS = tuple(
+    tuple((int(s), len(list(g))) for s, g in itertools.groupby(format(b, "08b")))
+    for b in range(256))
 
 
-def _word_runs(bits: np.ndarray) -> list:
-    """The RLE runs of each row of a 0/1 matrix, in one numpy pass; equal
-    runs are the same tuple, taken from ``_RUN_TABLE``."""
-    rows, width = bits.shape
-    edge = np.ones((rows, width + 1), dtype=bool)
-    edge[:, 1:width] = bits[:, 1:] != bits[:, :-1]
-    r, col = np.nonzero(edge)
-    lens = np.diff(col)
-    keep = lens > 0  # drop the step from one row's end to the next's start
-    r, col, lens = r[:-1][keep], col[:-1][keep], lens[keep]
-    pairs = _RUN_TABLE[bits[r, col].astype(np.int64) << 6 | lens].tolist()
-    ends = np.cumsum(np.bincount(r, minlength=rows)).tolist()
-    return [tuple(pairs[lo:hi]) for lo, hi in zip([0] + ends, ends)]
+def _member_runs(x: int, width: int) -> tuple:
+    """The RLE runs of the ``width``-bit member ``x``, position 1 at the top
+    bit; ``width`` is a multiple of 8.  Each byte's runs come from
+    ``_BYTE_RUNS``, and a run crossing a byte boundary is joined to the
+    next byte's first run."""
+    runs = []
+    for shift in range(width - 8, -1, -8):
+        more = _BYTE_RUNS[x >> shift & 255]
+        if runs and runs[-1][0] == more[0][0]:
+            runs[-1] = (more[0][0], runs[-1][1] + more[0][1])
+            runs += more[1:]
+        else:
+            runs += more
+    return tuple(runs)
 
 
 def _packed_hausdorff_j(A, B, horizon: int):
@@ -525,9 +534,13 @@ def _packed_hausdorff_j(A, B, horizon: int):
 def _triangle_holds(j_ac, j_ab, j_bc) -> bool:
     """d(A,C) <= d(A,B) + d(B,C) for Hausdorff distances 1/j (0 where j is
     None), decided exactly on the integer first differences."""
-    d_ac, d_ab, d_bc = (Fraction(0) if j is None else Fraction(1, j)
-                        for j in (j_ac, j_ab, j_bc))
-    return d_ac <= d_ab + d_bc
+    if j_ac is None:
+        return True
+    if j_ab is None or j_bc is None:
+        j = j_bc if j_ab is None else j_ab
+        return j is not None and j <= j_ac
+    # 1/j_ac <= 1/j_ab + 1/j_bc, times j_ac * j_ab * j_bc
+    return j_ab * j_bc <= j_ac * (j_ab + j_bc)
 
 
 def check_hausdorff_axioms(c=None, seed: int = 0, trials: int = 1000) -> Report:
@@ -544,17 +557,15 @@ def check_hausdorff_axioms(c=None, seed: int = 0, trials: int = 1000) -> Report:
     """
     horizon = 48
     rng = random.Random(7 + seed)
-    shifts = np.arange(horizon - 1, -1, -1)
     origin = Provenance("explicit-limit")
     bad = []
     for trial in range(trials):
         pa, pb, pc = [[rng.getrandbits(horizon)
                        for _ in range(rng.randint(1, 5))] for _ in range(3)]
-        runs = _word_runs(np.array(pa + pb, dtype=np.int64)[:, None]
-                          >> shifts & 1)
-        A, B = (FiniteSet.of([PointView(Word(2, r, _length=horizon), origin,
-                                        "random") for r in rs])
-                for rs in (runs[:len(pa)], runs[len(pa):]))
+        A, B = (FiniteSet.of([PointView(Word(2, _member_runs(x, horizon),
+                                             _length=horizon),
+                                        origin, "random") for x in px])
+                for px in (pa, pb))
         j_ab = _packed_hausdorff_j(pa, pb, horizon)
         j_ac = _packed_hausdorff_j(pa, pc, horizon)
         j_bc = _packed_hausdorff_j(pb, pc, horizon)

@@ -608,8 +608,9 @@ def mean_to_density_check(a: Sequence[float], delta: float, M: float,
     seq = [n * scale[d] for n, d in ratios]
     if seq and (min(seq) < 0 or max(seq) > nm * scale[dm]):
         raise ParameterError("sequence values must lie in [0, M]")
-    df, rt, Mf = Fraction(nd, dd), Fraction(nr, dr), Fraction(nm, dm)
-    if (Mf + 1) * df > sys.float_info.max:
+    df, rt = Fraction(nd, dd), Fraction(nr, dr)
+    bound = (Fraction(nm, dm) + 1) * df  # side (ii)'s (M + 1) delta
+    if bound > sys.float_info.max:
         raise ParameterError("(M + 1) delta must be finite within float range")
     rep = Report("mean-to-density", params={
         "delta": fmt17(delta), "M": fmt17(M), "length": len(seq),
@@ -643,7 +644,7 @@ def mean_to_density_check(a: Sequence[float], delta: float, M: float,
     side1_ok = (not side1_premise) or side1_density <= rt
     side2_density = max_prefix_density(nd * scale[dd])
     side2_premise = side2_density <= df
-    side2_ok = (not side2_premise) or avg <= (Mf + 1) * df
+    side2_ok = (not side2_premise) or avg <= bound
     rep.witnesses = [
         {"side": "mean->density", "premise_holds": side1_premise,
          "max_prefix_avg": fmt17(float(avg)),
@@ -652,9 +653,9 @@ def mean_to_density_check(a: Sequence[float], delta: float, M: float,
          "margin": fmt17(float(rt - side1_density)) if side1_premise else None},
         {"side": "density->mean", "premise_holds": side2_premise,
          "density_at_delta": fmt17(float(side2_density)),
-         "bound": fmt17(float((Mf + 1) * df)),
+         "bound": fmt17(float(bound)),
          "holds": side2_ok,
-         "margin": fmt17(float((Mf + 1) * df - avg)) if side2_premise else None},
+         "margin": fmt17(float(bound - avg)) if side2_premise else None},
     ]
     rep.verdict = PASS if (side1_ok and side2_ok) else FAIL
     if sqrt_delta is None:

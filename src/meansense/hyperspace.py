@@ -110,10 +110,11 @@ class FiniteSet:
         seen = {}
         for v in views:
             seen.setdefault(v.key(), v)
-        plain = tuple(sorted(
-            (v for v in seen.values()
-             if not any(_is_marked_member(v, fam) for fam in families)),
-            key=PointView.key))
+        distinct = seen.values()
+        if families:
+            distinct = [v for v in distinct
+                        if not any(_is_marked_member(v, fam) for fam in families)]
+        plain = tuple(sorted(distinct, key=PointView.key))
         kept = len(plain) + sum(len(fam.marks) for fam in families)
         return FiniteSet(plain, tuple(families),
                          collapsed=given + len(views) - kept)
@@ -202,21 +203,23 @@ def _first_difference_row(a: PointView, B: FiniteSet) -> np.ndarray:
                              for fam in B.families])
 
 
-def _first_difference_table(A: FiniteSet, B: FiniteSet) -> np.ndarray:
+def _first_difference_table(A: FiniteSet, B: FiniteSet) -> list | np.ndarray:
     """J[i, k]: the first 1-based position where member i of one set and
     member k of the other differ, 0 where they agree through the shared
     horizon.
 
     Which set gives the rows is left open: both Hausdorff routes reduce
-    rows and columns alike.  Members are ordered plain first, then family
-    by family.  A family is compared with a plain view in closed form, one
+    rows and columns alike.  Two sets of plain views give nested lists:
+    their tables are small (at most 5 x 5 in ``hausdorff-axioms``), where
+    numpy's per-call cost outweighs the work.  With a family the table is
+    an int64 array.  Members are ordered plain first, then family by
+    family.  A family is compared with a plain view in closed form, one
     numpy pass over its marks; only when both sides hold families is one
     side, the smaller, expanded into rows.
     """
     if not (A.families or B.families):
-        return np.array([[first_difference(a.prefix, b.prefix) or 0
-                          for b in B.plain] for a in A.plain],
-                        dtype=np.int64)
+        return [[first_difference(a.prefix, b.prefix) or 0 for b in B.plain]
+                for a in A.plain]
     if A.families and (not B.families or len(A) > len(B)):
         A, B = B, A
     views = itertools.chain(A.plain, *A.families)
@@ -232,9 +235,14 @@ def _hausdorff_first_difference(A: FiniteSet, B: FiniteSet) -> tuple:
 
     The distance 1/j shrinks as j grows, so the nearest point of B to a is
     at the largest first difference in a's row, and the farthest of those
-    nearest points is the smallest such maximum.
+    nearest points is the smallest such maximum.  A row or column holding
+    a 0 has a point at distance 0 and bounds nothing.
     """
     J = _first_difference_table(A, B)
+    if isinstance(J, list):
+        maxima = ([max(row) for row in J if all(row)]
+                  + [max(col) for col in zip(*J) if all(col)])
+        return min(maxima, default=None), not all(map(all, J))
     K = np.where(J > 0, J, _AGREE)
     j = int(min(K.max(axis=1).min(), K.max(axis=0).min()))
     return (None if j == _AGREE else j), not J.all()
@@ -253,15 +261,18 @@ def hausdorff_distance_inf_formula(A: FiniteSet, B: FiniteSet) -> tuple:
     Scans the candidate radii (the pairwise distances) in increasing order
     and returns the first that covers both ways; on finite sets this equals
     the max-min formula, which the acceptance suite checks exhaustively.
+    A family's table is read into lists: no check takes this route on a
+    family, so one scan serves both kinds of table.
     """
     J = _first_difference_table(A, B)
-    vals = np.zeros(J.shape)
-    np.divide(1.0, J, out=vals, where=J > 0)
-    trunc = not J.all()
-    near_b, near_a = vals.min(axis=1), vals.min(axis=0)
-    for eps in sorted(set(vals.ravel().tolist())):
-        if (near_b <= eps).all() and (near_a <= eps).all():
-            return float(eps), trunc
+    if not isinstance(J, list):
+        J = J.tolist()
+    vals = [[1.0 / j if j else 0.0 for j in row] for row in J]
+    near_b = [min(row) for row in vals]
+    near_a = [min(col) for col in zip(*vals)]
+    for eps in sorted({v for row in vals for v in row}):
+        if all(d <= eps for d in near_b) and all(d <= eps for d in near_a):
+            return eps, not all(map(all, J))
     raise AssertionError("unreachable: the largest candidate always covers")
 
 

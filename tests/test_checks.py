@@ -1,5 +1,6 @@
-"""``hausdorff-axioms``: the random sets it draws, its exact packed-int
-oracle, and a verdict that fails when a library route is wrong."""
+"""The two randomized checks: the data they draw, ``hausdorff-axioms``'
+exact packed-int oracle and member runs, and verdicts that fail when a
+library route is wrong."""
 
 import os
 import random
@@ -11,7 +12,12 @@ import pytest
 
 from meansense import FiniteSet, PointView, Provenance, Word
 from meansense import checks
-from meansense.checks import _packed_hausdorff_j, check_hausdorff_axioms
+from meansense.checks import (
+    _member_runs,
+    _packed_hausdorff_j,
+    check_hausdorff_axioms,
+    check_remark_213,
+)
 from meansense.hyperspace import _hausdorff_first_difference
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -42,6 +48,18 @@ def test_packed_oracle_matches_first_difference_table():
                                               _as_set(B, horizon))
         assert _packed_hausdorff_j(A, B, horizon) == want
         assert _packed_hausdorff_j(B, A, horizon) == want
+
+
+def test_member_runs_match_the_string_route():
+    # runs crossing one or more byte boundaries, and runs ending on one
+    crossing = [0x00FF00FF00FF, 0x0180_0000_0001, 0x7FFF_FFFF_FFFE,
+                0x0F0F0F0F0F0F, 0x00000000FFFF, 0x000100000000]
+    rng = random.Random(3)
+    values = ([0, 2**48 - 1, 0xAAAAAAAAAAAA, 0x555555555555]
+              + [1 << i for i in range(48)] + crossing
+              + [rng.getrandbits(48) for _ in range(1000)])
+    for x in values:
+        assert _member_runs(x, 48) == Word.from_string(format(x, "048b")).runs, x
 
 
 @pytest.mark.parametrize("seed", [7, 8, 100, 12345])
@@ -109,3 +127,39 @@ def test_hausdorff_axioms_never_imports_numpy_random():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345])
+def test_remark_213_draws_what_randint_draws(monkeypatch, seed):
+    rng = random.Random(20_000 + seed)
+    want = []
+    for _ in range(1000):
+        length = rng.randint(1, 120)
+        M = rng.choice([1, 1, 2, 4])
+        a = [rng.randint(0, M * 1024) / 1024 for _ in range(length)]
+        r = rng.randint(1, 1024) / 1024
+        want.append((a, r * r, M, r))
+    got = []
+    right = checks.mean_to_density_check
+
+    def recording(a, delta, M, sqrt_delta=None):
+        got.append((a, delta, M, sqrt_delta))
+        return right(a, delta, M, sqrt_delta=sqrt_delta)
+
+    monkeypatch.setattr(checks, "mean_to_density_check", recording)
+    assert check_remark_213(None, seed).verdict == "PASS"
+    assert got == want
+
+
+def test_remark_213_fails_on_a_wrong_route(monkeypatch):
+    right = checks.mean_to_density_check
+
+    def side_i_at_delta(a, delta, M, sqrt_delta=None):
+        return right(a, delta, M, sqrt_delta=delta)
+
+    monkeypatch.setattr(checks, "mean_to_density_check", side_i_at_delta)
+    rep = check_remark_213(None, 0)
+    assert rep.verdict == "FAIL"
+    trials = rep.witnesses[0]["failing_trials"]
+    assert trials and trials == sorted(set(trials))
+    assert all(0 <= t < rep.params["trials"] for t in trials)

@@ -22,7 +22,7 @@ from meansense import (
     point_metric,
     power,
 )
-from meansense.checks import _RUN_TABLE, _word_runs
+from meansense.checks import _member_runs
 from meansense.words import RunBuilder
 
 from conftest import naive_window_max
@@ -257,16 +257,13 @@ def test_constructors_return_canonical_runs(data, k):
         assert word.expand().tolist() == want
 
 
-@example(rows=[[0] * 63, [1] * 63, [0, 1] * 31 + [0]])
-@given(rows=st.integers(1, 63).flatmap(lambda width: st.lists(
-    st.lists(st.integers(0, 1), min_size=width, max_size=width),
-    min_size=1, max_size=5)))
-def test_word_runs_are_canonical_and_shared(rows):
-    for row, runs in zip(rows, _word_runs(np.array(rows, dtype=np.uint32))):
-        w = Word(2, runs, _length=len(row))
-        _assert_canonical(w)
-        assert w.expand().tolist() == row
-        assert all(run is _RUN_TABLE[run[0] * 64 + run[1]] for run in runs)
+@given(row=st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.integers(0, 1), min_size=8 * n, max_size=8 * n)))
+def test_member_runs_are_canonical(row):
+    runs = _member_runs(int("".join(map(str, row)), 2), len(row))
+    w = Word(2, runs, _length=len(row))
+    _assert_canonical(w)
+    assert w.expand().tolist() == row
 
 
 def test_rle_text_round_trip():
