@@ -212,10 +212,12 @@ def _first_difference_table(A: FiniteSet, B: FiniteSet) -> list | np.ndarray:
     rows and columns alike.  Two sets of plain views give nested lists:
     their tables are small (at most 5 x 5 in ``hausdorff-axioms``), where
     numpy's per-call cost outweighs the work.  With a family the table is
-    an int64 array.  Members are ordered plain first, then family by
-    family.  A family is compared with a plain view in closed form, one
-    numpy pass over its marks; only when both sides hold families is one
-    side, the smaller, expanded into rows.
+    an int64 array: the witness's 3 x 10,188 table is built and reduced
+    about ten times faster as an array than as lists under ``min``/``max``.
+    Members are ordered plain first, then family by family.  A family is
+    compared with a plain view in closed form, one numpy pass over its
+    marks; only when both sides hold families is one side, the smaller,
+    expanded into rows.
     """
     if not (A.families or B.families):
         return [[first_difference(a.prefix, b.prefix) or 0 for b in B.plain]
