@@ -8,12 +8,12 @@ nearby points accumulates AVERAGE separation over any window.
 
 import itertools
 
-from meansense import LanguageApprox, banach_avg_distance, cylinder_members
+from meansense import banach_avg_distance, cylinder_members
 from meansense.checks import _s3_deep_cylinders
 from meansense.constructions import S3Construction, build_schedule_s3
 
 c = S3Construction(build_schedule_s3(4))
-la = LanguageApprox(c.transitive_prefix(c.schedule.level(4).len_a).prefix)
+la = c.transitive_prefix(c.schedule.level(4).len_a).prefix
 t2 = c.schedule.level(2).t
 member_h = 3 * t2 + 64 + 100
 

@@ -11,7 +11,6 @@ import json
 
 from meansense import (
     GeneratorDescriptor,
-    LanguageApprox,
     S4Construction,
     build_schedule_s4,
     check_dense_periodic_desk,
@@ -20,7 +19,7 @@ from meansense import (
 from meansense.checks import check_prop_p_system
 
 c = S4Construction(build_schedule_s4(4, GeneratorDescriptor("constant-zero")))
-la = LanguageApprox(c.transitive_prefix(c.schedule.level(4).len_a).prefix)
+la = c.transitive_prefix(c.schedule.level(4).len_a).prefix
 
 r1 = check_transitive_desk(la, 4)
 print("two-half recurrence at word length 4:", r1.verdict,

@@ -7,7 +7,6 @@ appear; a two-point periodic orbit cannot realize the constant patterns.
 
 from meansense import (
     CylinderTuple,
-    LanguageApprox,
     Word,
     de_bruijn_word,
     independence_check,
@@ -16,13 +15,13 @@ from meansense import (
 
 tup = CylinderTuple((Word.from_string("0"), Word.from_string("1")))
 
-dense = LanguageApprox(de_bruijn_word(6))
+dense = de_bruijn_word(6)
 rep = independence_check(tup, [0, 1, 2], dense)
 print("dense word, times {0,1,2}:", rep.verdict)
 for pattern, wit in sorted(rep.witnesses[0]["pattern_witnesses"].items()):
     print(f"  pattern {pattern} realized at position {wit['position']}")
 
-periodic = LanguageApprox(power(Word.from_string("01"), 50))
+periodic = power(Word.from_string("01"), 50)
 rep = independence_check(tup, [0, 1], periodic)
 print()
 print("two-point periodic orbit, times {0,1}:", rep.verdict)

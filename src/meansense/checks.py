@@ -48,7 +48,6 @@ from .hyperspace import (
     independence_check,
 )
 from .language import (
-    LanguageApprox,
     check_dense_periodic_desk,
     check_transitive_desk,
     cylinder_members,
@@ -189,13 +188,13 @@ def check_thm13_banach_equi(c: S3Construction, seed: int = 0) -> Report:
     each of ten deep cylinders, truncation correction and rounding bound
     included."""
     pairs_per_cylinder, epsilon = 100, 0.05
-    la = LanguageApprox(c.transitive_prefix(c.schedule.level(4).len_a).prefix)
+    src = c.transitive_prefix(c.schedule.level(4).len_a).prefix
     t2 = c.schedule.level(2).t
     member_h = 3 * t2 + DEFAULT_DEPTH + 100
     rows = []
     ok = True
     for u in _s3_deep_cylinders(c, 10):
-        members = cylinder_members(la, u, max_members=15,
+        members = cylinder_members(src, u, max_members=15,
                                    member_horizon=member_h)
         pairs = list(itertools.combinations(range(len(members)),
                                             2))[:pairs_per_cylinder]
@@ -369,9 +368,9 @@ def check_prop_p_system(c: S4Construction, seed: int = 0,
 
 def check_prop_devaney(c: S4Construction, seed: int = 0, n: int = 4) -> Report:
     """Two-half recurrence plus periodic-prefix coverage for the S4 family."""
-    la = LanguageApprox(c.transitive_prefix(c.schedule.level(4).len_a).prefix)
-    r1 = check_transitive_desk(la, n)
-    r2 = check_dense_periodic_desk(c, la, n)
+    src = c.transitive_prefix(c.schedule.level(4).len_a).prefix
+    r1 = check_transitive_desk(src, n)
+    r2 = check_dense_periodic_desk(c, src, n)
     rep = Report("prop-devaney", params={"n": n})
     rep.witnesses = [{"transitive": r1.to_json()}, {"dense-periodic": r2.to_json()}]
     rep.verdict = PASS if (r1.passed and r2.passed) else FAIL
@@ -594,11 +593,11 @@ def check_independence(c=None, seed: int = 0) -> Report:
     """Brute-force independence-set checks: the dense binary word realizes
     every pattern, a two-point periodic orbit cannot."""
     rep = Report("independence")
-    dense = LanguageApprox(de_bruijn_word(6))
+    dense = de_bruijn_word(6)
     tup = CylinderTuple((Word(2, [(0, 1)]), Word(2, [(1, 1)])))
     r_full = independence_check(tup, [0, 1, 2], dense)
     r_sub = independence_check(tup, [0, 2], dense)
-    periodic = LanguageApprox(power(Word.from_string("01"), 64))
+    periodic = power(Word.from_string("01"), 64)
     r_per = independence_check(tup, [0, 1], periodic)
     ok = (r_full.passed and r_sub.passed and r_per.verdict == FAIL)
     rep.witnesses = [

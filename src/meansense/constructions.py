@@ -198,25 +198,43 @@ def _checked(value: int, level: int, what: str) -> int:
     return value
 
 
-def _next_lengths_s3(len_a: int, len_b: int, k: int, level: int) -> tuple:
-    la = _checked(2 * len_a + 2 * k + len_b, level + 1, "|A|")
-    lb = _checked((la + 1) * (len_a + la), level + 1, "|B|")
-    return la, lb
+def _grow_levels(construction: str, depth: int, pick_k):
+    """Yield levels 1..depth of an S3 or S4 schedule, one at a time.
+
+    Level 1 is fixed: (|A_1|, |B_1|) is (3, 3) for S3 and (3, 1) for S4.
+    Later lengths follow the family's recursion from the levels before.
+    ``pick_k(n, floor)`` chooses k_n given its smallest allowed value:
+    n (2|A_n| + |B_n|), and for S4 also floor(t_m |B_n| / |B_m|) + 1 for
+    every m < n, the integer form of k_n |B_m| > t_m |B_n|.  Every length
+    is held to the 64-bit limit at the level it belongs to.
+    """
+    if depth < 1:
+        raise ParameterError("depth must be >= 1")
+    levels = []
+    len_a, len_b = 3, (3 if construction == "S3" else 1)
+    for n in range(1, depth + 1):
+        if levels:
+            prev = levels[-1]
+            len_a = _checked(2 * prev.len_a + 2 * prev.k + prev.len_b, n, "|A|")
+            if construction == "S3":
+                len_b = (len_a + 1) * (prev.len_a + len_a)
+            else:
+                lens_a = [lv.len_a for lv in levels] + [len_a]
+                len_b = n + sum((n - i) * (lens_a[i - 1] + lens_a[i])
+                                for i in range(1, n))
+            len_b = _checked(len_b, n, "|B|")
+        floor = n * (2 * len_a + len_b)
+        if construction != "S3":
+            floor = max([floor] + [lv.t * len_b // lv.len_b + 1 for lv in levels])
+        k = _checked(pick_k(n, floor), n, "k")
+        levels.append(Level(n, k, len_a, len_b,
+                            _checked(len_a + 2 * k + len_b, n, "t")))
+        yield levels[-1]
 
 
 def build_schedule_s3(depth: int) -> Schedule:
     """Smallest S3 schedule: k_n = n (2|A_n| + |B_n|) exactly."""
-    if depth < 1:
-        raise ParameterError("depth must be >= 1")
-    levels = []
-    len_a, len_b = 3, 3
-    for n in range(1, depth + 1):
-        k = _checked(n * (2 * len_a + len_b), n, "k")
-        t = _checked(len_a + 2 * k + len_b, n, "t")
-        levels.append(Level(n, k, len_a, len_b, t))
-        if n < depth:
-            len_a, len_b = _next_lengths_s3(len_a, len_b, k, n)
-    return Schedule("S3", tuple(levels))
+    return Schedule("S3", tuple(_grow_levels("S3", depth, lambda n, floor: floor)))
 
 
 def build_schedule_s4(depth: int, base: GeneratorDescriptor,
@@ -225,80 +243,30 @@ def build_schedule_s4(depth: int, base: GeneratorDescriptor,
 
     At each level m the two constraints pin k_m from below; |B_m| depends
     only on k_1..k_{m-1}, so the greedy order is well defined.  ``k_min``
-    optionally raises individual levels (still re-verified): larger k_m
-    values sharpen the level-m density ratio (|A_m|+|B_m|)/t_m, which the
-    mean-equicontinuity reports need.
+    optionally raises individual levels: larger k_m values sharpen the
+    level-m density ratio (|A_m|+|B_m|)/t_m, which the mean-equicontinuity
+    reports need.
     """
-    if depth < 1:
-        raise ParameterError("depth must be >= 1")
     k_min = k_min or {}
-    levels = []
-    lens_a = [3]
-    len_b = 1
-    ks, ts, lens_b = [], [], []
-    for n in range(1, depth + 1):
-        len_a = lens_a[-1]
-        cand = n * (2 * len_a + len_b)
-        for t_prev, b_prev in zip(ts, lens_b):
-            cand = max(cand, (t_prev * len_b) // b_prev + 1)
-        cand = max(cand, k_min.get(n, 0))
-        k = _checked(cand, n, "k")
-        t = _checked(len_a + 2 * k + len_b, n, "t")
-        levels.append(Level(n, k, len_a, len_b, t))
-        ks.append(k)
-        ts.append(t)
-        lens_b.append(len_b)
-        if n < depth:
-            la_next = _checked(2 * len_a + 2 * k + len_b, n + 1, "|A|")
-            lens_a.append(la_next)
-            lb_next = (n + 1) + sum(
-                (n + 1 - i) * (lens_a[i - 1] + lens_a[i]) for i in range(1, n + 1)
-            )
-            len_b = _checked(lb_next, n + 1, "|B|")
-    sched = Schedule("S4", tuple(levels), base)
-    verify_schedule(sched)
-    return sched
+    levels = _grow_levels("S4", depth,
+                          lambda n, floor: max(floor, k_min.get(n, 0)))
+    return Schedule("S4", tuple(levels), base)
 
 
 def verify_schedule(sched: Schedule):
-    """Re-check every schedule constraint from scratch; raise on violation."""
-    levels = sched.levels
-    for lv in levels:
-        if lv.t != lv.len_a + 2 * lv.k + lv.len_b:
-            raise ParameterError(f"level {lv.n}: t inconsistent with lengths")
-        if lv.k < lv.n * (2 * lv.len_a + lv.len_b):
-            raise ParameterError(
-                f"level {lv.n}: k = {lv.k} below floor "
-                f"{lv.n * (2 * lv.len_a + lv.len_b)}"
-            )
-    # length recursions
-    for prev, cur in zip(levels, levels[1:]):
-        if cur.len_a != 2 * prev.len_a + 2 * prev.k + prev.len_b:
-            raise ParameterError(f"level {cur.n}: |A| breaks the recursion")
-        if sched.construction == "S3":
-            expect = (cur.len_a + 1) * (prev.len_a + cur.len_a)
-            if cur.len_b != expect:
-                raise ParameterError(f"level {cur.n}: |B| breaks the recursion")
-    if sched.construction == "S4":
-        lens_a = [lv.len_a for lv in levels]
-        for idx, lv in enumerate(levels[1:], start=1):
-            n = idx + 1
-            expect = n + sum(
-                (n - i) * (lens_a[i - 1] + lens_a[i]) for i in range(1, n)
-            )
-            if lv.len_b != expect:
-                raise ParameterError(f"level {n}: |B| breaks the recursion")
-        # strict cross-level ratio condition, integer arithmetic only
-        for hi in levels:
-            for lo in levels:
-                if lo.n >= hi.n:
-                    continue
-                if hi.k * lo.len_b <= lo.t * hi.len_b:
-                    raise ParameterError(
-                        f"levels ({lo.n}, {hi.n}): ratio condition fails: "
-                        f"k_{hi.n} |B_{lo.n}| = {hi.k * lo.len_b} "
-                        f"<= t_{lo.n} |B_{hi.n}| = {lo.t * hi.len_b}"
-                    )
+    """Grow the schedule again from its own k_n; raise ParameterError when
+    a k_n is below its floor or a level differs from the regrown one."""
+    def given_k(n, floor):
+        k = sched.levels[n - 1].k
+        if k < floor:
+            raise ParameterError(f"level {n}: k = {k} below floor {floor}")
+        return k
+
+    grown = _grow_levels(sched.construction, sched.depth, given_k)
+    for lv, want in zip(sched.levels, grown):
+        if lv != want:
+            raise ParameterError(f"level {lv.n} breaks the recursion: "
+                                 f"{lv} where it gives {want}")
 
 
 # ---------------------------------------------------------------------------

@@ -49,13 +49,6 @@ class IndexSet:
     his: np.ndarray  # int64
     horizon: int
 
-    @staticmethod
-    def from_iterable(it, horizon: int) -> "IndexSet":
-        arr = np.unique(np.asarray(list(it), dtype=np.int64))
-        if len(arr) and (arr[0] < 0 or arr[-1] >= horizon):
-            raise ParameterError("index set member outside [0, horizon)")
-        return IndexSet(*_consecutive_runs(arr), horizon)
-
     @property
     def members(self) -> np.ndarray:
         """Every member, sorted: the runs expanded."""

@@ -22,7 +22,6 @@ from .errors import (
     ResourceCapError,
     WitnessUnavailableError,
 )
-from .language import LanguageApprox
 from .reports import CAPPED, FAIL, PASS, AverageReport, Report, fmt17
 from .words import (
     BlockFamily,
@@ -310,13 +309,13 @@ class CylinderTuple:
 
 
 def independence_check(tup: CylinderTuple, J: Sequence[int],
-                       la: LanguageApprox, exhaust_cap: int = 4096) -> Report:
+                       text: Word, exhaust_cap: int = 4096) -> Report:
     """Brute-force independence of the times in J for the cylinder tuple.
 
     For every assignment of cylinders to the times of J, searches the
-    source prefix for one position realizing the whole pattern.  PASS and
-    the witness table certify independence relative to the true language;
-    FAIL only means no witness exists in the approximation.
+    source prefix ``text`` for one position realizing the whole pattern.
+    PASS and the witness table certify independence relative to the true
+    language; FAIL only means no witness exists in the approximation.
     """
     J = sorted(set(int(j) for j in J))
     if not J or J[0] < 0:
@@ -328,7 +327,6 @@ def independence_check(tup: CylinderTuple, J: Sequence[int],
             f"{n_patterns} patterns exceed the cap {exhaust_cap}",
             required=n_patterns,
         )
-    text = la.source_prefix
     # 0-based occurrence starts per cylinder
     occ = []
     capped = False

@@ -8,7 +8,7 @@ so.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from .errors import ParameterError
 from .reports import FAIL, INCONCLUSIVE, PASS, Report
@@ -18,29 +18,18 @@ SUBWORD_CAP = 65_536
 
 
 @dataclass
-class LanguageApprox:
-    """The subwords of ``source_prefix``."""
-
-    source_prefix: Word
-
-    @property
-    def horizon(self) -> int:
-        return self.source_prefix.length
-
-
-@dataclass
 class SubwordSample:
     words: List[Word]
     truncated: bool
 
 
-def subwords(la: LanguageApprox, n: int, cap: int = SUBWORD_CAP) -> SubwordSample:
-    """Distinct length-n subwords of the source prefix (an under-approximation).
+def subwords(src: Word, n: int, cap: int = SUBWORD_CAP) -> SubwordSample:
+    """Distinct length-n subwords of the source prefix ``src`` (an
+    under-approximation of the language).
 
     RLE-aware: windows wholly inside one run contribute a single constant
     word, so only windows near run boundaries need enumerating.
     """
-    src = la.source_prefix
     if not 1 <= n <= src.length:
         raise ParameterError(f"subword length {n} outside [1, {src.length}]")
     seen = set()
@@ -65,17 +54,16 @@ def subwords(la: LanguageApprox, n: int, cap: int = SUBWORD_CAP) -> SubwordSampl
     return SubwordSample(sorted(seen, key=Word.as_string), truncated)
 
 
-def cylinder_members(la: LanguageApprox, u: Word, max_members: int = 32,
+def cylinder_members(src: Word, u: Word, max_members: int = 32,
                      member_horizon: int = 4096) -> List[PointView]:
     """Known points of the cylinder of ``u``, truncated to ``member_horizon``.
 
-    Members are the shifts of the source point at each occurrence of ``u``
-    (RLE occurrence scan, left to right).  An empty result is not an error:
-    it only means the approximation holds no witness.
+    Members are the shifts of the source prefix ``src`` at each occurrence
+    of ``u`` (RLE occurrence scan, left to right).  An empty result is not
+    an error: it only means the approximation holds no witness.
     """
     if u.length == 0:
         raise ParameterError("empty cylinder word")
-    src = la.source_prefix
     out = []
     occs = find_occurrences(src, u, cap=max_members * 4)
     for pos in occs:
@@ -94,21 +82,22 @@ def cylinder_members(la: LanguageApprox, u: Word, max_members: int = 32,
     return out
 
 
-def check_transitive_desk(la: LanguageApprox, n: int) -> Report:
+def check_transitive_desk(src: Word, n: int) -> Report:
     """Two-half recurrence proxy for transitivity.
 
-    PASS when every length-n subword of the first half of the prefix occurs
-    again in the second half.  A proxy, never a proof; the guard
-    n <= horizon/4 keeps recurrence observable at all.
+    PASS when every length-n subword of the first half of the source prefix
+    ``src`` occurs again in the second half.  A proxy, never a proof; the
+    guard n <= len(src)/4 keeps recurrence observable at all.
     """
-    rep = Report("transitive-desk", params={"n": n, "horizon": la.horizon})
-    if n > la.horizon // 4:
+    horizon = src.length
+    rep = Report("transitive-desk", params={"n": n, "horizon": horizon})
+    if n > horizon // 4:
         rep.verdict = INCONCLUSIVE
         rep.caveats.append("window too long relative to horizon; no verdict")
         return rep
-    half = la.horizon // 2
-    first = LanguageApprox(la.source_prefix.subword(1, half))
-    second = la.source_prefix.subword(half + 1, la.horizon - half)
+    half = horizon // 2
+    first = src.subword(1, half)
+    second = src.subword(half + 1, horizon - half)
     missing = []
     sample = subwords(first, n)
     for w in sample.words:
@@ -124,41 +113,32 @@ def check_transitive_desk(la: LanguageApprox, n: int) -> Report:
     return rep
 
 
-def check_dense_periodic_desk(construction, la: LanguageApprox, n: int,
-                              max_level: Optional[int] = None) -> Report:
+def check_dense_periodic_desk(construction, src: Word, n: int) -> Report:
     """Dense-periodic-points proxy for the S4 family.
 
-    PASS when every observed length-n subword is the prefix of some shifted
-    periodic point sigma^t (A_i 0^{|A_{i+1}|})^infinity; the report maps
-    each subword to a witnessing (i, t).
+    PASS when every length-n subword of the source prefix ``src`` is the
+    prefix of some shifted periodic point sigma^t (A_i 0^{|A_{i+1}|})^infinity
+    with i in 1..min(2, depth-1); the report maps each subword to a
+    witnessing (i, t).  Each level's periodic word is searched over one
+    period plus n symbols, and its first occurrence gives t: the word is
+    periodic, so that t is below the period and the smallest that works.
     """
     if construction.schedule.construction != "S4":
         raise ParameterError("dense-periodic check applies to the S4 family")
-    rep = Report("dense-periodic-desk", params={"n": n, "horizon": la.horizon})
-    depth = construction.schedule.depth
-    max_level = max_level or min(2, depth - 1)
-    # two periods of each candidate periodic word, expanded once per level
-    period_words = {}
-    for i in range(1, max_level + 1):
-        period = (construction.schedule.level(i).len_a
-                  + construction.schedule.level(i + 1).len_a)
-        doubled = construction.periodic_point(i, 0, period + n)
-        period_words[i] = (period, doubled.prefix.expand())
+    rep = Report("dense-periodic-desk", params={"n": n, "horizon": src.length})
+    sched = construction.schedule
+    levels = range(1, min(2, sched.depth - 1) + 1)
+    periodic = [construction.periodic_point(
+        i, 0, sched.level(i).len_a + sched.level(i + 1).len_a + n).prefix
+        for i in levels]
     table = {}
     missing = []
-    for w in subwords(la, n).words:
-        target = tuple(w.expand())
-        found = None
-        for i in range(1, max_level + 1):
-            period, sym = period_words[i]
-            for t in range(period):
-                if t + n <= len(sym) and tuple(sym[t:t + n]) == target:
-                    found = (i, t)
-                    break
-            if found:
+    for w in subwords(src, n).words:
+        for i, word in zip(levels, periodic):
+            occ = find_occurrences(word, w, cap=1)
+            if occ:
+                table[w.to_text()] = {"i": i, "t": occ[0] - 1}
                 break
-        if found:
-            table[w.to_text()] = {"i": found[0], "t": found[1]}
         else:
             missing.append(w.to_text())
     rep.witnesses = [{"witness_table": table}]

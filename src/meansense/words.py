@@ -134,6 +134,9 @@ class Word:
 
     @staticmethod
     def from_text(line: str) -> "Word":
+        """Parse one line written by ``to_text``.  The package never reads
+        words back; this stays because ``tests/test_cli.py`` reads the
+        CLI's ``.rle`` output with it."""
         line = line.strip()
         if not line.startswith("alphabet="):
             raise ParameterError(f"malformed RLE line: {line[:40]!r}")
@@ -359,11 +362,11 @@ def max_window_count(index: OccurrenceIndex, window: int) -> tuple:
 # comparisons
 
 
-def first_difference(a: Word, b: Word, upto: Optional[int] = None) -> Optional[int]:
+def first_difference(a: Word, b: Word) -> Optional[int]:
     """Smallest 1-based position where ``a`` and ``b`` disagree.
 
-    Compares at most ``min(len(a), len(b), upto)`` symbols and returns None
-    when they agree throughout that range.
+    Compares at most ``min(len(a), len(b))`` symbols and returns None when
+    they agree throughout that range.
 
     Both words are canonical, so they agree up to the start of their first
     unequal pair of runs.  If the two runs differ in symbol, that start is
@@ -374,12 +377,8 @@ def first_difference(a: Word, b: Word, upto: Optional[int] = None) -> Optional[i
     if a.alphabet_size != b.alphabet_size:
         raise AlphabetMismatchError("alphabet mismatch in first_difference")
     limit = min(a.length, b.length)
-    if upto is not None:
-        limit = min(limit, upto)
     start = 0  # symbols before the current pair of runs
     for x, y in zip(a.runs, b.runs):
-        if start >= limit:
-            return None
         if x != y:
             j = start + 1 if x[0] != y[0] else start + min(x[1], y[1]) + 1
             return j if j <= limit else None

@@ -3,12 +3,14 @@ import pytest
 
 from meansense import (
     GeneratorDescriptor,
-    LanguageApprox,
+    IndexSet,
+    ParameterError,
     S3Construction,
     S4Construction,
     build_schedule_s3,
     build_schedule_s4,
 )
+from meansense.diagnostics import _consecutive_runs
 
 
 @pytest.fixture(scope="session")
@@ -28,7 +30,15 @@ def s3_x4(s3):
 
 @pytest.fixture(scope="session")
 def s3_language(s3_x4):
-    return LanguageApprox(s3_x4.prefix)
+    return s3_x4.prefix
+
+
+def index_set(it, horizon: int) -> IndexSet:
+    """The IndexSet of the integers in ``it``, all in [0, horizon)."""
+    arr = np.unique(np.asarray(list(it), dtype=np.int64))
+    if len(arr) and (arr[0] < 0 or arr[-1] >= horizon):
+        raise ParameterError("index set member outside [0, horizon)")
+    return IndexSet(*_consecutive_runs(arr), horizon)
 
 
 def naive_window_max(symbols: np.ndarray, window: int, target: int = 1):

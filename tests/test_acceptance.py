@@ -13,7 +13,6 @@ import numpy as np
 from meansense import (
     FiniteSet,
     IndexSet,
-    LanguageApprox,
     OccurrenceIndex,
     PointView,
     Provenance,
@@ -139,7 +138,7 @@ def test_criterion_04_cofinite_sensitivity_witness(s3):
 
 def test_criterion_05_banach_mean_equicontinuity(s3):
     c = s3
-    la = LanguageApprox(c.transitive_prefix(c.schedule.level(4).len_a).prefix)
+    la = c.transitive_prefix(c.schedule.level(4).len_a).prefix
     t2 = c.schedule.level(2).t
     eps = 0.05
     member_h = 3 * t2 + DEFAULT_DEPTH + 100
@@ -178,7 +177,7 @@ def test_criterion_06_mean_equicontinuous_transitive_point(s4):
 
 def test_criterion_07_devaney_desk_checks(s4):
     c = s4
-    la = LanguageApprox(c.transitive_prefix(c.schedule.level(4).len_a).prefix)
+    la = c.transitive_prefix(c.schedule.level(4).len_a).prefix
     r1 = check_transitive_desk(la, 4)
     r2 = check_dense_periodic_desk(c, la, 4)
     witnesses = r2.witnesses[0]["witness_table"] if r2.passed else {}

@@ -5,6 +5,7 @@ import pytest
 from meansense import (
     BlockFamily,
     GeneratorDescriptor,
+    Level,
     LengthOverflowError,
     OccurrenceIndex,
     ParameterError,
@@ -20,6 +21,7 @@ from meansense import (
     patched_step,
     verify_schedule,
 )
+from meansense.checks import s4_construction_sharpened
 from meansense.words import RunBuilder
 
 
@@ -65,6 +67,55 @@ def test_schedule_json_round_trip():
     sched = build_schedule_s4(3, GeneratorDescriptor("thue-morse"))
     again = Schedule.from_json(json.loads(sched.to_json_str()))
     assert again == sched
+
+
+def _smallest_levels(construction, len_a, len_b, depth):
+    """Levels with the given level-1 lengths and the smallest k_n, from the
+    recursions of the module docstring written out once more."""
+    levels = []
+    for n in range(1, depth + 1):
+        if levels:
+            prev = levels[-1]
+            len_a = 2 * prev.len_a + 2 * prev.k + prev.len_b
+            lens_a = [lv.len_a for lv in levels] + [len_a]
+            len_b = ((len_a + 1) * (prev.len_a + len_a) if construction == "S3"
+                     else n + sum((n - i) * (lens_a[i - 1] + lens_a[i])
+                                  for i in range(1, n)))
+        k = n * (2 * len_a + len_b)
+        if construction == "S4":
+            # smallest k with k |B_m| > t_m |B_n| for every m < n
+            k = max([k] + [lv.t * len_b // lv.len_b + 1 for lv in levels])
+        levels.append(Level(n, k, len_a, len_b, len_a + 2 * k + len_b))
+    return tuple(levels)
+
+
+@pytest.mark.parametrize("construction, len_a, len_b",
+                         [("S3", 5, 3), ("S4", 3, 2)])
+def test_verify_schedule_checks_level_one(construction, len_a, len_b):
+    # every later level follows the recursion from the wrong level 1
+    levels = _smallest_levels(construction, len_a, len_b, 4)
+    base = GeneratorDescriptor("constant-zero") if construction == "S4" else None
+    sched = Schedule(construction, levels, base)
+    with pytest.raises(ParameterError, match="level 1 "):
+        verify_schedule(sched)
+    with pytest.raises(ParameterError, match="level 1 "):
+        Schedule.from_json(json.loads(sched.to_json_str()))
+
+
+def test_verify_schedule_accepts_every_built_schedule():
+    schedules = []
+    for depth in range(1, 5):
+        schedules.append(build_schedule_s3(depth))
+        assert schedules[-1].levels == _smallest_levels("S3", 3, 3, depth)
+    for kind in ("constant-zero", "thue-morse", "sturmian"):
+        base = GeneratorDescriptor(kind)
+        for depth in range(1, 8):
+            schedules.append(build_schedule_s4(depth, base))
+            assert schedules[-1].levels == _smallest_levels("S4", 3, 1, depth)
+        schedules.append(s4_construction_sharpened(base).schedule)
+    for sched in schedules:
+        verify_schedule(sched)
+        assert Schedule.from_json(json.loads(sched.to_json_str())) == sched
 
 
 def test_s3_built_words_match_schedule(s3):

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from meansense import (
     BlockFamily,
     HorizonError,
-    IndexSet,
     ParameterError,
     PointView,
     Provenance,
@@ -33,7 +32,7 @@ from meansense import (
 from meansense.diagnostics import _PAIR_CHUNK, separation_times
 from meansense.reports import FAIL, PASS, AverageReport, Report, fmt17
 
-from conftest import naive_step_distances
+from conftest import index_set, naive_step_distances
 
 
 def view(symbols, note=""):
@@ -82,7 +81,7 @@ def test_index_set_runs_match_python_set_oracle():
         cases.append((set(rng.sample(range(horizon),
                                      rng.randint(0, horizon))), horizon))
     for want, horizon in cases:
-        F = IndexSet.from_iterable(list(want) * 2, horizon)
+        F = index_set(list(want) * 2, horizon)
         assert F.members.tolist() == sorted(want)
         assert len(F) == len(want)
         los, his = F.los.tolist(), F.his.tolist()
@@ -99,8 +98,8 @@ def test_index_set_runs_match_python_set_oracle():
 
 
 def test_index_sets_compare_and_hash_by_identity():
-    F = IndexSet.from_iterable([1, 2, 5], 9)
-    G = IndexSet.from_iterable([1, 2, 5], 9)
+    F = index_set([1, 2, 5], 9)
+    G = index_set([1, 2, 5], 9)
     assert F == F and F != G
     assert hash(F) == hash(F)
     assert {F, G, F} == {F, G}
@@ -120,20 +119,20 @@ def test_separation_times_match_flatnonzero():
         assert F.members.tolist() == want.tolist()
         assert len(F) == len(want)
         # the same maximal runs as the set built from its members
-        G = IndexSet.from_iterable(want, len(values))
+        G = index_set(want, len(values))
         assert (F.los.tolist(), F.his.tolist()) == (G.los.tolist(),
                                                     G.his.tolist())
 
 
 def test_banach_window_max_examples():
-    evens = IndexSet.from_iterable(range(0, 100, 2), 100)
+    evens = index_set(range(0, 100, 2), 100)
     cnt, _ = banach_window_max(evens, 10)
     assert cnt == 5
-    burst = IndexSet.from_iterable(range(40, 50), 200)
+    burst = index_set(range(40, 50), 200)
     cnt, start = banach_window_max(burst, 10)
     assert (cnt, start) == (10, 40)
     # every window of {1, 3} holds one member; the smallest start wins
-    assert banach_window_max(IndexSet.from_iterable([1, 3], 4), 2) == (1, 0)
+    assert banach_window_max(index_set([1, 3], 4), 2) == (1, 0)
 
 
 def test_banach_dominates_prefix_count():
@@ -141,7 +140,7 @@ def test_banach_dominates_prefix_count():
     for _ in range(100):
         horizon = rng.randint(10, 300)
         members = sorted(rng.sample(range(horizon), rng.randint(1, horizon // 2)))
-        F = IndexSet.from_iterable(members, horizon)
+        F = index_set(members, horizon)
         for L in (1, 7, horizon // 2, horizon):
             if L < 1 or L > horizon:
                 continue
@@ -156,7 +155,7 @@ def test_banach_window_max_matches_naive():
         horizon = rng.randint(5, 250)
         members = sorted(rng.sample(range(horizon),
                                     rng.randint(0, horizon - 1)))
-        F = IndexSet.from_iterable(members, horizon)
+        F = index_set(members, horizon)
         mask = np.zeros(horizon, dtype=np.int64)
         mask[members] = 1
         cs = np.concatenate([[0], np.cumsum(mask)])

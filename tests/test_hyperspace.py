@@ -8,7 +8,6 @@ from meansense import (
     CylinderTuple,
     FiniteSet,
     HorizonError,
-    LanguageApprox,
     PointView,
     Provenance,
     ResourceCapError,
@@ -135,7 +134,7 @@ def test_union_factor_identities():
 
 
 def test_independence_on_dense_word():
-    la = LanguageApprox(de_bruijn_word(6))
+    la = de_bruijn_word(6)
     tup = CylinderTuple((Word.from_string("0"), Word.from_string("1")))
     rep = independence_check(tup, [0, 1, 2], la)
     assert rep.passed
@@ -147,7 +146,7 @@ def test_independence_on_dense_word():
 
 
 def test_independence_subset_monotone():
-    la = LanguageApprox(de_bruijn_word(6))
+    la = de_bruijn_word(6)
     tup = CylinderTuple((Word.from_string("0"), Word.from_string("1")))
     full = independence_check(tup, [0, 1, 3], la)
     assert full.passed
@@ -156,7 +155,7 @@ def test_independence_subset_monotone():
 
 
 def test_independence_fails_on_periodic_orbit():
-    la = LanguageApprox(power(Word.from_string("01"), 50))
+    la = power(Word.from_string("01"), 50)
     tup = CylinderTuple((Word.from_string("0"), Word.from_string("1")))
     rep = independence_check(tup, [0, 1], la)
     assert rep.verdict == "FAIL"
@@ -165,7 +164,7 @@ def test_independence_fails_on_periodic_orbit():
 
 
 def test_independence_cap_refusal():
-    la = LanguageApprox(de_bruijn_word(4))
+    la = de_bruijn_word(4)
     tup = CylinderTuple((Word.from_string("0"), Word.from_string("1")))
     with pytest.raises(ResourceCapError) as exc:
         independence_check(tup, list(range(20)), la, exhaust_cap=100)

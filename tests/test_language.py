@@ -3,9 +3,11 @@ import random
 import pytest
 
 from meansense import (
-    LanguageApprox,
+    GeneratorDescriptor,
     ParameterError,
+    S4Construction,
     Word,
+    build_schedule_s4,
     check_dense_periodic_desk,
     check_transitive_desk,
     cylinder_members,
@@ -23,7 +25,7 @@ def test_subwords_matches_naive_on_random_words():
     rng = random.Random(3)
     for _ in range(200):
         text = "".join(rng.choice("01") for _ in range(rng.randint(3, 400)))
-        la = LanguageApprox(Word.from_string(text))
+        la = Word.from_string(text)
         n = rng.randint(1, min(8, len(text)))
         got = {w.as_string() for w in subwords(la, n).words}
         assert got == naive_subwords(text, n)
@@ -32,7 +34,7 @@ def test_subwords_matches_naive_on_random_words():
 def test_subwords_of_full_shift_oracle():
     # a dense word of order n exhibits every length-n word
     for n in (2, 3, 4):
-        la = LanguageApprox(de_bruijn_word(n))
+        la = de_bruijn_word(n)
         got = subwords(la, n)
         assert len(got.words) == 2 ** n
         assert not got.truncated
@@ -44,13 +46,13 @@ def test_subwords_prefix_closure(s3_language):
 
 
 def test_subwords_s3_pair_example(s3):
-    la = LanguageApprox(s3.a_word(2))
+    la = s3.a_word(2)
     got = {w.as_string() for w in subwords(la, 2).words}
     assert got == {"11", "10", "00", "01"}
 
 
 def test_subwords_cap_flags_truncation():
-    la = LanguageApprox(de_bruijn_word(5))
+    la = de_bruijn_word(5)
     sample = subwords(la, 5, cap=7)
     assert sample.truncated
     assert len(sample.words) <= 7
@@ -73,7 +75,7 @@ def test_cylinder_members_empty_is_not_error(s3_language):
 
 
 def test_s4_has_no_adjacent_ones(s4):
-    la = LanguageApprox(s4.transitive_prefix(s4.schedule.level(4).len_a).prefix)
+    la = s4.transitive_prefix(s4.schedule.level(4).len_a).prefix
     assert cylinder_members(la, Word.from_string("1111"), 4, 64) == []
     assert {w.as_string() for w in subwords(la, 1).words} == {"0", "1"}
     assert Word.from_string("11") not in set(subwords(la, 2).words)
@@ -85,26 +87,26 @@ def test_cylinder_members_rejects_empty_word(s3_language):
 
 
 def test_transitive_desk_passes_on_recurrent_prefixes(s3_x4):
-    la = LanguageApprox(s3_x4.prefix)
+    la = s3_x4.prefix
     rep = check_transitive_desk(la, 3)
     assert rep.passed
 
 
 def test_transitive_desk_trivial_and_failing_cases():
-    assert check_transitive_desk(LanguageApprox(Word(2, [(0, 4000)])), 1).passed
-    bad = LanguageApprox(Word(2, [(1, 1), (0, 3999)]))
+    assert check_transitive_desk(Word(2, [(0, 4000)]), 1).passed
+    bad = Word(2, [(1, 1), (0, 3999)])
     rep = check_transitive_desk(bad, 1)
     assert rep.verdict == "FAIL"
     assert rep.witnesses[0]["non_recurring"]
 
 
 def test_transitive_desk_guard_is_inconclusive():
-    la = LanguageApprox(Word(2, [(0, 40)]))
+    la = Word(2, [(0, 40)])
     assert check_transitive_desk(la, 39).verdict == "INCONCLUSIVE"
 
 
 def test_dense_periodic_desk_small_n(s4):
-    la = LanguageApprox(s4.transitive_prefix(s4.schedule.level(3).len_a).prefix)
+    la = s4.transitive_prefix(s4.schedule.level(3).len_a).prefix
     for n in (1, 3):
         rep = check_dense_periodic_desk(s4, la, n)
         assert rep.passed
@@ -113,12 +115,53 @@ def test_dense_periodic_desk_small_n(s4):
             assert table[Word.from_string("101").to_text()] == {"i": 1, "t": 0}
 
 
+def expanded_periodic_witnesses(c, src, n):
+    """Witness table and unwitnessed list by comparing expanded symbols at
+    every offset t < period of two periods' worth of each periodic word."""
+    levels = range(1, min(2, c.schedule.depth - 1) + 1)
+    period_words = {}
+    for i in levels:
+        period = c.schedule.level(i).len_a + c.schedule.level(i + 1).len_a
+        sym = c.periodic_point(i, 0, period + n).prefix.expand()
+        period_words[i] = (period, sym)
+    table, missing = {}, []
+    for w in subwords(src, n).words:
+        target = tuple(w.expand())
+        found = None
+        for i in levels:
+            period, sym = period_words[i]
+            for t in range(period):
+                if tuple(sym[t:t + n]) == target:
+                    found = (i, t)
+                    break
+            if found:
+                break
+        if found:
+            table[w.to_text()] = {"i": found[0], "t": found[1]}
+        else:
+            missing.append(w.to_text())
+    return table, missing
+
+
+@pytest.mark.parametrize("kind", ["constant-zero", "thue-morse", "sturmian"])
+def test_dense_periodic_desk_matches_expanded_scan(kind):
+    c = S4Construction(build_schedule_s4(4, GeneratorDescriptor(kind)))
+    src = c.transitive_prefix(c.schedule.level(4).len_a).prefix
+    for n in range(3, 7):
+        rep = check_dense_periodic_desk(c, src, n)
+        table, missing = expanded_periodic_witnesses(c, src, n)
+        assert rep.witnesses[0]["witness_table"] == table
+        assert rep.verdict == ("FAIL" if missing else "PASS")
+        assert rep.witnesses[1:] == ([{"unwitnessed": missing}] if missing
+                                     else [])
+
+
 def test_dense_periodic_desk_requires_s4(s3, s3_language):
     with pytest.raises(ParameterError):
         check_dense_periodic_desk(s3, s3_language, 2)
 
 
 def test_full_shift_transitivity_oracle():
-    la = LanguageApprox(power(de_bruijn_word(6), 2))
+    la = power(de_bruijn_word(6), 2)
     for n in (1, 2, 3):
         assert check_transitive_desk(la, n).passed
