@@ -62,7 +62,6 @@ from .hyperspace import (
     union_factor,
 )
 from .language import (
-    SubwordSample,
     check_dense_periodic_desk,
     check_transitive_desk,
     cylinder_members,

@@ -323,7 +323,6 @@ def check_prop_p_system(c: S4Construction, seed: int = 0,
     tail = PointView(
         Word(2, tuple(am.runs) + ((0, horizon - am.length),)),
         Provenance("explicit-limit", detail="zero-tail"),
-        "limit point: the level word then zeros",
     )
     zs.append(tail)
     rows = []
@@ -563,7 +562,7 @@ def check_hausdorff_axioms(c=None, seed: int = 0, trials: int = 1000) -> Report:
                        for _ in range(rng.randint(1, 5))] for _ in range(3)]
         A, B = (FiniteSet.of([PointView(Word(2, _member_runs(x, horizon),
                                              _length=horizon),
-                                        origin, "random") for x in px])
+                                        origin) for x in px])
                 for px in (pa, pb))
         j_ab = _packed_hausdorff_j(pa, pb, horizon)
         j_ac = _packed_hausdorff_j(pa, pc, horizon)

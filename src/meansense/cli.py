@@ -17,7 +17,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import List, Optional
 
@@ -52,18 +52,9 @@ class RunConfig:
     seed: int = 0
     output_dir: str = "out"
 
-    def to_json(self) -> dict:
-        return {
-            "construction": self.construction,
-            "depth": self.depth,
-            "base": self.base,
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-        }
-
     @property
     def hash(self) -> str:
-        payload = dict(self.to_json())
+        payload = asdict(self)
         payload.pop("output_dir")  # location must not change identity
         return hashlib.sha256(canonical_json(payload).encode()).hexdigest()[:16]
 

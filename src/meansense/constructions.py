@@ -349,10 +349,6 @@ class _ConstructionBase:
         return PointView(
             w,
             Provenance("shift-of-transitive-point", offset=0),
-            truncation_note=(
-                f"x continues A_{top.n} 0^{{k_{top.n}}} B_{top.n} ... beyond "
-                f"the horizon"
-            ),
         )
 
     def shift_view(self, offset: int, horizon: int) -> PointView:
@@ -361,7 +357,6 @@ class _ConstructionBase:
         return PointView(
             base.prefix.subword(offset + 1, horizon),
             Provenance("shift-of-transitive-point", offset=offset),
-            base.truncation_note,
         )
 
 
@@ -435,26 +430,16 @@ class S3Construction(_ConstructionBase):
         if s < 1 or count < 1:
             raise ParameterError("s and count must be >= 1")
         w = self.shift_view(m, s).prefix
-        align = None
-        for i in range(1, self.schedule.depth + 1):
-            ai = self.a_word(i)
-            if s <= ai.length and ai.ends_with(w):
-                align = i
-                break
-        if align is None:
+        if not any(s <= self.a_word(i).length and self.a_word(i).ends_with(w)
+                   for i in range(1, self.schedule.depth + 1)):
             raise WitnessUnavailableError(
                 f"x[{m + 1}..{m + s}] is not a suffix of any built A_i; "
                 f"try suffix_alignments({m})"
             )
         if horizon < s + count + 1:
             raise ParameterError("horizon too small for the requested family")
-        note = (
-            f"member of the cylinder of x[{m + 1}..{m + s}] because A_{align} "
-            f"ends with it and each deeper decorated block realizes the "
-            f"0^j 1 tail"
-        )
         return BlockFamily(w, np.arange(s + 1, s + count + 1, dtype=np.int64),
-                           horizon, note)
+                           horizon)
 
 
 class S4Construction(_ConstructionBase):
@@ -497,7 +482,6 @@ class S4Construction(_ConstructionBase):
         return PointView(
             full.subword(t + 1, horizon),
             Provenance("periodic", offset=t, period=period),
-            truncation_note=f"period {period} repeats forever",
         )
 
 
@@ -512,12 +496,12 @@ def construction_for(schedule: Schedule):
 # patched system: shift on a base subshift, everything else resets to y
 
 
-def patched_point(symbols, horizon: int, note: str = "") -> PointView:
-    """A point of the 4-letter patched system, given explicitly."""
-    w = Word.from_symbols(symbols, 4) if not isinstance(symbols, Word) else symbols
+def patched_point(w: Word, horizon: int) -> PointView:
+    """The first ``horizon`` symbols of ``w`` as a point of the 4-letter
+    patched system."""
     if w.length < horizon:
         raise ParameterError("fewer symbols than the requested horizon")
-    return PointView(w.subword(1, horizon), Provenance("patched-system"), note)
+    return PointView(w.subword(1, horizon), Provenance("patched-system"))
 
 
 def patched_step(p: PointView, y_prefix: Word) -> PointView:
@@ -538,7 +522,6 @@ def patched_step(p: PointView, y_prefix: Word) -> PointView:
         return PointView(
             y_prefix,
             Provenance("patched-system", detail="reset-to-y"),
-            "reset branch: the whole {2,3} cylinder maps to y",
         )
     return PointView(
         p.prefix.subword(2, p.horizon - 1),

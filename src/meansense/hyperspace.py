@@ -104,8 +104,7 @@ class FiniteSet:
                 if _family_shape(other) == _family_shape(item):
                     marks = marks[~np.isin(marks, other.marks)]
             if len(marks):
-                families.append(BlockFamily(item.block, marks, item.horizon,
-                                            item.note))
+                families.append(BlockFamily(item.block, marks, item.horizon))
         seen = {}
         for v in views:
             seen.setdefault(v.key(), v)
@@ -413,8 +412,7 @@ def hyper_witness_family(construction, P: FiniteSet, epsilon: float,
             raise ParameterError("horizon leaves no room for the tail family")
         fam = construction.witness_family(t, s, count, horizon)
         fam = fam + [PointView(fam.zero_tail,
-                               Provenance("explicit-limit", detail="zero-tail"),
-                               "all-zero continuation of the shared block")]
+                               Provenance("explicit-limit", detail="zero-tail"))]
         families.append(fam)
         details.append({"offset": t, "aligned_level": i, "block_len": s,
                         "family_size": len(fam)})

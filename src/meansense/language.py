@@ -7,33 +7,27 @@ so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
-from .errors import ParameterError
+from .errors import ParameterError, ResourceCapError
 from .reports import FAIL, INCONCLUSIVE, PASS, Report
 from .words import PointView, Provenance, Word, find_occurrences
 
 SUBWORD_CAP = 65_536
 
 
-@dataclass
-class SubwordSample:
-    words: List[Word]
-    truncated: bool
-
-
-def subwords(src: Word, n: int, cap: int = SUBWORD_CAP) -> SubwordSample:
+def subwords(src: Word, n: int, cap: int = SUBWORD_CAP) -> List[Word]:
     """Distinct length-n subwords of the source prefix ``src`` (an
-    under-approximation of the language).
+    under-approximation of the language), sorted.
 
     RLE-aware: windows wholly inside one run contribute a single constant
-    word, so only windows near run boundaries need enumerating.
+    word, so only windows near run boundaries need enumerating.  Raises
+    ResourceCapError once more than ``cap`` distinct words turn up, so no
+    caller ever judges part of the sample.
     """
     if not 1 <= n <= src.length:
         raise ParameterError(f"subword length {n} outside [1, {src.length}]")
     seen = set()
-    truncated = False
     # constant windows from long runs
     for s, c in src.runs:
         if c >= n:
@@ -42,16 +36,13 @@ def subwords(src: Word, n: int, cap: int = SUBWORD_CAP) -> SubwordSample:
     _, ends = src.run_index
     for boundary in (ends[:-1] + 1).tolist():
         for p in range(max(1, boundary - n + 1), boundary + 1):
-            if p + n - 1 > src.length:
-                continue
-            if len(seen) >= cap:
-                truncated = True
-                break
-            seen.add(src.subword(p, n))
-        if truncated:
-            break
+            if p + n - 1 <= src.length:
+                seen.add(src.subword(p, n))
+        if len(seen) > cap:
+            raise ResourceCapError(
+                f"more than {cap} distinct length-{n} subwords")
     # equal-length digit strings sort like the symbol tuples
-    return SubwordSample(sorted(seen, key=Word.as_string), truncated)
+    return sorted(seen, key=Word.as_string)
 
 
 def cylinder_members(src: Word, u: Word, max_members: int = 32,
@@ -73,7 +64,6 @@ def cylinder_members(src: Word, u: Word, max_members: int = 32,
         view = PointView(
             src.subword(pos, member_horizon),
             Provenance("shift-of-transitive-point", offset=t),
-            "occurrence-scan member",
         )
         assert view.starts_with(u)
         out.append(view)
@@ -87,7 +77,8 @@ def check_transitive_desk(src: Word, n: int) -> Report:
 
     PASS when every length-n subword of the first half of the source prefix
     ``src`` occurs again in the second half.  A proxy, never a proof; the
-    guard n <= len(src)/4 keeps recurrence observable at all.
+    guard n <= len(src)/4 keeps recurrence observable at all.  Past the
+    ``subwords`` cap it raises ResourceCapError instead of a verdict.
     """
     horizon = src.length
     rep = Report("transitive-desk", params={"n": n, "horizon": horizon})
@@ -100,10 +91,10 @@ def check_transitive_desk(src: Word, n: int) -> Report:
     second = src.subword(half + 1, horizon - half)
     missing = []
     sample = subwords(first, n)
-    for w in sample.words:
+    for w in sample:
         if not find_occurrences(second, w, cap=1):
             missing.append(w.to_text())
-    rep.params["distinct_subwords"] = len(sample.words)
+    rep.params["distinct_subwords"] = len(sample)
     if missing:
         rep.verdict = FAIL
         rep.witnesses = [{"non_recurring": missing[:32]}]
@@ -122,6 +113,7 @@ def check_dense_periodic_desk(construction, src: Word, n: int) -> Report:
     witnessing (i, t).  Each level's periodic word is searched over one
     period plus n symbols, and its first occurrence gives t: the word is
     periodic, so that t is below the period and the smallest that works.
+    Past the ``subwords`` cap it raises ResourceCapError instead of a verdict.
     """
     if construction.schedule.construction != "S4":
         raise ParameterError("dense-periodic check applies to the S4 family")
@@ -133,7 +125,7 @@ def check_dense_periodic_desk(construction, src: Word, n: int) -> Report:
         for i in levels]
     table = {}
     missing = []
-    for w in subwords(src, n).words:
+    for w in subwords(src, n):
         for i, word in zip(levels, periodic):
             occ = find_occurrences(word, w, cap=1)
             if occ:

@@ -376,12 +376,13 @@ def first_difference(a: Word, b: Word) -> Optional[int]:
     """
     if a.alphabet_size != b.alphabet_size:
         raise AlphabetMismatchError("alphabet mismatch in first_difference")
-    limit = min(a.length, b.length)
     start = 0  # symbols before the current pair of runs
     for x, y in zip(a.runs, b.runs):
-        if x != y:
-            j = start + 1 if x[0] != y[0] else start + min(x[1], y[1]) + 1
-            return j if j <= limit else None
+        if x[0] != y[0]:
+            return start + 1  # inside both words
+        if x[1] != y[1]:
+            j = start + min(x[1], y[1]) + 1
+            return j if j <= min(a.length, b.length) else None
         start += x[1]
     return None
 
@@ -549,7 +550,8 @@ class PointView:
 
     ``prefix`` holds the first ``horizon`` symbols; anything beyond is
     unknown and every consumer must account for that through truncation
-    flags or explicit correction terms.
+    flags or explicit correction terms.  No code in the package writes a
+    ``truncation_note``; ``shift`` and ``patched_step`` carry one along.
     """
 
     prefix: Word
@@ -593,14 +595,15 @@ class BlockFamily(abc.Sequence):
 
     A family sharing the block ``w`` (length s) stored as arrays: ``marks``
     holds the 1-based position of each member's lone 1, at least one,
-    strictly increasing inside (s, horizon].  ``extras`` are further views appended with ``+``.
-    A member is materialized only when indexed or iterated, marked members
-    first, with provenance ``explicit-limit`` and detail ``j=<p-s-1>``.
+    strictly increasing inside (s, horizon].  ``extras`` are further views
+    appended with ``+``.  A member is materialized only when indexed or
+    iterated, marked members first, with provenance ``explicit-limit``,
+    detail ``j=<p-s-1>`` and no truncation note.
     """
 
-    __slots__ = ("block", "marks", "horizon", "note", "extras")
+    __slots__ = ("block", "marks", "horizon", "extras")
 
-    def __init__(self, block: Word, marks, horizon: int, note: str = "",
+    def __init__(self, block: Word, marks, horizon: int,
                  extras: Sequence[PointView] = ()):
         marks = np.asarray(marks, dtype=np.int64)
         if (marks.ndim != 1 or not len(marks) or marks[0] <= block.length
@@ -610,7 +613,6 @@ class BlockFamily(abc.Sequence):
         self.block = block
         self.marks = marks
         self.horizon = horizon
-        self.note = note
         self.extras = tuple(extras)
 
     @property
@@ -623,8 +625,7 @@ class BlockFamily(abc.Sequence):
         s = self.block.length
         w = Word(self.block.alphabet_size,
                  self.block.runs + ((0, p - s - 1), (1, 1), (0, self.horizon - p)))
-        return PointView(w, Provenance("explicit-limit", detail=f"j={p - s - 1}"),
-                         self.note)
+        return PointView(w, Provenance("explicit-limit", detail=f"j={p - s - 1}"))
 
     def __len__(self):
         return len(self.marks) + len(self.extras)
@@ -644,7 +645,7 @@ class BlockFamily(abc.Sequence):
         yield from self.extras
 
     def __add__(self, views):
-        return BlockFamily(self.block, self.marks, self.horizon, self.note,
+        return BlockFamily(self.block, self.marks, self.horizon,
                            self.extras + tuple(views))
 
 

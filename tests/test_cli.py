@@ -1,10 +1,11 @@
+import functools
 import hashlib
 import json
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from meansense import MeansenseError, Schedule, Word
+from meansense import MeansenseError, Schedule, Word, language
 from meansense.cli import main
 
 
@@ -158,6 +159,19 @@ def test_config_file_drives_build_and_check(tmp_path):
             periodic = rep["witnesses"][1]["dense-periodic"]["witnesses"]
             assert "alphabet=2; 0:2 1:2" in periodic[1]["unwitnessed"]
     assert verdicts == {"thue-morse": (1, "FAIL"), "constant-zero": (0, "PASS")}
+
+
+def test_capped_language_sample_exits_3(tmp_path, monkeypatch):
+    # past its subword cap prop-devaney stops with a resource error instead
+    # of judging part of the sample, and writes no report
+    out = tmp_path / "s4"
+    assert run("build", "--construction", "S4", "--depth", "4",
+               "--out", str(out)) == 0
+    monkeypatch.setattr(language, "subwords",
+                        functools.partial(language.subwords, cap=2))
+    assert run("check", "prop-devaney", "--construction", "S4", "--depth", "4",
+               "--out", str(out)) == 3
+    assert not list(out.glob("report-*.json"))
 
 
 def test_check_refuses_a_build_too_shallow_or_of_another_family(tmp_path):

@@ -35,12 +35,12 @@ from meansense.reports import FAIL, PASS, AverageReport, Report, fmt17
 from conftest import index_set, naive_step_distances
 
 
-def view(symbols, note=""):
+def view(symbols):
     if isinstance(symbols, str):
         w = Word.from_string(symbols)
     else:
         w = Word.from_symbols(list(symbols))
-    return PointView(w, Provenance("explicit-limit"), note)
+    return PointView(w, Provenance("explicit-limit"))
 
 
 def random_view(rng, n):

@@ -265,7 +265,7 @@ def random_family_items(rng, horizon, alphabet=2):
         h = rng.choice([horizon, horizon, horizon - 3])
         lo = block.length + 1
         marks = sorted(rng.sample(range(lo, h + 1), rng.randint(1, min(5, h - lo + 1))))
-        fam = BlockFamily(block, marks, h, note=rng.choice(["a", "b"]))
+        fam = BlockFamily(block, marks, h)
         fams.append(fam)
     pool = []
     for fam in fams:

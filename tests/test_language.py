@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from meansense import (
     GeneratorDescriptor,
     ParameterError,
+    ResourceCapError,
     S4Construction,
     Word,
     build_schedule_s4,
@@ -15,6 +17,7 @@ from meansense import (
     power,
     subwords,
 )
+from meansense import language
 
 
 def naive_subwords(text: str, n: int):
@@ -27,7 +30,7 @@ def test_subwords_matches_naive_on_random_words():
         text = "".join(rng.choice("01") for _ in range(rng.randint(3, 400)))
         la = Word.from_string(text)
         n = rng.randint(1, min(8, len(text)))
-        got = {w.as_string() for w in subwords(la, n).words}
+        got = {w.as_string() for w in subwords(la, n)}
         assert got == naive_subwords(text, n)
 
 
@@ -35,27 +38,28 @@ def test_subwords_of_full_shift_oracle():
     # a dense word of order n exhibits every length-n word
     for n in (2, 3, 4):
         la = de_bruijn_word(n)
-        got = subwords(la, n)
-        assert len(got.words) == 2 ** n
-        assert not got.truncated
+        assert len(subwords(la, n)) == 2 ** n
+        # exactly ``cap`` distinct words is not past the cap
+        assert len(subwords(la, n, cap=2 ** n)) == 2 ** n
 
 
 def test_subwords_prefix_closure(s3_language):
-    small = {w.subword(1, 3) for w in subwords(s3_language, 4).words}
-    assert small <= set(subwords(s3_language, 3).words)
+    small = {w.subword(1, 3) for w in subwords(s3_language, 4)}
+    assert small <= set(subwords(s3_language, 3))
 
 
 def test_subwords_s3_pair_example(s3):
     la = s3.a_word(2)
-    got = {w.as_string() for w in subwords(la, 2).words}
+    got = {w.as_string() for w in subwords(la, 2)}
     assert got == {"11", "10", "00", "01"}
 
 
-def test_subwords_cap_flags_truncation():
+def test_subwords_raises_past_cap():
     la = de_bruijn_word(5)
-    sample = subwords(la, 5, cap=7)
-    assert sample.truncated
-    assert len(sample.words) <= 7
+    with pytest.raises(ResourceCapError):
+        subwords(la, 5, cap=7)
+    with pytest.raises(ResourceCapError):
+        subwords(la, 5, cap=2 ** 5 - 1)
 
 
 def test_cylinder_members_start_with_word(s3_language, s3):
@@ -77,8 +81,8 @@ def test_cylinder_members_empty_is_not_error(s3_language):
 def test_s4_has_no_adjacent_ones(s4):
     la = s4.transitive_prefix(s4.schedule.level(4).len_a).prefix
     assert cylinder_members(la, Word.from_string("1111"), 4, 64) == []
-    assert {w.as_string() for w in subwords(la, 1).words} == {"0", "1"}
-    assert Word.from_string("11") not in set(subwords(la, 2).words)
+    assert {w.as_string() for w in subwords(la, 1)} == {"0", "1"}
+    assert Word.from_string("11") not in set(subwords(la, 2))
 
 
 def test_cylinder_members_rejects_empty_word(s3_language):
@@ -98,6 +102,29 @@ def test_transitive_desk_trivial_and_failing_cases():
     rep = check_transitive_desk(bad, 1)
     assert rep.verdict == "FAIL"
     assert rep.witnesses[0]["non_recurring"]
+
+
+def capped_subwords(monkeypatch, cap):
+    """Make both desk checks sample with a ``cap`` far below their own."""
+    monkeypatch.setattr(language, "subwords",
+                        functools.partial(language.subwords, cap=cap))
+
+
+def test_transitive_desk_raises_on_capped_sample(monkeypatch):
+    # 8 distinct length-3 words, all recurring: PASS with the default cap
+    la = power(de_bruijn_word(6), 2)
+    assert check_transitive_desk(la, 3).passed
+    capped_subwords(monkeypatch, 4)
+    with pytest.raises(ResourceCapError):
+        check_transitive_desk(la, 3)
+
+
+def test_dense_periodic_desk_raises_on_capped_sample(s4, monkeypatch):
+    la = s4.transitive_prefix(s4.schedule.level(3).len_a).prefix
+    assert check_dense_periodic_desk(s4, la, 3).passed
+    capped_subwords(monkeypatch, 2)
+    with pytest.raises(ResourceCapError):
+        check_dense_periodic_desk(s4, la, 3)
 
 
 def test_transitive_desk_guard_is_inconclusive():
@@ -125,7 +152,7 @@ def expanded_periodic_witnesses(c, src, n):
         sym = c.periodic_point(i, 0, period + n).prefix.expand()
         period_words[i] = (period, sym)
     table, missing = {}, []
-    for w in subwords(src, n).words:
+    for w in subwords(src, n):
         target = tuple(w.expand())
         found = None
         for i in levels:
