@@ -21,7 +21,6 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import List, Optional
 
-from . import checks as _checks
 from .constructions import (
     GeneratorDescriptor,
     Schedule,
@@ -170,6 +169,8 @@ def cmd_check(cfg: RunConfig, names: List[str]) -> int:
     """Run ``names`` (or every check that fits the build, for ``all``) on one
     construction built from the build's schedule; nothing is written unless
     every check runs."""
+    from . import checks as _checks  # here, so that ``build`` never loads numpy
+
     out = Path(cfg.output_dir)
     sched = _require_build(cfg)
     family = sched.construction
@@ -216,7 +217,13 @@ def cmd_report(output_dir: str) -> int:
     rows = []
     failed = []
     for path in reports:
-        rep = Report.from_json(json.loads(path.read_text()))
+        try:
+            data = json.loads(path.read_text())
+        except (OSError, ValueError) as exc:
+            raise ParameterError(f"cannot read report {path}: {exc}") from None
+        if not isinstance(data, dict) or not isinstance(data.get("check"), str):
+            raise ParameterError(f"{path} is not a report: no check name")
+        rep = Report.from_json(data)
         rows.append({"check": rep.check, "verdict": rep.verdict,
                      "caveats": rep.caveats})
         if not rep.passed:

@@ -28,8 +28,6 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-import numpy as np
-
 from .errors import (
     DepthError,
     HorizonError,
@@ -438,8 +436,7 @@ class S3Construction(_ConstructionBase):
             )
         if horizon < s + count + 1:
             raise ParameterError("horizon too small for the requested family")
-        return BlockFamily(w, np.arange(s + 1, s + count + 1, dtype=np.int64),
-                           horizon)
+        return BlockFamily(w, range(s + 1, s + count + 1), horizon)
 
 
 class S4Construction(_ConstructionBase):

@@ -12,9 +12,7 @@ from __future__ import annotations
 import itertools
 from collections import abc
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .errors import (
     AlphabetMismatchError,
@@ -23,6 +21,11 @@ from .errors import (
     LengthOverflowError,
     ParameterError,
 )
+
+# numpy is imported inside the functions that read the run index, so that
+# building and writing words (``meansense build``) never loads it
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_LENGTH = 2**63 - 1
 
@@ -188,6 +191,7 @@ class Word:
         Built from ``runs`` on first use and cached on the word.
         """
         if self._index is None:
+            import numpy as np
             syms, lens = np.array(self.runs, dtype=np.int64).reshape(-1, 2).T
             object.__setattr__(self, "_index", (syms, np.cumsum(lens)))
         return self._index
@@ -196,6 +200,7 @@ class Word:
         """Symbols as a uint8 array; guarded against huge words."""
         if self.length > EXPAND_LIMIT:
             raise ParameterError(f"refusing to expand {self.length} symbols")
+        import numpy as np
         syms, ends = self.run_index
         return np.repeat(syms.astype(np.uint8), np.diff(ends, prepend=0))
 
@@ -203,6 +208,7 @@ class Word:
         """Symbol at 1-based position ``pos``."""
         if not 1 <= pos <= self.length:
             raise IndexRangeError(f"position {pos} outside [1, {self.length}]")
+        import numpy as np
         syms, ends = self.run_index
         return int(syms[np.searchsorted(ends, pos)])
 
@@ -213,6 +219,7 @@ class Word:
         """(los, his): the 1-based inclusive runs of ``symbol`` that start at
         or before ``hi``, the last one cut at ``hi``; read from the run index.
         """
+        import numpy as np
         syms, ends = self.run_index
         los = ends - np.diff(ends, prepend=0) + 1
         hi = self.length if hi is None else hi
@@ -229,6 +236,7 @@ class Word:
             raise IndexRangeError(
                 f"slice [{start}, {start + length - 1}] outside [1, {self.length}]"
             )
+        import numpy as np
         _, ends = self.run_index
         end = start + length - 1
         i = int(np.searchsorted(ends, start))  # run holding the first symbol
@@ -288,6 +296,7 @@ class OccurrenceIndex:
     """Prefix-count index answering symbol counts over ranges in O(log R)."""
 
     def __init__(self, word: Word, symbol: int = 1):
+        import numpy as np
         self.word = word
         self.symbol = symbol
         syms, ends = word.run_index
@@ -298,6 +307,7 @@ class OccurrenceIndex:
         """Occurrences of the designated symbol in [1, pos], 0 <= pos <= length."""
         if pos <= 0:
             return 0
+        import numpy as np
         syms, ends = self.word.run_index
         i = int(np.searchsorted(ends, pos))  # run holding pos
         if syms[i] == self.symbol:
@@ -325,6 +335,7 @@ def interval_window_max(los: np.ndarray, his: np.ndarray, span: int,
     opens an interval, p + window - 1 closes one, or p is the last start.
     Scanning those candidates in increasing order finds p.
     """
+    import numpy as np
     if len(los) == 0:
         return 0, 0
     last = span - window
@@ -393,6 +404,7 @@ def diff_intervals(a: Word, b: Word, upto: Optional[int] = None):
     Returns (lo_array, hi_array) covering exactly the positions p <= limit
     with a_p != b_p, where limit = min(len(a), len(b), upto).
     """
+    import numpy as np
     if a.alphabet_size != b.alphabet_size:
         raise AlphabetMismatchError("alphabet mismatch in diff_intervals")
     limit = min(a.length, b.length)
@@ -440,6 +452,7 @@ def find_occurrences(text: Word, pattern: Word, cap: int = 10_000,
     first text run ending at or after ``start``, since no occurrence at or
     after ``start`` begins in an earlier run.
     """
+    import numpy as np
     if pattern.alphabet_size != text.alphabet_size:
         raise AlphabetMismatchError("alphabet mismatch in find_occurrences")
     if pattern.length == 0:
@@ -605,6 +618,9 @@ class BlockFamily(abc.Sequence):
 
     def __init__(self, block: Word, marks, horizon: int,
                  extras: Sequence[PointView] = ()):
+        import numpy as np
+        if isinstance(marks, range):  # np.asarray would copy it one by one
+            marks = np.arange(marks.start, marks.stop, marks.step)
         marks = np.asarray(marks, dtype=np.int64)
         if (marks.ndim != 1 or not len(marks) or marks[0] <= block.length
                 or marks[-1] > horizon or (marks[1:] <= marks[:-1]).any()):

@@ -1,7 +1,12 @@
 import functools
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -76,6 +81,35 @@ def test_build_is_byte_identical(tmp_path):
                    "--out", str(out)) == 0
     for path in sorted(a.iterdir()):
         assert path.read_bytes() == (b / path.name).read_bytes()
+
+
+def test_build_loads_no_numpy(tmp_path):
+    # the build path is plain run arithmetic: with every numpy import made
+    # to fail, it still writes the same bytes as a normal build
+    root = Path(__file__).resolve().parents[1]
+    cfg_path = tmp_path / "thue-morse.json"
+    cfg_path.write_text(json.dumps(
+        {"construction": "S4", "depth": 4, "base": {"kind": "thue-morse"}}))
+    builds = {"s3": ["--construction", "S3", "--depth", "4"],
+              "s4": ["--construction", "S4", "--depth", "4"],
+              "s4-thue-morse": ["--config", str(cfg_path)]}
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    for name, args in builds.items():
+        want, got = tmp_path / name, tmp_path / f"{name}-nonumpy"
+        assert run("build", *args, "--out", str(want)) == 0
+        code = ("import sys\n"
+                "sys.modules['numpy'] = None\n"
+                "from meansense.cli import main\n"
+                f"sys.exit(main({['build', *args, '--out', str(got)]!r}))\n")
+        proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert sorted(p.name for p in got.iterdir()) == sorted(
+            p.name for p in want.iterdir())
+        for path in want.iterdir():
+            assert (got / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 def test_usage_errors_exit_2(tmp_path):
@@ -261,6 +295,15 @@ def test_check_reports_are_deterministic(tmp_path):
     run("check", "remark-2.1.3", "--construction", "S3", "--depth", "3",
         "--seed", "5", "--out", str(out))
     assert (out / "report-remark-2.1.3.json").read_bytes() == first
+
+
+@pytest.mark.parametrize("text", ["{", "not json", "[]", "{}"])
+def test_malformed_report_exits_2(tmp_path, capsys, text):
+    # exit 1 would read as a failed check
+    (tmp_path / "report-broken.json").write_text(text)
+    assert run("report", "--out", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "report-broken.json" in err
 
 
 def test_report_flags_failures(tmp_path):
