@@ -28,4 +28,4 @@ values, _ = orbit_diam_sequence(cylinder, 40,
                                 lambda p: patched_step(p, y))
 print("diameters along the orbit of the {2,3} cylinder:")
 print("  step 0:", values[0], "(distinct points before the map acts)")
-print("  steps 1..39 all zero:", bool((values[1:] == 0).all()))
+print("  steps 1..39 all zero:", all(v == 0 for v in values[1:]))

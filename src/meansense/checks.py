@@ -16,8 +16,6 @@ import random
 from fractions import Fraction
 from typing import Dict, List
 
-import numpy as np
-
 from .constructions import (
     GeneratorDescriptor,
     S3Construction,
@@ -93,7 +91,9 @@ def s4_construction_sharpened(base: GeneratorDescriptor,
 
 def check_lemma31(c: S3Construction, seed: int = 0) -> Report:
     """Window 1-count bound: every window of t_n symbols inside a deeper
-    level word holds at most |A_n| + |B_n| ones.  Exact RLE sweep."""
+    level word holds at most |A_n| + |B_n| ones.  Exact RLE sweep; each
+    reported window is recounted from its subword's runs, so a sweep that
+    under-counts fails."""
     rep = Report("lemma-3.1")
     rows = []
     ok = True
@@ -105,7 +105,8 @@ def check_lemma31(c: S3Construction, seed: int = 0) -> Report:
         cnt, pos = max_window_count(OccurrenceIndex(word), lvn.t)
         rows.append({"n": n, "word": f"{kind}_{m}", "window": lvn.t,
                      "max_count": cnt, "at": pos, "bound": bound})
-        ok = ok and cnt <= bound
+        ok = (ok and cnt <= bound and 1 <= pos <= word.length - lvn.t + 1
+              and word.subword(pos, lvn.t).count(1) == cnt)
     rep.params = {"cases": len(rows)}
     rep.witnesses = [{"windows": rows}]
     rep.verdict = PASS if ok else FAIL
@@ -226,7 +227,9 @@ def check_thm13_banach_equi(c: S3Construction, seed: int = 0) -> Report:
 
 def check_lemma_count3(c: S4Construction, seed: int = 0) -> Report:
     """Anchored 1-count bound for the S4 family: ranges that open on a copy
-    of A_n hold at most ((len)/t_n + 2)(|A_n|+|B_n|) ones.  Exact integers."""
+    of A_n hold at most ((len)/t_n + 2)(|A_n|+|B_n|) ones.  Exact integers;
+    the first range of each n is recounted from its subword's runs, so an
+    index that under-counts fails."""
     x = c.transitive_prefix(c.schedule.level(4).len_a)
     idx = OccurrenceIndex(x.prefix)
     rep = Report("lemma-count-3")
@@ -243,6 +246,8 @@ def check_lemma_count3(c: S4Construction, seed: int = 0) -> Report:
             while i + span - 1 <= x.horizon:
                 j = i + span  # range [i, j-1] has span symbols
                 cnt = idx.count_range(i, j - 1)
+                if tested == 0 and cnt != x.prefix.subword(i, span).count(1):
+                    ok = False
                 # cnt <= ((j-i)/t_n + 2)(lenA+lenB), integer-exact
                 lhs = cnt * lv.t
                 rhs = (span + 2 * lv.t) * (lv.len_a + lv.len_b)
@@ -333,10 +338,11 @@ def check_prop_p_system(c: S4Construction, seed: int = 0,
         # steps whose K-window sees a 1, counted exactly: a 1-run [lo, hi]
         # covers steps max(lo-K, 0) .. min(hi-1, n-1); the spans come in
         # order, so each counts only past the end of the previous one
-        los, his = z.prefix.runs_of(1, n + K)
-        a, b = np.maximum(los - K, 0), np.minimum(his - 1, n - 1)
-        a[1:] = np.maximum(a[1:], b[:-1] + 1)
-        covered = int(np.maximum(b - a + 1, 0).sum())
+        covered = prev = 0  # prev: the step past the previous span
+        for lo, hi in zip(*z.prefix.runs_of(1, n + K)):
+            a, b = max(lo - K, prev), min(hi - 1, n - 1)
+            covered += max(b - a + 1, 0)
+            prev = b + 1
         frac_nonzero = covered / n
         term_zero = (epsilon / 5) * (1 - frac_nonzero)
         rows.append({
@@ -393,10 +399,10 @@ def check_thm_unpos(c=None, seed: int = 0) -> Report:
     values, truncated = orbit_diam_sequence(
         members, steps, lambda p: patched_step(p, y_prefix)
     )
-    ok = bool(values[0] == 1.0 and np.all(values[1:] == 0.0))
+    ok = values[0] == 1.0 and not any(values[1:])
     rep = Report("thm-unpos", params={"steps": steps, "members": len(members)})
     rep.witnesses = [{"diam_step0": fmt17(values[0]),
-                      "max_diam_after": fmt17(float(values[1:].max()))}]
+                      "max_diam_after": fmt17(max(values[1:]))}]
     rep.verdict = PASS if ok else FAIL
     rep.caveats = ["collapse is exact: all reset-branch members map to the "
                    "same target point"]

@@ -19,9 +19,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .errors import HorizonError, ParameterError
 from .reports import FAIL, PASS, AverageReport, Report, fmt17
@@ -32,6 +30,10 @@ from .words import (
     interval_window_max,
     point_metric,
 )
+
+# numpy is imported inside the functions that vectorize, as in ``words``
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_DEPTH = 64  # default per-step metric comparison depth
 
@@ -52,6 +54,7 @@ class IndexSet:
     @property
     def members(self) -> np.ndarray:
         """Every member, sorted: the runs expanded."""
+        import numpy as np
         lens = self.his - self.los + 1
         return (np.repeat(self.los - (np.cumsum(lens) - lens), lens)
                 + np.arange(int(lens.sum()), dtype=np.int64))
@@ -65,20 +68,22 @@ class IndexSet:
         or after lo."""
         if hi < lo:
             return True
-        k = int(np.searchsorted(self.his, lo))
+        k = int(self.his.searchsorted(lo))
         return bool(k < len(self.his) and self.los[k] <= lo
                     and hi <= self.his[k])
 
 
 def indicator_set_E(y: PointView, symbol: int = 1) -> IndexSet:
     """0-based positions i < horizon with y_{i+1} equal to ``symbol``."""
-    los, his = y.prefix.runs_of(symbol)
-    return IndexSet(los - 1, his - 1, y.horizon)
+    import numpy as np
+    los, his = np.array(y.prefix.runs_of(symbol), dtype=np.int64) - 1
+    return IndexSet(los, his, y.horizon)
 
 
 def _consecutive_runs(pos: np.ndarray) -> tuple:
     """(los, his) of the maximal runs of consecutive integers in the sorted,
     distinct ``pos``, cut where a step is not 1."""
+    import numpy as np
     cut = np.flatnonzero(np.diff(pos) != 1)
     return (np.concatenate([pos[:1], pos[cut + 1]]),
             np.concatenate([pos[cut], pos[-1:]]))
@@ -109,8 +114,7 @@ def _pair_limit(x: PointView, y: PointView, n: int, depth: int) -> int:
     return limit
 
 
-def _gap_distances(los: np.ndarray, his: np.ndarray, steps: int,
-                   cap: int) -> tuple:
+def _gap_distances(los: list, his: list, steps: int, cap: int) -> tuple:
     """(values, truncated) of each step i < steps against the merged 1-based
     disagreement intervals [los, his].
 
@@ -120,6 +124,8 @@ def _gap_distances(los: np.ndarray, his: np.ndarray, steps: int,
     int64 buffer repeats each lo over its steps (the int64 maximum past the
     last interval), subtracts the step and floors at 1 in place.
     """
+    import numpy as np
+    los, his = np.array((los, his), dtype=np.int64)
     counts = np.diff(np.minimum(his, steps), prepend=0, append=steps)
     gap = np.repeat(np.append(los, np.iinfo(np.int64).max), counts)
     gap -= np.arange(steps, dtype=np.int64)
@@ -146,10 +152,11 @@ def step_distance_array(x: PointView, y: PointView, n: int,
 _HARMONIC_CACHE = {}
 
 
-def _harmonic_table(depth: int) -> np.ndarray:
+def _harmonic_table(depth: int) -> list:
+    """[H_0, ..., H_depth], each 1/k added in order, as a float cumsum does."""
     tab = _HARMONIC_CACHE.get(depth)
     if tab is None:
-        tab = np.concatenate([[0.0], np.cumsum(1.0 / np.arange(1, depth + 1))])
+        tab = [0.0, *itertools.accumulate(1.0 / k for k in range(1, depth + 1))]
         _HARMONIC_CACHE[depth] = tab
     return tab
 
@@ -174,7 +181,7 @@ def distance_sum(x: PointView, y: PointView, n: int,
     inside = 0
     gap_marks = [0] * (depth + 2)  # difference array of the counts c_g
     prev_hi = 0  # sentinel: position 0
-    for lo, hi in zip(los.tolist(), his.tolist()):
+    for lo, hi in zip(los, his):
         # approach segment: steps prev_hi .. min(lo, n) - 1, next diff at lo
         a, b = prev_hi, min(lo, n) - 1
         if b >= a:
@@ -294,6 +301,7 @@ def banach_avg_distances(members: Sequence[PointView], pairs, L: int,
     """
     if L < 1 or depth < 1:
         raise ParameterError("window length and depth must be positive")
+    import numpy as np
     pairs = list(pairs)
     steps = [min(members[i].horizon, members[j].horizon) - depth
              for i, j in pairs]
@@ -311,8 +319,9 @@ def banach_avg_distances(members: Sequence[PointView], pairs, L: int,
     if all(members[m].alphabet_size == 2 for m in used):
         base = max(used, key=lambda m: members[m].horizon)
         # each member's flip points lo and hi+1 against the base, in order
-        walks = {m: (np.column_stack(diff_intervals(
-                     members[base].prefix, members[m].prefix)) + (0, 1)).ravel()
+        walks = {m: (np.array(diff_intervals(
+                     members[base].prefix, members[m].prefix),
+                     dtype=np.int64).T + (0, 1)).ravel()
                  for m in used if m != base}
         walks[base] = np.empty(0, dtype=np.int64)
     out = []
@@ -331,16 +340,19 @@ def banach_avg_distances(members: Sequence[PointView], pairs, L: int,
 def _walked_intervals(members, pairs, steps, depth) -> tuple:
     """(los, his, row) of each pair's own disagreement walk, row by row;
     for alphabets other than binary, where base walks do not combine."""
+    import numpy as np
     parts = [diff_intervals(members[i].prefix, members[j].prefix,
                             upto=s + depth) for (i, j), s in zip(pairs, steps)]
     row = np.repeat(np.arange(len(parts)), [len(lo) for lo, _ in parts])
-    return (np.concatenate([lo for lo, _ in parts]),
-            np.concatenate([hi for _, hi in parts]), row)
+    los, his = (np.fromiter(itertools.chain(*half), np.int64)
+                for half in zip(*parts))
+    return los, his, row
 
 
 def _shared_intervals(walks, pairs, steps, depth, stride) -> tuple:
     """(los, his, row) of each pair's symmetric difference of base walks,
     clipped to its shorter horizon, row by row."""
+    import numpy as np
     flips = [walks[m] for pair in pairs for m in pair]
     keys = np.concatenate(flips) + np.repeat(
         np.arange(len(pairs)) * stride,
@@ -365,6 +377,7 @@ def _sweep_rows(los, his, row, steps, L, depth, stride) -> list:
     """The window sweep of ``banach_avg_distances`` over the merged
     disagreement intervals of a batch of pairs, sorted by row (pair) and
     position; one report per row."""
+    import numpy as np
     P = len(steps)
     stepv = np.asarray(steps, dtype=np.int64)
     # nonzero steps, interval by interval: [lo - depth, hi - 1] clipped to
@@ -452,20 +465,16 @@ def _shared_horizon(members: Sequence[PointView]) -> int:
 
 
 def _merge_intervals(pieces) -> tuple:
-    """Union of (los, his) arrays of 1-based inclusive intervals, merged."""
-    empty = np.empty(0, dtype=np.int64)
-    los = np.concatenate([empty] + [lo for lo, _ in pieces])
-    his = np.concatenate([empty] + [hi for _, hi in pieces])
-    if not len(los):
-        return los, his
-    order = np.argsort(los, kind="stable")
-    los, his = los[order], his[order]
-    reach = np.maximum.accumulate(his)
-    # an interval opens a new group unless it touches the reach so far
-    opens = np.ones(len(los), dtype=bool)
-    opens[1:] = los[1:] > reach[:-1] + 1
-    closes = np.append(np.nonzero(opens)[0][1:] - 1, len(los) - 1)
-    return los[opens], reach[closes]
+    """Union of (los, his) pairs of 1-based inclusive intervals, merged."""
+    los, his = [], []
+    for lo, hi in sorted(itertools.chain.from_iterable(
+            zip(*piece) for piece in pieces)):
+        if his and lo <= his[-1] + 1:
+            his[-1] = max(his[-1], hi)
+        else:
+            los.append(lo)
+            his.append(hi)
+    return los, his
 
 
 def _union_diff_positions(members: Sequence[PointView], upto: int):
@@ -484,7 +493,7 @@ def _union_diff_positions(members: Sequence[PointView], upto: int):
     """
     if isinstance(members, BlockFamily) and len(members.marks) >= 2:
         z = members.zero_tail
-        marks = members.marks[:np.searchsorted(members.marks, upto, "right")]
+        marks = members.marks[:members.marks.searchsorted(upto, "right")]
         return _merge_intervals([_consecutive_runs(marks)] + [
             diff_intervals(z, e.prefix, upto=upto) for e in members.extras])
     members = list(members)
@@ -508,6 +517,7 @@ def diam_sequence(members: Sequence[PointView], steps: int):
     if steps > H:
         raise HorizonError(f"{steps} steps exceed shared horizon {H}")
     if len(members) == 1:
+        import numpy as np
         return np.zeros(steps), np.zeros(steps, dtype=bool)
     los, his = _union_diff_positions(members, upto=H)
     # every disagreement lies within H, so only a step with none later has
@@ -521,6 +531,7 @@ def orbit_diam_sequence(members: Sequence[PointView], steps: int,
 
     Deduplicates members between steps (the induced map may collapse
     points).  Meant for small member lists such as the patched-system sets.
+    Returns (values, truncated) as lists.
     """
     values = []
     truncated = []
@@ -534,7 +545,7 @@ def orbit_diam_sequence(members: Sequence[PointView], steps: int,
         values.append(v)
         truncated.append(t)
         cur = [step_fn(m) for m in cur]
-    return np.array(values), np.array(truncated, dtype=bool)
+    return values, truncated
 
 
 def sensitivity_times(members: Sequence[PointView], delta: float,
@@ -550,6 +561,7 @@ def sensitivity_times(members: Sequence[PointView], delta: float,
 def separation_times(values: np.ndarray, delta: float) -> IndexSet:
     """Steps i < len(values) of a diameter sequence with values[i] > delta;
     the runs open and close at the edges of the mask, padded false."""
+    import numpy as np
     edges = np.flatnonzero(np.diff(values > delta, prepend=False, append=False))
     return IndexSet(edges[0::2], edges[1::2] - 1, len(values))
 

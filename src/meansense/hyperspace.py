@@ -12,9 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence, Tuple
 
 from .errors import (
     HorizonError,
@@ -32,6 +30,10 @@ from .words import (
     find_occurrences,
     first_difference,
 )
+
+# numpy is imported inside the functions that vectorize, as in ``words``
+if TYPE_CHECKING:
+    import numpy as np
 
 #: occurrences of one cylinder scanned by ``independence_check``; a pattern
 #: missing past this many makes the verdict CAPPED, not FAIL
@@ -102,6 +104,7 @@ class FiniteSet:
             marks = item.marks
             for other in families:
                 if _family_shape(other) == _family_shape(item):
+                    import numpy as np
                     marks = marks[~np.isin(marks, other.marks)]
             if len(marks):
                 families.append(BlockFamily(item.block, marks, item.horizon))
@@ -181,24 +184,18 @@ def _family_first_differences(p: PointView, fam: BlockFamily) -> np.ndarray:
     D (m alone when D is empty, none when also m > H), d1 when m = d0 and p
     reads 1 there (none when D = {m}), and d0 otherwise.
     """
+    import numpy as np
     H = min(p.horizon, fam.horizon)
     marks = fam.marks
     los, his = diff_intervals(p.prefix, fam.zero_tail)
-    if not len(los):
+    if not los:
         return np.where(marks <= H, marks, 0)
-    d0 = int(los[0])
+    d0 = los[0]
     out = np.minimum(marks, d0)
     if p.symbol_at(d0) == 1:
-        d1 = d0 + 1 if his[0] > d0 else (int(los[1]) if len(los) > 1 else 0)
+        d1 = d0 + 1 if his[0] > d0 else (los[1] if len(los) > 1 else 0)
         out[marks == d0] = d1
     return out
-
-
-def _first_difference_row(a: PointView, B: FiniteSet) -> np.ndarray:
-    plain = [first_difference(a.prefix, b.prefix) or 0 for b in B.plain]
-    return np.concatenate([np.array(plain, dtype=np.int64)]
-                          + [_family_first_differences(a, fam)
-                             for fam in B.families])
 
 
 def _first_difference_table(A: FiniteSet, B: FiniteSet) -> list | np.ndarray:
@@ -217,16 +214,21 @@ def _first_difference_table(A: FiniteSet, B: FiniteSet) -> list | np.ndarray:
     marks; only when both sides hold families is one side, the smaller,
     expanded into rows.
     """
-    if not (A.families or B.families):
-        return [[first_difference(a.prefix, b.prefix) or 0 for b in B.plain]
-                for a in A.plain]
     if A.families and (not B.families or len(A) > len(B)):
         A, B = B, A
-    views = itertools.chain(A.plain, *A.families)
-    return np.stack([_first_difference_row(a, B) for a in views])
+    views = list(itertools.chain(A.plain, *A.families))
+    rows = [[first_difference(a.prefix, b.prefix) or 0 for b in B.plain]
+            for a in views]
+    if not B.families:
+        return rows
+    import numpy as np
+    return np.stack([
+        np.concatenate([np.array(row, dtype=np.int64)]
+                       + [_family_first_differences(a, fam) for fam in B.families])
+        for a, row in zip(views, rows)])
 
 
-_AGREE = np.iinfo(np.int64).max  # a pair agreeing throughout: distance 0
+_AGREE = 2**63 - 1  # a pair agreeing throughout: distance 0
 
 
 def _hausdorff_first_difference(A: FiniteSet, B: FiniteSet) -> tuple:
@@ -243,6 +245,7 @@ def _hausdorff_first_difference(A: FiniteSet, B: FiniteSet) -> tuple:
         maxima = ([max(row) for row in J if all(row)]
                   + [max(col) for col in zip(*J) if all(col)])
         return min(maxima, default=None), not all(map(all, J))
+    import numpy as np
     K = np.where(J > 0, J, _AGREE)
     j = int(min(K.max(axis=1).min(), K.max(axis=0).min()))
     return (None if j == _AGREE else j), not J.all()
@@ -279,15 +282,10 @@ def hausdorff_distance_inf_formula(A: FiniteSet, B: FiniteSet) -> tuple:
 def family_hausdorff(famA: Sequence[FiniteSet], famB: Sequence[FiniteSet]) -> tuple:
     """Hausdorff distance between two finite families of hyperspace points,
     with the member-level Hausdorff distance as the ground metric."""
-    vals = np.empty((len(famA), len(famB)))
-    trunc = False
-    for i, a in enumerate(famA):
-        for j, b in enumerate(famB):
-            v, t = hausdorff_distance(a, b)
-            vals[i, j] = v
-            trunc = trunc or t
-    value = max(float(vals.min(axis=1).max()), float(vals.min(axis=0).max()))
-    return value, trunc
+    table = [[hausdorff_distance(a, b) for b in famB] for a in famA]
+    vals = [[v for v, _ in row] for row in table]
+    value = max(max(map(min, vals)), max(map(min, zip(*vals))))
+    return value, any(t for row in table for _, t in row)
 
 
 # ---------------------------------------------------------------------------
@@ -330,26 +328,18 @@ def independence_check(tup: CylinderTuple, J: Sequence[int],
     occ = []
     capped = False
     for cyl in tup.cylinders:
-        if cyl.length > text.length:
-            occ.append(np.empty(0, dtype=np.int64))
-            continue
         hits = find_occurrences(text, cyl, cap=OCCURRENCE_CAP)
-        if len(hits) >= OCCURRENCE_CAP:
-            capped = True
-        occ.append(np.asarray(hits, dtype=np.int64) - 1)
+        capped = capped or len(hits) >= OCCURRENCE_CAP
+        occ.append([p - 1 for p in hits])
     table = {}
     missing = []
     for pattern in itertools.product(range(k), repeat=len(J)):
-        sets = [occ[ci] - j for j, ci in zip(J, pattern)]
-        common = sets[0]
-        for s in sets[1:]:
-            common = np.intersect1d(common, s, assume_unique=False)
-            if len(common) == 0:
-                break
-        good = common[common >= 0]
+        # positions t >= 0 with the pattern's cylinder for j at t + j
+        common = set.intersection(*({p - j for p in occ[ci] if p >= j}
+                                    for j, ci in zip(J, pattern)))
         key = "".join(str(c) for c in pattern)
-        if len(good):
-            table[key] = {"text": "source", "position": int(good[0])}
+        if common:
+            table[key] = {"text": "source", "position": min(common)}
         else:
             missing.append(key)
     rep = Report("independence", params={
@@ -440,11 +430,12 @@ def _ones_mask(S: FiniteSet, n: int) -> np.ndarray:
     member carries a 1.  The 1-runs of the plain members and of each family
     block add +1 at lo and -1 past hi in one difference array; a family's
     marks are set after the running sum, none of its members is built."""
+    import numpy as np
     runs = ([m.prefix.runs_of(1, n) for m in S.plain]
             + [fam.block.runs_of(1, n) for fam in S.families])
     edges = np.zeros(n + 2, dtype=np.int64)
-    np.add.at(edges, np.concatenate([lo for lo, _ in runs]), 1)
-    np.add.at(edges, np.concatenate([hi for _, hi in runs]) + 1, -1)
+    np.add.at(edges, [lo for los, _ in runs for lo in los], 1)
+    np.add.at(edges, [hi + 1 for _, his in runs for hi in his], -1)
     mask = np.cumsum(edges[:-1]) > 0
     for fam in S.families:
         mask[fam.marks[:np.searchsorted(fam.marks, n, "right")]] = True
@@ -464,8 +455,7 @@ def certified_separation_steps(P: FiniteSet, Q: FiniteSet, n: int) -> np.ndarray
     if any(m.alphabet_size != 2 for m in P.plain + Q.plain) or any(
             fam.block.alphabet_size != 2 for fam in P.families + Q.families):
         raise ParameterError("certification needs the binary alphabet")
-    cert = _ones_mask(P, n) ^ _ones_mask(Q, n)
-    return np.nonzero(cert[1:])[0].astype(np.int64)
+    return (_ones_mask(P, n) ^ _ones_mask(Q, n))[1:].nonzero()[0]
 
 
 def hyper_mean_avg(P: FiniteSet, Q: FiniteSet, n: int) -> AverageReport:

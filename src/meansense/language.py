@@ -32,10 +32,9 @@ def subwords(src: Word, n: int, cap: int = SUBWORD_CAP) -> List[Word]:
     for s, c in src.runs:
         if c >= n:
             seen.add(Word(src.alphabet_size, [(s, n)]))
-    # windows crossing a run boundary: starts within n-1 of each boundary
-    _, ends = src.run_index
-    for boundary in (ends[:-1] + 1).tolist():
-        for p in range(max(1, boundary - n + 1), boundary + 1):
+    # windows crossing a run end: starts from end - n + 2 to end + 1
+    for end in src.run_index[:-1]:
+        for p in range(max(1, end - n + 2), end + 2):
             if p + n - 1 <= src.length:
                 seen.add(src.subword(p, n))
         if len(seen) > cap:
@@ -76,9 +75,10 @@ def check_transitive_desk(src: Word, n: int) -> Report:
     """Two-half recurrence proxy for transitivity.
 
     PASS when every length-n subword of the first half of the source prefix
-    ``src`` occurs again in the second half.  A proxy, never a proof; the
-    guard n <= len(src)/4 keeps recurrence observable at all.  Past the
-    ``subwords`` cap it raises ResourceCapError instead of a verdict.
+    ``src`` is among the subwords of the second half; each half's are taken
+    once.  A proxy, never a proof; the guard n <= len(src)/4 keeps
+    recurrence observable at all.  Past the ``subwords`` cap, in either
+    half, it raises ResourceCapError instead of a verdict.
     """
     horizon = src.length
     rep = Report("transitive-desk", params={"n": n, "horizon": horizon})
@@ -89,11 +89,9 @@ def check_transitive_desk(src: Word, n: int) -> Report:
     half = horizon // 2
     first = src.subword(1, half)
     second = src.subword(half + 1, horizon - half)
-    missing = []
     sample = subwords(first, n)
-    for w in sample:
-        if not find_occurrences(second, w, cap=1):
-            missing.append(w.to_text())
+    recurring = set(subwords(second, n))
+    missing = [w.to_text() for w in sample if w not in recurring]
     rep.params["distinct_subwords"] = len(sample)
     if missing:
         rep.verdict = FAIL

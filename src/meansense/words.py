@@ -9,9 +9,11 @@ silently producing wrong sizes.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from collections import abc
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .errors import (
@@ -22,8 +24,8 @@ from .errors import (
     ParameterError,
 )
 
-# numpy is imported inside the functions that read the run index, so that
-# building and writing words (``meansense build``) never loads it
+# numpy is imported inside the few functions that vectorize, so that
+# building words and the word algebra never load it
 if TYPE_CHECKING:
     import numpy as np
 
@@ -77,8 +79,8 @@ class RunBuilder:
 class Word:
     """An immutable run-length-encoded word.
 
-    ``runs`` is the canonical storage.  Position lookups go through
-    ``run_index``, built from it on first use.
+    ``runs`` is the only storage.  Position lookups bisect ``run_index``,
+    the plain list of run ends built from it on first use.
 
     ``_length`` is the private path of the constructors in this package
     that already hold canonical runs as a tuple and know their total
@@ -185,15 +187,12 @@ class Word:
         return "".join(str(s) * c for s, c in self.runs)
 
     @property
-    def run_index(self) -> tuple:
-        """(symbols, 1-based inclusive ends) of the runs as int64 arrays.
-
-        Built from ``runs`` on first use and cached on the word.
-        """
+    def run_index(self) -> list:
+        """The 1-based inclusive end of each run, in order: a plain list
+        built from ``runs`` on first use and cached on the word."""
         if self._index is None:
-            import numpy as np
-            syms, lens = np.array(self.runs, dtype=np.int64).reshape(-1, 2).T
-            object.__setattr__(self, "_index", (syms, np.cumsum(lens)))
+            object.__setattr__(self, "_index", list(
+                itertools.accumulate(c for _, c in self.runs)))
         return self._index
 
     def expand(self) -> np.ndarray:
@@ -201,30 +200,31 @@ class Word:
         if self.length > EXPAND_LIMIT:
             raise ParameterError(f"refusing to expand {self.length} symbols")
         import numpy as np
-        syms, ends = self.run_index
-        return np.repeat(syms.astype(np.uint8), np.diff(ends, prepend=0))
+        syms, lens = np.array(self.runs, dtype=np.int64).reshape(-1, 2).T
+        return np.repeat(syms.astype(np.uint8), lens)
 
     def symbol_at(self, pos: int) -> int:
         """Symbol at 1-based position ``pos``."""
         if not 1 <= pos <= self.length:
             raise IndexRangeError(f"position {pos} outside [1, {self.length}]")
-        import numpy as np
-        syms, ends = self.run_index
-        return int(syms[np.searchsorted(ends, pos)])
+        return self.runs[bisect.bisect_left(self.run_index, pos)][0]
 
     def count(self, symbol: int = 1) -> int:
         return sum(c for s, c in self.runs if s == symbol)
 
     def runs_of(self, symbol: int = 1, hi: Optional[int] = None) -> tuple:
-        """(los, his): the 1-based inclusive runs of ``symbol`` that start at
-        or before ``hi``, the last one cut at ``hi``; read from the run index.
-        """
-        import numpy as np
-        syms, ends = self.run_index
-        los = ends - np.diff(ends, prepend=0) + 1
+        """(los, his): lists of the 1-based inclusive runs of ``symbol`` that
+        start at or before ``hi``, the last one cut at ``hi``."""
         hi = self.length if hi is None else hi
-        keep = (syms == symbol) & (los <= hi)
-        return los[keep], np.minimum(ends[keep], hi)
+        ends = self.run_index
+        k = bisect.bisect_left(ends, hi) + 1 if hi > 0 else 0  # to hi's run
+        los = [e - c + 1 for (s, c), e
+               in zip(self.runs, itertools.islice(ends, k)) if s == symbol]
+        his = [e for (s, _), e
+               in zip(self.runs, itertools.islice(ends, k)) if s == symbol]
+        if his and his[-1] > hi:
+            his[-1] = hi
+        return los, his
 
     def subword(self, start: int, length: int) -> "Word":
         """Extract ``length`` symbols starting at 1-based ``start`` by run slicing."""
@@ -236,17 +236,16 @@ class Word:
             raise IndexRangeError(
                 f"slice [{start}, {start + length - 1}] outside [1, {self.length}]"
             )
-        import numpy as np
-        _, ends = self.run_index
+        ends = self.run_index
         end = start + length - 1
-        i = int(np.searchsorted(ends, start))  # run holding the first symbol
-        j = int(np.searchsorted(ends, end))  # run holding the last symbol
+        i = bisect.bisect_left(ends, start)  # run holding the first symbol
+        j = bisect.bisect_left(ends, end, i)  # run holding the last symbol
         runs = self.runs
         if i == j:
             canon = ((runs[i][0], length),)
         else:
-            canon = (((runs[i][0], int(ends[i]) - start + 1),) + runs[i + 1:j]
-                     + ((runs[j][0], end - int(ends[j - 1])),))
+            canon = (((runs[i][0], ends[i] - start + 1),) + runs[i + 1:j]
+                     + ((runs[j][0], end - ends[j - 1]),))
         return Word(self.alphabet_size, canon, _length=length)
 
     def starts_with(self, prefix: "Word") -> bool:
@@ -296,23 +295,25 @@ class OccurrenceIndex:
     """Prefix-count index answering symbol counts over ranges in O(log R)."""
 
     def __init__(self, word: Word, symbol: int = 1):
-        import numpy as np
         self.word = word
         self.symbol = symbol
-        syms, ends = word.run_index
-        hit = np.where(syms == symbol, np.diff(ends, prepend=0), 0)
-        self._prefix = np.concatenate([[0], np.cumsum(hit)])
+
+    @cached_property
+    def _prefix(self) -> list:
+        """Occurrences in the first i runs, for each i; built on the first
+        count, since ``max_window_count`` reads only the runs."""
+        return [0, *itertools.accumulate(
+            c if s == self.symbol else 0 for s, c in self.word.runs)]
 
     def _count_prefix(self, pos: int) -> int:
         """Occurrences of the designated symbol in [1, pos], 0 <= pos <= length."""
         if pos <= 0:
             return 0
-        import numpy as np
-        syms, ends = self.word.run_index
-        i = int(np.searchsorted(ends, pos))  # run holding pos
-        if syms[i] == self.symbol:
-            return int(self._prefix[i + 1]) - (int(ends[i]) - pos)
-        return int(self._prefix[i])
+        ends = self.word.run_index
+        i = bisect.bisect_left(ends, pos)  # run holding pos
+        if self.word.runs[i][0] == self.symbol:
+            return self._prefix[i + 1] - (ends[i] - pos)
+        return self._prefix[i]
 
     def count_range(self, i: int, j: int) -> int:
         """Count of the designated symbol at positions p with i <= p <= j."""
@@ -361,11 +362,12 @@ def max_window_count(index: OccurrenceIndex, window: int) -> tuple:
     Sweeps the designated runs with ``interval_window_max``; never expands
     the word.  Returns (max_count, smallest attaining 1-based start).
     """
+    import numpy as np
     w = index.word
     if not 1 <= window <= w.length:
         raise ParameterError(f"window {window} outside [1, {w.length}]")
-    los, his = w.runs_of(index.symbol)
-    count, start = interval_window_max(los - 1, his - 1, w.length, window)
+    los, his = np.array(w.runs_of(index.symbol), dtype=np.int64) - 1
+    count, start = interval_window_max(los, his, w.length, window)
     return count, start + 1
 
 
@@ -401,10 +403,9 @@ def first_difference(a: Word, b: Word) -> Optional[int]:
 def diff_intervals(a: Word, b: Word, upto: Optional[int] = None):
     """Disagreement set of two words as merged 1-based inclusive intervals.
 
-    Returns (lo_array, hi_array) covering exactly the positions p <= limit
+    Returns (los, his), two lists covering exactly the positions p <= limit
     with a_p != b_p, where limit = min(len(a), len(b), upto).
     """
-    import numpy as np
     if a.alphabet_size != b.alphabet_size:
         raise AlphabetMismatchError("alphabet mismatch in diff_intervals")
     limit = min(a.length, b.length)
@@ -434,12 +435,7 @@ def diff_intervals(a: Word, b: Word, upto: Optional[int] = None):
         if off_b == cb:
             ib += 1
             off_b = 0
-    return np.array(los, dtype=np.int64), np.array(his, dtype=np.int64)
-
-
-# candidate runs per prefilter block of ``find_occurrences``: keeps its
-# temporaries at 32 KB each and lets a small cap stop the scan early
-_SCAN_BLOCK = 4096
+    return los, his
 
 
 def find_occurrences(text: Word, pattern: Word, cap: int = 10_000,
@@ -450,9 +446,10 @@ def find_occurrences(text: Word, pattern: Word, cap: int = 10_000,
     runs may sit inside longer text runs.  At most ``cap`` positions are
     returned, scanning left to right from ``start``; the scan begins at the
     first text run ending at or after ``start``, since no occurrence at or
-    after ``start`` begins in an earlier run.
+    after ``start`` begins in an earlier run.  A pattern of three or more
+    runs is matched only at the text copies of its second run, which
+    ``tuple.index`` finds in C; the other runs are compared as tuples.
     """
-    import numpy as np
     if pattern.alphabet_size != text.alphabet_size:
         raise AlphabetMismatchError("alphabet mismatch in find_occurrences")
     if pattern.length == 0:
@@ -462,9 +459,9 @@ def find_occurrences(text: Word, pattern: Word, cap: int = 10_000,
     out = []
     pruns = pattern.runs
     truns = text.runs
-    syms, tends = text.run_index
-    first = int(np.searchsorted(tends, start))
-    end = int(tends[first - 1]) if first else 0  # last position before run
+    tends = text.run_index
+    first = bisect.bisect_left(tends, start)
+    end = tends[first - 1] if first else 0  # last position before run
     if len(pruns) == 1:
         psym, plen = pruns[0]
         for s, c in itertools.islice(truns, first, None):
@@ -476,34 +473,27 @@ def find_occurrences(text: Word, pattern: Word, cap: int = 10_000,
                 if len(out) >= cap:
                     return out
         return out
-    # candidate runs i hold the first pattern run at their end and the last
-    # one at the start of run i + R - 1; with R >= 3, run i + 1 is the
-    # second pattern run exactly.  One mask per block of candidates, then
-    # the rest of the interior as one tuple slice.
+    # candidate runs i hold the first pattern run at their end, the interior
+    # runs exactly after it and the last run at the start of run i + R - 1
     R = len(pruns)
-    (p0_sym, p0_len), (p1_sym, p1_len) = pruns[0], pruns[1]
-    pL_sym, pL_len = pruns[-1]
-    rest = pruns[2:-1]
-
-    def lengths(lo, hi):  # lengths of text runs lo .. hi - 1
-        return np.diff(tends[lo:hi], prepend=tends[lo - 1] if lo else 0)
-
+    (s0, l0), (sL, lL) = pruns[0], pruns[-1]
+    inner = pruns[1:-1]
     stop = len(truns) - R + 1  # candidate runs are first .. stop - 1
-    for lo in range(first, stop, _SCAN_BLOCK):
-        hi = min(lo + _SCAN_BLOCK, stop)
-        mask = ((syms[lo:hi] == p0_sym) & (lengths(lo, hi) >= p0_len)
-                & (tends[lo:hi] >= start + p0_len - 1)
-                & (syms[lo + R - 1:hi + R - 1] == pL_sym)
-                & (lengths(lo + R - 1, hi + R - 1) >= pL_len))
-        if R >= 3:
-            mask &= ((syms[lo + 1:hi + 1] == p1_sym)
-                     & (lengths(lo + 1, hi + 1) == p1_len))
-        for i in (np.flatnonzero(mask) + lo).tolist():
-            if R > 3 and truns[i + 2:i + R - 1] != rest:
-                continue
-            out.append(int(tends[i]) - p0_len + 1)
+    i = first
+    while i < stop:
+        if R > 2:
+            try:
+                i = truns.index(inner[0], i + 1, stop + 1) - 1
+            except ValueError:
+                break
+        s, c = truns[i]
+        if (s == s0 and c >= l0 and tends[i] - l0 + 1 >= start
+                and truns[i + R - 1][0] == sL and truns[i + R - 1][1] >= lL
+                and truns[i + 1:i + R - 1] == inner):
+            out.append(tends[i] - l0 + 1)
             if len(out) >= cap:
-                return out
+                break
+        i += 1
     return out
 
 

@@ -198,7 +198,7 @@ def test_criterion_08_patched_system_collapse():
     ]
     values, truncated = orbit_diam_sequence(
         members, steps, lambda p: patched_step(p, y))
-    ok = bool((values[1:] == 0.0).all() and not truncated[1:].any())
+    ok = all(v == 0.0 for v in values[1:]) and not any(truncated[1:])
     _verdict(8, ok, f"diameter exactly 0 from step 1 through {steps - 1} "
                     f"(reset branch collapses the cylinder)")
 

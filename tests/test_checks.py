@@ -1,6 +1,7 @@
 """The two randomized checks: the data they draw, ``hausdorff-axioms``'
 exact packed-int oracle and member runs, and verdicts that fail when a
-library route is wrong."""
+library route is wrong; likewise the tightness witnesses of ``lemma-3.1``
+and ``lemma-count-3``."""
 
 import os
 import random
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from meansense import FiniteSet, PointView, Provenance, Word
+from meansense import FiniteSet, OccurrenceIndex, PointView, Provenance, Word
 from meansense import checks
 from meansense.checks import (
     _member_runs,
@@ -163,3 +164,15 @@ def test_remark_213_fails_on_a_wrong_route(monkeypatch):
     trials = rep.witnesses[0]["failing_trials"]
     assert trials and trials == sorted(set(trials))
     assert all(0 <= t < rep.params["trials"] for t in trials)
+
+
+def test_lemma31_fails_when_the_sweep_under_counts(monkeypatch, s3):
+    assert checks.check_lemma31(s3).verdict == "PASS"
+    monkeypatch.setattr(checks, "max_window_count", lambda index, window: (0, 0))
+    assert checks.check_lemma31(s3).verdict == "FAIL"
+
+
+def test_lemma_count3_fails_when_the_index_under_counts(monkeypatch, s4):
+    assert checks.check_lemma_count3(s4).verdict == "PASS"
+    monkeypatch.setattr(OccurrenceIndex, "count_range", lambda self, i, j: 0)
+    assert checks.check_lemma_count3(s4).verdict == "FAIL"

@@ -112,6 +112,42 @@ def test_build_loads_no_numpy(tmp_path):
             assert (got / path.name).read_bytes() == path.read_bytes(), path.name
 
 
+@pytest.mark.parametrize("config, checks", [
+    ({"construction": "S4", "depth": 4}, ["all"]),
+    ({"construction": "S4", "depth": 4, "base": {"kind": "thue-morse"}},
+     ["all"]),
+    ({"construction": "S3", "depth": 4},
+     ["remark-2.1.3", "hausdorff-axioms", "independence", "thm-unpos"]),
+], ids=["s4", "s4-thue-morse", "s3"])
+def test_checks_load_no_numpy(tmp_path, config, checks):
+    # the S4 checks and the construction-free ones run on plain ints: with
+    # every numpy import made to fail they write the same bytes and exit
+    # with the same code as a normal run
+    root = Path(__file__).resolve().parents[1]
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    args = ["--config", str(cfg_path)]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    want, got = tmp_path / "numpy", tmp_path / "nonumpy"
+    for out in (want, got):
+        assert run("build", *args, "--out", str(out)) == 0
+    code = run("check", *checks, *args, "--out", str(want))
+    argv = ["check", *checks, *args, "--out", str(got)]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys\n"
+         "sys.modules['numpy'] = None\n"
+         "from meansense.cli import main\n"
+         f"sys.exit(main({argv!r}))\n"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert sorted(p.name for p in got.iterdir()) == sorted(
+        p.name for p in want.iterdir())
+    for path in want.iterdir():
+        assert (got / path.name).read_bytes() == path.read_bytes(), path.name
+
+
 def test_usage_errors_exit_2(tmp_path):
     assert run("build", "--construction", "S3", "--depth", "0",
                "--out", str(tmp_path)) == 2

@@ -163,6 +163,18 @@ def test_independence_fails_on_periodic_orbit():
     assert "00" in missing and "11" in missing
 
 
+def test_independence_witnesses_start_inside_the_text():
+    # over "0110" at times {1, 2}, pattern 01 reads text positions t + 1 and
+    # t + 2: only t = -1 fits, which is not a point of the text
+    tup = CylinderTuple((Word.from_string("0"), Word.from_string("1")))
+    rep = independence_check(tup, [1, 2], Word.from_string("0110"))
+    assert rep.verdict == "FAIL"
+    assert rep.witnesses[0]["pattern_witnesses"] == {
+        "11": {"text": "source", "position": 0},
+        "10": {"text": "source", "position": 1}}
+    assert rep.witnesses[-1]["unrealized_patterns"] == ["00", "01"]
+
+
 def test_independence_cap_refusal():
     la = de_bruijn_word(4)
     tup = CylinderTuple((Word.from_string("0"), Word.from_string("1")))

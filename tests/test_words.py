@@ -161,10 +161,10 @@ def test_subword_matches_string_slice(data, w):
         # each run is maximal in the prefix cut at hi, and together they
         # hold exactly its sym positions
         cut = s[:hi]
-        assert [p for lo, h in zip(los.tolist(), his.tolist())
+        assert [p for lo, h in zip(los, his)
                 for p in range(lo, h + 1)] == [
                     p for p in range(1, hi + 1) if cut[p - 1] == str(sym)]
-        for lo, h in zip(los.tolist(), his.tolist()):
+        for lo, h in zip(los, his):
             assert lo == 1 or cut[lo - 2] != str(sym)
             assert h == hi or cut[h] != str(sym)
         whole = w.runs_of(sym)
@@ -301,21 +301,26 @@ def _run_spanning_pattern(rng, runs):
 
 def test_find_occurrences_matches_string_search():
     rng = random.Random(31)
-    for trial in range(800):
-        if trial < 400:
-            text = "".join(rng.choice("01")
+    for trial in range(1600):
+        # from trial 800 on, texts over the patched system's four letters
+        k = 2 if trial < 800 else 4
+        if trial % 800 < 400:
+            text = "".join(rng.choice("0123"[:k])
                            for _ in range(rng.randint(4, 120)))
             plen = rng.randint(1, min(6, len(text)))
             p0 = rng.randint(0, len(text) - plen)
             pat, cap = text[p0:p0 + plen], 10_000
         else:  # patterns of 3 to 40 runs, over texts of short runs
-            runs = [(k % 2, rng.randint(1, 3))
-                    for k in range(rng.randint(3, 60))]
+            runs, sym = [], 0
+            for _ in range(rng.randint(3, 60)):
+                runs.append((sym, rng.randint(1, 3)))
+                # the next run's symbol differs; over four letters, any other
+                sym = (sym + (1 if k == 2 else rng.randint(1, 3))) % k
             text = "".join(str(s) * c for s, c in runs)
             pat = _run_spanning_pattern(rng, runs)
             cap = rng.choice([1, 2, 3, 10_000])
-        got = find_occurrences(Word.from_string(text), Word.from_string(pat),
-                               cap=cap)
+        got = find_occurrences(Word.from_string(text, k),
+                               Word.from_string(pat, k), cap=cap)
         want = [i + 1 for i in range(len(text) - len(pat) + 1)
                 if text[i:i + len(pat)] == pat]
         assert got == want[:cap]
@@ -324,8 +329,8 @@ def test_find_occurrences_matches_string_search():
 def test_find_occurrences_from_start_matches_string_search():
     rng = random.Random(37)
     for trial in range(820):
-        # the last texts span a few prefilter blocks of 4096 runs; half of
-        # them alternate single symbols, so a match sits at every other run
+        # the last texts run to thousands of runs; half of them alternate
+        # single symbols, so a match sits at every other run
         nruns = rng.randint(1, 40) if trial < 800 else rng.randint(8200, 9000)
         most = 1 if trial >= 800 and trial % 2 else 5
         runs = [(k % 2, rng.randint(1, most)) for k in range(nruns)]
