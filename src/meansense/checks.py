@@ -32,9 +32,10 @@ from .diagnostics import (
     cesaro_avg_distance,
     diam_sequence,
     indicator_set_E,
-    mean_to_density_check,
+    mean_to_density_sides,
     orbit_diam_sequence,
     separation_times,
+    step_distance_array,
 )
 from .hyperspace import (
     CylinderTuple,
@@ -184,10 +185,33 @@ def _s3_deep_cylinders(c: S3Construction, how_many: int = 10):
     return out
 
 
+def _dense_window_agrees(x: PointView, y: PointView, r, L: int,
+                         depth: int = DEFAULT_DEPTH) -> bool:
+    """Tightness witness for one ``banach_avg_distances`` report ``r``: the
+    average over the reported window [m, m+L), summed densely from the
+    per-step distances of ``step_distance_array``, is within
+    ``r.rounding_bound`` of ``r.value``.
+
+    The sweep adds the nonzero terms in step order, and adding the zero
+    terms between them changes no float sum, so both routes should agree
+    exactly; a route that under-reports its window's sum fails here.
+    """
+    m = r.window[0]
+    if not 0 <= m <= min(x.horizon, y.horizon) - depth - L:
+        return False
+    values, _ = step_distance_array(x, y, m + L, depth)
+    run = values.cumsum()
+    # the running sum through the window's last step, less the one before it
+    window_sum = run[-1] - run[m - 1] if m else run[-1]
+    return abs(float(window_sum) / L - r.value) <= r.rounding_bound
+
+
 def check_thm13_banach_equi(c: S3Construction, seed: int = 0) -> Report:
     """Banach-window averages stay below epsilon for every sampled pair in
     each of ten deep cylinders, truncation correction and rounding bound
-    included."""
+    included.  In each cylinder the worst pair (the first while every pair
+    reports 0) is recomputed by ``_dense_window_agrees``, so a sweep that
+    under-reports fails."""
     pairs_per_cylinder, epsilon = 100, 0.05
     src = c.transitive_prefix(c.schedule.level(4).len_a).prefix
     t2 = c.schedule.level(2).t
@@ -203,14 +227,20 @@ def check_thm13_banach_equi(c: S3Construction, seed: int = 0) -> Report:
             ok = False
         worst = 0.0
         worst_pair = None
+        witness = 0  # index of the pair the dense sum recomputes
         reports = banach_avg_distances(members, pairs, t2, depth=DEFAULT_DEPTH)
-        for (i, j), r in zip(pairs, reports):
+        for k, ((i, j), r) in enumerate(zip(pairs, reports)):
             if r.upper > worst:
                 worst = r.upper
                 worst_pair = (members[i].provenance.offset,
                               members[j].provenance.offset)
+                witness = k
             if r.upper + r.rounding_bound >= epsilon:
                 ok = False
+        if pairs:
+            i, j = pairs[witness]
+            ok = ok and _dense_window_agrees(members[i], members[j],
+                                             reports[witness], t2)
         rows.append({"cylinder_len": u.length, "members": len(members),
                      "pairs": len(pairs), "worst_upper": fmt17(worst),
                      "worst_pair": worst_pair})
@@ -460,7 +490,8 @@ def check_thm18_witness(c: S3Construction, seed: int = 0) -> Report:
 
 def check_remark_213(c=None, seed: int = 0) -> Report:
     """Randomized conversion trials between average bounds and density
-    bounds, exact rational arithmetic, zero counterexamples allowed."""
+    bounds, decided exactly on integers by ``mean_to_density_sides``, zero
+    counterexamples allowed."""
     trials = 1000
     rng = random.Random(20_000 + seed)
     bits = rng.getrandbits
@@ -480,8 +511,7 @@ def check_remark_213(c=None, seed: int = 0) -> Report:
                 a.append(v / scale)
         r = rng.randint(1, scale) / scale
         delta = r * r
-        res = mean_to_density_check(a, delta, M, sqrt_delta=r)
-        if not res.passed:
+        if not mean_to_density_sides(a, delta, M, sqrt_delta=r)[0]:
             failures.append(trial)
     rep = Report("remark-2.1.3", params={"trials": trials, "seed": seed})
     if failures:
@@ -496,19 +526,23 @@ def check_remark_213(c=None, seed: int = 0) -> Report:
 _BYTE_RUNS = tuple(
     tuple((int(s), len(list(g))) for s, g in itertools.groupby(format(b, "08b")))
     for b in range(256))
+#: the same runs without the first
+_BYTE_TAILS = tuple(runs[1:] for runs in _BYTE_RUNS)
 
 
 def _member_runs(x: int, width: int) -> tuple:
     """The RLE runs of the ``width``-bit member ``x``, position 1 at the top
     bit; ``width`` is a multiple of 8.  Each byte's runs come from
-    ``_BYTE_RUNS``, and a run crossing a byte boundary is joined to the
-    next byte's first run."""
-    runs = []
-    for shift in range(width - 8, -1, -8):
-        more = _BYTE_RUNS[x >> shift & 255]
-        if runs and runs[-1][0] == more[0][0]:
-            runs[-1] = (more[0][0], runs[-1][1] + more[0][1])
-            runs += more[1:]
+    ``_BYTE_RUNS``; a byte whose first run continues the last run so far
+    lengthens it and adds only its other runs."""
+    octets = iter(x.to_bytes(width // 8, "big"))
+    runs = [*_BYTE_RUNS[next(octets)]]
+    for b in octets:
+        more = _BYTE_RUNS[b]
+        last, head = runs[-1], more[0]
+        if last[0] == head[0]:
+            runs[-1] = (last[0], last[1] + head[1])
+            runs += _BYTE_TAILS[b]
         else:
             runs += more
     return tuple(runs)
@@ -519,20 +553,14 @@ def _packed_hausdorff_j(A, B, horizon: int):
     on members packed as ints with position 1 in the top of ``horizon`` bits.
 
     Distinct members a and b first differ at position
-    ``horizon + 1 - (a ^ b).bit_length()``.  A member's nearest point of the
-    other set is the one with the largest such position, and j is the
-    smallest of those largest positions over both sets.
+    ``horizon + 1 - (a ^ b).bit_length()``, the later the smaller their
+    xor.  So a member's nearest point of the other set sits at the
+    smallest xor of its row or column of the xor table (0 when both sets
+    hold it), and j comes from the largest of those minima.
     """
-    j = None
-    for X, Y in ((A, B), (B, A)):
-        for a in X:
-            if a in Y:
-                continue
-            # the smallest xor has the fewest bits
-            row = horizon + 1 - min([a ^ b for b in Y]).bit_length()
-            if j is None or row < j:
-                j = row
-    return j
+    xors = [[a ^ b for b in B] for a in A]
+    worst = max(max(map(min, xors)), max(map(min, zip(*xors))))
+    return None if worst == 0 else horizon + 1 - worst.bit_length()
 
 
 def _triangle_holds(j_ac, j_ab, j_bc) -> bool:
@@ -561,15 +589,19 @@ def check_hausdorff_axioms(c=None, seed: int = 0, trials: int = 1000) -> Report:
     """
     horizon = 48
     rng = random.Random(7 + seed)
+    bits, size = rng.getrandbits, rng.randint
     origin = Provenance("explicit-limit")
+
+    def point(packed) -> FiniteSet:
+        return FiniteSet.of([PointView(Word(2, _member_runs(x, horizon),
+                                           _length=horizon), origin)
+                             for x in packed])
+
     bad = []
     for trial in range(trials):
-        pa, pb, pc = [[rng.getrandbits(horizon)
-                       for _ in range(rng.randint(1, 5))] for _ in range(3)]
-        A, B = (FiniteSet.of([PointView(Word(2, _member_runs(x, horizon),
-                                             _length=horizon),
-                                        origin) for x in px])
-                for px in (pa, pb))
+        pa, pb, pc = [[bits(horizon) for _ in range(size(1, 5))]
+                      for _ in range(3)]
+        A, B = point(pa), point(pb)
         j_ab = _packed_hausdorff_j(pa, pb, horizon)
         j_ac = _packed_hausdorff_j(pa, pc, horizon)
         j_bc = _packed_hausdorff_j(pb, pc, horizon)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,6 +37,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_DEPTH = 64  # default per-step metric comparison depth
+
+_FLOAT_MAX = int(sys.float_info.max)  # the largest finite float, exactly
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,17 +124,25 @@ def _gap_distances(los: list, his: list, steps: int, cap: int) -> tuple:
     The first disagreement p > i sets the gap p - i; step i reads 1/gap,
     or 0 and truncated when the gap exceeds ``cap`` or no p follows.  Steps
     his[j-1] .. his[j]-1 meet interval j first, at max(lo_j, i+1), so one
-    int64 buffer repeats each lo over its steps (the int64 maximum past the
-    last interval), subtracts the step and floors at 1 in place.
+    float buffer repeats each lo over its steps (infinity past the last
+    interval), subtracts the step, floors at 1 and takes 1/gap in place.
+    Positions below 2^53 are exact floats, so each gap is exact and 1/gap
+    rounds as from the integer; every word this package builds is far
+    shorter.
     """
     import numpy as np
-    los, his = np.array((los, his), dtype=np.int64)
-    counts = np.diff(np.minimum(his, steps), prepend=0, append=steps)
-    gap = np.repeat(np.append(los, np.iinfo(np.int64).max), counts)
-    gap -= np.arange(steps, dtype=np.int64)
-    np.maximum(gap, 1, out=gap)
+    n = len(los)
+    starts = np.empty(n + 1)
+    starts[:n] = los
+    starts[n] = np.inf
+    ends = np.empty(n + 2, dtype=np.int64)  # 0, his cut at steps, steps
+    ends[0], ends[1:n + 1], ends[n + 1] = 0, his, steps
+    np.minimum(ends, steps, out=ends)
+    gap = np.repeat(starts, np.diff(ends))
+    gap -= np.arange(steps, dtype=float)
+    np.maximum(gap, 1.0, out=gap)
     truncated = gap > cap
-    values = np.divide(1.0, gap)
+    values = np.divide(1.0, gap, out=gap)
     values[truncated] = 0.0
     return values, truncated
 
@@ -583,6 +594,75 @@ def _exact_ratio(value, name: str):
             f"{name} must be a finite number within float range") from None
 
 
+def mean_to_density_sides(a: Sequence[float], delta: float, M: float,
+                          sqrt_delta: Optional[float] = None) -> tuple:
+    """The exact integer core of ``mean_to_density_check``.
+
+    Every input becomes an integer over one common denominator D (a finite
+    float read by ``float.as_integer_ratio``, anything else by
+    ``_exact_ratio``).  A running maximum of prefix ratios is at most a
+    bound exactly when every prefix is, so each side compares every prefix
+    sum with the bound times its length: cross-multiplication, no
+    ``Fraction``.
+
+    Returns (passed, sides, scaled): ``sides`` holds (premise, holds) of
+    side (i), then of side (ii), and is empty for an empty sequence;
+    ``scaled`` is (D, seq, d, r, m), the sequence, delta, sqrt_delta and M
+    each times D.
+    """
+    nd, dd = _exact_ratio(delta, "delta")
+    if nd <= 0:
+        raise ParameterError("delta must be positive")
+    nm, dm = _exact_ratio(M, "M")
+    nr, dr = _exact_ratio(math.sqrt(delta) if sqrt_delta is None else sqrt_delta,
+                          "sqrt_delta")
+    a = list(a)  # read twice when a value is not a finite float
+    try:
+        ratios = list(map(float.as_integer_ratio, a))
+    except (TypeError, ValueError, OverflowError):
+        # not all finite floats: the checks of _exact_ratio, value by value
+        ratios = [_exact_ratio(v, "sequence value") for v in a]
+    D = math.lcm(dd, dm, dr, *{den for _, den in ratios})
+    seq = [num * (D // den) for num, den in ratios]
+    d, r, m = nd * (D // dd), nr * (D // dr), nm * (D // dm)
+    if seq and (min(seq) < 0 or max(seq) > m):
+        raise ParameterError("sequence values must lie in [0, M]")
+    # side (ii)'s (M + 1) delta = (nm + dm) nd / (dm dd)
+    if (nm + dm) * nd > _FLOAT_MAX * dm * dd:
+        raise ParameterError("(M + 1) delta must be finite within float range")
+    scaled = (D, seq, d, r, m)
+    if not seq:
+        return True, (), scaled
+
+    def within(terms, per) -> bool:
+        # every prefix sum of terms is at most per times its length
+        return all(map(operator.le, itertools.accumulate(terms),
+                       itertools.count(per, per)))
+
+    def hits(thresh):
+        # D at each value >= thresh, 0 elsewhere: D times the hit count
+        return map(D.__mul__, map(thresh.__le__, seq))
+
+    # (i): max prefix average <= delta  =>  max density at sqrt_delta <= it
+    premise1 = within(seq, d)
+    holds1 = not premise1 or within(hits(r), r)
+    # (ii): max density at delta <= delta  =>  max prefix average is at
+    # most (M + 1) delta = (m + D) d / D^2
+    premise2 = within(hits(d), d)
+    holds2 = not premise2 or within(map(D.__mul__, seq), (m + D) * d)
+    return (holds1 and holds2), ((premise1, holds1), (premise2, holds2)), scaled
+
+
+def _best_prefix_ratio(terms) -> tuple:
+    """(sum, n) of the largest prefix average of ``terms``, starting from
+    0/1; ratios compare by cross-multiplication."""
+    best_s, best_n = 0, 1
+    for n, s in enumerate(itertools.accumulate(terms), start=1):
+        if s * best_n > best_s * n:
+            best_s, best_n = s, n
+    return best_s, best_n
+
+
 def mean_to_density_check(a: Sequence[float], delta: float, M: float,
                           sqrt_delta: Optional[float] = None) -> Report:
     """Check both conversion inequalities on a finite bounded sequence.
@@ -592,77 +672,40 @@ def mean_to_density_check(a: Sequence[float], delta: float, M: float,
     (ii) if the prefix-max density of {i : a_i >= delta} is <= delta then
          every prefix average is <= (M+1) delta.
 
-    Evaluated exactly: every input becomes an integer over one common
-    denominator, and running maxima compare by cross-multiplication.  Pass
-    ``sqrt_delta`` when delta is a perfect square of a rational to keep
-    side (i) exact too.
+    Decided exactly by ``mean_to_density_sides``; the report adds the
+    running maxima and margins, each an exact ratio of integers whose int
+    division rounds as ``float(Fraction)`` does.  Pass ``sqrt_delta`` when
+    delta is a perfect square of a rational to keep side (i) exact too.
     """
-    nd, dd = _exact_ratio(delta, "delta")
-    if nd <= 0:
-        raise ParameterError("delta must be positive")
-    nm, dm = _exact_ratio(M, "M")
-    nr, dr = _exact_ratio(math.sqrt(delta) if sqrt_delta is None else sqrt_delta,
-                          "sqrt_delta")
-    # a finite float is read directly; anything else, non-finite floats
-    # included, goes through the checks of _exact_ratio
-    ratios = [v.as_integer_ratio() if type(v) is float and math.isfinite(v)
-              else _exact_ratio(v, "sequence value") for v in a]
-    dens = {dd, dm, dr, *(d for _, d in ratios)}
-    D = math.lcm(*dens)
-    scale = {d: D // d for d in dens}
-    seq = [n * scale[d] for n, d in ratios]
-    if seq and (min(seq) < 0 or max(seq) > nm * scale[dm]):
-        raise ParameterError("sequence values must lie in [0, M]")
-    df, rt = Fraction(nd, dd), Fraction(nr, dr)
-    bound = (Fraction(nm, dm) + 1) * df  # side (ii)'s (M + 1) delta
-    if bound > sys.float_info.max:
-        raise ParameterError("(M + 1) delta must be finite within float range")
+    passed, sides, (D, seq, d, r, m) = mean_to_density_sides(
+        a, delta, M, sqrt_delta)
     rep = Report("mean-to-density", params={
         "delta": fmt17(delta), "M": fmt17(M), "length": len(seq),
-        "sqrt_delta": fmt17(float(rt)),
+        "sqrt_delta": fmt17(r / D),
     })
     if not seq:
         rep.verdict = PASS
         rep.caveats.append("empty sequence: vacuous")
         return rep
-
-    def max_prefix_avg():
-        # the best prefix as (sum, length), starting from 0/1
-        best_s, best_n = 0, 1
-        for n, s in enumerate(itertools.accumulate(seq), start=1):
-            if s * best_n > best_s * n:
-                best_s, best_n = s, n
-        return Fraction(best_s, D * best_n)
-
-    def max_prefix_density(thresh):
-        # cnt/n only rises at a hit, so only hits can set the maximum
-        hits = [n for n, v in enumerate(seq, start=1) if v >= thresh]
-        best_c, best_n = 0, 1
-        for c, n in enumerate(hits, start=1):
-            if c * best_n > best_c * n:
-                best_c, best_n = c, n
-        return Fraction(best_c, best_n)
-
-    avg = max_prefix_avg()
-    side1_premise = avg <= df
-    side1_density = max_prefix_density(nr * scale[dr])
-    side1_ok = (not side1_premise) or side1_density <= rt
-    side2_density = max_prefix_density(nd * scale[dd])
-    side2_premise = side2_density <= df
-    side2_ok = (not side2_premise) or avg <= bound
+    (premise1, holds1), (premise2, holds2) = sides
+    s, n = _best_prefix_ratio(seq)  # max prefix average s / (D n)
+    c1, n1 = _best_prefix_ratio([int(v >= r) for v in seq])
+    c2, n2 = _best_prefix_ratio([int(v >= d) for v in seq])
+    bound = (m + D) * d  # (M + 1) delta times D^2
     rep.witnesses = [
-        {"side": "mean->density", "premise_holds": side1_premise,
-         "max_prefix_avg": fmt17(float(avg)),
-         "density_at_sqrt_delta": fmt17(float(side1_density)),
-         "holds": side1_ok,
-         "margin": fmt17(float(rt - side1_density)) if side1_premise else None},
-        {"side": "density->mean", "premise_holds": side2_premise,
-         "density_at_delta": fmt17(float(side2_density)),
-         "bound": fmt17(float(bound)),
-         "holds": side2_ok,
-         "margin": fmt17(float(bound - avg)) if side2_premise else None},
+        {"side": "mean->density", "premise_holds": premise1,
+         "max_prefix_avg": fmt17(s / (D * n)),
+         "density_at_sqrt_delta": fmt17(c1 / n1),
+         "holds": holds1,
+         "margin": fmt17((r * n1 - c1 * D) / (D * n1)) if premise1 else None},
+        {"side": "density->mean", "premise_holds": premise2,
+         "density_at_delta": fmt17(c2 / n2),
+         "bound": fmt17(bound / (D * D)),
+         "holds": holds2,
+         "margin": (fmt17((bound * n - s * D) / (D * D * n)) if premise2
+                    else None)},
     ]
-    rep.verdict = PASS if (side1_ok and side2_ok) else FAIL
+    rep.verdict = PASS if passed else FAIL
     if sqrt_delta is None:
         rep.caveats.append("sqrt(delta) taken as the nearest float")
     return rep

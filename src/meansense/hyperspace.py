@@ -94,31 +94,31 @@ class FiniteSet:
         if not items:
             raise ParameterError("a hyperspace point needs at least one member")
         views, families = [], []
-        given = 0
+        dropped = 0  # marks already held by an earlier part
         for item in items:
-            if not isinstance(item, BlockFamily):
+            if isinstance(item, PointView):
                 views.append(item)
                 continue
             views.extend(item.extras)
-            given += len(item.marks)
             marks = item.marks
             for other in families:
                 if _family_shape(other) == _family_shape(item):
                     import numpy as np
                     marks = marks[~np.isin(marks, other.marks)]
+            dropped += len(item.marks) - len(marks)
             if len(marks):
                 families.append(BlockFamily(item.block, marks, item.horizon))
-        seen = {}
-        for v in views:
-            seen.setdefault(v.key(), v)
-        distinct = seen.values()
+        # the sort is stable, so the first of equal views leads its group;
+        # it stays, and every view equal to the one before it goes
+        ranked = sorted(views, key=PointView.key)
+        keys = [v.key() for v in ranked]
+        plain = [v for v, k, before in zip(ranked, keys, [None, *keys])
+                 if k != before]
         if families:
-            distinct = [v for v in distinct
-                        if not any(_is_marked_member(v, fam) for fam in families)]
-        plain = tuple(sorted(distinct, key=PointView.key))
-        kept = len(plain) + sum(len(fam.marks) for fam in families)
-        return FiniteSet(plain, tuple(families),
-                         collapsed=given + len(views) - kept)
+            plain = [v for v in plain
+                     if not any(_is_marked_member(v, fam) for fam in families)]
+        return FiniteSet(tuple(plain), tuple(families),
+                         dropped + len(views) - len(plain))
 
     @cached_property
     def members(self) -> Tuple[PointView, ...]:
@@ -216,9 +216,10 @@ def _first_difference_table(A: FiniteSet, B: FiniteSet) -> list | np.ndarray:
     """
     if A.families and (not B.families or len(A) > len(B)):
         A, B = B, A
-    views = list(itertools.chain(A.plain, *A.families))
-    rows = [[first_difference(a.prefix, b.prefix) or 0 for b in B.plain]
-            for a in views]
+    views = (list(itertools.chain(A.plain, *A.families)) if A.families
+             else A.plain)
+    cols = [b.prefix for b in B.plain]
+    rows = [[first_difference(a.prefix, b) or 0 for b in cols] for a in views]
     if not B.families:
         return rows
     import numpy as np
@@ -242,8 +243,7 @@ def _hausdorff_first_difference(A: FiniteSet, B: FiniteSet) -> tuple:
     """
     J = _first_difference_table(A, B)
     if isinstance(J, list):
-        maxima = ([max(row) for row in J if all(row)]
-                  + [max(col) for col in zip(*J) if all(col)])
+        maxima = [*map(max, filter(all, J)), *map(max, filter(all, zip(*J)))]
         return min(maxima, default=None), not all(map(all, J))
     import numpy as np
     K = np.where(J > 0, J, _AGREE)
@@ -264,18 +264,20 @@ def hausdorff_distance_inf_formula(A: FiniteSet, B: FiniteSet) -> tuple:
     Scans the candidate radii (the pairwise distances) in increasing order
     and returns the first that covers both ways; on finite sets this equals
     the max-min formula, which the acceptance suite checks exhaustively.
-    A family's table is read into lists: no check takes this route on a
+    The scan runs on the first differences: radius 1/c covers a point when
+    the point's nearest first difference is at least c, and agreement
+    (distance 0) reads as ``_AGREE``, past every first difference.  A
+    family's table is read into lists: no check takes this route on a
     family, so one scan serves both kinds of table.
     """
     J = _first_difference_table(A, B)
     if not isinstance(J, list):
         J = J.tolist()
-    vals = [[1.0 / j if j else 0.0 for j in row] for row in J]
-    near_b = [min(row) for row in vals]
-    near_a = [min(col) for col in zip(*vals)]
-    for eps in sorted({v for row in vals for v in row}):
-        if all(d <= eps for d in near_b) and all(d <= eps for d in near_a):
-            return eps, not all(map(all, J))
+    K = [[j or _AGREE for j in row] for row in J]
+    nearest = [*map(max, K), *map(max, zip(*K))]
+    for c in sorted(set(itertools.chain(*K)), reverse=True):
+        if all(map(c.__le__, nearest)):
+            return (0.0 if c == _AGREE else 1.0 / c), not all(map(all, J))
     raise AssertionError("unreachable: the largest candidate always covers")
 
 

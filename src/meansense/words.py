@@ -100,11 +100,11 @@ class Word:
                     raise ParameterError(f"symbol {s} outside alphabet {alphabet_size}")
                 b.append(s, c)
             runs, _length = tuple(b.runs), b.total
-        object.__setattr__(self, "alphabet_size", alphabet_size)
-        object.__setattr__(self, "runs", runs)
-        object.__setattr__(self, "length", _length)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_index", None)
+        _SET_ALPHABET(self, alphabet_size)
+        _SET_RUNS(self, runs)
+        _SET_LENGTH(self, _length)
+        _SET_HASH(self, None)
+        _SET_INDEX(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
@@ -261,6 +261,12 @@ class Word:
         return self.subword(self.length - suffix.length + 1, suffix.length) == suffix
 
 
+# Word.__init__ writes each slot once through its descriptor's setter, past
+# the immutability guard, at about half the cost of object.__setattr__
+_SET_ALPHABET, _SET_RUNS, _SET_LENGTH, _SET_HASH, _SET_INDEX = (
+    getattr(Word, name).__set__ for name in Word.__slots__)
+
+
 def concat(parts: Sequence[Word], alphabet_size: Optional[int] = None) -> Word:
     """Concatenate words; the empty list yields the empty word."""
     sizes = {w.alphabet_size for w in parts}
@@ -389,13 +395,15 @@ def first_difference(a: Word, b: Word) -> Optional[int]:
     """
     if a.alphabet_size != b.alphabet_size:
         raise AlphabetMismatchError("alphabet mismatch in first_difference")
+    if a.runs == b.runs:  # equal words: no unequal pair of runs
+        return None
     start = 0  # symbols before the current pair of runs
     for x, y in zip(a.runs, b.runs):
-        if x[0] != y[0]:
-            return start + 1  # inside both words
-        if x[1] != y[1]:
-            j = start + min(x[1], y[1]) + 1
-            return j if j <= min(a.length, b.length) else None
+        if x != y:
+            if x[0] != y[0]:
+                return start + 1  # inside both words
+            j = start + (x[1] if x[1] < y[1] else y[1]) + 1
+            return j if j <= a.length and j <= b.length else None
         start += x[1]
     return None
 

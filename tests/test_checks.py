@@ -1,8 +1,9 @@
 """The two randomized checks: the data they draw, ``hausdorff-axioms``'
 exact packed-int oracle and member runs, and verdicts that fail when a
-library route is wrong; likewise the tightness witnesses of ``lemma-3.1``
-and ``lemma-count-3``."""
+library route is wrong; likewise the tightness witnesses of ``lemma-3.1``,
+``lemma-count-3`` and ``thm-1.3-banach-equi``."""
 
+import dataclasses
 import os
 import random
 import subprocess
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from meansense import FiniteSet, OccurrenceIndex, PointView, Provenance, Word
-from meansense import checks
+from meansense import checks, hyperspace
 from meansense.checks import (
     _member_runs,
     _packed_hausdorff_j,
@@ -116,6 +117,22 @@ def test_hausdorff_axioms_fails_on_a_wrong_route(monkeypatch, route):
     assert all(0 <= t < 40 for t in trials)
 
 
+def test_hausdorff_axioms_fails_when_equal_words_seem_to_differ(monkeypatch):
+    # the library route must compare each member of A with itself: a
+    # first difference of 1 for two equal words makes d_H(A, A) nonzero
+    assert check_hausdorff_axioms(None, 0, trials=40).verdict == "PASS"
+    right = hyperspace.first_difference
+
+    def misreads_equal_words(a, b):
+        j = right(a, b)
+        return 1 if j is None and a.runs == b.runs else j
+
+    monkeypatch.setattr(hyperspace, "first_difference", misreads_equal_words)
+    rep = check_hausdorff_axioms(None, 0, trials=40)
+    assert rep.verdict == "FAIL"
+    assert all(not f["checks"][2] for f in rep.witnesses[0]["failures"])
+
+
 def test_hausdorff_axioms_never_imports_numpy_random():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -141,29 +158,41 @@ def test_remark_213_draws_what_randint_draws(monkeypatch, seed):
         r = rng.randint(1, 1024) / 1024
         want.append((a, r * r, M, r))
     got = []
-    right = checks.mean_to_density_check
+    right = checks.mean_to_density_sides
 
     def recording(a, delta, M, sqrt_delta=None):
         got.append((a, delta, M, sqrt_delta))
         return right(a, delta, M, sqrt_delta=sqrt_delta)
 
-    monkeypatch.setattr(checks, "mean_to_density_check", recording)
+    monkeypatch.setattr(checks, "mean_to_density_sides", recording)
     assert check_remark_213(None, seed).verdict == "PASS"
     assert got == want
 
 
 def test_remark_213_fails_on_a_wrong_route(monkeypatch):
-    right = checks.mean_to_density_check
+    right = checks.mean_to_density_sides
 
     def side_i_at_delta(a, delta, M, sqrt_delta=None):
         return right(a, delta, M, sqrt_delta=delta)
 
-    monkeypatch.setattr(checks, "mean_to_density_check", side_i_at_delta)
+    monkeypatch.setattr(checks, "mean_to_density_sides", side_i_at_delta)
     rep = check_remark_213(None, 0)
     assert rep.verdict == "FAIL"
     trials = rep.witnesses[0]["failing_trials"]
     assert trials and trials == sorted(set(trials))
     assert all(0 <= t < rep.params["trials"] for t in trials)
+
+
+def test_banach_equi_fails_when_the_sweep_reports_zero(monkeypatch, s3):
+    assert checks.check_thm13_banach_equi(s3).verdict == "PASS"
+    right = checks.banach_avg_distances
+
+    def zeros(members, pairs, L, depth):
+        return [dataclasses.replace(r, value=0.0, truncation_correction=0.0)
+                for r in right(members, pairs, L, depth)]
+
+    monkeypatch.setattr(checks, "banach_avg_distances", zeros)
+    assert checks.check_thm13_banach_equi(s3).verdict == "FAIL"
 
 
 def test_lemma31_fails_when_the_sweep_under_counts(monkeypatch, s3):

@@ -29,7 +29,11 @@ from meansense import (
     sensitivity_times,
     step_distance_array,
 )
-from meansense.diagnostics import _PAIR_CHUNK, separation_times
+from meansense.diagnostics import (
+    _PAIR_CHUNK,
+    mean_to_density_sides,
+    separation_times,
+)
 from meansense.reports import FAIL, PASS, AverageReport, Report, fmt17
 
 from conftest import index_set, naive_step_distances
@@ -616,6 +620,23 @@ def test_mean_to_density_rejects_bad_input():
         mean_to_density_check([0.5], 0.0, 1)
 
 
+def test_integer_core_reads_an_iterator_once():
+    # a value that is not a float sends the core back over the values
+    a = [0.5, Fraction(1, 3), 1, 0.25]
+    want = mean_to_density_sides(a, 0.25, 1, 0.5)
+    assert mean_to_density_sides(iter(a), 0.25, 1, 0.5) == want
+    assert want[2][1] == [6, 4, 12, 3]  # a times D = 12
+
+
+def test_integer_core_rejects_bad_input():
+    with pytest.raises(ParameterError, match=r"\[0, M\]"):
+        mean_to_density_sides([0.5, 2.0], 0.5, 1)
+    with pytest.raises(ParameterError, match=r"\[0, M\]"):
+        mean_to_density_sides([-0.25, 0.5], 0.5, 1)
+    with pytest.raises(ParameterError, match="positive"):
+        mean_to_density_sides([0.5], 0.0, 1)
+
+
 def test_mean_to_density_randomized():
     rng = random.Random(1009)
     for _ in range(300):
@@ -736,7 +757,18 @@ def test_mean_to_density_matches_fraction_oracle(args):
     assert got.caveats == want.caveats
 
 
-@pytest.mark.parametrize("a, delta, M, sqrt_delta", [
+@settings(max_examples=400, deadline=None)
+@given(args=_conversion_inputs())
+def test_integer_core_matches_fraction_oracle(args):
+    a, delta, M, sqrt_delta = args
+    want = naive_mean_to_density_check(a, delta, M, sqrt_delta=sqrt_delta)
+    passed, sides, _ = mean_to_density_sides(a, delta, M, sqrt_delta)
+    assert passed == (want.verdict == PASS)
+    assert sides == tuple((w["premise_holds"], w["holds"])
+                          for w in want.witnesses)
+
+
+_NON_FINITE = [
     ([math.nan], 0.25, 1, None),
     ([0.5, math.inf], 0.25, 1, None),
     ([0.5, -math.inf], 0.25, 1, 0.5),
@@ -759,7 +791,16 @@ def test_mean_to_density_matches_fraction_oracle(args):
     pytest.param([0.5, 10**400], 0.25, 1, 0.5, id="int-beyond-float"),
     pytest.param([0.5, Fraction(10**400, 3)], 0.25, 1, 0.5,
                  id="fraction-beyond-float"),
-])
+]
+
+
+@pytest.mark.parametrize("a, delta, M, sqrt_delta", _NON_FINITE)
 def test_mean_to_density_rejects_non_finite(a, delta, M, sqrt_delta):
     with pytest.raises(ParameterError, match="finite"):
         mean_to_density_check(a, delta, M, sqrt_delta=sqrt_delta)
+
+
+@pytest.mark.parametrize("a, delta, M, sqrt_delta", _NON_FINITE)
+def test_integer_core_rejects_non_finite(a, delta, M, sqrt_delta):
+    with pytest.raises(ParameterError, match="finite"):
+        mean_to_density_sides(a, delta, M, sqrt_delta=sqrt_delta)
