@@ -10,8 +10,11 @@ exact) and returns a Report.  Check names double as CLI tokens.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 from typing import Dict, List
@@ -53,6 +56,7 @@ from .language import (
 )
 from .reports import FAIL, PASS, Report, fmt17, series_csv
 from .words import (
+    BlockFamily,
     OccurrenceIndex,
     PointView,
     Provenance,
@@ -60,6 +64,7 @@ from .words import (
     de_bruijn_word,
     find_occurrences,
     max_window_count,
+    point_metric,
     power,
 )
 
@@ -145,9 +150,26 @@ def check_lemma32_density(c: S3Construction, seed: int = 0) -> Report:
     return rep
 
 
+def _marks_separate(family: BlockFamily, i: int) -> bool:
+    """Whether step i of the shift orbit separates ``family`` beyond 1/2,
+    decided on two materialized members by ``point_metric``: the member
+    marked i+1 and another marked member differ at position i+1, the first
+    symbol after i shifts.  A step whose position i+1 is no mark finds no
+    such pair and reads False."""
+    marks = family.marks
+    k = bisect.bisect_left(marks, i + 1)
+    if len(marks) < 2 or k == len(marks) or marks[k] != i + 1:
+        return False
+    a, b = family[k], family[k - 1 if k else 1]
+    return point_metric(a.shift(i), b.shift(i))[0] > 0.5
+
+
 def check_thm13_cofinite(c: S3Construction, seed: int = 0) -> Report:
     """Past the cylinder block, every single step separates the witness
-    family beyond 1/2: the separation-time set contains a full tail."""
+    family beyond 1/2: the separation-time set contains a full tail.  The
+    first separating step reported, the tail's two ends and three steps
+    inside it are each recomputed by ``_marks_separate``, so a route that
+    reports steps which do not separate fails."""
     horizon = 120_000
     m, s = 0, 27  # cylinder block = the level-2 word, a suffix of itself
     count = horizon - s - 1
@@ -156,15 +178,19 @@ def check_thm13_cofinite(c: S3Construction, seed: int = 0) -> Report:
     values, _ = diam_sequence(members, horizon - 1)
     sens = separation_times(values, 0.5)
     lo, hi = m + s + 1, horizon - 2
-    covered = sens.contains_range(lo, hi)
+    first = sens.los[0] if len(sens) else None
+    probes = [lo, hi, *range(lo, hi, (hi - lo) // 4)[1:4]]
+    covered = sens.contains_range(lo, hi) and all(
+        _marks_separate(family, i)
+        for i in probes + ([] if first is None else [first]))
     rep = Report("thm-1.3-cofinite", params={
         "m": m, "s": s, "horizon": horizon, "family": len(family),
         "tail": [lo, hi], "sensitive_steps": len(sens),
     })
     rep.witnesses = [
-        {"first_sensitive": int(sens.los[0]) if len(sens) else None},
+        {"first_sensitive": first},
         {"csv_series": {"name": "diam-head",
-                        "body": series_csv(values[:2000].tolist())}},
+                        "body": series_csv(values[:2000])}},
     ]
     rep.verdict = PASS if covered else FAIL
     rep.caveats = ["tail membership is exact for the sampled family; "
@@ -188,22 +214,24 @@ def _s3_deep_cylinders(c: S3Construction, how_many: int = 10):
 def _dense_window_agrees(x: PointView, y: PointView, r, L: int,
                          depth: int = DEFAULT_DEPTH) -> bool:
     """Tightness witness for one ``banach_avg_distances`` report ``r``: the
-    average over the reported window [m, m+L), summed densely from the
-    per-step distances of ``step_distance_array``, is within
+    average over the reported window [m, m+L), summed in step order from
+    the per-step distances of ``step_distance_array``, is within
     ``r.rounding_bound`` of ``r.value``.
 
-    The sweep adds the nonzero terms in step order, and adding the zero
-    terms between them changes no float sum, so both routes should agree
-    exactly; a route that under-reports its window's sum fails here.
+    Adding a zero term changes no float sum, so the running sums skip them
+    and still equal the dense ones; the sweep adds its nonzero terms in the
+    same order, so both routes should agree exactly, and a route that
+    under-reports its window's sum fails here.
     """
     m = r.window[0]
     if not 0 <= m <= min(x.horizon, y.horizon) - depth - L:
         return False
     values, _ = step_distance_array(x, y, m + L, depth)
-    run = values.cumsum()
-    # the running sum through the window's last step, less the one before it
-    window_sum = run[-1] - run[m - 1] if m else run[-1]
-    return abs(float(window_sum) / L - r.value) <= r.rounding_bound
+    # the running sums through the steps before the window and through its
+    # last step
+    before = functools.reduce(operator.add, filter(None, values[:m]), 0.0)
+    through = functools.reduce(operator.add, filter(None, values[m:]), before)
+    return abs((through - before) / L - r.value) <= r.rounding_bound
 
 
 def check_thm13_banach_equi(c: S3Construction, seed: int = 0) -> Report:

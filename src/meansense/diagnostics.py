@@ -14,13 +14,15 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
 import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import HorizonError, ParameterError
 from .reports import FAIL, PASS, AverageReport, Report, fmt17
@@ -32,9 +34,7 @@ from .words import (
     point_metric,
 )
 
-# numpy is imported inside the functions that vectorize, as in ``words``
-if TYPE_CHECKING:
-    import numpy as np
+# numpy is imported only inside the batched path of ``banach_avg_distances``
 
 DEFAULT_DEPTH = 64  # default per-step metric comparison depth
 
@@ -44,26 +44,24 @@ _FLOAT_MAX = int(sys.float_info.max)  # the largest finite float, exactly
 @dataclass(frozen=True, eq=False)
 class IndexSet:
     """A finite set of non-negative integers below a horizon, held as its
-    maximal runs: the inclusive [los[k], his[k]], increasing, with a
+    maximal runs: the inclusive [los[k], his[k]], two sequences of ints
+    (lists, or ``array('q')`` from ``indicator_set_E``), increasing, with a
     non-member between any two runs.
 
-    Sets compare and hash by identity: a field-wise ``==`` over the run
-    arrays would raise."""
+    Sets compare and hash by identity: a run list has no hash."""
 
-    los: np.ndarray  # int64
-    his: np.ndarray  # int64
+    los: Sequence[int]
+    his: Sequence[int]
     horizon: int
 
     @property
-    def members(self) -> np.ndarray:
+    def members(self) -> list:
         """Every member, sorted: the runs expanded."""
-        import numpy as np
-        lens = self.his - self.los + 1
-        return (np.repeat(self.los - (np.cumsum(lens) - lens), lens)
-                + np.arange(int(lens.sum()), dtype=np.int64))
+        return [i for lo, hi in zip(self.los, self.his)
+                for i in range(lo, hi + 1)]
 
     def __len__(self):
-        return int((self.his - self.los + 1).sum())
+        return sum(self.his) - sum(self.los) + len(self.los)
 
     def contains_range(self, lo: int, hi: int) -> bool:
         """True when every integer in [lo, hi] belongs to the set: the
@@ -71,25 +69,24 @@ class IndexSet:
         or after lo."""
         if hi < lo:
             return True
-        k = int(self.his.searchsorted(lo))
-        return bool(k < len(self.his) and self.los[k] <= lo
-                    and hi <= self.his[k])
+        k = bisect.bisect_left(self.his, lo)
+        return k < len(self.his) and self.los[k] <= lo and hi <= self.his[k]
 
 
 def indicator_set_E(y: PointView, symbol: int = 1) -> IndexSet:
-    """0-based positions i < horizon with y_{i+1} equal to ``symbol``."""
-    import numpy as np
-    los, his = np.array(y.prefix.runs_of(symbol), dtype=np.int64) - 1
-    return IndexSet(los, his, y.horizon)
+    """0-based positions i < horizon with y_{i+1} equal to ``symbol``.
 
-
-def _consecutive_runs(pos: np.ndarray) -> tuple:
-    """(los, his) of the maximal runs of consecutive integers in the sorted,
-    distinct ``pos``, cut where a step is not 1."""
-    import numpy as np
-    cut = np.flatnonzero(np.diff(pos) != 1)
-    return (np.concatenate([pos[:1], pos[cut + 1]]),
-            np.concatenate([pos[cut], pos[-1:]]))
+    Run k of the word holds the 0-based positions from the end of run k-1
+    (0 for the first run) to its own end less one, both read from the run
+    index.  The runs are kept as ``array('q')``, eight bytes each: a long
+    word has thousands of them, numpy's window sweep reads them without a
+    conversion per entry, and no int object outlives its copy."""
+    hit = [s == symbol for s, _ in y.prefix.runs]
+    ends = y.prefix.run_index
+    return IndexSet(
+        array("q", itertools.compress([0, *ends], hit)),
+        array("q", map((-1).__add__, itertools.compress(ends, hit))),
+        y.horizon)
 
 
 def banach_window_max(F: IndexSet, window: int) -> tuple:
@@ -118,32 +115,35 @@ def _pair_limit(x: PointView, y: PointView, n: int, depth: int) -> int:
 
 
 def _gap_distances(los: list, his: list, steps: int, cap: int) -> tuple:
-    """(values, truncated) of each step i < steps against the merged 1-based
-    disagreement intervals [los, his].
+    """(values, truncated), two lists, of each step i < steps against the
+    merged 1-based disagreement intervals [los, his].
 
     The first disagreement p > i sets the gap p - i; step i reads 1/gap,
     or 0 and truncated when the gap exceeds ``cap`` or no p follows.  Steps
-    his[j-1] .. his[j]-1 meet interval j first, at max(lo_j, i+1), so one
-    float buffer repeats each lo over its steps (infinity past the last
-    interval), subtracts the step, floors at 1 and takes 1/gap in place.
-    Positions below 2^53 are exact floats, so each gap is exact and 1/gap
-    rounds as from the integer; every word this package builds is far
-    shorter.
+    his[j-1] .. his[j]-1 meet interval j first, at max(lo_j, i+1): the gap
+    falls by one per step before lo_j, is 1 from lo_j on, and exceeds
+    ``cap`` exactly before step lo_j - cap.  So the lists grow segment by
+    segment: a run of zeros, the quotients 1/gap over a falling range of
+    gaps, and a run of ones, whose entries share one float object.  Each
+    quotient divides the float 1.0 by the int gap, which converts exactly
+    below 2^53, so it rounds as the integer quotient does; every word this
+    package builds is far shorter.
     """
-    import numpy as np
-    n = len(los)
-    starts = np.empty(n + 1)
-    starts[:n] = los
-    starts[n] = np.inf
-    ends = np.empty(n + 2, dtype=np.int64)  # 0, his cut at steps, steps
-    ends[0], ends[1:n + 1], ends[n + 1] = 0, his, steps
-    np.minimum(ends, steps, out=ends)
-    gap = np.repeat(starts, np.diff(ends))
-    gap -= np.arange(steps, dtype=float)
-    np.maximum(gap, 1.0, out=gap)
-    truncated = gap > cap
-    values = np.divide(1.0, gap, out=gap)
-    values[truncated] = 0.0
+    values, truncated = [], []
+    start = 0  # the first step not yet filled
+    for lo, hi in zip(los, his):
+        if start >= steps:
+            break
+        end = min(hi, steps)  # steps start .. end-1 meet this interval
+        near = min(max(lo - cap, start), end)  # the first gap within cap
+        values += itertools.repeat(0.0, near - start)
+        values += map((1.0).__truediv__, range(lo - near, lo - min(lo, end), -1))
+        values += itertools.repeat(1.0, end - max(lo, near))
+        truncated += itertools.repeat(True, near - start)
+        truncated += itertools.repeat(False, end - near)
+        start = end
+    values += itertools.repeat(0.0, steps - start)
+    truncated += itertools.repeat(True, steps - start)
     return values, truncated
 
 
@@ -151,9 +151,9 @@ def step_distance_array(x: PointView, y: PointView, n: int,
                         depth: int = DEFAULT_DEPTH):
     """Per-step distances d(sigma^i x, sigma^i y) for i in [0, n).
 
-    Returns (values, truncated) where truncated marks steps with no
-    disagreement within the comparison depth; those report 0 and the true
-    value lies in [0, 1/(depth+1)].
+    Returns (values, truncated), two lists, where truncated marks steps
+    with no disagreement within the comparison depth; those report 0 and
+    the true value lies in [0, 1/(depth+1)].
     """
     _pair_limit(x, y, n, depth)
     los, his = diff_intervals(x.prefix, y.prefix, upto=n + depth)
@@ -249,7 +249,8 @@ def banach_avg_distance(x: PointView, y: PointView, L: int,
 
 
 #: pairs per batch of ``banach_avg_distances``: bounds its (pairs x K) sum
-#: tables, about 75 KB each for a deep S3 cylinder
+#: tables, about 75 KB each for a deep S3 cylinder; a call with fewer pairs
+#: sweeps them one by one in plain Python
 _PAIR_CHUNK = 25
 
 
@@ -263,12 +264,18 @@ def banach_avg_distances(members: Sequence[PointView], pairs, L: int,
     (counting every truncated comparison at its worst) sits above the plain
     sup.  Returns one report per pair, in order.
 
+    Two paths, chosen by the number of pairs, give equal reports.  Fewer
+    pairs than one batch (``_PAIR_CHUNK``) go through ``_sweep_pair``, one
+    pair at a time in plain Python, after a direct walk of the pair; there
+    numpy's per-call cost and import outweigh the work.  More pairs go
+    through numpy batch by batch.
+
     Disagreements.  On a binary alphabet a pair disagrees exactly where one
-    of its two members disagrees with a shared base member, so each member
-    is walked once against the base (the member of longest horizon) and a
-    pair's disagreement set is the symmetric difference of its two members'
-    sets, clipped to the pair's shorter horizon.  Other alphabets walk each
-    pair directly.
+    of its two members disagrees with a shared base member, so the batched
+    path walks each member once against the base (the member of longest
+    horizon) and a pair's disagreement set is the symmetric difference of
+    its two members' sets, clipped to the pair's shorter horizon.  Other
+    alphabets walk each pair directly.
 
     Swept over breakpoints, with no per-step array.  Step k is nonzero
     exactly when a disagreement lies in (k, k+depth], so the nonzero steps
@@ -277,8 +284,9 @@ def banach_avg_distances(members: Sequence[PointView], pairs, L: int,
     interval; every other step is truncated.  Adding 0.0 is exact, so the
     running sum of the K nonzero terms in step order equals the dense
     running sum at every step, and a window holds L minus its nonzero steps
-    truncated.  Each pair's terms fill one row of a table summed along the
-    row, so every pair adds from 0 in step order on its own.
+    truncated.  In a batch each pair's terms fill one row of a table summed
+    along the row, so every pair adds from 0 in step order on its own, as
+    ``_sweep_pair`` adds them.
 
     Candidate starts are {0} ∪ {k+1-L >= 0} over the nonzero steps k.
     Moving a window start from s-1 to s drops step s-1 and takes in step
@@ -312,15 +320,17 @@ def banach_avg_distances(members: Sequence[PointView], pairs, L: int,
     """
     if L < 1 or depth < 1:
         raise ParameterError("window length and depth must be positive")
-    import numpy as np
     pairs = list(pairs)
     steps = [min(members[i].horizon, members[j].horizon) - depth
              for i, j in pairs]
     for s in steps:
         if s < L:
             raise HorizonError(f"window {L} does not fit in {s} usable steps")
-    if not pairs:
-        return []
+    if len(pairs) < _PAIR_CHUNK:
+        return [_sweep_pair(*diff_intervals(members[i].prefix, members[j].prefix,
+                                            upto=s + depth), s, L, depth)
+                for (i, j), s in zip(pairs, steps)]
+    import numpy as np
     used = sorted({m for pair in pairs for m in pair})
     # row r of a batch keys position p as r * stride + p; a horizon too long
     # for that takes one pair per batch, whose row 0 keys are plain positions
@@ -346,6 +356,64 @@ def banach_avg_distances(members: Sequence[PointView], pairs, L: int,
                                               depth, stride)
         out += _sweep_rows(los, his, row, chunk_steps, L, depth, stride)
     return out
+
+
+def _average_report(best: float, corrected: float, m: int, K: int,
+                    steps: int, L: int) -> AverageReport:
+    """The report of one pair's sweep from its plain and corrected maximum
+    window sums, the smallest start m attaining the first, and its count K
+    of nonzero steps."""
+    value = best / L
+    samples = steps - L + 1
+    return AverageReport(
+        value=value,
+        window=(m, m + L),
+        truncation_correction=corrected / L - value,
+        samples=samples,
+        method="window-sweep",
+        caveats=[f"sup over {samples} windows of length {L} within "
+                 f"{steps} usable steps"],
+        rounding_bound=(3 * K * (K + 1) / L + 10) * 2.0 ** -53,
+    )
+
+
+def _sweep_pair(los: list, his: list, steps: int, L: int,
+                depth: int) -> AverageReport:
+    """The window sweep of ``banach_avg_distances`` for one pair, in plain
+    Python, over its merged disagreement intervals [los, his].
+
+    The nonzero steps and their terms are listed interval by interval, as
+    the batched sweep lays them out; the running sums add the terms from 0
+    in step order, and each candidate start reads the same two running
+    sums and the same truncated count, so every float matches the batched
+    sweep.  The candidates come in increasing start order and only a
+    strictly larger sum replaces the best, which keeps the smallest start.
+    """
+    nz, terms = [], []  # the nonzero steps and their terms, in step order
+    for lo, hi in zip(los, his):
+        a = max(lo - depth, nz[-1] + 1 if nz else 0)
+        b = min(hi, steps) - 1
+        if a > b:  # past the usable steps, as is every later interval
+            break
+        nz += range(a, b + 1)
+        terms += map((1.0).__truediv__, range(lo - a, lo - min(lo, b + 1), -1))
+        terms += itertools.repeat(1.0, b + 1 - max(a, lo))
+    run = [0.0, *itertools.accumulate(terms)]
+    # start 0, then start k+1-L for each nonzero step k >= L-1; j counts
+    # the nonzero steps before the start, end those through the window
+    j = bisect.bisect_left(nz, L)
+    best, m = run[j], 0
+    corrected = best + (L - j) / (depth + 1)
+    j = 0
+    for end in range(bisect.bisect_left(nz, L - 1) + 1, len(nz) + 1):
+        start = nz[end - 1] + 1 - L
+        while nz[j] < start:
+            j += 1
+        total = run[end] - run[j]
+        if total > best:
+            best, m = total, start
+        corrected = max(corrected, total + (L - (end - j)) / (depth + 1))
+    return _average_report(best, corrected, m, len(nz), steps, L)
 
 
 def _walked_intervals(members, pairs, steps, depth) -> tuple:
@@ -433,22 +501,10 @@ def _sweep_rows(los, his, row, steps, L, depth, stride) -> list:
     best = sums.max(axis=1)
     corrected = corr.max(axis=1)
     mcol = sums.argmax(axis=1).tolist()  # the first, hence smallest, start
-    out = []
-    for r in range(P):
-        value = float(best[r]) / L
-        m = int(nz[first[r] + mcol[r] - 1]) + 1 - L if mcol[r] else 0
-        k, samples = int(K[r]), steps[r] - L + 1
-        out.append(AverageReport(
-            value=value,
-            window=(m, m + L),
-            truncation_correction=float(corrected[r]) / L - value,
-            samples=samples,
-            method="window-sweep",
-            caveats=[f"sup over {samples} windows of length {L} within "
-                     f"{steps[r]} usable steps"],
-            rounding_bound=(3 * k * (k + 1) / L + 10) * 2.0 ** -53,
-        ))
-    return out
+    return [_average_report(
+        float(best[r]), float(corrected[r]),
+        int(nz[first[r] + mcol[r] - 1]) + 1 - L if mcol[r] else 0,
+        int(K[r]), steps[r], L) for r in range(P)]
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +560,7 @@ def _union_diff_positions(members: Sequence[PointView], upto: int):
     """
     if isinstance(members, BlockFamily) and len(members.marks) >= 2:
         z = members.zero_tail
-        marks = members.marks[:members.marks.searchsorted(upto, "right")]
-        return _merge_intervals([_consecutive_runs(marks)] + [
+        return _merge_intervals([members.mark_runs(upto)] + [
             diff_intervals(z, e.prefix, upto=upto) for e in members.extras])
     members = list(members)
     base = min(members, key=lambda m: len(m.prefix.runs))
@@ -517,10 +572,10 @@ def diam_sequence(members: Sequence[PointView], steps: int):
     """diam(sigma^i U) for the sampled member set U, i in [0, steps).
 
     Exact for the sampled members (hence a lower bound on the true set
-    diameter).  Returns (values, truncated): a truncated step means the
-    members all agree to the shared horizon and only the bias bound
-    1/(horizon - i + 1) is known.  A ``BlockFamily`` is handled from its
-    arrays, without materializing its members.
+    diameter).  Returns (values, truncated), two lists: a truncated step
+    means the members all agree to the shared horizon and only the bias
+    bound 1/(horizon - i + 1) is known.  A ``BlockFamily`` is handled from
+    its block, marks and extras, without materializing its members.
     """
     if not members:
         raise ParameterError("need at least one member")
@@ -528,8 +583,7 @@ def diam_sequence(members: Sequence[PointView], steps: int):
     if steps > H:
         raise HorizonError(f"{steps} steps exceed shared horizon {H}")
     if len(members) == 1:
-        import numpy as np
-        return np.zeros(steps), np.zeros(steps, dtype=bool)
+        return [0.0] * steps, [False] * steps
     los, his = _union_diff_positions(members, upto=H)
     # every disagreement lies within H, so only a step with none later has
     # a gap above H
@@ -569,12 +623,21 @@ def sensitivity_times(members: Sequence[PointView], delta: float,
     return separation_times(diam_sequence(members, steps)[0], delta)
 
 
-def separation_times(values: np.ndarray, delta: float) -> IndexSet:
+def separation_times(values: Sequence[float], delta: float) -> IndexSet:
     """Steps i < len(values) of a diameter sequence with values[i] > delta;
-    the runs open and close at the edges of the mask, padded false."""
-    import numpy as np
-    edges = np.flatnonzero(np.diff(values > delta, prepend=False, append=False))
-    return IndexSet(edges[0::2], edges[1::2] - 1, len(values))
+    each run opens at the next True of the mask and closes before the next
+    False, both found by ``list.index``."""
+    above = [v > delta for v in values]
+    n = len(above)
+    above += (True, False)  # sentinels: every scan finds what it seeks
+    los, his = [], []
+    lo = above.index(True)
+    while lo < n:
+        hi = min(above.index(False, lo), n)
+        los.append(lo)
+        his.append(hi - 1)
+        lo = above.index(True, hi)
+    return IndexSet(los, his, n)
 
 
 # ---------------------------------------------------------------------------

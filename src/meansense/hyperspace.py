@@ -7,12 +7,14 @@ The induced map shifts every member and deduplicates.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .errors import (
     HorizonError,
@@ -30,10 +32,6 @@ from .words import (
     find_occurrences,
     first_difference,
 )
-
-# numpy is imported inside the functions that vectorize, as in ``words``
-if TYPE_CHECKING:
-    import numpy as np
 
 #: occurrences of one cylinder scanned by ``independence_check``; a pattern
 #: missing past this many makes the verdict CAPPED, not FAIL
@@ -62,7 +60,7 @@ def _is_marked_member(view: PointView, fam: BlockFamily) -> bool:
     """
     return (view.alphabet_size == fam.block.alphabet_size
             and view.horizon == fam.horizon
-            and not _family_first_differences(view, fam).all())
+            and 0 in _family_first_differences(view, fam))
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,8 +101,10 @@ class FiniteSet:
             marks = item.marks
             for other in families:
                 if _family_shape(other) == _family_shape(item):
-                    import numpy as np
-                    marks = marks[~np.isin(marks, other.marks)]
+                    held = other.marks  # a range tests membership itself
+                    if not isinstance(held, range):
+                        held = set(held)
+                    marks = [m for m in marks if m not in held]
             dropped += len(item.marks) - len(marks)
             if len(marks):
                 families.append(BlockFamily(item.block, marks, item.horizon))
@@ -172,7 +172,7 @@ def union_factor(family: Sequence[FiniteSet]) -> FiniteSet:
 # Hausdorff metric, two independent routes
 
 
-def _family_first_differences(p: PointView, fam: BlockFamily) -> np.ndarray:
+def _family_first_differences(p: PointView, fam: BlockFamily) -> list:
     """First difference of ``p`` with each marked member of ``fam``, 0 where
     they agree through the shared horizon H (as ``point_metric`` truncates).
 
@@ -182,37 +182,34 @@ def _family_first_differences(p: PointView, fam: BlockFamily) -> np.ndarray:
     p does not read 1 there; m lies past the block, where the zero tail
     reads 0.  Its first difference is therefore min(d0, m) when m is not in
     D (m alone when D is empty, none when also m > H), d1 when m = d0 and p
-    reads 1 there (none when D = {m}), and d0 otherwise.
+    reads 1 there (none when D = {m}), and d0 otherwise.  The marks
+    increase, so one cut by ``bisect`` splits them into the marks kept and
+    those replaced.
     """
-    import numpy as np
     H = min(p.horizon, fam.horizon)
     marks = fam.marks
     los, his = diff_intervals(p.prefix, fam.zero_tail)
     if not los:
-        return np.where(marks <= H, marks, 0)
+        k = bisect.bisect_right(marks, H)
+        return [*marks[:k], *itertools.repeat(0, len(marks) - k)]
     d0 = los[0]
-    out = np.minimum(marks, d0)
-    if p.symbol_at(d0) == 1:
-        d1 = d0 + 1 if his[0] > d0 else (los[1] if len(los) > 1 else 0)
-        out[marks == d0] = d1
+    k = bisect.bisect_left(marks, d0)
+    out = [*marks[:k], *itertools.repeat(d0, len(marks) - k)]
+    if k < len(marks) and marks[k] == d0 and p.symbol_at(d0) == 1:
+        out[k] = d0 + 1 if his[0] > d0 else (los[1] if len(los) > 1 else 0)
     return out
 
 
-def _first_difference_table(A: FiniteSet, B: FiniteSet) -> list | np.ndarray:
-    """J[i, k]: the first 1-based position where member i of one set and
-    member k of the other differ, 0 where they agree through the shared
-    horizon.
+def _first_difference_table(A: FiniteSet, B: FiniteSet) -> list:
+    """J[i][k], nested lists: the first 1-based position where member i of
+    one set and member k of the other differ, 0 where they agree through
+    the shared horizon.
 
     Which set gives the rows is left open: both Hausdorff routes reduce
-    rows and columns alike.  Two sets of plain views give nested lists:
-    their tables are small (at most 5 x 5 in ``hausdorff-axioms``), where
-    numpy's per-call cost outweighs the work.  With a family the table is
-    an int64 array: the witness's 3 x 10,188 table is built and reduced
-    about ten times faster as an array than as lists under ``min``/``max``.
-    Members are ordered plain first, then family by family.  A family is
-    compared with a plain view in closed form, one numpy pass over its
-    marks; only when both sides hold families is one side, the smaller,
-    expanded into rows.
+    rows and columns alike.  Members are ordered plain first, then family
+    by family.  A family is compared with a plain view in closed form
+    (``_family_first_differences``); only when both sides hold families is
+    one side, the smaller, expanded into rows.
     """
     if A.families and (not B.families or len(A) > len(B)):
         A, B = B, A
@@ -220,13 +217,10 @@ def _first_difference_table(A: FiniteSet, B: FiniteSet) -> list | np.ndarray:
              else A.plain)
     cols = [b.prefix for b in B.plain]
     rows = [[first_difference(a.prefix, b) or 0 for b in cols] for a in views]
-    if not B.families:
-        return rows
-    import numpy as np
-    return np.stack([
-        np.concatenate([np.array(row, dtype=np.int64)]
-                       + [_family_first_differences(a, fam) for fam in B.families])
-        for a, row in zip(views, rows)])
+    for fam in B.families:
+        for a, row in zip(views, rows):
+            row += _family_first_differences(a, fam)
+    return rows
 
 
 _AGREE = 2**63 - 1  # a pair agreeing throughout: distance 0
@@ -242,13 +236,8 @@ def _hausdorff_first_difference(A: FiniteSet, B: FiniteSet) -> tuple:
     a 0 has a point at distance 0 and bounds nothing.
     """
     J = _first_difference_table(A, B)
-    if isinstance(J, list):
-        maxima = [*map(max, filter(all, J)), *map(max, filter(all, zip(*J)))]
-        return min(maxima, default=None), not all(map(all, J))
-    import numpy as np
-    K = np.where(J > 0, J, _AGREE)
-    j = int(min(K.max(axis=1).min(), K.max(axis=0).min()))
-    return (None if j == _AGREE else j), not J.all()
+    maxima = [*map(max, filter(all, J)), *map(max, filter(all, zip(*J)))]
+    return min(maxima, default=None), not all(map(all, J))
 
 
 def hausdorff_distance(A: FiniteSet, B: FiniteSet) -> tuple:
@@ -266,13 +255,9 @@ def hausdorff_distance_inf_formula(A: FiniteSet, B: FiniteSet) -> tuple:
     the max-min formula, which the acceptance suite checks exhaustively.
     The scan runs on the first differences: radius 1/c covers a point when
     the point's nearest first difference is at least c, and agreement
-    (distance 0) reads as ``_AGREE``, past every first difference.  A
-    family's table is read into lists: no check takes this route on a
-    family, so one scan serves both kinds of table.
+    (distance 0) reads as ``_AGREE``, past every first difference.
     """
     J = _first_difference_table(A, B)
-    if not isinstance(J, list):
-        J = J.tolist()
     K = [[j or _AGREE for j in row] for row in J]
     nearest = [*map(max, K), *map(max, zip(*K))]
     for c in sorted(set(itertools.chain(*K)), reverse=True):
@@ -427,24 +412,22 @@ def hyper_witness_family(construction, P: FiniteSet, epsilon: float,
     return Q, rep
 
 
-def _ones_mask(S: FiniteSet, n: int) -> np.ndarray:
-    """Mask over positions 0..n, True at each 1-based p <= n where some
-    member carries a 1.  The 1-runs of the plain members and of each family
-    block add +1 at lo and -1 past hi in one difference array; a family's
-    marks are set after the running sum, none of its members is built."""
-    import numpy as np
+def _ones_mask(S: FiniteSet, n: int) -> bytearray:
+    """Mask over positions 0..n, 1 at each 1-based p <= n where some member
+    carries a 1: the 1-runs of the plain members and of each family block,
+    and the runs of each family's marks, each set by one slice assignment;
+    none of a family's members is built."""
     runs = ([m.prefix.runs_of(1, n) for m in S.plain]
-            + [fam.block.runs_of(1, n) for fam in S.families])
-    edges = np.zeros(n + 2, dtype=np.int64)
-    np.add.at(edges, [lo for los, _ in runs for lo in los], 1)
-    np.add.at(edges, [hi + 1 for _, his in runs for hi in his], -1)
-    mask = np.cumsum(edges[:-1]) > 0
-    for fam in S.families:
-        mask[fam.marks[:np.searchsorted(fam.marks, n, "right")]] = True
+            + [fam.block.runs_of(1, n) for fam in S.families]
+            + [fam.mark_runs(n) for fam in S.families])
+    mask = bytearray(n + 1)
+    for los, his in runs:
+        for lo, hi in zip(los, his):
+            mask[lo:hi + 1] = b"\x01" * (hi + 1 - lo)
     return mask
 
 
-def certified_separation_steps(P: FiniteSet, Q: FiniteSet, n: int) -> np.ndarray:
+def certified_separation_steps(P: FiniteSet, Q: FiniteSet, n: int) -> list:
     """Steps i < n where d_H of the induced orbits is exactly 1.
 
     Certified whenever one side has a member carrying 1 at position i+1
@@ -457,7 +440,8 @@ def certified_separation_steps(P: FiniteSet, Q: FiniteSet, n: int) -> np.ndarray
     if any(m.alphabet_size != 2 for m in P.plain + Q.plain) or any(
             fam.block.alphabet_size != 2 for fam in P.families + Q.families):
         raise ParameterError("certification needs the binary alphabet")
-    return (_ones_mask(P, n) ^ _ones_mask(Q, n))[1:].nonzero()[0]
+    return list(itertools.compress(range(n), map(
+        operator.ne, _ones_mask(P, n)[1:], _ones_mask(Q, n)[1:])))
 
 
 def hyper_mean_avg(P: FiniteSet, Q: FiniteSet, n: int) -> AverageReport:

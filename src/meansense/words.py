@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import operator
 from collections import abc
 from dataclasses import dataclass
 from functools import cached_property
@@ -330,12 +331,13 @@ class OccurrenceIndex:
         return self._count_prefix(j) - self._count_prefix(i - 1)
 
 
-def interval_window_max(los: np.ndarray, his: np.ndarray, span: int,
+def interval_window_max(los: Sequence[int], his: Sequence[int], span: int,
                         window: int) -> tuple:
     """Exact maximum count of marked positions over windows inside [0, span).
 
     The marked positions are the sorted, disjoint, inclusive intervals
-    [los[k], his[k]].  Returns (max_count, smallest optimal window start).
+    [los[k], his[k]], given as lists or int64 arrays.  Returns (max_count,
+    smallest optimal window start).
 
     The smallest optimal start p is 0, or the window one step to its left
     holds fewer marks, so p - 1 is unmarked and p + window - 1 marked: then p
@@ -345,6 +347,7 @@ def interval_window_max(los: np.ndarray, his: np.ndarray, span: int,
     import numpy as np
     if len(los) == 0:
         return 0, 0
+    los, his = np.asarray(los, dtype=np.int64), np.asarray(his, dtype=np.int64)
     last = span - window
     cands = np.unique(np.clip(np.concatenate([los, his - window + 1, [0, last]]),
                               0, last))
@@ -604,24 +607,27 @@ class PointView:
 class BlockFamily(abc.Sequence):
     """The points ``w 0^(p-s-1) 1 0^(horizon-p)``, one per mark p, then extras.
 
-    A family sharing the block ``w`` (length s) stored as arrays: ``marks``
-    holds the 1-based position of each member's lone 1, at least one,
-    strictly increasing inside (s, horizon].  ``extras`` are further views
-    appended with ``+``.  A member is materialized only when indexed or
-    iterated, marked members first, with provenance ``explicit-limit``,
-    detail ``j=<p-s-1>`` and no truncation note.
+    A family sharing the block ``w`` (length s): ``marks`` holds the 1-based
+    position of each member's lone 1, at least one, strictly increasing
+    inside (s, horizon], as a ``range`` of step 1 when given one and as a
+    list of ints otherwise.  ``extras`` are further views appended with
+    ``+``.  A member is materialized only when indexed or iterated, marked
+    members first, with provenance ``explicit-limit``, detail ``j=<p-s-1>``
+    and no truncation note.
     """
 
     __slots__ = ("block", "marks", "horizon", "extras")
 
     def __init__(self, block: Word, marks, horizon: int,
                  extras: Sequence[PointView] = ()):
-        import numpy as np
-        if isinstance(marks, range):  # np.asarray would copy it one by one
-            marks = np.arange(marks.start, marks.stop, marks.step)
-        marks = np.asarray(marks, dtype=np.int64)
-        if (marks.ndim != 1 or not len(marks) or marks[0] <= block.length
-                or marks[-1] > horizon or (marks[1:] <= marks[:-1]).any()):
+        if isinstance(marks, range) and marks.step == 1:
+            increasing = True
+        else:
+            marks = list(map(operator.index, marks))
+            increasing = all(map(operator.lt, marks,
+                                 itertools.islice(marks, 1, None)))
+        if (not increasing or not len(marks) or marks[0] <= block.length
+                or marks[-1] > horizon):
             raise ParameterError(f"marks must be non-empty and increase "
                                  f"strictly inside ({block.length}, {horizon}]")
         self.block = block
@@ -634,6 +640,21 @@ class BlockFamily(abc.Sequence):
         """The block followed by zeros up to the horizon, ``w 0^(horizon-s)``."""
         return Word(self.block.alphabet_size,
                     self.block.runs + ((0, self.horizon - self.block.length),))
+
+    def mark_runs(self, upto: int) -> tuple:
+        """(los, his): the maximal runs of consecutive marks up to ``upto``,
+        as lists; a ``range`` of marks is one run."""
+        marks = self.marks[:bisect.bisect_right(self.marks, upto)]
+        if isinstance(marks, range):
+            return ([marks.start], [marks.stop - 1]) if marks else ([], [])
+        los, his = [], []
+        for p in marks:
+            if his and p == his[-1] + 1:
+                his[-1] = p
+            else:
+                los.append(p)
+                his.append(p)
+        return los, his
 
     def _member(self, p: int) -> PointView:
         s = self.block.length
@@ -650,11 +671,11 @@ class BlockFamily(abc.Sequence):
             raise IndexError(f"member {i} outside a family of {n}")
         i %= n
         if i < len(self.marks):
-            return self._member(int(self.marks[i]))
+            return self._member(self.marks[i])
         return self.extras[i - len(self.marks)]
 
     def __iter__(self):
-        for p in self.marks.tolist():
+        for p in self.marks:
             yield self._member(p)
         yield from self.extras
 

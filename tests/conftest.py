@@ -10,7 +10,6 @@ from meansense import (
     build_schedule_s3,
     build_schedule_s4,
 )
-from meansense.diagnostics import _consecutive_runs
 
 
 @pytest.fixture(scope="session")
@@ -35,10 +34,17 @@ def s3_language(s3_x4):
 
 def index_set(it, horizon: int) -> IndexSet:
     """The IndexSet of the integers in ``it``, all in [0, horizon)."""
-    arr = np.unique(np.asarray(list(it), dtype=np.int64))
-    if len(arr) and (arr[0] < 0 or arr[-1] >= horizon):
+    members = sorted(set(map(int, it)))
+    if members and (members[0] < 0 or members[-1] >= horizon):
         raise ParameterError("index set member outside [0, horizon)")
-    return IndexSet(*_consecutive_runs(arr), horizon)
+    los, his = [], []
+    for p in members:  # maximal runs of consecutive members
+        if his and p == his[-1] + 1:
+            his[-1] = p
+        else:
+            los.append(p)
+            his.append(p)
+    return IndexSet(los, his, horizon)
 
 
 def naive_window_max(symbols: np.ndarray, window: int, target: int = 1):

@@ -1,7 +1,7 @@
 """The two randomized checks: the data they draw, ``hausdorff-axioms``'
 exact packed-int oracle and member runs, and verdicts that fail when a
 library route is wrong; likewise the tightness witnesses of ``lemma-3.1``,
-``lemma-count-3`` and ``thm-1.3-banach-equi``."""
+``lemma-count-3``, ``thm-1.3-banach-equi`` and ``thm-1.3-cofinite``."""
 
 import dataclasses
 import os
@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from meansense import FiniteSet, OccurrenceIndex, PointView, Provenance, Word
+from meansense import IndexSet, diam_of_members
 from meansense import checks, hyperspace
 from meansense.checks import (
     _member_runs,
@@ -193,6 +194,26 @@ def test_banach_equi_fails_when_the_sweep_reports_zero(monkeypatch, s3):
 
     monkeypatch.setattr(checks, "banach_avg_distances", zeros)
     assert checks.check_thm13_banach_equi(s3).verdict == "FAIL"
+
+
+def test_cofinite_fails_when_the_route_covers_every_step(monkeypatch, s3):
+    # steps 0..26 do not separate the family: the witness recomputes the
+    # first step the route reports from two materialized members
+    assert checks.check_thm13_cofinite(s3).verdict == "PASS"
+    monkeypatch.setattr(checks, "separation_times", lambda values, delta:
+                        IndexSet([0], [len(values) - 1], len(values)))
+    assert checks.check_thm13_cofinite(s3).verdict == "FAIL"
+
+
+def test_marks_separate_reads_each_step_from_two_members(s3):
+    # the step-i diameter of the family exceeds 1/2 exactly when its
+    # position i+1 is a mark: every member then carries the lone 1 there
+    # or a 0, while before the first mark all members share the block
+    family = s3.witness_family(0, 27, 60, 120)
+    want = [i for i in range(119)
+            if diam_of_members([m.shift(i) for m in family])[0] > 0.5]
+    assert want == list(range(27, 87))
+    assert [i for i in range(119) if checks._marks_separate(family, i)] == want
 
 
 def test_lemma31_fails_when_the_sweep_under_counts(monkeypatch, s3):

@@ -117,10 +117,12 @@ def test_build_loads_no_numpy(tmp_path):
     ({"construction": "S4", "depth": 4, "base": {"kind": "thue-morse"}},
      ["all"]),
     ({"construction": "S3", "depth": 4},
-     ["remark-2.1.3", "hausdorff-axioms", "independence", "thm-unpos"]),
+     ["remark-2.1.3", "hausdorff-axioms", "independence", "thm-unpos",
+      "thm-1.3-cofinite", "thm-1.8-witness"]),
 ], ids=["s4", "s4-thue-morse", "s3"])
 def test_checks_load_no_numpy(tmp_path, config, checks):
-    # the S4 checks and the construction-free ones run on plain ints: with
+    # the S4 checks, the construction-free ones and the two S3 family
+    # checks run on plain ints and floats: with
     # every numpy import made to fail they write the same bytes and exit
     # with the same code as a normal run
     root = Path(__file__).resolve().parents[1]

@@ -29,7 +29,10 @@ from meansense import (
     sensitivity_times,
     step_distance_array,
 )
+from meansense import FiniteSet, diagnostics
+from meansense.checks import _thm18_points
 from meansense.diagnostics import (
+    DEFAULT_DEPTH,
     _PAIR_CHUNK,
     mean_to_density_sides,
     separation_times,
@@ -59,9 +62,12 @@ def random_view(rng, n):
 
 def test_indicator_set_examples(s3):
     assert len(indicator_set_E(view("0" * 40))) == 0
-    assert indicator_set_E(view("1" + "0" * 39)).members.tolist() == [0]
+    assert indicator_set_E(view("1" + "0" * 39)).members == [0]
     x27 = s3.transitive_prefix(27)
-    assert indicator_set_E(x27).members.tolist() == [0, 1, 2, 24, 25, 26]
+    E = indicator_set_E(x27)
+    assert E.members == [0, 1, 2, 24, 25, 26]
+    assert len(E) == 6 and E.contains_range(0, 2) and E.contains_range(24, 26)
+    assert not E.contains_range(2, 24) and not E.contains_range(26, 27)
 
 
 def test_upper_density_of_x_meets_level_one_budget(s3):
@@ -86,9 +92,9 @@ def test_index_set_runs_match_python_set_oracle():
                                      rng.randint(0, horizon))), horizon))
     for want, horizon in cases:
         F = index_set(list(want) * 2, horizon)
-        assert F.members.tolist() == sorted(want)
+        assert F.members == sorted(want)
         assert len(F) == len(want)
-        los, his = F.los.tolist(), F.his.tolist()
+        los, his = F.los, F.his
         # maximal runs: each holds members only, with a non-member on
         # either side
         for lo, hi in zip(los, his):
@@ -120,12 +126,11 @@ def test_separation_times_match_flatnonzero():
         F = separation_times(values, 0.5)
         want = np.flatnonzero(values > 0.5)
         assert F.horizon == len(values)
-        assert F.members.tolist() == want.tolist()
+        assert F.members == want.tolist()
         assert len(F) == len(want)
         # the same maximal runs as the set built from its members
         G = index_set(want, len(values))
-        assert (F.los.tolist(), F.his.tolist()) == (G.los.tolist(),
-                                                    G.his.tolist())
+        assert (F.los, F.his) == (G.los, G.his)
 
 
 def test_banach_window_max_examples():
@@ -214,8 +219,8 @@ def test_distance_sum_matches_array_path():
         x, y = random_view(rng, n), random_view(rng, n)
         total, truncated, exact = distance_sum(x, y, steps, depth)
         v, t = step_distance_array(x, y, steps, depth)
-        assert truncated == int(t.sum())
-        assert math.isclose(total, float(v.sum()), rel_tol=1e-12, abs_tol=1e-12)
+        assert truncated == sum(t)
+        assert math.isclose(total, sum(v), rel_tol=1e-12, abs_tol=1e-12)
         # exact oracle: 1/g per step from the expanded symbols
         a, b = x.prefix.expand(), y.prefix.expand()
         want = Fraction(0)
@@ -257,7 +262,7 @@ def test_banach_avg_dominates_initial_window():
         L = rng.randint(10, 80)
         b = banach_avg_distance(x, y, L, depth=16)
         v, _ = step_distance_array(x, y, L, 16)
-        assert b.value >= float(v.sum()) / L - 1e-12
+        assert b.value >= sum(v) / L - 1e-12
 
 
 def test_banach_avg_requires_window_room():
@@ -376,11 +381,12 @@ def test_batched_sweep_matches_each_pair_dense_oracle():
     # every list also pairs each member with itself, and a list of 9 or
     # more members spans more than one batch
     rng = random.Random(113)
-    spanned = False
+    spanned = small = False
     for members, L, depth in _member_lists(rng):
         pairs = [(i, j) for i in range(len(members))
                  for j in range(i, len(members))]
         spanned = spanned or len(pairs) > _PAIR_CHUNK
+        small = small or len(pairs) < _PAIR_CHUNK
         got = banach_avg_distances(members, pairs, L, depth)
         assert len(got) == len(pairs)
         for (i, j), r in zip(pairs, got):
@@ -391,9 +397,47 @@ def test_batched_sweep_matches_each_pair_dense_oracle():
                                    want.window, want.samples)
             steps = min(x.horizon, y.horizon) - depth
             _, truncated = step_distance_array(x, y, steps, depth)
-            K = int((~truncated).sum())
+            K = truncated.count(False)
             assert r.rounding_bound == (3 * K * (K + 1) / L + 10) * 2.0 ** -53
-    assert spanned
+    # both paths ran: fewer pairs than one batch take the Python sweep
+    assert spanned and small
+
+
+def test_python_and_numpy_sweeps_report_alike(monkeypatch, s3):
+    # the same pairs below one batch (the per-pair Python sweep) and
+    # repeated past it (the numpy batches): binary and alphabet-4 member
+    # lists, the base pairs of thm-1.8-witness at S3 depth 4, and three
+    # pairs at a horizon too long for more than one pair per batch
+    swept = []
+    sweep = diagnostics._sweep_pair
+    monkeypatch.setattr(diagnostics, "_sweep_pair",
+                        lambda *args: swept.append(args) or sweep(*args))
+    rng = random.Random(131)
+    cases = []
+    for members, L, depth in _member_lists(rng):
+        pairs = [(i, j) for i in range(len(members))
+                 for j in range(i + 1, len(members))]
+        cases.append((members, pairs[:_PAIR_CHUNK - 1], L, depth))
+    horizon = 10_200
+    P = FiniteSet.of(_thm18_points(s3, horizon))
+    cases.append((P.members, [(0, 1), (0, 2), (1, 2)],
+                  s3.schedule.level(2).t, DEFAULT_DEPTH))
+    # at horizon 2^62 the batches hold one pair each
+    h = 2 ** 62
+    huge = [PointView(Word(2, runs), Provenance("explicit-limit")) for runs in
+            ([(1, 1), (0, h - 1)], [(0, 40), (1, 2), (0, h - 42)], [(0, h)])]
+    cases.append((huge, [(0, 1), (0, 2), (1, 2)], 7, 16))
+    for members, pairs, L, depth in cases:
+        swept.clear()
+        alone = banach_avg_distances(members, pairs, L, depth)
+        assert len(swept) == len(pairs)
+        batched = banach_avg_distances(members, pairs * _PAIR_CHUNK, L, depth)
+        assert len(swept) == len(pairs)
+        for a, b in zip(alone, batched):
+            assert (a.value, a.window, a.truncation_correction,
+                    a.rounding_bound, a.samples) == (
+                b.value, b.window, b.truncation_correction,
+                b.rounding_bound, b.samples)
 
 
 def test_batched_sweep_takes_huge_horizons_one_pair_at_a_time():
@@ -540,14 +584,14 @@ def test_cofinite_diam_sequence_stays_within_four_step_arrays(s3):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (values[28:] > 0.5).all()
+    assert all(v > 0.5 for v in values[28:])
     assert peak < 4 * 8 * steps
 
 
 def test_diam_singleton_is_zero():
     v, t = diam_sequence([view("0101")], 4)
-    assert (v == 0).all()
-    assert not t.any()
+    assert all(x == 0 for x in v)
+    assert not any(t)
 
 
 def test_diam_monotone_under_member_inclusion():
@@ -557,7 +601,7 @@ def test_diam_monotone_under_member_inclusion():
         members = [random_view(rng, n) for _ in range(4)]
         small, _ = diam_sequence(members[:2], 50)
         large, _ = diam_sequence(members, 50)
-        assert (large >= small - 1e-15).all()
+        assert all(a >= b - 1e-15 for a, b in zip(large, small, strict=True))
 
 
 def test_sensitivity_times_threshold_monotone():
@@ -565,7 +609,7 @@ def test_sensitivity_times_threshold_monotone():
     members = [random_view(rng, 200) for _ in range(4)]
     weak = sensitivity_times(members, 0.25, 100)
     strong = sensitivity_times(members, 0.5, 100)
-    assert set(strong.members.tolist()) <= set(weak.members.tolist())
+    assert set(strong.members) <= set(weak.members)
 
 
 def test_sensitivity_witness_family(s3):
@@ -577,9 +621,9 @@ def test_sensitivity_witness_family(s3):
 
 
 def test_diam_mean_avg_cases():
-    assert diam_sequence([view("0" * 30)], 10)[0].sum() / 10 == 0.0
+    assert sum(diam_sequence([view("0" * 30)], 10)[0]) / 10 == 0.0
     two = [view("0" * 30), view("0" * 30)]
-    assert diam_sequence(two, 10)[0].sum() / 10 == 0.0
+    assert sum(diam_sequence(two, 10)[0]) / 10 == 0.0
 
 
 def test_sensitivity_singleton_is_empty():
@@ -592,7 +636,7 @@ def test_diam_mean_of_witness_family_near_half_or_more(s3):
     n, m, s = 400, 0, 27
     fam = s3.witness_family(m, s, count=n - s, horizon=n + 4)
     members = fam + [s3.shift_view(m, n + 4)]
-    assert diam_sequence(members, n)[0].sum() / n >= (n - m - s) / (2 * n)
+    assert sum(diam_sequence(members, n)[0]) / n >= (n - m - s) / (2 * n)
 
 
 # -- conversion inequalities ---------------------------------------------

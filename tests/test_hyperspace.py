@@ -193,7 +193,7 @@ def test_hyper_witness_small_scale(s3):
     # past the shared block, every step separates by exactly 1
     cert = certified_separation_steps(P, Q, 600)
     lo = max(int(m["block_len"]) for m in rep.params["members"])
-    assert set(range(lo, 600)) <= set(cert.tolist())
+    assert set(range(lo, 600)) <= set(cert)
 
 
 def naive_hyper_mean_avg(P, Q, n):
@@ -220,7 +220,7 @@ def test_hyper_mean_avg_is_a_lower_bound_on_the_walked_average(s3):
     exact, distances = naive_hyper_mean_avg(P, Q, n)
     assert exact >= avg.value
     # on certified steps the walked distance is exactly 1
-    assert all(distances[i] == 1.0 for i in cert.tolist())
+    assert all(distances[i] == 1.0 for i in cert)
     assert 0 < len(cert) < n
 
 
@@ -285,7 +285,7 @@ def random_family_items(rng, horizon, alphabet=2):
         pool.append(z)
         pool.extend(list(m.prefix.expand()) for m in fam)
         on = z[:]
-        for m in rng.sample(fam.marks.tolist(), rng.randint(1, len(fam.marks))):
+        for m in rng.sample(list(fam.marks), rng.randint(1, len(fam.marks))):
             on[m - 1] = rng.choice([1, 1, 2, 3][:alphabet])
         pool.append(on)
     for _ in range(rng.randint(1, 4)):
@@ -340,8 +340,8 @@ def test_family_route_matches_expanded_route():
         if alphabet != 2:
             continue  # certification reads the binary alphabet only
         n = min(A.horizon, B.horizon)
-        assert (certified_separation_steps(A, B, n).tolist()
-                == certified_separation_steps(A_x, B_x, n).tolist()), trial
+        assert (certified_separation_steps(A, B, n)
+                == certified_separation_steps(A_x, B_x, n)), trial
 
 
 def test_thm18_witness_outputs_on_s3_depth_4(s3):
