@@ -17,7 +17,6 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import List, Optional
 
@@ -43,18 +42,25 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-@dataclass
 class RunConfig:
-    construction: str = "S3"
-    depth: int = 4
-    base: Optional[dict] = None
-    seed: int = 0
-    output_dir: str = "out"
+    """One run's settings: the defaults, then a config file's keys, then
+    the command line's flags.  ``FIELDS`` are the keys a config file may
+    set."""
+
+    FIELDS = ("construction", "depth", "base", "seed", "output_dir")
+
+    def __init__(self):
+        self.construction = "S3"
+        self.depth = 4
+        self.base: Optional[dict] = None
+        self.seed = 0
+        self.output_dir = "out"
 
     @property
     def hash(self) -> str:
-        payload = asdict(self)
-        payload.pop("output_dir")  # location must not change identity
+        # location must not change identity
+        payload = {key: getattr(self, key) for key in self.FIELDS
+                   if key != "output_dir"}
         return hashlib.sha256(canonical_json(payload).encode()).hexdigest()[:16]
 
     def generator(self) -> GeneratorDescriptor:
@@ -101,9 +107,8 @@ def _load_config(args) -> RunConfig:
             raise ParameterError(f"cannot read config {args.config}: {exc}") from None
         if not isinstance(data, dict):
             raise ParameterError(f"config {args.config} is not a JSON object")
-        known = {f.name for f in fields(RunConfig)}
         for key, value in data.items():
-            if key not in known:
+            if key not in RunConfig.FIELDS:
                 raise ParameterError(f"unknown config key {key!r}")
             setattr(cfg, key, value)
     for key in ("construction", "depth", "seed"):

@@ -25,8 +25,7 @@ before words are built.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .errors import (
     DepthError,
@@ -55,25 +54,29 @@ BUILD_RUN_CAP = 2_000_000
 # minimal generators
 
 
-@dataclass(frozen=True)
 class GeneratorDescriptor:
     """Seed sequence for the S4 family.
 
     kind: constant-zero | sturmian | thue-morse.  For sturmian the slope is
     the continued-fraction convergent of [0; a_1, a_2, ...] truncated at
     ``cf_depth`` terms (golden slope by default), kept rational so the
-    coding is exact integer arithmetic.
+    coding is exact integer arithmetic.  Descriptors are immutable, and
+    equal when all three fields are.
     """
 
-    kind: str
-    cf_terms: Tuple[int, ...] = ()
-    cf_depth: int = 40
-
-    def __post_init__(self):
-        if self.kind not in ("constant-zero", "sturmian", "thue-morse"):
-            raise ParameterError(f"unknown generator kind {self.kind!r}")
-        if not all(isinstance(v, int) for v in (*self.cf_terms, self.cf_depth)):
+    def __init__(self, kind: str, cf_terms: Tuple[int, ...] = (),
+                 cf_depth: int = 40):
+        if kind not in ("constant-zero", "sturmian", "thue-morse"):
+            raise ParameterError(f"unknown generator kind {kind!r}")
+        if not all(isinstance(v, int) for v in (*cf_terms, cf_depth)):
             raise ParameterError("continued-fraction terms and depth must be integers")
+        vars(self).update(kind=kind, cf_terms=cf_terms, cf_depth=cf_depth)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GeneratorDescriptor is immutable")
+
+    def __eq__(self, other):
+        return isinstance(other, GeneratorDescriptor) and vars(self) == vars(other)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "cf_terms": list(self.cf_terms),
@@ -125,8 +128,7 @@ def minimal_generator(desc: GeneratorDescriptor, horizon: int) -> Word:
 # schedules
 
 
-@dataclass(frozen=True)
-class Level:
+class Level(NamedTuple):
     n: int
     k: int
     len_a: int
@@ -134,13 +136,22 @@ class Level:
     t: int
 
 
-@dataclass(frozen=True)
 class Schedule:
-    """Per-level parameters of one construction, lengths included."""
+    """Per-level parameters of one construction, lengths included.
 
-    construction: str  # "S3" | "S4"
-    levels: Tuple[Level, ...]
-    base: Optional[GeneratorDescriptor] = None
+    ``construction`` is "S3" or "S4"; ``base`` is the S4 generator.
+    Schedules are immutable, and equal when all three fields are.
+    """
+
+    def __init__(self, construction: str, levels: Tuple[Level, ...],
+                 base: Optional[GeneratorDescriptor] = None):
+        vars(self).update(construction=construction, levels=levels, base=base)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Schedule is immutable")
+
+    def __eq__(self, other):
+        return isinstance(other, Schedule) and vars(self) == vars(other)
 
     @property
     def depth(self) -> int:

@@ -20,7 +20,6 @@ import math
 import operator
 import sys
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -41,18 +40,20 @@ DEFAULT_DEPTH = 64  # default per-step metric comparison depth
 _FLOAT_MAX = int(sys.float_info.max)  # the largest finite float, exactly
 
 
-@dataclass(frozen=True, eq=False)
 class IndexSet:
     """A finite set of non-negative integers below a horizon, held as its
     maximal runs: the inclusive [los[k], his[k]], two sequences of ints
     (lists, or ``array('q')`` from ``indicator_set_E``), increasing, with a
     non-member between any two runs.
 
-    Sets compare and hash by identity: a run list has no hash."""
+    Sets are immutable, and compare and hash by identity: a run list has
+    no hash."""
 
-    los: Sequence[int]
-    his: Sequence[int]
-    horizon: int
+    def __init__(self, los: Sequence[int], his: Sequence[int], horizon: int):
+        vars(self).update(los=los, his=his, horizon=horizon)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("IndexSet is immutable")
 
     @property
     def members(self) -> list:

@@ -11,7 +11,6 @@ import bisect
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence, Tuple
@@ -63,7 +62,6 @@ def _is_marked_member(view: PointView, fam: BlockFamily) -> bool:
             and 0 in _family_first_differences(view, fam))
 
 
-@dataclass(frozen=True, eq=False)
 class FiniteSet:
     """A non-empty finite set of point views, deduplicated by prefix.
 
@@ -76,9 +74,12 @@ class FiniteSet:
     merged away.
     """
 
-    plain: Tuple[PointView, ...]
-    families: Tuple[BlockFamily, ...] = ()
-    collapsed: int = 0
+    def __init__(self, plain: Tuple[PointView, ...],
+                 families: Tuple[BlockFamily, ...] = (), collapsed: int = 0):
+        vars(self).update(plain=plain, families=families, collapsed=collapsed)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FiniteSet is immutable")
 
     @staticmethod
     def of(items: Sequence) -> "FiniteSet":
@@ -279,13 +280,16 @@ def family_hausdorff(famA: Sequence[FiniteSet], famB: Sequence[FiniteSet]) -> tu
 # independence sets (brute force over the language approximation)
 
 
-@dataclass(frozen=True)
 class CylinderTuple:
-    cylinders: Tuple[Word, ...]
+    """An immutable tuple of non-empty cylinder words."""
 
-    def __post_init__(self):
-        if not self.cylinders or any(c.length == 0 for c in self.cylinders):
+    def __init__(self, cylinders: Tuple[Word, ...]):
+        if not cylinders or any(c.length == 0 for c in cylinders):
             raise ParameterError("cylinder tuple needs non-empty words")
+        vars(self)["cylinders"] = cylinders
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CylinderTuple is immutable")
 
     @property
     def arity(self) -> int:

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import List, Optional
+from typing import TYPE_CHECKING, Optional
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -22,20 +23,23 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-@dataclass
 class Report:
     """Outcome of one named check.
 
     Serializes to the fixed JSON schema
     {check, params, verdict, witnesses[], caveats[]}; numeric payloads live
-    inside params and witnesses so the envelope stays stable.
+    inside params and witnesses so the envelope stays stable.  A ``None``
+    argument stands for a new empty dict or list.
     """
 
-    check: str
-    params: dict = field(default_factory=dict)
-    verdict: str = INCONCLUSIVE
-    witnesses: List[dict] = field(default_factory=list)
-    caveats: List[str] = field(default_factory=list)
+    def __init__(self, check: str, params: Optional[dict] = None,
+                 verdict: str = INCONCLUSIVE, witnesses: Optional[list] = None,
+                 caveats: Optional[list] = None):
+        self.check = check
+        self.params = {} if params is None else params
+        self.verdict = verdict
+        self.witnesses = [] if witnesses is None else witnesses
+        self.caveats = [] if caveats is None else caveats
 
     @property
     def passed(self) -> bool:
@@ -55,11 +59,13 @@ class Report:
 
     @staticmethod
     def from_json(d: dict) -> "Report":
-        return Report(d["check"], d.get("params", {}), d.get("verdict"),
-                      d.get("witnesses", []), d.get("caveats", []))
+        rep = Report(d["check"])
+        # the values as read, a JSON null included
+        rep.params, rep.verdict = d.get("params", {}), d.get("verdict")
+        rep.witnesses, rep.caveats = d.get("witnesses", []), d.get("caveats", [])
+        return rep
 
 
-@dataclass
 class AverageReport:
     """A Cesaro or windowed average with explicit truncation accounting.
 
@@ -74,14 +80,19 @@ class AverageReport:
     they print into their report's params.
     """
 
-    value: float
-    window: tuple
-    truncation_correction: float
-    samples: int
-    method: str = "exact"
-    caveats: List[str] = field(default_factory=list)
-    upper_exact: Optional[Fraction] = None
-    rounding_bound: Optional[float] = None
+    def __init__(self, value: float, window: tuple,
+                 truncation_correction: float, samples: int,
+                 method: str = "exact", caveats: Optional[list] = None,
+                 upper_exact: Optional[Fraction] = None,
+                 rounding_bound: Optional[float] = None):
+        self.value = value
+        self.window = window
+        self.truncation_correction = truncation_correction
+        self.samples = samples
+        self.method = method
+        self.caveats = [] if caveats is None else caveats
+        self.upper_exact = upper_exact
+        self.rounding_bound = rounding_bound
 
     @property
     def upper(self) -> float:

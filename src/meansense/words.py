@@ -13,9 +13,8 @@ import bisect
 import itertools
 import operator
 from collections import abc
-from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
     AlphabetMismatchError,
@@ -342,15 +341,17 @@ def interval_window_max(los: Sequence[int], his: Sequence[int], span: int,
     The smallest optimal start p is 0, or the window one step to its left
     holds fewer marks, so p - 1 is unmarked and p + window - 1 marked: then p
     opens an interval, p + window - 1 closes one, or p is the last start.
-    Scanning those candidates in increasing order finds p.
+    Scanning those candidates in increasing order finds p.  A repeated
+    candidate repeats its count next to itself, so ``argmax`` over the
+    sorted candidates still returns the smallest optimal start.
     """
     import numpy as np
     if len(los) == 0:
         return 0, 0
     los, his = np.asarray(los, dtype=np.int64), np.asarray(his, dtype=np.int64)
     last = span - window
-    cands = np.unique(np.clip(np.concatenate([los, his - window + 1, [0, last]]),
-                              0, last))
+    cands = np.sort(np.clip(np.concatenate([los, his - window + 1, [0, last]]),
+                            0, last))
     cum = np.concatenate([[0], np.cumsum(his - los + 1)])
 
     def marked_below(x):
@@ -540,8 +541,7 @@ def de_bruijn_word(order: int, alphabet_size: int = 2) -> Word:
 # truncated points
 
 
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(NamedTuple):
     """Where a truncated point came from.
 
     kind is one of: shift-of-transitive-point, periodic, explicit-limit,
@@ -558,7 +558,6 @@ class Provenance:
         return Provenance(self.kind, self.offset + k, self.period, self.detail)
 
 
-@dataclass(frozen=True)
 class PointView:
     """A point known exactly up to a finite horizon.
 
@@ -566,11 +565,27 @@ class PointView:
     unknown and every consumer must account for that through truncation
     flags or explicit correction terms.  No code in the package writes a
     ``truncation_note``; ``shift`` and ``patched_step`` carry one along.
+    Views are immutable, and equal when all three fields are.
     """
 
-    prefix: Word
-    provenance: Provenance
-    truncation_note: str = ""
+    __slots__ = ("prefix", "provenance", "truncation_note")
+
+    def __init__(self, prefix: Word, provenance: Provenance,
+                 truncation_note: str = ""):
+        _SET_PREFIX(self, prefix)
+        _SET_PROVENANCE(self, provenance)
+        _SET_NOTE(self, truncation_note)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PointView is immutable")
+
+    def __eq__(self, other):
+        return (isinstance(other, PointView) and self.prefix == other.prefix
+                and self.provenance == other.provenance
+                and self.truncation_note == other.truncation_note)
+
+    def __hash__(self):
+        return hash((self.prefix, self.provenance, self.truncation_note))
 
     @property
     def horizon(self) -> int:
@@ -602,6 +617,10 @@ class PointView:
 
     def key(self):
         return (self.prefix.alphabet_size, self.prefix.runs)
+
+
+_SET_PREFIX, _SET_PROVENANCE, _SET_NOTE = (
+    getattr(PointView, name).__set__ for name in PointView.__slots__)
 
 
 class BlockFamily(abc.Sequence):

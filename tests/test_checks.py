@@ -3,7 +3,6 @@ exact packed-int oracle and member runs, and verdicts that fail when a
 library route is wrong; likewise the tightness witnesses of ``lemma-3.1``,
 ``lemma-count-3``, ``thm-1.3-banach-equi`` and ``thm-1.3-cofinite``."""
 
-import dataclasses
 import os
 import random
 import subprocess
@@ -13,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from meansense import FiniteSet, OccurrenceIndex, PointView, Provenance, Word
-from meansense import IndexSet, diam_of_members
+from meansense import AverageReport, IndexSet, diam_of_members
 from meansense import checks, hyperspace
 from meansense.checks import (
     _member_runs,
@@ -189,7 +188,8 @@ def test_banach_equi_fails_when_the_sweep_reports_zero(monkeypatch, s3):
     right = checks.banach_avg_distances
 
     def zeros(members, pairs, L, depth):
-        return [dataclasses.replace(r, value=0.0, truncation_correction=0.0)
+        return [AverageReport(0.0, r.window, 0.0, r.samples, r.method,
+                              r.caveats, r.upper_exact, r.rounding_bound)
                 for r in right(members, pairs, L, depth)]
 
     monkeypatch.setattr(checks, "banach_avg_distances", zeros)

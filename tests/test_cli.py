@@ -150,6 +150,47 @@ def test_checks_load_no_numpy(tmp_path, config, checks):
         assert (got / path.name).read_bytes() == path.read_bytes(), path.name
 
 
+@pytest.mark.parametrize("construction, checks, absent", [
+    ("S4", ["all"], ["inspect"]),
+    ("S3", ["thm-1.3-cofinite", "thm-1.8-witness"], ["inspect"]),
+    ("S3", ["lemma-3.1", "lemma-3.2-density", "thm-1.3-banach-equi"],
+     ["numpy.ma"]),
+], ids=["s4", "s3-families", "s3-windows"])
+def test_runs_load_no_dataclasses(tmp_path, construction, checks, absent):
+    # the records are plain classes: with every dataclasses import made to
+    # fail, build and check write the same bytes and exit with the same
+    # codes as a normal run; the build loads no fractions, and the checks
+    # none of the modules named in ``absent``
+    root = Path(__file__).resolve().parents[1]
+    args = ["--construction", construction, "--depth", "4"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    want, got = tmp_path / "normal", tmp_path / "blocked"
+    codes = [run("build", *args, "--out", str(want)),
+             run("check", *checks, *args, "--out", str(want))]
+    build = ["build", *args, "--out", str(got)]
+    check = ["check", *checks, *args, "--out", str(got)]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, sys\n"
+         "sys.modules['dataclasses'] = None\n"
+         "from meansense.cli import main\n"
+         f"codes = [main({build!r})]\n"
+         "built = sorted(sys.modules)\n"
+         f"codes.append(main({check!r}))\n"
+         "print(json.dumps([codes, built, sorted(sys.modules)]))\n"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got_codes, built, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert got_codes == codes
+    assert "fractions" not in built
+    assert not set(absent) & set(loaded)
+    assert sorted(p.name for p in got.iterdir()) == sorted(
+        p.name for p in want.iterdir())
+    for path in want.iterdir():
+        assert (got / path.name).read_bytes() == path.read_bytes(), path.name
+
+
 def test_usage_errors_exit_2(tmp_path):
     assert run("build", "--construction", "S3", "--depth", "0",
                "--out", str(tmp_path)) == 2

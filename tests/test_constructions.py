@@ -9,6 +9,7 @@ from meansense import (
     LengthOverflowError,
     OccurrenceIndex,
     ParameterError,
+    PointView,
     Provenance,
     S4Construction,
     Schedule,
@@ -116,6 +117,23 @@ def test_verify_schedule_accepts_every_built_schedule():
     for sched in schedules:
         verify_schedule(sched)
         assert Schedule.from_json(json.loads(sched.to_json_str())) == sched
+
+
+def test_records_compare_by_value_and_stay_frozen():
+    prov = Provenance("periodic", offset=3, period=4)
+    views = [PointView(Word.from_string("0110"), Provenance("periodic", 3, 4))
+             for _ in range(2)]
+    assert prov == views[0].provenance and hash(prov) == hash(views[1].provenance)
+    assert views[0] == views[1] and hash(views[0]) == hash(views[1])
+    assert views[0] != PointView(Word.from_string("0110"), prov, "note")
+    sched = build_schedule_s4(3, GeneratorDescriptor("sturmian", (1, 2), 7))
+    again = Schedule.from_json(sched.to_json())
+    assert again == sched and again.levels == sched.levels
+    assert again.base == GeneratorDescriptor("sturmian", (1, 2), 7)
+    for record, name in ((views[0], "prefix"), (sched, "levels"),
+                         (sched.base, "kind")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
 
 
 def test_s3_built_words_match_schedule(s3):

@@ -23,7 +23,7 @@ from meansense import (
     power,
 )
 from meansense.checks import _member_runs
-from meansense.words import RunBuilder
+from meansense.words import RunBuilder, interval_window_max
 
 from conftest import naive_window_max
 
@@ -136,6 +136,11 @@ def test_window_max_matches_naive_sweep():
         L = rng.randint(1, n)
         # the witness is the smallest optimal start, the naive first argmax
         assert max_window_count(OccurrenceIndex(w), L) == naive_window_max(sym, L)
+    # marks {2, 3, 6, 7} of 10, window 5: the candidates clip -1 to 0 and 6
+    # to 5, so 0 and 5 come twice, and starts 2 and 3 both hold 3 marks
+    sym = np.array([0, 0, 1, 1, 0, 0, 1, 1, 0, 0], dtype=np.uint8)
+    assert naive_window_max(sym, 5) == (3, 3)  # 1-based
+    assert interval_window_max([2, 6], [3, 7], 10, 5) == (3, 2)
 
 
 def test_subword_examples():
