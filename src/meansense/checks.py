@@ -37,7 +37,7 @@ from .diagnostics import (
     indicator_set_E,
     mean_to_density_sides,
     orbit_diam_sequence,
-    separation_times,
+    sensitivity_times,
     step_distance_array,
 )
 from .hyperspace import (
@@ -175,8 +175,7 @@ def check_thm13_cofinite(c: S3Construction, seed: int = 0) -> Report:
     count = horizon - s - 1
     family = c.witness_family(m, s, count, horizon)
     members = family + [c.shift_view(m, horizon)]
-    values, _ = diam_sequence(members, horizon - 1)
-    sens = separation_times(values, 0.5)
+    sens = sensitivity_times(members, 0.5, horizon - 1)
     lo, hi = m + s + 1, horizon - 2
     first = sens.los[0] if len(sens) else None
     probes = [lo, hi, *range(lo, hi, (hi - lo) // 4)[1:4]]
@@ -190,7 +189,7 @@ def check_thm13_cofinite(c: S3Construction, seed: int = 0) -> Report:
     rep.witnesses = [
         {"first_sensitive": first},
         {"csv_series": {"name": "diam-head",
-                        "body": series_csv(values[:2000])}},
+                        "body": series_csv(diam_sequence(members, 2000)[0])}},
     ]
     rep.verdict = PASS if covered else FAIL
     rep.caveats = ["tail membership is exact for the sampled family; "
@@ -512,7 +511,8 @@ def check_thm18_witness(c: S3Construction, seed: int = 0) -> Report:
     })
     rep.witnesses = wrep.witnesses or [{"details": wrep.params["members"]}]
     rep.verdict = PASS if ok else FAIL
-    rep.caveats = wrep.caveats + avg.caveats
+    rep.caveats = wrep.caveats + [
+        "lower bound: counts only steps with certified distance 1"]
     return rep
 
 

@@ -25,6 +25,7 @@ before words are built.
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from .errors import (
@@ -378,8 +379,8 @@ class S3Construction(_ConstructionBase):
         self._b[1] = Word(2, [(0, 3)])
 
     def _build_b(self, n: int) -> Word:
-        # B_n strings |A_n|+1 blocks of A_{n-1} decorated with a roaming 1;
-        # emitted run by run, never via expanded concatenation.
+        # B_n strings |A_n|+1 blocks of A_{n-1} decorated with a roaming 1,
+        # laid out as a run list block by block, never expanded.
         len_a = self.schedule.level(n).len_a
         prev_a = self.a_word(n - 1)
         est_runs = (len_a + 1) * (len(prev_a.runs) + 3)
@@ -388,25 +389,31 @@ class S3Construction(_ConstructionBase):
                 f"B_{n} needs about {est_runs} runs, beyond the build cap",
                 required=est_runs,
             )
-        b = RunBuilder()
-        for i in range(1, len_a + 1):
-            b.extend(prev_a)
-            b.append(0, i - 1)
-            b.append(1, 1)
-            b.append(0, len_a - i)
-        b.extend(prev_a)
-        b.append(0, len_a)
-        return b.build(2)
+        # A_{n-1} opens and closes on a 1-run, so the lone 1 of block 1
+        # lengthens A's last run, that of block |A_n| the next A's first
+        # run, and nothing else merges
+        a, L = prev_a.runs, len_a
+        runs = [*a[:-1], (1, a[-1][1] + 1), (0, L - 1)]
+        one = (1, 1)
+        for i in range(2, L):
+            runs += a
+            runs += ((0, i - 1), one, (0, L - i))
+        runs += (*a, (0, L - 1), (1, a[0][1] + 1), *a[1:], (0, L))
+        return Word(2, tuple(runs),
+                    _length=_checked(sum(map(itemgetter(1), runs)), n, "|B|"))
 
     # -- witness machinery ---------------------------------------------
 
     def suffix_alignments(self, m: int, s_min: int = 1, cap: int = 8) -> list:
         """Ways to read x_{[m+1, m+s]} as a suffix of a built A_i.
 
-        Returns (i, s) pairs with s >= s_min, smallest s first.  x_{[m+1, m+s]}
-        is a suffix of A_i exactly when some A_i occurrence in x ends at
-        position m+s with its start at or before m+1; scanning occurrence
-        ends beyond m surfaces the choices instead of guessing one.
+        Returns up to ``cap`` (i, s) pairs with s_min <= s <= |A_i|, smallest
+        s first.  x_{[m+1, m+s]} is a suffix of A_i exactly when some A_i
+        occurrence in x ends at position m+s with its start at or before
+        m+1; scanning occurrence ends beyond m surfaces the choices instead
+        of guessing one.  The usable starts of level i are
+        [m + s_min - |A_i| + 1, m + 1], and s grows with the start, so each
+        level scans only those and keeps its first ``cap``.
         """
         out = []
         depth = self.schedule.depth
@@ -416,15 +423,9 @@ class S3Construction(_ConstructionBase):
             if s_min > ai.length:
                 continue
             start = max(1, m + s_min - ai.length + 1)
-            for pos in find_occurrences(host, ai, cap=16, start=start):
-                end = pos + ai.length - 1
-                s = end - m
-                if s_min <= s <= ai.length:
-                    out.append((i, s))
-                if len(out) >= cap * 4:
-                    break
-        out = sorted(set(out), key=lambda p: (p[1], p[0]))
-        return out[:cap]
+            out += [(i, pos + ai.length - 1 - m) for pos in find_occurrences(
+                host, ai, cap=cap, start=start, last=m + 1)]
+        return sorted(out, key=lambda p: (p[1], p[0]))[:cap]
 
     def witness_family(self, m: int, s: int, count: int,
                        horizon: int) -> BlockFamily:

@@ -235,7 +235,6 @@ def cesaro_avg_distance(x: PointView, y: PointView, n: int,
         truncation_correction=truncated / (depth + 1) / n,
         samples=n,
         method="closed-form",
-        caveats=[f"per-step comparisons capped at depth {depth}"],
         upper_exact=(exact + Fraction(truncated, depth + 1)) / n,
     )
 
@@ -365,15 +364,12 @@ def _average_report(best: float, corrected: float, m: int, K: int,
     window sums, the smallest start m attaining the first, and its count K
     of nonzero steps."""
     value = best / L
-    samples = steps - L + 1
     return AverageReport(
         value=value,
         window=(m, m + L),
         truncation_correction=corrected / L - value,
-        samples=samples,
+        samples=steps - L + 1,
         method="window-sweep",
-        caveats=[f"sup over {samples} windows of length {L} within "
-                 f"{steps} usable steps"],
         rounding_bound=(3 * K * (K + 1) / L + 10) * 2.0 ** -53,
     )
 
@@ -569,6 +565,17 @@ def _union_diff_positions(members: Sequence[PointView], upto: int):
                              for m in members if m is not base])
 
 
+def _orbit_disagreements(members: Sequence[PointView], steps: int) -> tuple:
+    """(los, his, H): the merged positions p <= H where the members do not
+    all agree, H their shared horizon, which ``steps`` must not exceed."""
+    if not members:
+        raise ParameterError("need at least one member")
+    H = _shared_horizon(members)
+    if steps > H:
+        raise HorizonError(f"{steps} steps exceed shared horizon {H}")
+    return (*_union_diff_positions(members, upto=H), H)
+
+
 def diam_sequence(members: Sequence[PointView], steps: int):
     """diam(sigma^i U) for the sampled member set U, i in [0, steps).
 
@@ -578,14 +585,9 @@ def diam_sequence(members: Sequence[PointView], steps: int):
     bound 1/(horizon - i + 1) is known.  A ``BlockFamily`` is handled from
     its block, marks and extras, without materializing its members.
     """
-    if not members:
-        raise ParameterError("need at least one member")
-    H = _shared_horizon(members)
-    if steps > H:
-        raise HorizonError(f"{steps} steps exceed shared horizon {H}")
+    los, his, H = _orbit_disagreements(members, steps)
     if len(members) == 1:
         return [0.0] * steps, [False] * steps
-    los, his = _union_diff_positions(members, upto=H)
     # every disagreement lies within H, so only a step with none later has
     # a gap above H
     return _gap_distances(los, his, steps, H)
@@ -620,8 +622,36 @@ def sensitivity_times(members: Sequence[PointView], delta: float,
 
     Built on exact lower bounds, so membership certifies the separation;
     absence only means no sampled pair separates.
+
+    Read from the merged disagreement intervals, with no per-step value:
+    ``diam_sequence`` gives step i the value 1/gap for the gap from i to
+    the next disagreement, 0 past the shared horizon H or with none
+    ahead.  1.0/g falls as g grows, so the gaps g <= H with 1.0/g > delta
+    (the float test of ``separation_times``) are 1 .. G, G found by
+    bisection; and a step reading 0 is above delta for every step or none.
+    So the steps above delta are the steps of each interval's approach
+    segment whose gap is at most G, and its steps inside it, whose gap is
+    1: from max(lo - G, the end of the interval before) to hi - 1.
     """
-    return separation_times(diam_sequence(members, steps)[0], delta)
+    los, his, H = _orbit_disagreements(members, steps)
+    if 0.0 > delta:  # every step reads at least 0
+        return IndexSet(*(([0], [steps - 1]) if steps else ([], [])), steps)
+    G = bisect.bisect_left(range(1, H + 1), True,
+                           key=lambda g: not 1.0 / g > delta)
+    out_los, out_his = [], []
+    start = 0  # the first step past the previous interval
+    for lo, hi in zip(los, his):
+        if start >= steps or not G:
+            break
+        a, b = max(lo - G, start), min(hi, steps) - 1
+        if a <= b:
+            if out_his and out_his[-1] == a - 1:
+                out_his[-1] = b
+            else:
+                out_los.append(a)
+                out_his.append(b)
+        start = hi
+    return IndexSet(out_los, out_his, steps)
 
 
 def separation_times(values: Sequence[float], delta: float) -> IndexSet:

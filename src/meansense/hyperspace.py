@@ -55,11 +55,14 @@ def _is_marked_member(view: PointView, fam: BlockFamily) -> bool:
     """Whether ``view`` equals one of the marked members of ``fam``.
 
     A view with the family's alphabet and horizon does exactly when one of
-    its first differences with them (``_family_first_differences``) is 0.
+    its first differences with them is 0: in its ``head``, or its ``tail``
+    when some mark follows the head.
     """
-    return (view.alphabet_size == fam.block.alphabet_size
-            and view.horizon == fam.horizon
-            and 0 in _family_first_differences(view, fam))
+    if (view.alphabet_size, view.horizon) != (fam.block.alphabet_size,
+                                              fam.horizon):
+        return False
+    k, head, tail = _family_cut(view, fam)
+    return 0 in head or (tail == 0 and k + len(head) < len(fam.marks))
 
 
 class FiniteSet:
@@ -173,9 +176,12 @@ def union_factor(family: Sequence[FiniteSet]) -> FiniteSet:
 # Hausdorff metric, two independent routes
 
 
-def _family_first_differences(p: PointView, fam: BlockFamily) -> list:
-    """First difference of ``p`` with each marked member of ``fam``, 0 where
-    they agree through the shared horizon H (as ``point_metric`` truncates).
+def _family_cut(p: PointView, fam: BlockFamily) -> tuple:
+    """(k, head, tail): the first differences of ``p`` with the marked
+    members of ``fam``, in mark order, are marks[:k], then ``head`` (a
+    tuple of at most one value), then ``tail`` for every later mark; 0
+    stands where they agree through the shared horizon H (as
+    ``point_metric`` truncates).
 
     Let D be the positions <= H where p disagrees with the zero tail, and
     d0 < d1 its first two.  The member marked m is the zero tail with a 1 at
@@ -191,14 +197,13 @@ def _family_first_differences(p: PointView, fam: BlockFamily) -> list:
     marks = fam.marks
     los, his = diff_intervals(p.prefix, fam.zero_tail)
     if not los:
-        k = bisect.bisect_right(marks, H)
-        return [*marks[:k], *itertools.repeat(0, len(marks) - k)]
+        return bisect.bisect_right(marks, H), (), 0
     d0 = los[0]
     k = bisect.bisect_left(marks, d0)
-    out = [*marks[:k], *itertools.repeat(d0, len(marks) - k)]
     if k < len(marks) and marks[k] == d0 and p.symbol_at(d0) == 1:
-        out[k] = d0 + 1 if his[0] > d0 else (los[1] if len(los) > 1 else 0)
-    return out
+        return k, (d0 + 1 if his[0] > d0 else
+                   (los[1] if len(los) > 1 else 0),), d0
+    return k, (), d0
 
 
 def _first_difference_table(A: FiniteSet, B: FiniteSet) -> list:
@@ -209,22 +214,56 @@ def _first_difference_table(A: FiniteSet, B: FiniteSet) -> list:
     Which set gives the rows is left open: both Hausdorff routes reduce
     rows and columns alike.  Members are ordered plain first, then family
     by family.  A family is compared with a plain view in closed form
-    (``_family_first_differences``); only when both sides hold families is
+    (``_family_cut``, expanded here); only when both sides hold families is
     one side, the smaller, expanded into rows.
     """
+    views, rows, families = _table_parts(A, B)
+    for fam in families:
+        marks = fam.marks
+        for a, row in zip(views, rows):
+            k, head, tail = _family_cut(a, fam)
+            row += [*marks[:k], *head,
+                    *itertools.repeat(tail, len(marks) - k - len(head))]
+    return rows
+
+
+def _table_parts(A: FiniteSet, B: FiniteSet) -> tuple:
+    """(views, rows, families) of ``_first_difference_table``: the row
+    members, their first differences with the plain column members, and
+    the column families, each still to be compared in closed form."""
     if A.families and (not B.families or len(A) > len(B)):
         A, B = B, A
     views = (list(itertools.chain(A.plain, *A.families)) if A.families
              else A.plain)
     cols = [b.prefix for b in B.plain]
     rows = [[first_difference(a.prefix, b) or 0 for b in cols] for a in views]
-    for fam in B.families:
-        for a, row in zip(views, rows):
-            row += _family_first_differences(a, fam)
-    return rows
+    return views, rows, B.families
 
 
 _AGREE = 2**63 - 1  # a pair agreeing throughout: distance 0
+
+
+def _family_columns(marks, cuts) -> list:
+    """The maxima of the family columns that hold no 0, one per stretch of
+    columns that the rows' ``_family_cut`` results do not split.
+
+    Row r reads marks[t] in column t < k_r, its head at k_r, then its
+    tail.  Between two consecutive cut points (0, each k_r, each
+    k_r + len(head_r)) every row keeps one reading: the marks, which
+    increase, or one value.  So on such a stretch a column holds a 0
+    exactly when its first one does, and the column maxima do not fall;
+    the first column stands for the stretch.
+    """
+    n = len(marks)
+    starts = {0, *(k for k, _, _ in cuts),
+              *(k + len(head) for k, head, _ in cuts)} - {n}
+    out = []
+    for t in starts:
+        col = [marks[t] if t < k else head[t - k] if t - k < len(head)
+               else tail for k, head, tail in cuts]
+        if all(col):
+            out.append(max(col))
+    return out
 
 
 def _hausdorff_first_difference(A: FiniteSet, B: FiniteSet) -> tuple:
@@ -235,9 +274,24 @@ def _hausdorff_first_difference(A: FiniteSet, B: FiniteSet) -> tuple:
     at the largest first difference in a's row, and the farthest of those
     nearest points is the smallest such maximum.  A row or column holding
     a 0 has a point at distance 0 and bounds nothing.
+
+    Family columns are never expanded: ``_family_columns`` reduces them
+    from each row's ``_family_cut``, and a row takes, for each family, the
+    values that hold its maximum and any 0 of its part: the last mark
+    before the cut, the head, and the tail when a mark follows the head.
     """
-    J = _first_difference_table(A, B)
-    maxima = [*map(max, filter(all, J)), *map(max, filter(all, zip(*J)))]
+    views, J, families = _table_parts(A, B)
+    maxima = [*map(max, filter(all, zip(*J)))]
+    for fam in families:
+        marks = fam.marks
+        cuts = [_family_cut(a, fam) for a in views]
+        maxima += _family_columns(marks, cuts)
+        for row, (k, head, tail) in zip(J, cuts):
+            row += marks[k - 1:k]  # the last mark before the cut, if any
+            row += head
+            if k + len(head) < len(marks):
+                row.append(tail)
+    maxima += map(max, filter(all, J))
     return min(maxima, default=None), not all(map(all, J))
 
 
@@ -379,15 +433,12 @@ def hyper_witness_family(construction, P: FiniteSet, epsilon: float,
     details = []
     for m in P.members:
         t = m.provenance.offset
-        align = None
-        for i, s in construction.suffix_alignments(t, s_min=s_min, cap=8):
-            align = (i, s)
-            break
-        if align is None:
+        align = construction.suffix_alignments(t, s_min=s_min, cap=1)
+        if not align:
             raise WitnessUnavailableError(
                 f"no built level word ends at a usable depth past offset {t}"
             )
-        i, s = align
+        (i, s), = align
         count = horizon - s - 1
         if count < 1:
             raise ParameterError("horizon leaves no room for the tail family")
@@ -466,6 +517,5 @@ def hyper_mean_avg(P: FiniteSet, Q: FiniteSet, n: int) -> AverageReport:
         truncation_correction=0.0,
         samples=n,
         method="certified-lower",
-        caveats=["lower bound: counts only steps with certified distance 1"],
         upper_exact=Fraction(len(cert), n),
     )

@@ -49,25 +49,22 @@ def cylinder_members(src: Word, u: Word, max_members: int = 32,
     """Known points of the cylinder of ``u``, truncated to ``member_horizon``.
 
     Members are the shifts of the source prefix ``src`` at each occurrence
-    of ``u`` (RLE occurrence scan, left to right).  An empty result is not
-    an error: it only means the approximation holds no witness.
+    of ``u`` (RLE occurrence scan, left to right) whose view fits inside
+    ``src``: the scan stops at the last such start and after
+    ``max_members`` occurrences.  An empty result is not an error: it only
+    means the approximation holds no witness.
     """
     if u.length == 0:
         raise ParameterError("empty cylinder word")
     out = []
-    occs = find_occurrences(src, u, cap=max_members * 4)
-    for pos in occs:
-        t = pos - 1
-        if t + member_horizon > src.length:
-            continue
+    for pos in find_occurrences(src, u, cap=max_members,
+                                last=src.length - member_horizon + 1):
         view = PointView(
             src.subword(pos, member_horizon),
-            Provenance("shift-of-transitive-point", offset=t),
+            Provenance("shift-of-transitive-point", offset=pos - 1),
         )
         assert view.starts_with(u)
         out.append(view)
-        if len(out) >= max_members:
-            break
     return out
 
 

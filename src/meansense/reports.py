@@ -82,7 +82,7 @@ class AverageReport:
 
     def __init__(self, value: float, window: tuple,
                  truncation_correction: float, samples: int,
-                 method: str = "exact", caveats: Optional[list] = None,
+                 method: str = "exact",
                  upper_exact: Optional[Fraction] = None,
                  rounding_bound: Optional[float] = None):
         self.value = value
@@ -90,7 +90,6 @@ class AverageReport:
         self.truncation_correction = truncation_correction
         self.samples = samples
         self.method = method
-        self.caveats = [] if caveats is None else caveats
         self.upper_exact = upper_exact
         self.rounding_bound = rounding_bound
 

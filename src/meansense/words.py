@@ -31,6 +31,8 @@ if TYPE_CHECKING:
 
 MAX_LENGTH = 2**63 - 1
 
+_COUNT = operator.itemgetter(1)  # the count of a (symbol, count) run
+
 #: expansion guard: Word.expand refuses beyond this many symbols
 EXPAND_LIMIT = 50_000_000
 
@@ -192,7 +194,7 @@ class Word:
         built from ``runs`` on first use and cached on the word."""
         if self._index is None:
             object.__setattr__(self, "_index", list(
-                itertools.accumulate(c for _, c in self.runs)))
+                itertools.accumulate(map(_COUNT, self.runs))))
         return self._index
 
     def expand(self) -> np.ndarray:
@@ -451,16 +453,20 @@ def diff_intervals(a: Word, b: Word, upto: Optional[int] = None):
 
 
 def find_occurrences(text: Word, pattern: Word, cap: int = 10_000,
-                     start: int = 1) -> list:
-    """1-based start positions where ``pattern`` occurs in ``text``.
+                     start: int = 1, last: Optional[int] = None) -> list:
+    """1-based start positions p, ``start <= p <= last``, where ``pattern``
+    occurs in ``text``.
 
     RLE-aware: interior pattern runs must match text runs exactly, boundary
     runs may sit inside longer text runs.  At most ``cap`` positions are
     returned, scanning left to right from ``start``; the scan begins at the
     first text run ending at or after ``start``, since no occurrence at or
-    after ``start`` begins in an earlier run.  A pattern of three or more
-    runs is matched only at the text copies of its second run, which
-    ``tuple.index`` finds in C; the other runs are compared as tuples.
+    after ``start`` begins in an earlier run.  ``last`` (no bound when
+    None) is the last start position the caller can use: one ``bisect``
+    turns it into the run where the scan stops, so no run past it is read.
+    A pattern of three or more runs is matched only at the text copies of
+    its second run, which ``tuple.index`` finds in C; the other runs are
+    compared as tuples.
     """
     if pattern.alphabet_size != text.alphabet_size:
         raise AlphabetMismatchError("alphabet mismatch in find_occurrences")
@@ -476,14 +482,19 @@ def find_occurrences(text: Word, pattern: Word, cap: int = 10_000,
     end = tends[first - 1] if first else 0  # last position before run
     if len(pruns) == 1:
         psym, plen = pruns[0]
-        for s, c in itertools.islice(truns, first, None):
+        # runs before the one holding ``last`` end before it, and so do the
+        # occurrences inside them; only that run's may pass it
+        stop = None if last is None else bisect.bisect_left(tends, last) + 1
+        for s, c in itertools.islice(truns, first, stop):
             tpos, end = end + 1, end + c
             if s != psym or c < plen:
                 continue
-            for p in range(max(tpos, start), end - plen + 2):
-                out.append(p)
-                if len(out) >= cap:
-                    return out
+            out += itertools.islice(range(max(tpos, start), end - plen + 2),
+                                    cap - len(out))
+            if len(out) >= cap:
+                break
+        if last is not None and out and out[-1] > last:
+            del out[bisect.bisect_right(out, last):]
         return out
     # candidate runs i hold the first pattern run at their end, the interior
     # runs exactly after it and the last run at the start of run i + R - 1
@@ -491,6 +502,9 @@ def find_occurrences(text: Word, pattern: Word, cap: int = 10_000,
     (s0, l0), (sL, lL) = pruns[0], pruns[-1]
     inner = pruns[1:-1]
     stop = len(truns) - R + 1  # candidate runs are first .. stop - 1
+    if last is not None:
+        # run i's candidate starts at tends[i] - l0 + 1, increasing in i
+        stop = min(stop, bisect.bisect_right(tends, last + l0 - 1))
     i = first
     while i < stop:
         if R > 2:

@@ -1,12 +1,14 @@
 """The two randomized checks: the data they draw, ``hausdorff-axioms``'
 exact packed-int oracle and member runs, and verdicts that fail when a
 library route is wrong; likewise the tightness witnesses of ``lemma-3.1``,
-``lemma-count-3``, ``thm-1.3-banach-equi`` and ``thm-1.3-cofinite``."""
+``lemma-count-3``, ``thm-1.3-banach-equi`` and ``thm-1.3-cofinite``, and
+``thm-1.8-witness``' closed-form family columns."""
 
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -189,7 +191,7 @@ def test_banach_equi_fails_when_the_sweep_reports_zero(monkeypatch, s3):
 
     def zeros(members, pairs, L, depth):
         return [AverageReport(0.0, r.window, 0.0, r.samples, r.method,
-                              r.caveats, r.upper_exact, r.rounding_bound)
+                              r.upper_exact, r.rounding_bound)
                 for r in right(members, pairs, L, depth)]
 
     monkeypatch.setattr(checks, "banach_avg_distances", zeros)
@@ -200,9 +202,35 @@ def test_cofinite_fails_when_the_route_covers_every_step(monkeypatch, s3):
     # steps 0..26 do not separate the family: the witness recomputes the
     # first step the route reports from two materialized members
     assert checks.check_thm13_cofinite(s3).verdict == "PASS"
-    monkeypatch.setattr(checks, "separation_times", lambda values, delta:
-                        IndexSet([0], [len(values) - 1], len(values)))
+    monkeypatch.setattr(checks, "sensitivity_times", lambda members, delta,
+                        steps: IndexSet([0], [steps - 1], steps))
     assert checks.check_thm13_cofinite(s3).verdict == "FAIL"
+
+
+def test_thm18_witness_fails_when_family_columns_read_too_near(
+        monkeypatch, s3):
+    # Q's 10,188 family columns are reduced in closed form; a reduction
+    # that reads each column's nearest point of P at half its first
+    # difference puts Q beyond epsilon
+    assert checks.check_thm18_witness(s3).verdict == "PASS"
+    right = hyperspace._family_columns
+    monkeypatch.setattr(hyperspace, "_family_columns", lambda marks, cuts:
+                        [j // 2 for j in right(marks, cuts)])
+    assert checks.check_thm18_witness(s3).verdict == "FAIL"
+
+
+def test_cofinite_builds_no_per_step_list(s3):
+    # the tail test reads the disagreement intervals and the CSV takes
+    # 2,000 diameters, so the traced peak stays below one list of pointers
+    # as long as the 119,999 steps
+    checks.check_thm13_cofinite(s3)  # level words and run indexes cached
+    tracemalloc.start()
+    try:
+        assert checks.check_thm13_cofinite(s3).verdict == "PASS"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 119_999
 
 
 def test_marks_separate_reads_each_step_from_two_members(s3):

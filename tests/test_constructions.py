@@ -11,12 +11,15 @@ from meansense import (
     ParameterError,
     PointView,
     Provenance,
+    ResourceCapError,
+    S3Construction,
     S4Construction,
     Schedule,
     Word,
     WitnessUnavailableError,
     build_schedule_s3,
     build_schedule_s4,
+    find_occurrences,
     minimal_generator,
     patched_point,
     patched_step,
@@ -142,6 +145,29 @@ def test_s3_built_words_match_schedule(s3):
         lv = s3.schedule.level(n)
         assert a.length == lv.len_a
         assert b.length == lv.len_b
+
+
+def test_s3_b_words_match_their_definition(s3):
+    # B_n = (A_{n-1} 0^{i-1} 1 0^{|A_n|-i} for i = 1..|A_n|) ++ A_{n-1} 0^{|A_n|},
+    # laid out symbol group by symbol group and merged by RunBuilder
+    for n in (2, 3):
+        L, prev_a = s3.schedule.level(n).len_a, s3.a_word(n - 1)
+        b = RunBuilder()
+        for i in range(1, L + 1):
+            b.extend(prev_a)
+            b.append(0, i - 1)
+            b.append(1, 1)
+            b.append(0, L - i)
+        b.extend(prev_a)
+        b.append(0, L)
+        want = b.build(2)
+        got = S3Construction(s3.schedule).b_word(n)
+        assert got.runs == want.runs and got.length == want.length
+    assert s3.b_word(2).as_string() == "".join(
+        "111" + "0" * (i - 1) + "1" + "0" * (27 - i) for i in range(1, 28)
+    ) + "111" + "0" * 27
+    with pytest.raises(ResourceCapError):
+        s3.b_word(4)  # about 5.6e8 runs
 
 
 def test_s3_level_one_words(s3):
@@ -313,6 +339,54 @@ def test_suffix_alignments_surface_choices(s3):
     options = s3.suffix_alignments(0, s_min=1)
     assert (1, 3) in options  # the level-1 word is a suffix of itself
     assert all(s >= 1 for _, s in options)
+
+
+def _suffix_alignments_scanned(c, m, s_min, cap):
+    """The alignments as first written: each level's first 16 occurrences
+    from its first usable start, filtered to the usable ones, no more than
+    4 cap pairs in all, then sorted."""
+    out = []
+    host = c.a_word(c.schedule.depth)
+    for i in range(1, c.schedule.depth + 1):
+        ai = c.a_word(i)
+        if s_min > ai.length:
+            continue
+        start = max(1, m + s_min - ai.length + 1)
+        for pos in find_occurrences(host, ai, cap=16, start=start):
+            s = pos + ai.length - 1 - m
+            if s_min <= s <= ai.length:
+                out.append((i, s))
+            if len(out) >= cap * 4:
+                break
+    return sorted(set(out), key=lambda p: (p[1], p[0]))[:cap]
+
+
+def test_suffix_alignments_match_the_scan_to_the_end(s3):
+    # every usable alignment, from uncapped scans: x_{[m+1, m+s]} is a
+    # suffix of A_i exactly when A_i ends at m+s and starts by m+1
+    lv3 = s3.schedule.level(3)
+    b3 = lv3.len_a + lv3.k + 1
+    offsets = [0, 1, 2, 26, 27, 4469, 4470, 4471 + 1788,
+               *(b3 + (blk - 1) * (27 + 4470) + 14 for blk in (1, 40, 1000)),
+               *range(b3 - 3, b3 + 60, 7)]
+    host = s3.a_word(4)
+    ends = {i: [(pos + s3.a_word(i).length - 1, pos) for pos in
+                find_occurrences(host, s3.a_word(i), cap=10 ** 6)]
+            for i in range(1, 5)}
+    # offsets where a level word starts at m+1 or just past it, at m+2
+    offsets += [pos - d for i in (1, 2, 3) for _, pos in ends[i][1:4]
+                for d in (1, 2)]
+    for m in offsets:
+        for s_min in (1, 3, 11, 28, 4470):
+            every = sorted(((i, end - m) for i in ends for end, pos in ends[i]
+                            if m + s_min <= end and pos <= m + 1),
+                           key=lambda p: (p[1], p[0]))
+            for cap in (1, 2, 8):
+                got = s3.suffix_alignments(m, s_min=s_min, cap=cap)
+                assert got == every[:cap], (m, s_min, cap)
+            # the first pair is the one the occurrence scans gave first
+            assert (s3.suffix_alignments(m, s_min=s_min, cap=1)
+                    == _suffix_alignments_scanned(s3, m, s_min, 8)[:1])
 
 
 def test_patched_step_branches():

@@ -612,6 +612,50 @@ def test_sensitivity_times_threshold_monotone():
     assert set(strong.members) <= set(weak.members)
 
 
+def _deltas(rng, H):
+    # the thresholds of the checks, 1.0/g itself and its float neighbours
+    # for gaps g around the rounding boundaries, and the constant readings
+    g = rng.randint(1, H)
+    return [1 / 3, 0.5, 1.0, 1.0 / g, math.nextafter(1.0 / g, 0.0),
+            math.nextafter(1.0 / g, 1.0), 1.0 / H, 0.0, -0.25, 2.0,
+            float("nan")]
+
+
+def test_sensitivity_times_intervals_match_value_route(s3):
+    # the interval route against separation_times over diam_sequence's
+    # per-step values, on witness families and random member sets
+    rng = random.Random(233)
+    cases = []
+    for horizon in (120, 600, 5000):
+        fam = s3.witness_family(0, 27, count=horizon - 28, horizon=horizon)
+        cases.append(fam + [s3.shift_view(0, horizon)])
+        cases.append(fam + [s3.shift_view(3, horizon - 7)])
+    cases.append(s3.witness_family(0, 27, count=40, horizon=600))
+    for _ in range(120):
+        n = rng.randint(8, 80)
+        if rng.random() < 0.5:
+            members = [random_view(rng, rng.randint(n, n + 5))
+                       for _ in range(rng.randint(1, 4))]
+        else:
+            s = rng.randint(1, 6)
+            block = random_view(rng, s).prefix
+            marks = sorted(rng.sample(range(s + 1, n + 1),
+                                      rng.randint(1, min(5, n - s))))
+            members = BlockFamily(block, marks, n) + [
+                random_view(rng, rng.randint(n - 3, n + 3))
+                for _ in range(rng.randint(0, 2))]
+        cases.append(members)
+    for members in cases:
+        H = min(m.horizon for m in members)
+        steps = rng.choice([H, H - 1, rng.randint(0, H)])
+        values = diam_sequence(members, steps)[0]
+        for delta in _deltas(rng, H):
+            got = sensitivity_times(members, delta, steps)
+            want = separation_times(values, delta)
+            assert (list(got.los), list(got.his), got.horizon) == \
+                (list(want.los), list(want.his), want.horizon), delta
+
+
 def test_sensitivity_witness_family(s3):
     horizon = 600
     fam = s3.witness_family(0, 27, count=horizon - 28, horizon=horizon)

@@ -26,7 +26,11 @@ from meansense import (
     union_factor,
 )
 from meansense.checks import _triangle_holds, check_thm18_witness
-from meansense.hyperspace import _hausdorff_first_difference
+from meansense.hyperspace import (
+    _family_cut,
+    _first_difference_table,
+    _hausdorff_first_difference,
+)
 from meansense.reports import fmt17
 
 
@@ -312,8 +316,17 @@ def random_family_items(rng, horizon, alphabet=2):
     return items, marked + plain
 
 
+def expanded_first_difference(A, B):
+    """``_hausdorff_first_difference`` on the expanded table: the maxima of
+    every row and every column holding no 0, family columns included."""
+    J = _first_difference_table(A, B)
+    maxima = [*map(max, filter(all, J)), *map(max, filter(all, zip(*J)))]
+    return min(maxima, default=None), not all(map(all, J))
+
+
 def test_family_route_matches_expanded_route():
     rng = random.Random(71)
+    readings = set()  # the (head, agreeing tail) kinds of the family cuts
     for trial in range(400):
         horizon = rng.randint(12, 20)
         alphabet = 4 if trial % 4 == 3 else 2
@@ -337,11 +350,23 @@ def test_family_route_matches_expanded_route():
         assert hausdorff_distance(B, A) == want, trial
         assert hausdorff_distance_inf_formula(A, B) == want, trial
         assert hausdorff_distance_inf_formula(B, A) == want, trial
+        # the closed-form family columns against the expanded table
+        for X, Y in ((A, B), (B, A)):
+            assert (_hausdorff_first_difference(X, Y)
+                    == expanded_first_difference(X, Y)), trial
+            for fam in Y.families:
+                for v in (X.members if X.families else X.plain):
+                    k, head, tail = _family_cut(v, fam)
+                    readings.add((len(head), 0 in head or (
+                        tail == 0 and k + len(head) < len(fam.marks))))
         if alphabet != 2:
             continue  # certification reads the binary alphabet only
         n = min(A.horizon, B.horizon)
         assert (certified_separation_steps(A, B, n)
                 == certified_separation_steps(A_x, B_x, n)), trial
+    # cuts with and without a head, each with and without a member that
+    # agrees with the row through the horizon
+    assert readings == {(0, True), (0, False), (1, False), (1, True)}
 
 
 def test_thm18_witness_outputs_on_s3_depth_4(s3):

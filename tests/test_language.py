@@ -71,6 +71,32 @@ def test_cylinder_members_start_with_word(s3_language, s3):
     assert all(m.horizon == 256 for m in members)
 
 
+def test_cylinder_members_match_string_search():
+    # the members are the first max_members occurrences whose view of
+    # member_horizon symbols fits in the source, the last usable start
+    # (len - member_horizon + 1) included
+    rng = random.Random(5)
+    at_edge = 0
+    for trial in range(600):
+        text = "".join(rng.choice("01") * rng.randint(1, 4)
+                       for _ in range(rng.randint(2, 40)))
+        plen = rng.randint(1, min(5, len(text)))
+        p0 = rng.randint(0, len(text) - plen)
+        u = text[p0:p0 + plen]
+        horizon = rng.randint(plen, len(text) + 1)
+        if trial % 2:  # the last usable start holds an occurrence
+            horizon = len(text) - p0
+        cap = rng.choice([1, 2, 4, 32])
+        got = cylinder_members(Word.from_string(text), Word.from_string(u),
+                               max_members=cap, member_horizon=horizon)
+        starts = [i for i in range(len(text) - horizon + 1)
+                  if text.startswith(u, i)][:cap]
+        assert [(m.provenance.offset, m.prefix.as_string()) for m in got] == \
+            [(i, text[i:i + horizon]) for i in starts], trial
+        at_edge += bool(starts) and starts[-1] == len(text) - horizon
+    assert at_edge > 50
+
+
 def test_cylinder_members_empty_is_not_error(s3_language):
     # no four consecutive ones occur anywhere in the built prefix
     got = cylinder_members(s3_language, Word.from_string("11111"),

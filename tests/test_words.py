@@ -357,6 +357,42 @@ def test_find_occurrences_from_start_matches_string_search():
         assert got == want[:cap]
 
 
+def test_find_occurrences_up_to_last_matches_string_search():
+    rng = random.Random(41)
+    seen_single = seen_below_start = 0
+    for trial in range(1200):
+        nruns = rng.randint(1, 40) if trial < 1100 else rng.randint(2000, 3000)
+        runs = [(k % 2, rng.randint(1, 5)) for k in range(nruns)]
+        text = "".join(str(s) * c for s, c in runs)
+        if trial % 3 == 0:  # one run, often longer than most text runs
+            pat = str(rng.randint(0, 1)) * rng.randint(1, 6)
+        elif trial % 3 == 1:
+            plen = rng.randint(1, min(8, len(text)))
+            p0 = rng.randint(0, len(text) - plen)
+            pat = text[p0:p0 + plen]
+        else:  # patterns of 3 to 40 runs, the whole text among them
+            pat = _run_spanning_pattern(rng, runs)
+        start = rng.randint(1, len(text) + 2)
+        last = rng.randint(-2, len(text) + 3)
+        cap = rng.choice([1, 2, 3, 10_000])
+        got = find_occurrences(Word.from_string(text), Word.from_string(pat),
+                               cap=cap, start=start, last=last)
+        want = [i + 1 for i in range(start - 1, min(last, len(text)))
+                if text[i:i + len(pat)] == pat]
+        assert got == want[:cap], (trial, text, pat, start, last, cap)
+        seen_single += len(set(pat)) == 1 and bool(want)
+        seen_below_start += last < start
+    assert seen_single > 100 and seen_below_start > 100
+    # a run holding ``last`` whose occurrences pass it, under a cap
+    text = Word.from_string("0011111100111")
+    assert find_occurrences(text, Word.from_string("11"), last=5) == [3, 4, 5]
+    assert find_occurrences(text, Word.from_string("11"), cap=2, last=4) == \
+        [3, 4]
+    assert find_occurrences(text, Word.from_string("011"), last=9) == [2]
+    assert find_occurrences(text, Word.from_string("011"), last=10) == [2, 10]
+    assert find_occurrences(text, Word.from_string("1"), start=4, last=3) == []
+
+
 def test_de_bruijn_contains_every_word():
     for order in (1, 2, 3, 4, 6):
         w = de_bruijn_word(order)
