@@ -8,7 +8,7 @@ metric.  Every asymptotic statement of the underlying theory is rendered
 as an exact finite computation with explicit truncation accounting.
 
 Each public name is imported from its module on first access (PEP 562),
-so that ``meansense build`` loads neither numpy nor the checks.
+so that ``meansense build`` never loads the checks.
 """
 
 import importlib

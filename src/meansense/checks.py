@@ -199,7 +199,8 @@ def check_thm13_cofinite(c: S3Construction, seed: int = 0) -> Report:
 
 def _s3_deep_cylinders(c: S3Construction, how_many: int = 10):
     """Cylinder words (level-2 block + long zero run) whose members all sit
-    in sparse territory: block-phase copies plus the pre-gap copies."""
+    in sparse territory: block-phase copies plus the pre-gap copies.  Each
+    word extends the one before it by 50 zeros."""
     a2 = c.a_word(2)
     k2 = c.schedule.level(2).k
     out = []
@@ -208,6 +209,26 @@ def _s3_deep_cylinders(c: S3Construction, how_many: int = 10):
         w = Word(2, tuple(a2.runs) + ((0, j),))
         out.append(w)
     return out
+
+
+def _cylinder_member_lists(src: Word, words, cap: int, member_horizon: int):
+    """``cylinder_members(src, u, cap, member_horizon)`` for each word u of
+    ``words``, in order, where each word extends the one before it.
+
+    Every occurrence of u is then one of the word before, so u's members
+    are the earlier members that start with u, and past them only the
+    occurrences after a full earlier list are unread: the scan resumes
+    there, one position past its last member.
+    """
+    members, start = [], 1  # start: the first position not read, if any
+    for u in words:
+        members = [m for m in members if m.starts_with(u)]
+        if start is not None and len(members) < cap:
+            members += cylinder_members(src, u, cap - len(members),
+                                        member_horizon, start=start)
+        start = (members[-1].provenance.offset + 2 if len(members) == cap
+                 else None)
+        yield members
 
 
 def _dense_window_agrees(x: PointView, y: PointView, r, L: int,
@@ -238,16 +259,17 @@ def check_thm13_banach_equi(c: S3Construction, seed: int = 0) -> Report:
     each of ten deep cylinders, truncation correction and rounding bound
     included.  In each cylinder the worst pair (the first while every pair
     reports 0) is recomputed by ``_dense_window_agrees``, so a sweep that
-    under-reports fails."""
+    under-reports fails.  The members of each cylinder are read from those
+    of the one before by ``_cylinder_member_lists``."""
     pairs_per_cylinder, epsilon = 100, 0.05
     src = c.transitive_prefix(c.schedule.level(4).len_a).prefix
     t2 = c.schedule.level(2).t
     member_h = 3 * t2 + DEFAULT_DEPTH + 100
     rows = []
     ok = True
-    for u in _s3_deep_cylinders(c, 10):
-        members = cylinder_members(src, u, max_members=15,
-                                   member_horizon=member_h)
+    cylinders = _s3_deep_cylinders(c, 10)
+    for u, members in zip(cylinders, _cylinder_member_lists(
+            src, cylinders, 15, member_h)):
         pairs = list(itertools.combinations(range(len(members)),
                                             2))[:pairs_per_cylinder]
         if len(pairs) < pairs_per_cylinder:

@@ -174,7 +174,7 @@ def cmd_check(cfg: RunConfig, names: List[str]) -> int:
     """Run ``names`` (or every check that fits the build, for ``all``) on one
     construction built from the build's schedule; nothing is written unless
     every check runs."""
-    from . import checks as _checks  # here, so that ``build`` never loads numpy
+    from . import checks as _checks  # here, so that ``build`` never loads it
 
     out = Path(cfg.output_dir)
     sched = _require_build(cfg)

@@ -19,7 +19,6 @@ import itertools
 import math
 import operator
 import sys
-from array import array
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -31,9 +30,9 @@ from .words import (
     diff_intervals,
     interval_window_max,
     point_metric,
+    symbol_runs,
+    symbol_window_max,
 )
-
-# numpy is imported only inside the batched path of ``banach_avg_distances``
 
 DEFAULT_DEPTH = 64  # default per-step metric comparison depth
 
@@ -43,14 +42,17 @@ _FLOAT_MAX = int(sys.float_info.max)  # the largest finite float, exactly
 class IndexSet:
     """A finite set of non-negative integers below a horizon, held as its
     maximal runs: the inclusive [los[k], his[k]], two sequences of ints
-    (lists, or ``array('q')`` from ``indicator_set_E``), increasing, with a
-    non-member between any two runs.
+    (lists, or tuples from ``indicator_set_E``), increasing, with a
+    non-member between any two runs.  ``source`` is None, or the (word,
+    symbol) whose 0-based symbol positions the set holds, its horizon the
+    word's length.
 
     Sets are immutable, and compare and hash by identity: a run list has
     no hash."""
 
-    def __init__(self, los: Sequence[int], his: Sequence[int], horizon: int):
-        vars(self).update(los=los, his=his, horizon=horizon)
+    def __init__(self, los: Sequence[int], his: Sequence[int], horizon: int,
+                 source: Optional[tuple] = None):
+        vars(self).update(los=los, his=his, horizon=horizon, source=source)
 
     def __setattr__(self, name, value):
         raise AttributeError("IndexSet is immutable")
@@ -75,29 +77,25 @@ class IndexSet:
 
 
 def indicator_set_E(y: PointView, symbol: int = 1) -> IndexSet:
-    """0-based positions i < horizon with y_{i+1} equal to ``symbol``.
-
-    Run k of the word holds the 0-based positions from the end of run k-1
-    (0 for the first run) to its own end less one, both read from the run
-    index.  The runs are kept as ``array('q')``, eight bytes each: a long
-    word has thousands of them, numpy's window sweep reads them without a
-    conversion per entry, and no int object outlives its copy."""
-    hit = [s == symbol for s, _ in y.prefix.runs]
-    ends = y.prefix.run_index
-    return IndexSet(
-        array("q", itertools.compress([0, *ends], hit)),
-        array("q", map((-1).__add__, itertools.compress(ends, hit))),
-        y.horizon)
+    """0-based positions i < horizon with y_{i+1} equal to ``symbol``: the
+    runs are the prefix's cached ``symbol_runs``, and (y.prefix, symbol)
+    is the set's source."""
+    return IndexSet(*symbol_runs(y.prefix, symbol), y.horizon,
+                    (y.prefix, symbol))
 
 
 def banach_window_max(F: IndexSet, window: int) -> tuple:
     """Exact sup over windows [M, M+window) ⊆ [0, horizon) of the member count.
 
     Returns (count, smallest attaining window start), sweeping the runs of
-    ``F`` with ``interval_window_max``.
+    ``F`` with ``interval_window_max``; a set with a source takes its
+    word's cached sweep, ``symbol_window_max``, which ``max_window_count``
+    shares.
     """
     if not 1 <= window <= F.horizon:
         raise ParameterError("window outside [1, horizon]")
+    if F.source is not None:
+        return symbol_window_max(*F.source, window)
     return interval_window_max(F.los, F.his, F.horizon, window)
 
 
@@ -248,12 +246,6 @@ def banach_avg_distance(x: PointView, y: PointView, L: int,
     return banach_avg_distances([x, y], [(0, 1)], L, depth)[0]
 
 
-#: pairs per batch of ``banach_avg_distances``: bounds its (pairs x K) sum
-#: tables, about 75 KB each for a deep S3 cylinder; a call with fewer pairs
-#: sweeps them one by one in plain Python
-_PAIR_CHUNK = 25
-
-
 def banach_avg_distances(members: Sequence[PointView], pairs, L: int,
                          depth: int = DEFAULT_DEPTH) -> list:
     """``banach_avg_distance`` of each index pair (i, j) of ``members``.
@@ -264,18 +256,13 @@ def banach_avg_distances(members: Sequence[PointView], pairs, L: int,
     (counting every truncated comparison at its worst) sits above the plain
     sup.  Returns one report per pair, in order.
 
-    Two paths, chosen by the number of pairs, give equal reports.  Fewer
-    pairs than one batch (``_PAIR_CHUNK``) go through ``_sweep_pair``, one
-    pair at a time in plain Python, after a direct walk of the pair; there
-    numpy's per-call cost and import outweigh the work.  More pairs go
-    through numpy batch by batch.
-
-    Disagreements.  On a binary alphabet a pair disagrees exactly where one
-    of its two members disagrees with a shared base member, so the batched
-    path walks each member once against the base (the member of longest
-    horizon) and a pair's disagreement set is the symmetric difference of
-    its two members' sets, clipped to the pair's shorter horizon.  Other
-    alphabets walk each pair directly.
+    On a binary alphabet a pair disagrees exactly where one of its members
+    disagrees with a shared base member, the one of longest horizon.  So
+    each member is walked once against the base and keeps its flip points
+    (lo and hi+1 of each interval) as a set, and a pair's intervals are the
+    sorted symmetric difference of its two sets.  Its points up to the
+    pair's shorter horizon are exact, and ``_sweep_pair`` reads no interval
+    that opens past it.  Other alphabets walk each pair directly.
 
     Swept over breakpoints, with no per-step array.  Step k is nonzero
     exactly when a disagreement lies in (k, k+depth], so the nonzero steps
@@ -284,25 +271,32 @@ def banach_avg_distances(members: Sequence[PointView], pairs, L: int,
     interval; every other step is truncated.  Adding 0.0 is exact, so the
     running sum of the K nonzero terms in step order equals the dense
     running sum at every step, and a window holds L minus its nonzero steps
-    truncated.  In a batch each pair's terms fill one row of a table summed
-    along the row, so every pair adds from 0 in step order on its own, as
-    ``_sweep_pair`` adds them.
+    truncated.
 
-    Candidate starts are {0} ∪ {k+1-L >= 0} over the nonzero steps k.
-    Moving a window start from s-1 to s drops step s-1 and takes in step
-    s+L-1.  When neither is nonzero, both window sums keep their value (in
-    floats too: the running-sum indices are the same), so s is neither
-    needed for the maximum nor the smallest start attaining it.  When only
-    step s-1 is nonzero (s = k+1, not of the form j+1-L), the plain sum
-    loses a term of at least 1/depth and the corrected sum gains at most
-    1/(depth+1) for the truncated step taken in: both fall strictly.  In
-    floats the plain sum cannot rise either, since the two differences
-    share their upper running sum and the lower one grew; the corrected sum
-    falls while its drop of at least 1/(depth (depth+1)) exceeds the
-    rounding error of two window sums (below), by many orders here.  So
-    the maxima and the smallest start attaining the plain one lie in the
-    candidates, and the result is bit-identical to the dense sweep.  A
-    candidate k+1-L ends its window at step k, so its upper index is k's.
+    Candidate starts.  Moving a window start from s-1 to s drops step s-1
+    and takes in step s+L-1.  When neither is nonzero, both window sums
+    keep their value (in floats too: the running-sum indices are the same).
+    When only step s-1 is, the plain sum loses a term of at least 1/depth
+    and the corrected sum gains at most 1/(depth+1) for the truncated step
+    taken in: both fall strictly.  In floats the plain sum cannot rise
+    either, since the two differences share their upper running sum and
+    the lower one grew; the corrected sum falls while its drop of at least
+    1/(depth (depth+1)) exceeds the rounding error of two window sums
+    (below), by many orders here.  So start 0 and the starts whose window
+    ends on a nonzero step hold both maxima and the smallest start of the
+    plain one.  A segment of consecutive nonzero ends gives a stretch of
+    consecutive such starts, along which the count j of nonzero steps
+    before the start rises by one past each start that is itself a nonzero
+    step.  While j stays fixed, the next start only takes in a nonzero
+    step: by the same argument the plain sum cannot fall and the corrected
+    one rises.  So a stretch needs only its starts on nonzero steps and its
+    last start.  Along a run of starts on nonzero steps the window's count
+    of nonzero steps is constant: one ``map`` subtracts the run's running
+    sums, ``max`` and ``index`` give its best and smallest start, and
+    fl(max + count term) its corrected best, as rounding preserves order.
+    When a run's first start or a last start sets a new best, the starts
+    before it with the same j may tie: ``_tie_start`` finds the smallest.
+    So every float matches the dense sweep's.
 
     ``rounding_bound`` bounds |upper - U| for the exact corrected sup U
     (1/g per nonzero step, 1/(depth+1) per truncated one).  With
@@ -326,36 +320,22 @@ def banach_avg_distances(members: Sequence[PointView], pairs, L: int,
     for s in steps:
         if s < L:
             raise HorizonError(f"window {L} does not fit in {s} usable steps")
-    if len(pairs) < _PAIR_CHUNK:
-        return [_sweep_pair(*diff_intervals(members[i].prefix, members[j].prefix,
-                                            upto=s + depth), s, L, depth)
-                for (i, j), s in zip(pairs, steps)]
-    import numpy as np
-    used = sorted({m for pair in pairs for m in pair})
-    # row r of a batch keys position p as r * stride + p; a horizon too long
-    # for that takes one pair per batch, whose row 0 keys are plain positions
-    stride = max(members[m].horizon for m in used) + 2
-    per = _PAIR_CHUNK if _PAIR_CHUNK * stride < 2 ** 63 else 1
-    walks = None
-    if all(members[m].alphabet_size == 2 for m in used):
-        base = max(used, key=lambda m: members[m].horizon)
-        # each member's flip points lo and hi+1 against the base, in order
-        walks = {m: (np.array(diff_intervals(
-                     members[base].prefix, members[m].prefix),
-                     dtype=np.int64).T + (0, 1)).ravel()
-                 for m in used if m != base}
-        walks[base] = np.empty(0, dtype=np.int64)
-    out = []
-    for c in range(0, len(pairs), per):
-        chunk, chunk_steps = pairs[c:c + per], steps[c:c + per]
-        if walks is None:
-            los, his, row = _walked_intervals(members, chunk, chunk_steps,
-                                              depth)
-        else:
-            los, his, row = _shared_intervals(walks, chunk, chunk_steps,
-                                              depth, stride)
-        out += _sweep_rows(los, his, row, chunk_steps, L, depth, stride)
-    return out
+    used = {m for pair in pairs for m in pair}
+    if used and all(members[m].alphabet_size == 2 for m in used):
+        base = members[max(used, key=lambda m: members[m].horizon)].prefix
+        flips = {}
+        for m in used:
+            los, his = diff_intervals(base, members[m].prefix)
+            flips[m] = frozenset([*los, *map((1).__add__, his)])
+        walks = (sorted(flips[i] ^ flips[j]) for i, j in pairs)
+        walks = ((p[0::2], map((-1).__add__, p[1::2])) for p in walks)
+    else:
+        walks = (diff_intervals(members[i].prefix, members[j].prefix,
+                                upto=s + depth)
+                 for (i, j), s in zip(pairs, steps))
+    table = [0.0, *map((1.0).__truediv__, range(1, depth + 1))]  # 1/gap
+    return [_sweep_pair(los, his, s, L, depth, table)
+            for (los, his), s in zip(walks, steps)]
 
 
 def _average_report(best: float, corrected: float, m: int, K: int,
@@ -374,134 +354,87 @@ def _average_report(best: float, corrected: float, m: int, K: int,
     )
 
 
-def _sweep_pair(los: list, his: list, steps: int, L: int,
-                depth: int) -> AverageReport:
-    """The window sweep of ``banach_avg_distances`` for one pair, in plain
-    Python, over its merged disagreement intervals [los, his].
+def _sweep_pair(los, his, steps: int, L: int, depth: int,
+                table: list) -> AverageReport:
+    """The window sweep of ``banach_avg_distances`` for one pair, over its
+    merged disagreement intervals [los, his]; ``table[g]`` is 1.0/g for the
+    gaps g <= depth, so an approach segment's terms are one slice of it.
 
-    The nonzero steps and their terms are listed interval by interval, as
-    the batched sweep lays them out; the running sums add the terms from 0
-    in step order, and each candidate start reads the same two running
-    sums and the same truncated count, so every float matches the batched
-    sweep.  The candidates come in increasing start order and only a
-    strictly larger sum replaces the best, which keeps the smallest start.
+    The terms are listed interval by interval and ``run`` adds them from 0
+    in step order; segment q of consecutive nonzero steps is [firsts[q],
+    lasts[q]], its first term at[q].  Each interval opens past the steps
+    before it, since the one before ends at least two positions earlier.
+    The candidates come in increasing start order, and only a strictly
+    larger sum replaces the best, which keeps the smallest start.
     """
-    nz, terms = [], []  # the nonzero steps and their terms, in step order
+    firsts, lasts, at, terms = [], [], [], []
+    prev = -1  # the last nonzero step so far
     for lo, hi in zip(los, his):
-        a = max(lo - depth, nz[-1] + 1 if nz else 0)
+        a = max(lo - depth, prev + 1)
         b = min(hi, steps) - 1
         if a > b:  # past the usable steps, as is every later interval
             break
-        nz += range(a, b + 1)
-        terms += map((1.0).__truediv__, range(lo - a, lo - min(lo, b + 1), -1))
-        terms += itertools.repeat(1.0, b + 1 - max(a, lo))
-    run = [0.0, *itertools.accumulate(terms)]
-    # start 0, then start k+1-L for each nonzero step k >= L-1; j counts
-    # the nonzero steps before the start, end those through the window
-    j = bisect.bisect_left(nz, L)
+        if lasts and a == prev + 1:
+            lasts[-1] = b
+        else:
+            firsts.append(a)
+            lasts.append(b)
+            at.append(len(terms))
+        terms += table[lo - a:max(lo - b - 1, 0):-1]
+        terms += itertools.repeat(1.0, b + 1 - lo)
+        prev = b
+    K = len(terms)
+    run = list(itertools.accumulate(terms, initial=0.0))
+    at.append(K)
+    # start 0: its window holds the nonzero steps below L
+    q = bisect.bisect_left(firsts, L)
+    j = at[q - 1] + min(lasts[q - 1], L - 1) - firsts[q - 1] + 1 if q else 0
     best, m = run[j], 0
     corrected = best + (L - j) / (depth + 1)
-    j = 0
-    for end in range(bisect.bisect_left(nz, L - 1) + 1, len(nz) + 1):
-        start = nz[end - 1] + 1 - L
-        while nz[j] < start:
-            j += 1
-        total = run[end] - run[j]
-        if total > best:
-            best, m = total, start
-        corrected = max(corrected, total + (L - (end - j)) / (depth + 1))
-    return _average_report(best, corrected, m, len(nz), steps, L)
+    q = 0  # the first segment not wholly before the current starts
+    for first, last, e0 in zip(firsts, lasts, at):
+        if last < L - 1:
+            continue
+        # the starts whose window ends in this segment; start s ends its
+        # window at run index s + shift
+        lo_s, hi_s = max(first, L - 1) + 1 - L, last + 1 - L
+        shift = e0 + L - first
+        while lasts[q] < lo_s:
+            q += 1
+        group = lo_s  # the first start on which j takes its current value
+        r = q
+        while r < len(firsts) and firsts[r] <= hi_s:
+            # the run of starts on the nonzero steps of segment r
+            x, y = max(firsts[r], lo_s), min(lasts[r], hi_s)
+            e, j = x + shift, at[r] + x - firsts[r]
+            sums = list(map(operator.sub, run[e:e + y - x + 1],
+                            run[j:j + y - x + 1]))
+            total = max(sums)
+            corrected = max(corrected, total + (L - e + j) / (depth + 1))
+            if total > best:
+                i = sums.index(total)
+                best, m = total, (x + i if i else
+                                  _tie_start(run, e, j, total, x, group))
+            group = y + 1
+            r += 1
+        if group <= hi_s:  # the last start, on a zero step
+            e, j = hi_s + shift, at[r]
+            total = run[e] - run[j]
+            corrected = max(corrected, total + (L - e + j) / (depth + 1))
+            if total > best:
+                best, m = total, _tie_start(run, e, j, total, hi_s, group)
+    return _average_report(best, corrected, m, K, steps, L)
 
 
-def _walked_intervals(members, pairs, steps, depth) -> tuple:
-    """(los, his, row) of each pair's own disagreement walk, row by row;
-    for alphabets other than binary, where base walks do not combine."""
-    import numpy as np
-    parts = [diff_intervals(members[i].prefix, members[j].prefix,
-                            upto=s + depth) for (i, j), s in zip(pairs, steps)]
-    row = np.repeat(np.arange(len(parts)), [len(lo) for lo, _ in parts])
-    los, his = (np.fromiter(itertools.chain(*half), np.int64)
-                for half in zip(*parts))
-    return los, his, row
-
-
-def _shared_intervals(walks, pairs, steps, depth, stride) -> tuple:
-    """(los, his, row) of each pair's symmetric difference of base walks,
-    clipped to its shorter horizon, row by row."""
-    import numpy as np
-    flips = [walks[m] for pair in pairs for m in pair]
-    keys = np.concatenate(flips) + np.repeat(
-        np.arange(len(pairs)) * stride,
-        [len(walks[i]) + len(walks[j]) for i, j in pairs])
-    keys.sort()
-    # a position flipped by both members flips nothing; each member's
-    # points are distinct, so a key occurs at most twice
-    twin = keys[1:] == keys[:-1]
-    keep = np.ones(len(keys), dtype=bool)
-    keep[1:] &= ~twin
-    keep[:-1] &= ~twin
-    keys = keys[keep]
-    row = keys[0::2] // stride
-    los = keys[0::2] - row * stride
-    his = keys[1::2] - row * stride - 1
-    upto = np.asarray(steps, dtype=np.int64)[row] + depth
-    inside = los <= upto
-    return los[inside], np.minimum(his, upto)[inside], row[inside]
-
-
-def _sweep_rows(los, his, row, steps, L, depth, stride) -> list:
-    """The window sweep of ``banach_avg_distances`` over the merged
-    disagreement intervals of a batch of pairs, sorted by row (pair) and
-    position; one report per row."""
-    import numpy as np
-    P = len(steps)
-    stepv = np.asarray(steps, dtype=np.int64)
-    # nonzero steps, interval by interval: [lo - depth, hi - 1] clipped to
-    # the usable steps and past the previous interval's steps of the row
-    a = np.maximum(los - depth, 0)
-    b = np.minimum(his - 1, stepv[row] - 1)
-    a[1:] = np.maximum(a[1:], np.where(row[1:] == row[:-1], b[:-1] + 1, 0))
-    keep = a <= b
-    a, b, los, row = a[keep], b[keep], los[keep], row[keep]
-    n = b - a + 1
-    K = np.bincount(row, weights=n, minlength=P).astype(np.int64)
-    first = np.cumsum(K) - K  # flat index of each row's first step
-    # the flat nonzero steps, by row and step, and the index ``at`` of the
-    # running sum through each in a (P, W) table whose rows start at 0
-    flat = np.arange(int(n.sum()))
-    nz = np.repeat(a - (np.cumsum(n) - n), n) + flat
-    srow = np.repeat(row, n)
-    W = int(K.max()) + 1
-    rows = np.arange(P)
-    # flat step g -> table index of its row's sum over the steps before g
-    shift = (rows * W - first)[srow]
-    at = flat + shift + 1
-    gap = np.maximum(np.repeat(los, n) - nz, 1)
-    cs = np.zeros(P * W)
-    cs[at] = 1.0 / gap
-    cs = np.cumsum(cs.reshape(P, W), axis=1).ravel()
-    # window sums by table column: 0 for start 0, and the column of step k
-    # for start k+1-L
-    sums = np.full(P * W, -np.inf)
-    corr = np.full(P * W, -np.inf)
-    key = srow * stride + nz
-    heads = rows * W
-    i1 = np.searchsorted(key, rows * stride + L) - first
-    sums[heads] = cs[heads + i1]
-    corr[heads] = sums[heads] + (L - i1) / (depth + 1)
-    cand = nz + 1 >= L
-    hi = at[cand]
-    lo = np.searchsorted(key, key[cand] + 1 - L) + shift[cand]
-    sums[hi] = cs[hi] - cs[lo]
-    corr[hi] = sums[hi] + (L - (hi - lo)) / (depth + 1)
-    sums, corr = sums.reshape(P, W), corr.reshape(P, W)
-    best = sums.max(axis=1)
-    corrected = corr.max(axis=1)
-    mcol = sums.argmax(axis=1).tolist()  # the first, hence smallest, start
-    return [_average_report(
-        float(best[r]), float(corrected[r]),
-        int(nz[first[r] + mcol[r] - 1]) + 1 - L if mcol[r] else 0,
-        int(K[r]), steps[r], L) for r in range(P)]
+def _tie_start(run: list, e: int, j: int, total: float, s: int,
+               group: int) -> int:
+    """The smallest start in [group, s] whose window sum fl(run[e'] -
+    run[j]) equals ``total``, that of start s, whose window ends at run
+    index e; the sums do not fall along the group, where j is fixed."""
+    while s > group and run[e - 1] - run[j] == total:
+        s -= 1
+        e -= 1
+    return s
 
 
 # ---------------------------------------------------------------------------

@@ -45,19 +45,20 @@ def subwords(src: Word, n: int, cap: int = SUBWORD_CAP) -> List[Word]:
 
 
 def cylinder_members(src: Word, u: Word, max_members: int = 32,
-                     member_horizon: int = 4096) -> List[PointView]:
+                     member_horizon: int = 4096,
+                     start: int = 1) -> List[PointView]:
     """Known points of the cylinder of ``u``, truncated to ``member_horizon``.
 
     Members are the shifts of the source prefix ``src`` at each occurrence
-    of ``u`` (RLE occurrence scan, left to right) whose view fits inside
-    ``src``: the scan stops at the last such start and after
-    ``max_members`` occurrences.  An empty result is not an error: it only
-    means the approximation holds no witness.
+    of ``u`` at or after position ``start`` (RLE occurrence scan, left to
+    right) whose view fits inside ``src``: the scan stops at the last such
+    start and after ``max_members`` occurrences.  An empty result is not an
+    error: it only means the approximation holds no witness.
     """
     if u.length == 0:
         raise ParameterError("empty cylinder word")
     out = []
-    for pos in find_occurrences(src, u, cap=max_members,
+    for pos in find_occurrences(src, u, cap=max_members, start=start,
                                 last=src.length - member_horizon + 1):
         view = PointView(
             src.subword(pos, member_horizon),

@@ -13,8 +13,8 @@ import bisect
 import itertools
 import operator
 from collections import abc
-from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
+from functools import cached_property, lru_cache
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
     AlphabetMismatchError,
@@ -24,16 +24,12 @@ from .errors import (
     ParameterError,
 )
 
-# numpy is imported inside the few functions that vectorize, so that
-# building words and the word algebra never load it
-if TYPE_CHECKING:
-    import numpy as np
-
 MAX_LENGTH = 2**63 - 1
 
+_SYMBOL = operator.itemgetter(0)  # the symbol of a (symbol, count) run
 _COUNT = operator.itemgetter(1)  # the count of a (symbol, count) run
 
-#: expansion guard: Word.expand refuses beyond this many symbols
+#: expansion guard: Word.as_string refuses beyond this many symbols
 EXPAND_LIMIT = 50_000_000
 
 
@@ -197,14 +193,6 @@ class Word:
                 itertools.accumulate(map(_COUNT, self.runs))))
         return self._index
 
-    def expand(self) -> np.ndarray:
-        """Symbols as a uint8 array; guarded against huge words."""
-        if self.length > EXPAND_LIMIT:
-            raise ParameterError(f"refusing to expand {self.length} symbols")
-        import numpy as np
-        syms, lens = np.array(self.runs, dtype=np.int64).reshape(-1, 2).T
-        return np.repeat(syms.astype(np.uint8), lens)
-
     def symbol_at(self, pos: int) -> int:
         """Symbol at 1-based position ``pos``."""
         if not 1 <= pos <= self.length:
@@ -337,49 +325,81 @@ def interval_window_max(los: Sequence[int], his: Sequence[int], span: int,
     """Exact maximum count of marked positions over windows inside [0, span).
 
     The marked positions are the sorted, disjoint, inclusive intervals
-    [los[k], his[k]], given as lists or int64 arrays.  Returns (max_count,
-    smallest optimal window start).
+    [los[k], his[k]] inside [0, span).  Returns (max_count, smallest
+    optimal window start).
 
-    The smallest optimal start p is 0, or the window one step to its left
-    holds fewer marks, so p - 1 is unmarked and p + window - 1 marked: then p
-    opens an interval, p + window - 1 closes one, or p is the last start.
-    Scanning those candidates in increasing order finds p.  A repeated
-    candidate repeats its count next to itself, so ``argmax`` over the
-    sorted candidates still returns the smallest optimal start.
+    A window starting on an unmarked position holds no fewer marks one step
+    to its right, and one starting inside an interval no fewer one step to
+    its left.  So the maximum is attained at an interval start or at the
+    last start, span - window, and one pass over the starts lo up to the
+    last start finds it and its first start q: the window at lo holds the
+    marks below x = lo + window less the cum[i] marks before lo, and the
+    first interval k ending at or past x only moves forward.  A start p < q
+    holds the marks of q's window plus those in [p, q) less those in
+    [p + window, q + window).  An optimal p is unmarked and slides right
+    into q, so both ranges hold none; and when the second holds none, the
+    first holds none too, or p would beat q.  So the smallest optimal start
+    is the last mark below q + window less window - 1, or 0.
     """
-    import numpy as np
-    if len(los) == 0:
+    n = len(los)
+    if not n:
         return 0, 0
-    los, his = np.asarray(los, dtype=np.int64), np.asarray(his, dtype=np.int64)
     last = span - window
-    cands = np.sort(np.clip(np.concatenate([los, his - window + 1, [0, last]]),
-                            0, last))
-    cum = np.concatenate([[0], np.cumsum(his - los + 1)])
+    cum = [0, *itertools.accumulate(map((1).__add__,
+                                        map(operator.sub, his, los)))]
+    his_s = [*his, span]  # a sentinel: every x is at most span
+    best, q = -1, 0
+    k, end, whole, part = 0, his_s[0], 0, -los[0]
+    for x, before in zip(map(window.__add__, itertools.islice(
+            los, bisect.bisect_right(los, last))), cum):
+        if end < x:
+            k = bisect.bisect_left(his_s, x, k)
+            end, whole = his_s[k], cum[k]
+            part = whole - (los[k] if k < n else span)
+        # the marks below x: the intervals before k, and k's part below x
+        c = (part + x if part + x > whole else whole) - before
+        if c > best:
+            best, q = c, x - window
+    k = bisect.bisect_left(his, last)
+    c = cum[n] - cum[k] - (max(last - los[k], 0) if k < n else 0)
+    if c > best:
+        best, q = c, last
+    # the last mark below q + window; q's window holds one, as best > 0
+    k = bisect.bisect_left(los, q + window) - 1
+    return best, max(min(his[k], q + window - 1) - window + 1, 0)
 
-    def marked_below(x):
-        # marked positions < x: whole intervals ending before x plus the part
-        # of the next interval that starts before x
-        k = np.searchsorted(his, x)
-        part = np.clip(x - los[np.minimum(k, len(los) - 1)], 0, None)
-        return cum[k] + np.where(k < len(los), part, 0)
 
-    counts = marked_below(cands + window) - marked_below(cands)
-    best = int(np.argmax(counts))
-    return int(counts[best]), int(cands[best])
+@lru_cache(maxsize=4)
+def symbol_runs(word: Word, symbol: int) -> tuple:
+    """(los, his): tuples of the 0-based inclusive runs of ``symbol`` in
+    ``word``, read from the run ends; cached on the word object (its hash
+    is computed once), since the S3 window checks read A_4's up to four
+    times."""
+    hit = list(map(symbol.__eq__, map(_SYMBOL, word.runs)))
+    ends = word.run_index
+    return (tuple(itertools.compress([0, *ends], hit)),
+            tuple(map((-1).__add__, itertools.compress(ends, hit))))
+
+
+@lru_cache(maxsize=16)
+def symbol_window_max(word: Word, symbol: int, window: int) -> tuple:
+    """``interval_window_max`` over ``symbol_runs(word, symbol)``, cached
+    on the word object: ``lemma-3.1`` and ``lemma-3.2-density`` both sweep
+    A_4 at window t_2."""
+    return interval_window_max(*symbol_runs(word, symbol), word.length,
+                               window)
 
 
 def max_window_count(index: OccurrenceIndex, window: int) -> tuple:
     """Exact maximum designated-symbol count over all windows of ``window`` symbols.
 
-    Sweeps the designated runs with ``interval_window_max``; never expands
+    Sweeps the designated runs with ``symbol_window_max``; never expands
     the word.  Returns (max_count, smallest attaining 1-based start).
     """
-    import numpy as np
     w = index.word
     if not 1 <= window <= w.length:
         raise ParameterError(f"window {window} outside [1, {w.length}]")
-    los, his = np.array(w.runs_of(index.symbol), dtype=np.int64) - 1
-    count, start = interval_window_max(los, his, w.length, window)
+    count, start = symbol_window_max(w, index.symbol, window)
     return count, start + 1
 
 

@@ -7,9 +7,11 @@ from meansense import (
     ParameterError,
     S3Construction,
     S4Construction,
+    Word,
     build_schedule_s3,
     build_schedule_s4,
 )
+from meansense.words import EXPAND_LIMIT
 
 
 @pytest.fixture(scope="session")
@@ -30,6 +32,14 @@ def s3_x4(s3):
 @pytest.fixture(scope="session")
 def s3_language(s3_x4):
     return s3_x4.prefix
+
+
+def expand(word: Word) -> np.ndarray:
+    """The symbols of ``word`` as a uint8 array; guarded against huge words."""
+    if word.length > EXPAND_LIMIT:
+        raise ParameterError(f"refusing to expand {word.length} symbols")
+    syms, lens = np.array(word.runs, dtype=np.int64).reshape(-1, 2).T
+    return np.repeat(syms.astype(np.uint8), lens)
 
 
 def index_set(it, horizon: int) -> IndexSet:

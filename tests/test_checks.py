@@ -2,7 +2,9 @@
 exact packed-int oracle and member runs, and verdicts that fail when a
 library route is wrong; likewise the tightness witnesses of ``lemma-3.1``,
 ``lemma-count-3``, ``thm-1.3-banach-equi`` and ``thm-1.3-cofinite``, and
-``thm-1.8-witness``' closed-form family columns."""
+``thm-1.8-witness``' closed-form family columns; and the work the S3
+window checks share: deep-cylinder members read from the cylinder before,
+and one cached sweep of A_4 at window t_2."""
 
 import os
 import random
@@ -15,7 +17,7 @@ import pytest
 
 from meansense import FiniteSet, OccurrenceIndex, PointView, Provenance, Word
 from meansense import AverageReport, IndexSet, diam_of_members
-from meansense import checks, hyperspace
+from meansense import checks, hyperspace, words
 from meansense.checks import (
     _member_runs,
     _packed_hausdorff_j,
@@ -254,3 +256,42 @@ def test_lemma_count3_fails_when_the_index_under_counts(monkeypatch, s4):
     assert checks.check_lemma_count3(s4).verdict == "PASS"
     monkeypatch.setattr(OccurrenceIndex, "count_range", lambda self, i, j: 0)
     assert checks.check_lemma_count3(s4).verdict == "FAIL"
+
+
+def test_cylinder_member_lists_match_independent_scans(s3, s3_language):
+    # each deep cylinder's members, read from those of the cylinder before
+    # and a resumed scan, equal its own scan from the start: with lists
+    # cut at one member, two, the check's 15 and 40, on the deep cylinders
+    # and on a short word whose occurrences sit next to each other
+    cases = [(s3_language, checks._s3_deep_cylinders(s3, 10),
+              3 * s3.schedule.level(2).t + checks.DEFAULT_DEPTH + 100),
+             (Word.from_string("1101100110100"),
+              [Word.from_string(u) for u in ("1", "10", "100")], 3)]
+    for src, cylinders, member_h in cases:
+        for cap in (1, 2, 15, 40):
+            lists = checks._cylinder_member_lists(src, cylinders, cap,
+                                                  member_h)
+            for u, members in zip(cylinders, lists):
+                assert members == checks.cylinder_members(src, u, cap,
+                                                          member_h)
+
+
+def test_lemma_windows_share_one_sweep_of_a4(monkeypatch, s3):
+    # lemma-3.1's case (2, A, 4) and lemma-3.2-density's window t_2 sweep
+    # the same word at the same window: the second reads the first's
+    # cached result, which equals a sweep of the set's own runs
+    t1, t2, t3 = (s3.schedule.level(n).t for n in (1, 2, 3))
+    swept = []
+    sweep = words.interval_window_max
+    monkeypatch.setattr(words, "interval_window_max",
+                        lambda *args: swept.append(args[3]) or sweep(*args))
+    words.symbol_window_max.cache_clear()
+    assert checks.check_lemma31(s3).verdict == "PASS"
+    assert checks.check_lemma32_density(s3).verdict == "PASS"
+    assert swept == [t1, t1, t2, t1, t3]
+    E = checks.indicator_set_E(s3.transitive_prefix(s3.a_word(4).length))
+    assert E.source == (s3.a_word(4), 1)
+    for L in (t1, t2, t3):
+        assert checks.banach_window_max(E, L) == sweep(E.los, E.his,
+                                                       E.horizon, L)
+    assert len(swept) == 5

@@ -28,6 +28,8 @@ from meansense import (
 from meansense.checks import s4_construction_sharpened
 from meansense.words import RunBuilder
 
+from conftest import expand
+
 
 def test_s3_schedule_frozen_values():
     sched = build_schedule_s3(3)
@@ -272,7 +274,7 @@ def test_periodic_point_periodicity(s4):
     lv1, lv2 = s4.schedule.level(1), s4.schedule.level(2)
     period = lv1.len_a + lv2.len_a
     pv = s4.periodic_point(1, 0, 2 * period)
-    sym = pv.prefix.expand()
+    sym = expand(pv.prefix)
     assert (sym[:period] == sym[period:2 * period]).all()
     assert pv.prefix.starts_with(s4.a_word(1))
     assert s4.periodic_point(1, 1, 4).prefix == Word.from_string("0100")

@@ -33,13 +33,12 @@ from meansense import FiniteSet, diagnostics
 from meansense.checks import _thm18_points
 from meansense.diagnostics import (
     DEFAULT_DEPTH,
-    _PAIR_CHUNK,
     mean_to_density_sides,
     separation_times,
 )
 from meansense.reports import FAIL, PASS, AverageReport, Report, fmt17
 
-from conftest import index_set, naive_step_distances
+from conftest import expand, index_set, naive_step_distances
 
 
 def view(symbols):
@@ -186,8 +185,8 @@ def test_step_distances_match_naive_oracle():
         x, y = random_view(rng, n), random_view(rng, n)
         got_v, got_t = step_distance_array(x, y, steps, depth)
         want_v, want_t = naive_step_distances(
-            x.prefix.expand().astype(np.int64),
-            y.prefix.expand().astype(np.int64), steps, depth)
+            expand(x.prefix).astype(np.int64),
+            expand(y.prefix).astype(np.int64), steps, depth)
         assert (got_t == want_t).all()
         assert np.array_equal(got_v, want_v)
 
@@ -204,8 +203,8 @@ def test_step_distances_edge_cases_match_naive_oracle(x, y, depth):
     n = x.horizon - depth  # the last position compared is the horizon
     got_v, got_t = step_distance_array(x, y, n, depth)
     want_v, want_t = naive_step_distances(
-        x.prefix.expand().astype(np.int64),
-        y.prefix.expand().astype(np.int64), n, depth)
+        expand(x.prefix).astype(np.int64),
+        expand(y.prefix).astype(np.int64), n, depth)
     assert np.array_equal(got_t, want_t)
     assert np.array_equal(got_v, want_v)
 
@@ -222,7 +221,7 @@ def test_distance_sum_matches_array_path():
         assert truncated == sum(t)
         assert math.isclose(total, sum(v), rel_tol=1e-12, abs_tol=1e-12)
         # exact oracle: 1/g per step from the expanded symbols
-        a, b = x.prefix.expand(), y.prefix.expand()
+        a, b = expand(x.prefix), expand(y.prefix)
         want = Fraction(0)
         for i in range(steps):
             diff = np.flatnonzero(a[i:i + depth] != b[i:i + depth])
@@ -295,7 +294,7 @@ def naive_banach_avg_distance(x, y, L, depth):
 def exact_banach_upper(x, y, L, depth):
     """Exact corrected sup: 1/g per step whose first disagreement is g <=
     depth ahead, 1/(depth+1) per truncated step, from expanded symbols."""
-    a, b = x.prefix.expand(), y.prefix.expand()
+    a, b = expand(x.prefix), expand(y.prefix)
     steps = min(x.horizon, y.horizon) - depth
     lcm = math.lcm(*range(1, depth + 2))
     weights = []
@@ -378,15 +377,11 @@ def _member_lists(rng):
 
 def test_batched_sweep_matches_each_pair_dense_oracle():
     # binary lists take the shared base walks, alphabet 4 walks each pair;
-    # every list also pairs each member with itself, and a list of 9 or
-    # more members spans more than one batch
+    # every list also pairs each member with itself
     rng = random.Random(113)
-    spanned = small = False
     for members, L, depth in _member_lists(rng):
         pairs = [(i, j) for i in range(len(members))
                  for j in range(i, len(members))]
-        spanned = spanned or len(pairs) > _PAIR_CHUNK
-        small = small or len(pairs) < _PAIR_CHUNK
         got = banach_avg_distances(members, pairs, L, depth)
         assert len(got) == len(pairs)
         for (i, j), r in zip(pairs, got):
@@ -399,41 +394,55 @@ def test_batched_sweep_matches_each_pair_dense_oracle():
             _, truncated = step_distance_array(x, y, steps, depth)
             K = truncated.count(False)
             assert r.rounding_bound == (3 * K * (K + 1) / L + 10) * 2.0 ** -53
-    # both paths ran: fewer pairs than one batch take the Python sweep
-    assert spanned and small
 
 
-def test_python_and_numpy_sweeps_report_alike(monkeypatch, s3):
-    # the same pairs below one batch (the per-pair Python sweep) and
-    # repeated past it (the numpy batches): binary and alphabet-4 member
-    # lists, the base pairs of thm-1.8-witness at S3 depth 4, and three
-    # pairs at a horizon too long for more than one pair per batch
-    swept = []
-    sweep = diagnostics._sweep_pair
-    monkeypatch.setattr(diagnostics, "_sweep_pair",
-                        lambda *args: swept.append(args) or sweep(*args))
+def _report_fields(r):
+    return r.value, r.truncation_correction, r.window, r.samples
+
+
+def _sweep_cases(s3):
+    """(members, pairs, L, depth): random binary and alphabet-4 member
+    lists with each pair in both orders, and the base pairs of
+    thm-1.8-witness at S3 depth 4."""
     rng = random.Random(131)
-    cases = []
     for members, L, depth in _member_lists(rng):
-        pairs = [(i, j) for i in range(len(members))
-                 for j in range(i + 1, len(members))]
-        cases.append((members, pairs[:_PAIR_CHUNK - 1], L, depth))
-    horizon = 10_200
-    P = FiniteSet.of(_thm18_points(s3, horizon))
-    cases.append((P.members, [(0, 1), (0, 2), (1, 2)],
-                  s3.schedule.level(2).t, DEFAULT_DEPTH))
-    # at horizon 2^62 the batches hold one pair each
-    h = 2 ** 62
-    huge = [PointView(Word(2, runs), Provenance("explicit-limit")) for runs in
-            ([(1, 1), (0, h - 1)], [(0, 40), (1, 2), (0, h - 42)], [(0, h)])]
-    cases.append((huge, [(0, 1), (0, 2), (1, 2)], 7, 16))
+        yield (members, list(itertools.permutations(range(len(members)), 2)),
+               L, depth)
+    P = FiniteSet.of(_thm18_points(s3, 10_200))
+    yield (P.members, [(0, 1), (0, 2), (1, 2)], s3.schedule.level(2).t,
+           DEFAULT_DEPTH)
+
+
+def _huge_trio(h):
+    return [PointView(Word(2, runs), Provenance("explicit-limit"))
+            for runs in ([(1, 1), (0, h - 1)],
+                         [(0, 40), (1, 2), (0, h - 42)], [(0, h)])]
+
+
+def test_sweep_matches_dense_oracle_on_reversed_and_s3_pairs(s3):
+    for members, pairs, L, depth in _sweep_cases(s3):
+        got = banach_avg_distances(members, pairs, L, depth)
+        assert len(got) == len(pairs)
+        for (i, j), r in zip(pairs, got):
+            want = naive_banach_avg_distance(members[i], members[j], L, depth)
+            assert _report_fields(r) == _report_fields(want)
+
+
+def test_python_and_numpy_sweeps_report_alike(s3):
+    # there is no numpy batch path any more: every call, however many
+    # pairs it asks for, takes the per-pair Python sweep over flip points
+    # shared per member; so the same pairs asked alone and repeated past
+    # the old batch size (25 pairs) must report alike, on the oracle cases
+    # and on three pairs at horizon 2^62
+    cases = list(_sweep_cases(s3))
+    cases.append((_huge_trio(2 ** 62), [(0, 1), (0, 2), (1, 2)], 7, 16))
     for members, pairs, L, depth in cases:
-        swept.clear()
+        pairs = pairs[:24]
         alone = banach_avg_distances(members, pairs, L, depth)
-        assert len(swept) == len(pairs)
-        batched = banach_avg_distances(members, pairs * _PAIR_CHUNK, L, depth)
-        assert len(swept) == len(pairs)
-        for a, b in zip(alone, batched):
+        repeated = banach_avg_distances(members, pairs * 25, L, depth)
+        assert len(repeated) == 25 * len(pairs)
+        for k, b in enumerate(repeated):
+            a = alone[k % len(pairs)]
             assert (a.value, a.window, a.truncation_correction,
                     a.rounding_bound, a.samples) == (
                 b.value, b.window, b.truncation_correction,
@@ -441,25 +450,52 @@ def test_python_and_numpy_sweeps_report_alike(monkeypatch, s3):
 
 
 def test_batched_sweep_takes_huge_horizons_one_pair_at_a_time():
-    # positions keyed by batch row would overflow int64 at this horizon;
-    # the reports equal those of the same pairs at a short horizon, apart
-    # from the window count
-    def pair(h):
-        lead = PointView(Word(2, [(1, 1), (0, h - 1)]), Provenance("explicit-limit"))
-        late = PointView(Word(2, [(0, 40), (1, 2), (0, h - 42)]),
-                         Provenance("explicit-limit"))
-        zero = PointView(Word(2, [(0, h)]), Provenance("explicit-limit"))
-        return [lead, late, zero]
-
-    pairs = [(0, 1), (0, 2), (1, 2), (2, 2)]
+    # positions near 2^62 must not overflow; the reports equal those of the
+    # same pairs at a short horizon, which the dense oracle checks, apart
+    # from the window count; a call with no pairs returns none
+    pairs = [(0, 1), (1, 0), (0, 2), (1, 2), (2, 2)]
+    short, huge = _huge_trio(200), _huge_trio(2 ** 62)
     for L in (1, 7, 60):
-        huge = banach_avg_distances(pair(2 ** 62), pairs, L, 16)
-        short = banach_avg_distances(pair(200), pairs, L, 16)
-        for a, b in zip(huge, short):
+        at_short = banach_avg_distances(short, pairs, L, 16)
+        at_huge = banach_avg_distances(huge, pairs, L, 16)
+        for (i, j), a, b in zip(pairs, at_huge, at_short):
+            want = naive_banach_avg_distance(short[i], short[j], L, 16)
+            assert _report_fields(b) == _report_fields(want)
             assert (a.value, a.truncation_correction, a.window,
                     a.rounding_bound) == (b.value, b.truncation_correction,
                                           b.window, b.rounding_bound)
             assert a.samples - b.samples == 2 ** 62 - 200
+        assert banach_avg_distances(huge, [], L, 16) == []
+
+
+def test_sweep_keeps_the_smallest_start_when_sums_tie():
+    # real terms never tie, since each is at least 1/depth; a table of
+    # zeros and equal terms makes window sums tie, and the plain sup and
+    # its smallest start must still match the dense window sums over the
+    # same per-step terms
+    rng = random.Random(137)
+    for _ in range(3000):
+        depth = rng.choice([1, 2, 3, 5, 8])
+        table = [0.0, *(rng.choice([0.0, 0.5, 1.0]) for _ in range(depth))]
+        n = rng.randint(depth + 1, 90)
+        steps = n - depth
+        los, his, p = [], [], rng.randint(1, 6)
+        while p <= n:
+            q = min(n, p + rng.randint(0, 3))
+            los.append(p)
+            his.append(q)
+            p = q + rng.randint(2, 12)
+        terms = []  # 1.0 inside a disagreement, else table[gap] or 0.0
+        for k in range(steps):
+            lo = next((lo for lo, hi in zip(los, his) if hi > k), n + depth)
+            terms.append(1.0 if k >= lo else
+                         table[lo - k] if lo - k <= depth else 0.0)
+        run = list(itertools.accumulate(terms, initial=0.0))
+        L = rng.randint(1, steps)
+        sums = [run[m + L] - run[m] for m in range(steps - L + 1)]
+        r = diagnostics._sweep_pair(los, his, steps, L, depth, table)
+        assert (r.value, r.window[0]) == (max(sums) / L,
+                                          sums.index(max(sums)))
 
 
 def test_batched_sweep_checks_its_arguments():
@@ -480,7 +516,7 @@ def naive_diam_sequence(members, steps):
     values = []
     truncated = []
     H = min(m.horizon for m in members)
-    arrs = [m.prefix.expand().astype(np.int64)[:H] for m in members]
+    arrs = [expand(m.prefix).astype(np.int64)[:H] for m in members]
     for i in range(steps):
         best = 0.0
         for a in range(len(arrs)):

@@ -33,6 +33,8 @@ from meansense.hyperspace import (
 )
 from meansense.reports import fmt17
 
+from conftest import expand
+
 
 def view(text):
     return PointView(Word.from_string(text), Provenance("explicit-limit"))
@@ -285,9 +287,9 @@ def random_family_items(rng, horizon, alphabet=2):
         fams.append(fam)
     pool = []
     for fam in fams:
-        z = fam.zero_tail.expand().tolist()
+        z = expand(fam.zero_tail).tolist()
         pool.append(z)
-        pool.extend(list(m.prefix.expand()) for m in fam)
+        pool.extend(list(expand(m.prefix)) for m in fam)
         on = z[:]
         for m in rng.sample(list(fam.marks), rng.randint(1, len(fam.marks))):
             on[m - 1] = rng.choice([1, 1, 2, 3][:alphabet])

@@ -19,6 +19,8 @@ from meansense import (
 )
 from meansense import language
 
+from conftest import expand
+
 
 def naive_subwords(text: str, n: int):
     return {text[i:i + n] for i in range(len(text) - n + 1)}
@@ -175,11 +177,11 @@ def expanded_periodic_witnesses(c, src, n):
     period_words = {}
     for i in levels:
         period = c.schedule.level(i).len_a + c.schedule.level(i + 1).len_a
-        sym = c.periodic_point(i, 0, period + n).prefix.expand()
+        sym = expand(c.periodic_point(i, 0, period + n).prefix)
         period_words[i] = (period, sym)
     table, missing = {}, []
     for w in subwords(src, n):
-        target = tuple(w.expand())
+        target = tuple(expand(w))
         found = None
         for i in levels:
             period, sym = period_words[i]

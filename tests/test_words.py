@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -25,7 +26,7 @@ from meansense import (
 from meansense.checks import _member_runs
 from meansense.words import RunBuilder, interval_window_max
 
-from conftest import naive_window_max
+from conftest import expand, naive_window_max
 
 words = st.lists(st.integers(0, 1), min_size=0, max_size=60).map(
     lambda xs: Word.from_symbols(xs)
@@ -136,11 +137,34 @@ def test_window_max_matches_naive_sweep():
         L = rng.randint(1, n)
         # the witness is the smallest optimal start, the naive first argmax
         assert max_window_count(OccurrenceIndex(w), L) == naive_window_max(sym, L)
-    # marks {2, 3, 6, 7} of 10, window 5: the candidates clip -1 to 0 and 6
-    # to 5, so 0 and 5 come twice, and starts 2 and 3 both hold 3 marks
+    # marks {2, 3, 6, 7} of 10, window 5: starts 2 and 3 both hold 3
+    # marks, and the smaller wins
     sym = np.array([0, 0, 1, 1, 0, 0, 1, 1, 0, 0], dtype=np.uint8)
     assert naive_window_max(sym, 5) == (3, 3)  # 1-based
     assert interval_window_max([2, 6], [3, 7], 10, 5) == (3, 2)
+
+
+def test_interval_window_max_matches_expanded_oracle():
+    # marked intervals against the window counts of their expanded mask:
+    # window 1, the whole span, a random window, and no marks at all
+    rng = random.Random(31)
+    for trial in range(600):
+        span = rng.randint(1, 120)
+        mask = [0] * span
+        los, his = [], []
+        p = rng.randint(0, 6)
+        while trial % 10 and p < span:
+            q = min(span - 1, p + rng.randint(0, 8))
+            mask[p:q + 1] = [1] * (q - p + 1)
+            los.append(p)
+            his.append(q)
+            p = q + rng.randint(2, 9)
+        cs = [0, *itertools.accumulate(mask)]
+        for window in {1, span, rng.randint(1, span)}:
+            counts = [cs[m + window] - cs[m] for m in range(span - window + 1)]
+            best = max(counts)
+            assert interval_window_max(los, his, span, window) == (
+                best, counts.index(best))
 
 
 def test_subword_examples():
@@ -159,7 +183,7 @@ def test_subword_matches_string_slice(data, w):
     assert w.subword(start, length).as_string() == s[start - 1:start - 1 + length]
     assert w.subword(1, len(s)) is w
     assert w.symbol_at(start) == int(s[start - 1])
-    assert "".join(map(str, w.expand().tolist())) == s
+    assert "".join(map(str, expand(w).tolist())) == s
     hi = data.draw(st.integers(0, len(s)))
     for sym in (0, 1):
         los, his = w.runs_of(sym, hi)
@@ -224,7 +248,7 @@ def _word_pairs(draw):
 def test_first_difference_matches_expanded(pair):
     a, b = pair
     limit = min(a.length, b.length)
-    diff = np.flatnonzero(a.expand()[:limit] != b.expand()[:limit])
+    diff = np.flatnonzero(expand(a)[:limit] != expand(b)[:limit])
     want = int(diff[0]) + 1 if len(diff) else None
     assert first_difference(a, b) == want
     assert first_difference(b, a) == want
@@ -251,14 +275,14 @@ def test_constructors_return_canonical_runs(data, k):
     sub = w.subword(start, data.draw(st.integers(0, len(syms) - start + 1)))
     cases = [
         (w, syms),
-        (built, built.expand().tolist()),
-        (concat([w, built, w]), syms + built.expand().tolist() + syms),
-        (power(built, m), built.expand().tolist() * m),
+        (built, expand(built).tolist()),
+        (concat([w, built, w]), syms + expand(built).tolist() + syms),
+        (power(built, m), expand(built).tolist() * m),
         (sub, syms[start - 1:start - 1 + sub.length]),
     ]
     for word, want in cases:
         _assert_canonical(word)
-        assert word.expand().tolist() == want
+        assert expand(word).tolist() == want
 
 
 @given(row=st.integers(1, 6).flatmap(lambda n: st.lists(
@@ -267,7 +291,7 @@ def test_member_runs_are_canonical(row):
     runs = _member_runs(int("".join(map(str, row)), 2), len(row))
     w = Word(2, runs, _length=len(row))
     _assert_canonical(w)
-    assert w.expand().tolist() == row
+    assert expand(w).tolist() == row
 
 
 def test_rle_text_round_trip():
