@@ -30,6 +30,7 @@ from .constructions import (
 )
 from .diagnostics import (
     DEFAULT_DEPTH,
+    _segments,
     banach_avg_distances,
     banach_window_max,
     cesaro_avg_distance,
@@ -63,6 +64,7 @@ from .words import (
     Word,
     de_bruijn_word,
     find_occurrences,
+    first_difference,
     max_window_count,
     point_metric,
     power,
@@ -121,13 +123,19 @@ def check_lemma31(c: S3Construction, seed: int = 0) -> Report:
 
 def check_lemma32_density(c: S3Construction, seed: int = 0) -> Report:
     """Windowed frequency of the 1-positions of x decays through the level
-    window lengths and meets the coarse level-3 budget exactly."""
+    window lengths and meets the coarse level-3 budget exactly.  Each
+    reported window is recounted from its subword's runs, so a sweep that
+    under-counts or misplaces its window fails."""
     E = indicator_set_E(c.transitive_prefix(c.schedule.level(4).len_a))
     t = [c.schedule.level(n).t for n in (1, 2, 3)]
     counts = []
     for L in t:
         cnt, start = banach_window_max(E, L)
         counts.append((L, cnt, start))
+    word, symbol = E.source
+    recounted = all(0 <= st <= E.horizon - L
+                    and word.subword(st + 1, L).count(symbol) == cnt
+                    for L, cnt, st in counts)
     lv3 = c.schedule.level(3)
     # exact comparisons via cross-multiplication
     decreasing = all(
@@ -145,7 +153,7 @@ def check_lemma32_density(c: S3Construction, seed: int = 0) -> Report:
         "csv_series": {"name": "banach-density",
                        "body": series_csv([cnt / L for (L, cnt, _) in counts])},
     }]
-    rep.verdict = PASS if (decreasing and budget_ok) else FAIL
+    rep.verdict = PASS if (decreasing and budget_ok and recounted) else FAIL
     rep.caveats = ["frequencies are exact sups at each finite window length"]
     return rep
 
@@ -342,6 +350,12 @@ def check_lemma_count3(c: S4Construction, seed: int = 0) -> Report:
     return rep
 
 
+def _harmonic(k: int) -> Fraction:
+    """The harmonic number H_k, exactly."""
+    lcm = math.lcm(*range(1, k + 1))
+    return Fraction(sum(lcm // g for g in range(1, k + 1)), lcm)
+
+
 def check_prop_p_system(c: S4Construction, seed: int = 0,
                         epsilon: float = 0.1) -> Report:
     """The transitive point of the S4 family is empirically mean
@@ -355,7 +369,9 @@ def check_prop_p_system(c: S4Construction, seed: int = 0,
     chain's terms are reported, not judged, since each holds by
     construction: ``term_linear`` < epsilon/4 is how the level is chosen,
     ``term_const`` is 1/(8 round(1/epsilon)) < epsilon/4 by the choice of
-    the step count, and ``term_zero_window`` is at most epsilon/5."""
+    the step count, and ``term_zero_window`` is at most epsilon/5.  Each
+    member's first difference from x bounds its Cesaro sum from below, so
+    a route that reports too small an average fails."""
     c = s4_construction_sharpened(c.schedule.base, int(round(1 / epsilon)))
     K = math.floor(5.0 / epsilon)  # 1/(K+1) < eps/5
     eps_num, eps_den = epsilon.as_integer_ratio()
@@ -413,15 +429,17 @@ def check_prop_p_system(c: S4Construction, seed: int = 0,
     ok = True
     for z in zs:
         r = cesaro_avg_distance(x, z, n, depth=DEFAULT_DEPTH)
+        # tightness witness: steps j0 - min(depth, j0) .. j0 - 1 read the
+        # gaps 1 .. min(depth, j0) of the first difference j0, so the route
+        # must bound their sum, the harmonic number, from above
+        j0 = first_difference(x.prefix, z.prefix)
+        tight = (j0 is not None and j0 <= n and
+                 n * r.upper_exact >= _harmonic(min(DEFAULT_DEPTH, j0)))
         ones_z = z.prefix.count(1)
-        # steps whose K-window sees a 1, counted exactly: a 1-run [lo, hi]
-        # covers steps max(lo-K, 0) .. min(hi-1, n-1); the spans come in
-        # order, so each counts only past the end of the previous one
-        covered = prev = 0  # prev: the step past the previous span
-        for lo, hi in zip(*z.prefix.runs_of(1, n + K)):
-            a, b = max(lo - K, prev), min(hi - 1, n - 1)
-            covered += max(b - a + 1, 0)
-            prev = b + 1
+        # steps whose K-window sees a 1, counted exactly: the steps within
+        # cap K of the 1-runs, by the gap rule
+        covered = sum(end - near for _, near, _, end
+                      in _segments(*z.prefix.runs_of(1, n + K), n, K))
         frac_nonzero = covered / n
         term_zero = (epsilon / 5) * (1 - frac_nonzero)
         rows.append({
@@ -432,7 +450,7 @@ def check_prop_p_system(c: S4Construction, seed: int = 0,
             "term_zero_window": fmt17(term_zero),
             "term_nonzero_window": fmt17(frac_nonzero),
         })
-        if r.upper_exact >= Fraction(epsilon):
+        if r.upper_exact >= Fraction(epsilon) or not tight:
             ok = False
     rep.params.update({
         "witnessing_m": m, "steps": n,

@@ -113,36 +113,49 @@ def _pair_limit(x: PointView, y: PointView, n: int, depth: int) -> int:
     return limit
 
 
-def _gap_distances(los: list, his: list, steps: int, cap: int) -> tuple:
-    """(values, truncated), two lists, of each step i < steps against the
-    merged 1-based disagreement intervals [los, his].
+def _segments(los, his, steps: int, cap: int):
+    """The steps i < steps, segment by segment, against the merged 1-based
+    disagreement intervals [los, his]: the one statement of the gap rule.
 
-    The first disagreement p > i sets the gap p - i; step i reads 1/gap,
-    or 0 and truncated when the gap exceeds ``cap`` or no p follows.  Steps
-    his[j-1] .. his[j]-1 meet interval j first, at max(lo_j, i+1): the gap
-    falls by one per step before lo_j, is 1 from lo_j on, and exceeds
-    ``cap`` exactly before step lo_j - cap.  So the lists grow segment by
-    segment: a run of zeros, the quotients 1/gap over a falling range of
-    gaps, and a run of ones, whose entries share one float object.  Each
-    quotient divides the float 1.0 by the int gap, which converts exactly
-    below 2^53, so it rounds as the integer quotient does; every word this
-    package builds is far shorter.
+    The gap of step i is p - i for the first disagreement p > i; step i
+    reads 1/gap, or 0 and truncated when the gap exceeds ``cap`` or no p
+    follows.  Step i meets interval [lo, hi] first when the previous hi
+    (0 before the first interval) <= i < hi, at max(lo, i+1): its gap is
+    lo - i before lo, falling by one per step, and 1 from lo on.  So each
+    interval yields (start, near, lo, end), end = min(hi, steps): steps
+    start .. near-1 are truncated and steps near .. end-1 are within the
+    cap, near = min(max(lo - cap, start), end).  Stops once start >=
+    steps; the steps past the last interval meet none and are truncated.
     """
-    values, truncated = [], []
-    start = 0  # the first step not yet filled
+    start = 0
     for lo, hi in zip(los, his):
         if start >= steps:
-            break
-        end = min(hi, steps)  # steps start .. end-1 meet this interval
-        near = min(max(lo - cap, start), end)  # the first gap within cap
+            return
+        end = hi if hi < steps else steps
+        near = lo - cap if lo - cap > start else start
+        yield start, (near if near < end else end), lo, end
+        start = hi
+
+
+def _gap_distances(los: list, his: list, steps: int, cap: int) -> tuple:
+    """(values, truncated), two lists, of each step i < steps by the gap
+    rule of ``_segments``.
+
+    The lists grow segment by segment: a run of zeros, the quotients 1/gap
+    over a falling range of gaps, and a run of ones, whose entries share
+    one float object.  Each quotient divides the float 1.0 by the int gap,
+    which converts exactly below 2^53, so it rounds as the integer quotient
+    does; every word this package builds is far shorter.
+    """
+    values, truncated = [], []
+    for start, near, lo, end in _segments(los, his, steps, cap):
         values += itertools.repeat(0.0, near - start)
         values += map((1.0).__truediv__, range(lo - near, lo - min(lo, end), -1))
         values += itertools.repeat(1.0, end - max(lo, near))
         truncated += itertools.repeat(True, near - start)
         truncated += itertools.repeat(False, end - near)
-        start = end
-    values += itertools.repeat(0.0, steps - start)
-    truncated += itertools.repeat(True, steps - start)
+    values += itertools.repeat(0.0, steps - len(values))
+    truncated += itertools.repeat(True, steps - len(truncated))
     return values, truncated
 
 
@@ -176,42 +189,31 @@ def distance_sum(x: PointView, y: PointView, n: int,
     """(sum of step distances over [0, n), truncated step count, exact sum),
     closed form.
 
-    Walks the disagreement intervals instead of the steps, so n may be
-    astronomically large as long as the views carry the runs.  The float sum
-    adds ``_harmonic_table`` differences.  The exact sum is a Fraction: an
-    approach segment adds each gap g in [g_lo, min(g_hi, depth)] once, so an
-    integer difference array over g counts c_g, and the sum is the steps
-    inside disagreements plus sum_g c_g / g over lcm(1..depth).
+    Walks the segments of ``_segments`` instead of the steps, so n may be
+    astronomically large as long as the views carry the runs.  The float
+    sum adds ``_harmonic_table`` differences.  The exact sum is a Fraction:
+    the steps of a segment within the cap read each gap g in [lo - min(lo,
+    end) + 1, lo - near] once, so an integer difference array over g counts
+    c_g, and the sum is the steps inside disagreements plus sum_g c_g / g
+    over lcm(1..depth).
     """
     _pair_limit(x, y, n, depth)
     los, his = diff_intervals(x.prefix, y.prefix, upto=n + depth)
     table = _harmonic_table(depth)
     total = 0.0
-    truncated = 0
+    truncated = n
     inside = 0
     gap_marks = [0] * (depth + 2)  # difference array of the counts c_g
-    prev_hi = 0  # sentinel: position 0
-    for lo, hi in zip(los, his):
-        # approach segment: steps prev_hi .. min(lo, n) - 1, next diff at lo
-        a, b = prev_hi, min(lo, n) - 1
-        if b >= a:
-            g_hi = lo - a          # largest gap in the segment
-            g_lo = lo - b          # smallest gap (>= 1)
-            total += table[min(depth, g_hi)] - table[min(depth, g_lo - 1)]
-            truncated += max(0, g_hi - max(depth, g_lo - 1))
-            if g_lo <= depth:
-                gap_marks[g_lo] += 1
-                gap_marks[min(g_hi, depth) + 1] -= 1
-        # inside segment: steps lo .. min(hi, n) - 1 all have distance 1
-        a, b = lo, min(hi, n) - 1
-        if b >= a:
-            total += float(b - a + 1)
-            inside += b - a + 1
-        prev_hi = hi
-        if prev_hi >= n:
-            break
-    if prev_hi < n:
-        truncated += n - prev_hi
+    for _, near, lo, end in _segments(los, his, n, depth):
+        truncated -= end - near
+        if near < min(lo, end):  # the approach steps within the cap
+            g_lo = lo - min(lo, end) + 1
+            total += table[lo - near] - table[g_lo - 1]
+            gap_marks[g_lo] += 1
+            gap_marks[lo - near + 1] -= 1
+        if end > lo:  # the steps inside the disagreement, each at 1
+            total += float(end - lo)
+            inside += end - lo
     lcm = math.lcm(*range(1, depth + 1))
     count = num = 0
     for g in range(1, depth + 1):
@@ -264,14 +266,11 @@ def banach_avg_distances(members: Sequence[PointView], pairs, L: int,
     pair's shorter horizon are exact, and ``_sweep_pair`` reads no interval
     that opens past it.  Other alphabets walk each pair directly.
 
-    Swept over breakpoints, with no per-step array.  Step k is nonzero
-    exactly when a disagreement lies in (k, k+depth], so the nonzero steps
-    are the union of [lo - depth, hi - 1] over the disagreement intervals,
-    and the next disagreement of such a step is max(lo, k+1) of its own
-    interval; every other step is truncated.  Adding 0.0 is exact, so the
-    running sum of the K nonzero terms in step order equals the dense
-    running sum at every step, and a window holds L minus its nonzero steps
-    truncated.
+    Swept over breakpoints, with no per-step array.  The nonzero steps are
+    those within cap ``depth`` by the gap rule of ``_segments``; every
+    other step is truncated.  Adding 0.0 is exact, so the running sum of
+    the K nonzero terms in step order equals the dense running sum at
+    every step, and a window holds L minus its nonzero steps truncated.
 
     Candidate starts.  Moving a window start from s-1 to s drops step s-1
     and takes in step s+L-1.  When neither is nonzero, both window sums
@@ -360,29 +359,26 @@ def _sweep_pair(los, his, steps: int, L: int, depth: int,
     merged disagreement intervals [los, his]; ``table[g]`` is 1.0/g for the
     gaps g <= depth, so an approach segment's terms are one slice of it.
 
-    The terms are listed interval by interval and ``run`` adds them from 0
-    in step order; segment q of consecutive nonzero steps is [firsts[q],
-    lasts[q]], its first term at[q].  Each interval opens past the steps
-    before it, since the one before ends at least two positions earlier.
+    The terms are listed segment by segment of ``_segments`` and ``run``
+    adds them from 0 in step order; segment q of consecutive nonzero steps
+    is [firsts[q], lasts[q]], its first term at[q].  Each interval opens
+    past the steps before it, since the one before ends at least two
+    positions earlier.
     The candidates come in increasing start order, and only a strictly
     larger sum replaces the best, which keeps the smallest start.
     """
     firsts, lasts, at, terms = [], [], [], []
-    prev = -1  # the last nonzero step so far
-    for lo, hi in zip(los, his):
-        a = max(lo - depth, prev + 1)
-        b = min(hi, steps) - 1
-        if a > b:  # past the usable steps, as is every later interval
+    for start, near, lo, end in _segments(los, his, steps, depth):
+        if near == end:  # past the usable steps, as is every later interval
             break
-        if lasts and a == prev + 1:
-            lasts[-1] = b
+        if lasts and near == start:
+            lasts[-1] = end - 1
         else:
-            firsts.append(a)
-            lasts.append(b)
+            firsts.append(near)
+            lasts.append(end - 1)
             at.append(len(terms))
-        terms += table[lo - a:max(lo - b - 1, 0):-1]
-        terms += itertools.repeat(1.0, b + 1 - lo)
-        prev = b
+        terms += table[lo - near:max(lo - end, 0):-1]
+        terms += itertools.repeat(1.0, end - lo)
     K = len(terms)
     run = list(itertools.accumulate(terms, initial=0.0))
     at.append(K)
@@ -557,51 +553,29 @@ def sensitivity_times(members: Sequence[PointView], delta: float,
     absence only means no sampled pair separates.
 
     Read from the merged disagreement intervals, with no per-step value:
-    ``diam_sequence`` gives step i the value 1/gap for the gap from i to
-    the next disagreement, 0 past the shared horizon H or with none
-    ahead.  1.0/g falls as g grows, so the gaps g <= H with 1.0/g > delta
-    (the float test of ``separation_times``) are 1 .. G, G found by
-    bisection; and a step reading 0 is above delta for every step or none.
-    So the steps above delta are the steps of each interval's approach
-    segment whose gap is at most G, and its steps inside it, whose gap is
-    1: from max(lo - G, the end of the interval before) to hi - 1.
+    ``diam_sequence`` gives step i the value 1/gap by the gap rule of
+    ``_segments`` with cap H, the shared horizon.  1.0/g falls as g grows,
+    so the gaps g <= H with 1.0/g > delta (the float test of the value
+    route, ``separation_times`` in ``tests/conftest.py``) are 1 .. G, G
+    found by bisection; and a step reading 0 is above delta for every step
+    or none.  So the steps above delta are the steps within cap G of
+    ``_segments``: near .. end-1 of each segment.
     """
     los, his, H = _orbit_disagreements(members, steps)
     if 0.0 > delta:  # every step reads at least 0
         return IndexSet(*(([0], [steps - 1]) if steps else ([], [])), steps)
     G = bisect.bisect_left(range(1, H + 1), True,
                            key=lambda g: not 1.0 / g > delta)
+    if not G:  # no gap reads above delta; cap 0 would keep the gaps of 1
+        return IndexSet([], [], steps)
     out_los, out_his = [], []
-    start = 0  # the first step past the previous interval
-    for lo, hi in zip(los, his):
-        if start >= steps or not G:
-            break
-        a, b = max(lo - G, start), min(hi, steps) - 1
-        if a <= b:
-            if out_his and out_his[-1] == a - 1:
-                out_his[-1] = b
-            else:
-                out_los.append(a)
-                out_his.append(b)
-        start = hi
+    for _, near, _, end in _segments(los, his, steps, G):
+        if out_his and out_his[-1] == near - 1:
+            out_his[-1] = end - 1  # unchanged when near == end
+        elif near < end:
+            out_los.append(near)
+            out_his.append(end - 1)
     return IndexSet(out_los, out_his, steps)
-
-
-def separation_times(values: Sequence[float], delta: float) -> IndexSet:
-    """Steps i < len(values) of a diameter sequence with values[i] > delta;
-    each run opens at the next True of the mask and closes before the next
-    False, both found by ``list.index``."""
-    above = [v > delta for v in values]
-    n = len(above)
-    above += (True, False)  # sentinels: every scan finds what it seeks
-    los, his = [], []
-    lo = above.index(True)
-    while lo < n:
-        hi = min(above.index(False, lo), n)
-        los.append(lo)
-        his.append(hi - 1)
-        lo = above.index(True, hi)
-    return IndexSet(los, his, n)
 
 
 # ---------------------------------------------------------------------------

@@ -200,7 +200,11 @@ class Word:
         return self.runs[bisect.bisect_left(self.run_index, pos)][0]
 
     def count(self, symbol: int = 1) -> int:
-        return sum(c for s, c in self.runs if s == symbol)
+        runs = self.runs
+        if self.alphabet_size == 2 and symbol in (0, 1) and runs:
+            # canonical binary runs alternate: every other run holds symbol
+            return sum(map(_COUNT, runs[runs[0][0] != symbol::2]))
+        return sum(c for s, c in runs if s == symbol)
 
     def runs_of(self, symbol: int = 1, hi: Optional[int] = None) -> tuple:
         """(los, his): lists of the 1-based inclusive runs of ``symbol`` that

@@ -57,6 +57,24 @@ def index_set(it, horizon: int) -> IndexSet:
     return IndexSet(los, his, horizon)
 
 
+def separation_times(values, delta: float) -> IndexSet:
+    """Steps i < len(values) of a diameter sequence with values[i] > delta,
+    the value-route oracle of ``sensitivity_times``; each run opens at the
+    next True of the mask and closes before the next False, both found by
+    ``list.index``."""
+    above = [v > delta for v in values]
+    n = len(above)
+    above += (True, False)  # sentinels: every scan finds what it seeks
+    los, his = [], []
+    lo = above.index(True)
+    while lo < n:
+        hi = min(above.index(False, lo), n)
+        los.append(lo)
+        his.append(hi - 1)
+        lo = above.index(True, hi)
+    return IndexSet(los, his, n)
+
+
 def naive_window_max(symbols: np.ndarray, window: int, target: int = 1):
     """Sliding-window maximum count by direct cumsum, with first witness."""
     hits = (symbols == target).astype(np.int64)

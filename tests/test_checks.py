@@ -1,7 +1,8 @@
 """The two randomized checks: the data they draw, ``hausdorff-axioms``'
 exact packed-int oracle and member runs, and verdicts that fail when a
 library route is wrong; likewise the tightness witnesses of ``lemma-3.1``,
-``lemma-count-3``, ``thm-1.3-banach-equi`` and ``thm-1.3-cofinite``, and
+``lemma-3.2-density``, ``lemma-count-3``, ``prop-p-system``,
+``thm-1.3-banach-equi`` and ``thm-1.3-cofinite``, and
 ``thm-1.8-witness``' closed-form family columns; and the work the S3
 window checks share: deep-cylinder members read from the cylinder before,
 and one cached sweep of A_4 at window t_2."""
@@ -11,6 +12,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -250,6 +252,33 @@ def test_lemma31_fails_when_the_sweep_under_counts(monkeypatch, s3):
     assert checks.check_lemma31(s3).verdict == "PASS"
     monkeypatch.setattr(checks, "max_window_count", lambda index, window: (0, 0))
     assert checks.check_lemma31(s3).verdict == "FAIL"
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda cnt, start: (cnt // 2, start),  # keeps the ratios' order
+    lambda cnt, start: (cnt, 0),
+], ids=["half-count", "start-0"])
+def test_lemma32_fails_when_the_sweep_misreports(monkeypatch, s3, wrong):
+    assert checks.check_lemma32_density(s3).verdict == "PASS"
+    right = checks.banach_window_max
+    monkeypatch.setattr(checks, "banach_window_max",
+                        lambda F, window: wrong(*right(F, window)))
+    assert checks.check_lemma32_density(s3).verdict == "FAIL"
+
+
+def test_prop_p_system_fails_when_the_route_reports_zero(monkeypatch, s4):
+    # every member first differs from x within the steps, so the route
+    # must bound at least the harmonic number of the depth
+    assert checks.check_prop_p_system(s4).verdict == "PASS"
+    right = checks.cesaro_avg_distance
+
+    def zero(x, y, n, depth):
+        r = right(x, y, n, depth)
+        return AverageReport(0.0, r.window, 0.0, r.samples, r.method,
+                             Fraction(0))
+
+    monkeypatch.setattr(checks, "cesaro_avg_distance", zero)
+    assert checks.check_prop_p_system(s4).verdict == "FAIL"
 
 
 def test_lemma_count3_fails_when_the_index_under_counts(monkeypatch, s4):

@@ -51,6 +51,53 @@ S4_DEPTH4_DIGESTS = {
     "report-thm-unpos.json": "350794183fa090ac6b740f0e989f79abe5814181c01f391378e15e95dbde3eba",
 }
 
+# the build's files and the report summary, which with the reports and
+# series above make up every file that build, check all and report write
+OTHER_DIGESTS = {
+    "S3": {
+        "A_1.rle": "f7ab42bb89cbdb989d85f35abe6de5e1f4d4b4fc5107cda6f3ae56d76bc1bafc",
+        "A_2.rle": "e61a0b432dad083cdaa1b86099ddac75c969c179188c99d91f3a35306f7abf2e",
+        "A_3.rle": "e77903cba74dac6df3eb4e9447634e4f9c8388964cb8247b76e8ba10928c4309",
+        "A_4.rle": "674808bd564020859d1ddb46bc4c2c0426ead611f80ca2f652bea37ff57d9130",
+        "B_1.rle": "6e35f28e4cb728bca55fb7134d8bc4f6a32619bf23fd36497ab90e256c5f4cbc",
+        "B_2.rle": "499e48a6cd015e73a502c6a1cec304e66a57d0dcad620d7ba841103573c8853b",
+        "B_3.rle": "b0aa8bde6e1f437295d5412d916a1eab4c6f4c385bd44655d20aab12ddd3a370",
+        "build.json": "de5b111b61b2616893e6193ee36a21a3ac91439d794e51a63af442d3416c3d05",
+        "schedule.json": "98e2f23b8e07b1297a6d7b8c91d537e98c28f232b4c6941955b9c05606d51f09",
+        "summary.json": "d87a6fa5f72303f6180c57ab014a7274c654468c8d4e3af0228adc2c0c6f8a16",
+    },
+    "S4": {
+        "A_1.rle": "c565688488d25981d0e64bb21cd1a62e730430b92df4d30816f791b6215f6ad8",
+        "A_2.rle": "2d0fd2c0f8fee1dd6dd4a791ced3a52eb69686ae9560e3b78c7193ce12441bf2",
+        "A_3.rle": "026f9ee6e0b20fe75736e1c242bcc98992170217946c1b17797a9d063e4d94e2",
+        "A_4.rle": "5522d1a133059705d689d75ce2fd2165081c08101271630b73232dcbec656d94",
+        "B_1.rle": "9c1eb83032928dcd5c736c417cc4ca2dd3c5e0a0f23475c2abde6f597da333c0",
+        "B_2.rle": "c0336a41dab8bcacd957d6a9c71b6e8342694f4bb033b8f1d62f2ec7bbad9c74",
+        "B_3.rle": "98e3536a03f26fc2c5d1e1197336048b2ce5346a94eb274c29280bc438905cb2",
+        "B_4.rle": "a53a2706411af0222a50fe8f67fb4790963938d2a0561c8414c52ade09248c37",
+        "build.json": "21b2ac5653b65d26a009e73102b57472822329ec53ce43330a0ed9b9bcf57fd4",
+        "schedule.json": "dac61c3806ffaa762f9c98f625caa727317f5b4225c2ed6baef31388d6ffa599",
+        "summary.json": "9f215046c64bc8a560ee09a719be4be9a3a2a0bd70cab5892972cefa0dee4cd7",
+    },
+}
+
+
+@pytest.mark.parametrize("construction, digests", [
+    ("S3", S3_DEPTH4_DIGESTS), ("S4", S4_DEPTH4_DIGESTS)], ids=["S3", "S4"])
+def test_every_output_file_matches_its_recorded_digest(tmp_path, construction,
+                                                        digests):
+    # byte identity of a whole run: build, check all and report at depth 4,
+    # seed 0, each file against its recorded sha256
+    out = tmp_path / construction
+    args = ("--construction", construction, "--depth", "4", "--seed", "0",
+            "--out", str(out))
+    assert run("build", *args) == 0
+    assert run("check", "all", *args) == 0
+    assert run("report", "--out", str(out)) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in out.iterdir()}
+    assert got == {**digests, **OTHER_DIGESTS[construction]}
+
 
 def test_build_emits_schedule_and_words(tmp_path):
     out = tmp_path / "s3"

@@ -31,14 +31,15 @@ from meansense import (
 )
 from meansense import FiniteSet, diagnostics
 from meansense.checks import _thm18_points
-from meansense.diagnostics import (
-    DEFAULT_DEPTH,
-    mean_to_density_sides,
-    separation_times,
-)
+from meansense.diagnostics import DEFAULT_DEPTH, mean_to_density_sides
 from meansense.reports import FAIL, PASS, AverageReport, Report, fmt17
 
-from conftest import expand, index_set, naive_step_distances
+from conftest import (
+    expand,
+    index_set,
+    naive_step_distances,
+    separation_times,
+)
 
 
 def view(symbols):
@@ -174,6 +175,48 @@ def test_banach_window_max_matches_naive():
 
 
 # -- pairwise distances --------------------------------------------------
+
+
+def test_segments_follow_the_per_step_gap_rule():
+    # the one statement of the gap rule against its definition: step i's
+    # gap is the next disagreement p > i minus i, within the cap from near
+    # on; step counts below, inside and past the last interval, and caps
+    # from 1 to the depth
+    rng = random.Random(239)
+    for _ in range(200):
+        depth = rng.randint(1, 40)
+        marks = sorted(rng.sample(range(1, depth + 1),
+                                  rng.randint(0, depth)))
+        los, his = [], []
+        for p in marks:  # maximal runs: merged, never adjacent
+            if his and p == his[-1] + 1:
+                his[-1] = p
+            else:
+                los.append(p)
+                his.append(p)
+
+        def gap(i):
+            return next((p - i for p in marks if p > i), None)
+
+        step_counts = [rng.randint(0, 5)]
+        if los:
+            step_counts = [rng.randint(0, los[-1] - 1),
+                           rng.randint(los[-1], his[-1]),
+                           his[-1] + rng.randint(1, 5)]
+        for steps in step_counts:
+            for cap in {1, depth, rng.randint(1, depth)}:
+                seen = []
+                for start, near, lo, end in diagnostics._segments(
+                        los, his, steps, cap):
+                    assert start <= near <= end <= steps
+                    for i in range(start, end):
+                        assert max(lo, i + 1) - i == gap(i)
+                        assert (i >= near) == (gap(i) <= cap)
+                    seen += range(start, end)
+                # the segments tile the steps from 0; the steps past them
+                # meet no disagreement
+                assert seen == list(range(len(seen)))
+                assert all(gap(i) is None for i in range(len(seen), steps))
 
 
 def test_step_distances_match_naive_oracle():

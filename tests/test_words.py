@@ -198,6 +198,7 @@ def test_subword_matches_string_slice(data, w):
             assert h == hi or cut[h] != str(sym)
         whole = w.runs_of(sym)
         assert len(whole[0]) == sum(1 for x, _ in w.runs if x == sym)
+        assert w.count(sym) == s.count(str(sym))
 
 
 def test_point_metric_examples():
