@@ -41,15 +41,8 @@ from .diagnostics import (
     sensitivity_times,
     step_distance_array,
 )
-from .hyperspace import (
-    CylinderTuple,
-    FiniteSet,
-    hausdorff_distance,
-    hausdorff_distance_inf_formula,
-    hyper_mean_avg,
-    hyper_witness_family,
-    independence_check,
-)
+# ``hyperspace`` is imported inside the three checks that use it, so that
+# the S3 window checks never load it
 from .language import (
     check_dense_periodic_desk,
     check_transitive_desk,
@@ -526,6 +519,8 @@ def check_thm18_witness(c: S3Construction, seed: int = 0) -> Report:
     whose induced orbit separates from P's on nearly every step, while the
     base-space pairs of P stay Banach-mean close: each pair's windowed
     upper, rounding bound included, below ``_CONTRAST_EPSILON``."""
+    from .hyperspace import FiniteSet, hyper_mean_avg, hyper_witness_family
+
     epsilon, n = 0.1, 10_000
     horizon = n + 200
     P = FiniteSet.of(_thm18_points(c, horizon))
@@ -655,15 +650,18 @@ def check_hausdorff_axioms(c=None, seed: int = 0, trials: int = 1000) -> Report:
     Each set draws its size ``rng.randint(1, 5)``, then that many members
     of ``rng.getrandbits(horizon)``; position 1 of a member is its top bit.
     """
+    # the routes are read through the module, where a test can swap them
+    from . import hyperspace
+
     horizon = 48
     rng = random.Random(7 + seed)
     bits, size = rng.getrandbits, rng.randint
     origin = Provenance("explicit-limit")
 
-    def point(packed) -> FiniteSet:
-        return FiniteSet.of([PointView(Word(2, _member_runs(x, horizon),
-                                           _length=horizon), origin)
-                             for x in packed])
+    def point(packed) -> hyperspace.FiniteSet:
+        return hyperspace.FiniteSet.of([
+            PointView(Word(2, _member_runs(x, horizon), _length=horizon), origin)
+            for x in packed])
 
     bad = []
     for trial in range(trials):
@@ -674,9 +672,9 @@ def check_hausdorff_axioms(c=None, seed: int = 0, trials: int = 1000) -> Report:
         j_ac = _packed_hausdorff_j(pa, pc, horizon)
         j_bc = _packed_hausdorff_j(pb, pc, horizon)
         dab = 0.0 if j_ab is None else 1.0 / j_ab  # as hausdorff_distance
-        dba, _ = hausdorff_distance(B, A)
-        dual, _ = hausdorff_distance_inf_formula(A, B)
-        ident, _ = hausdorff_distance(A, A)
+        dba, _ = hyperspace.hausdorff_distance(B, A)
+        dual, _ = hyperspace.hausdorff_distance_inf_formula(A, B)
+        ident, _ = hyperspace.hausdorff_distance(A, A)
         checks = [
             dab == dba,
             dab == dual,
@@ -697,6 +695,8 @@ def check_hausdorff_axioms(c=None, seed: int = 0, trials: int = 1000) -> Report:
 def check_independence(c=None, seed: int = 0) -> Report:
     """Brute-force independence-set checks: the dense binary word realizes
     every pattern, a two-point periodic orbit cannot."""
+    from .hyperspace import CylinderTuple, independence_check
+
     rep = Report("independence")
     dense = de_bruijn_word(6)
     tup = CylinderTuple((Word(2, [(0, 1)]), Word(2, [(1, 1)])))

@@ -6,15 +6,15 @@ Subcommands:
 * ``check``  — run one named check, writing a JSON report (and CSV series);
 * ``report`` — consolidate every report in the output directory.
 
-Exit codes: 0 pass, 1 check failure, 2 usage/config error, 3 resource or
-horizon limits.  Identical configurations (seed included) produce
+Exit codes: 0 pass, 1 check failure, 2 usage/config error (an output
+directory that cannot be made or written included), 3 resource or horizon
+limits.  Identical configurations (seed included) produce
 byte-identical outputs; reports embed the config and schedule hashes.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -35,6 +35,16 @@ from .errors import (
     ResourceCapError,
 )
 from .reports import Report, canonical_json
+
+# CPython's built-in SHA-256: ``hashlib`` would load OpenSSL's libcrypto
+# (about 4 MB resident) into every process for two short fingerprints
+try:
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10, 3.11
+    except ImportError:  # no built-in hashes, e.g. PyPy
+        from hashlib import sha256
 
 EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
@@ -61,7 +71,7 @@ class RunConfig:
         # location must not change identity
         payload = {key: getattr(self, key) for key in self.FIELDS
                    if key != "output_dir"}
-        return hashlib.sha256(canonical_json(payload).encode()).hexdigest()[:16]
+        return sha256(canonical_json(payload).encode()).hexdigest()[:16]
 
     def generator(self) -> GeneratorDescriptor:
         if self.base is None:
@@ -94,7 +104,7 @@ class RunConfig:
 
 
 def schedule_hash(sched: Schedule) -> str:
-    return hashlib.sha256(sched.to_json_str().encode()).hexdigest()[:16]
+    return sha256(sched.to_json_str().encode()).hexdigest()[:16]
 
 
 def _load_config(args) -> RunConfig:
@@ -121,17 +131,28 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
+def _write(path: Path, text: str) -> None:
+    """Write one output file; an unusable output directory is bad input."""
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc}") from None
+
+
 def cmd_build(cfg: RunConfig) -> int:
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ParameterError(f"cannot make output directory {out}: {exc}") from None
     sched = cfg.schedule()
-    (out / "schedule.json").write_text(sched.to_json_str())
+    _write(out / "schedule.json", sched.to_json_str())
     construction = construction_for(sched)
     manifest = {"config_hash": cfg.hash, "schedule_hash": schedule_hash(sched),
                 "emitted": [], "omitted": []}
     for n in range(1, cfg.depth + 1):
         a = construction.a_word(n)
-        (out / f"A_{n}.rle").write_text(a.to_text() + "\n")
+        _write(out / f"A_{n}.rle", a.to_text() + "\n")
         manifest["emitted"].append(f"A_{n}")
         try:
             b = construction.b_word(n)
@@ -140,9 +161,9 @@ def cmd_build(cfg: RunConfig) -> int:
                 {"word": f"B_{n}", "reason": f"about {exc.required} runs"}
             )
             continue
-        (out / f"B_{n}.rle").write_text(b.to_text() + "\n")
+        _write(out / f"B_{n}.rle", b.to_text() + "\n")
         manifest["emitted"].append(f"B_{n}")
-    (out / "build.json").write_text(canonical_json(manifest))
+    _write(out / "build.json", canonical_json(manifest))
     print(f"built {cfg.construction} depth {cfg.depth} -> {out}")
     return EXIT_PASS
 
@@ -204,9 +225,9 @@ def cmd_check(cfg: RunConfig, names: List[str]) -> int:
             series = wit.get("csv_series")
             if series:
                 fname = f"series-{name}-{series['name']}.csv"
-                (out / fname).write_text(series["body"])
+                _write(out / fname, series["body"])
                 wit["csv_series"] = {"name": series["name"], "file": fname}
-        (out / f"report-{name}.json").write_text(rep.to_json_str())
+        _write(out / f"report-{name}.json", rep.to_json_str())
         print(f"{rep.verdict:12s} {name}")
         if not rep.passed:
             failed.append(name)
@@ -235,7 +256,7 @@ def cmd_report(output_dir: str) -> int:
             failed.append(rep.check)
     summary = {"reports": rows, "failed": failed,
                "all_pass": not failed}
-    (out / "summary.json").write_text(canonical_json(summary))
+    _write(out / "summary.json", canonical_json(summary))
     width = max(len(r["check"]) for r in rows)
     for r in rows:
         print(f"{r['check']:<{width}}  {r['verdict']}")

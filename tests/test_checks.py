@@ -80,7 +80,7 @@ def test_random_sets_replay_a_whole_check(monkeypatch, seed):
              for _ in range(3)] for _ in range(trials)]
     packed, sets = [], []
     oracle = checks._packed_hausdorff_j
-    dual = checks.hausdorff_distance_inf_formula
+    dual = hyperspace.hausdorff_distance_inf_formula
 
     def recording_oracle(A, B, h):
         packed.append((A, B))
@@ -91,7 +91,7 @@ def test_random_sets_replay_a_whole_check(monkeypatch, seed):
         return dual(A, B)
 
     monkeypatch.setattr(checks, "_packed_hausdorff_j", recording_oracle)
-    monkeypatch.setattr(checks, "hausdorff_distance_inf_formula",
+    monkeypatch.setattr(hyperspace, "hausdorff_distance_inf_formula",
                         recording_dual)
     assert check_hausdorff_axioms(None, seed - 7, trials).verdict == "PASS"
     assert packed == [pair for pa, pb, pc in want
@@ -109,13 +109,13 @@ def test_random_sets_replay_a_whole_check(monkeypatch, seed):
                                    "hausdorff_distance_inf_formula"])
 def test_hausdorff_axioms_fails_on_a_wrong_route(monkeypatch, route):
     assert check_hausdorff_axioms(None, 0, trials=40).verdict == "PASS"
-    right = getattr(checks, route)
+    right = getattr(hyperspace, route)
 
     def halved(A, B):
         d, trunc = right(A, B)
         return d / 2, trunc
 
-    monkeypatch.setattr(checks, route, halved)
+    monkeypatch.setattr(hyperspace, route, halved)
     rep = check_hausdorff_axioms(None, 0, trials=40)
     assert rep.verdict == "FAIL"
     trials = [f["trial"] for f in rep.witnesses[0]["failures"]]

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -10,8 +11,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from meansense import MeansenseError, Schedule, Word, language
+from meansense import MeansenseError, Schedule, Word, cli, language
 from meansense.cli import main
+from meansense.reports import canonical_json
+
+# the fingerprints' SHA-256 comes from CPython's built-in module when there
+# is one, so that no process loads OpenSSL through hashlib's _hashlib
+BUILTIN_SHA256 = any(importlib.util.find_spec(name)
+                     for name in ("_sha2", "_sha256"))
 
 
 def run(*argv):
@@ -195,16 +202,19 @@ def test_checks_load_no_numpy(tmp_path, config, checks):
 
 
 @pytest.mark.parametrize("construction, checks, absent", [
-    ("S4", ["all"], ["inspect"]),
-    ("S3", ["thm-1.3-cofinite", "thm-1.8-witness"], ["inspect"]),
+    ("S4", ["all"], ["inspect", "_hashlib"]),
+    ("S3", ["thm-1.3-cofinite", "thm-1.8-witness"], ["inspect", "_hashlib"]),
     ("S3", ["lemma-3.1", "lemma-3.2-density", "thm-1.3-banach-equi"],
-     ["numpy"]),
+     ["numpy", "_hashlib", "meansense.hyperspace"]),
 ], ids=["s4", "s3-families", "s3-windows"])
 def test_runs_load_no_dataclasses(tmp_path, construction, checks, absent):
     # the records are plain classes: with every dataclasses import made to
     # fail, build and check write the same bytes and exit with the same
-    # codes as a normal run; the build loads no fractions, and the checks
-    # none of the modules named in ``absent``
+    # codes as a normal run; the build loads no fractions and no _hashlib,
+    # and the checks none of the modules named in ``absent``.  Without a
+    # built-in SHA-256, hashlib's OpenSSL route is the only one
+    if not BUILTIN_SHA256:
+        absent = [name for name in absent if name != "_hashlib"]
     root = Path(__file__).resolve().parents[1]
     args = ["--construction", construction, "--depth", "4"]
     env = dict(os.environ)
@@ -228,6 +238,7 @@ def test_runs_load_no_dataclasses(tmp_path, construction, checks, absent):
     got_codes, built, loaded = json.loads(proc.stdout.splitlines()[-1])
     assert got_codes == codes
     assert "fractions" not in built
+    assert not BUILTIN_SHA256 or "_hashlib" not in built
     assert not set(absent) & set(loaded)
     assert sorted(p.name for p in got.iterdir()) == sorted(
         p.name for p in want.iterdir())
@@ -239,6 +250,47 @@ def test_usage_errors_exit_2(tmp_path):
     assert run("build", "--construction", "S3", "--depth", "0",
                "--out", str(tmp_path)) == 2
     assert run("check", "nope", "--out", str(tmp_path)) == 2
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_unusable_out_is_a_usage_error(tmp_path, out):
+    # --out naming a file, or a path through one, cannot become the output
+    # directory: one error line and exit 2, no traceback, the file untouched
+    root = Path(__file__).resolve().parents[1]
+    (tmp_path / "file").write_text("a file\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-m", "meansense.cli", "build", "--construction",
+         "S3", "--depth", "2", "--out", str(tmp_path / out)],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: cannot make output directory")
+    assert (tmp_path / "file").read_text() == "a file\n"
+
+
+def test_unwritable_outputs_are_usage_errors(tmp_path, capsys):
+    # a directory where check or report writes a file: exit 2 and an error
+    # line naming the file
+    out = tmp_path / "run"
+    assert run("build", "--construction", "S4", "--depth", "2",
+               "--out", str(out)) == 0
+    (out / "report-thm-unpos.json").mkdir()
+    capsys.readouterr()
+    assert run("check", "thm-unpos", "--construction", "S4", "--depth", "2",
+               "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot write {out / 'report-thm-unpos.json'}")
+    (out / "report-thm-unpos.json").rmdir()
+    assert run("check", "thm-unpos", "--construction", "S4", "--depth", "2",
+               "--out", str(out)) == 0
+    (out / "summary.json").mkdir()
+    capsys.readouterr()
+    assert run("report", "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot write {out / 'summary.json'}")
 
 
 def test_patched_construction_is_rejected(tmp_path, capsys):
@@ -270,6 +322,47 @@ def test_check_writes_report_with_hashes(tmp_path):
     assert set(rep) == {"check", "params", "verdict", "witnesses", "caveats"}
     assert rep["params"]["config_hash"]
     assert rep["params"]["schedule_hash"]
+
+
+# construction, depth, seed, base
+HASHED_CONFIGS = [
+    ("S3", 4, 0, None), ("S3", 4, 1, None), ("S3", 2, 12345, None),
+    ("S4", 4, 0, None), ("S4", 3, 7, None),
+    ("S4", 4, 1, {"kind": "thue-morse"}),
+    ("S4", 4, 0, {"kind": "sturmian", "cf_terms": [1, 2, 1]}),
+]
+
+
+@pytest.mark.parametrize("route", ["built-in", "hashlib"])
+def test_fingerprints_are_truncated_sha256(monkeypatch, route):
+    # RunConfig.hash and schedule_hash are the first 16 hex digits of the
+    # SHA-256 of their JSON documents, whichever module computes it; the
+    # hashlib route is a fresh copy of the cli module with both built-in
+    # modules made to fail on import
+    if route == "built-in":
+        if not BUILTIN_SHA256:
+            pytest.skip("this interpreter has no built-in SHA-256 module")
+        module = cli
+        assert module.sha256 is not hashlib.sha256
+    else:
+        monkeypatch.setitem(sys.modules, "_sha2", None)
+        monkeypatch.setitem(sys.modules, "_sha256", None)
+        spec = importlib.util.find_spec("meansense.cli")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert module.sha256 is hashlib.sha256
+    for construction, depth, seed, base in HASHED_CONFIGS:
+        cfg = module.RunConfig()
+        cfg.construction, cfg.depth, cfg.seed, cfg.base = (
+            construction, depth, seed, base)
+        cfg.validate()
+        payload = {"construction": construction, "depth": depth,
+                   "seed": seed, "base": base}
+        want = hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+        assert cfg.hash == want[:16]
+        sched = cfg.schedule()
+        want = hashlib.sha256(sched.to_json_str().encode()).hexdigest()
+        assert module.schedule_hash(sched) == want[:16]
 
 
 def test_check_emits_csv_series(tmp_path):

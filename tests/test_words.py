@@ -306,6 +306,19 @@ def test_rle_text_round_trip():
         Word.from_text("alphabet=2; 1:3 1:4")  # not canonical
 
 
+def test_rle_text_matches_the_per_run_format(s3):
+    # to_text formats every run with one ``%``; the .rle files keep the
+    # bytes of the former f-string per run
+    def per_run(w):
+        pairs = " ".join(f"{sym}:{count}" for sym, count in w.runs)
+        return f"alphabet={w.alphabet_size};" + (f" {pairs}" if pairs else "")
+
+    for w in (Word.empty(2), Word(4, [(0, 1), (3, 2), (1, 7), (2, 10**15)]),
+              s3.a_word(4)):
+        assert w.to_text() == per_run(w)
+    assert Word.empty(4).to_text() == "alphabet=4;"
+
+
 def test_find_occurrences_basics():
     text = Word.from_string("0110110")
     pat = Word.from_string("11")
