@@ -36,8 +36,8 @@ from .diagnostics import (
     cesaro_avg_distance,
     diam_sequence,
     indicator_set_E,
-    mean_to_density_sides,
     orbit_diam_sequence,
+    scaled_sides,
     sensitivity_times,
     step_distance_array,
 )
@@ -553,35 +553,46 @@ def check_thm18_witness(c: S3Construction, seed: int = 0) -> Report:
 
 def check_remark_213(c=None, seed: int = 0) -> Report:
     """Randomized conversion trials between average bounds and density
-    bounds, decided exactly on integers by ``mean_to_density_sides``, zero
-    counterexamples allowed."""
+    bounds, decided exactly by ``scaled_sides``: no counterexample, and
+    each side's premise holding in some trial.
+
+    The terms v / 2^10, r = j / 2^10 and delta = j^2 / 2^20 (exact floats)
+    are integers over D = 2^20, a multiple of the denominator that
+    ``mean_to_density_sides`` takes for them, so the verdict is its verdict
+    with no float made.
+    """
     trials = 1000
     rng = random.Random(20_000 + seed)
     bits = rng.getrandbits
     failures = []
+    held = [0, 0]  # trials in which the premise of side (i), (ii) holds
+    D = 1 << 20
     for trial in range(trials):
         length = rng.randint(1, 120)
         M = rng.choice([1, 1, 2, 4])
-        scale = 1 << 10
-        # each a_i is rng.randint(0, M * scale), drawn as CPython draws it:
+        # each v is rng.randint(0, M << 10), drawn as CPython draws it:
         # getrandbits(k) for the k bits of the range size, again while the
         # value lies past the range
-        n = M * scale + 1
+        n = (M << 10) + 1
         k = n.bit_length()
-        a = []
-        while len(a) < length:
-            if (v := bits(k)) < n:
-                a.append(v / scale)
-        r = rng.randint(1, scale) / scale
-        delta = r * r
-        if not mean_to_density_sides(a, delta, M, sqrt_delta=r)[0]:
+        seq = []
+        for _ in range(length):
+            while (v := bits(k)) >= n:
+                pass
+            seq.append(v << 10)
+        j = rng.randint(1, 1 << 10)
+        passed, ((premise1, _), (premise2, _)) = scaled_sides(
+            D, seq, j * j, j << 10, M * D)
+        if not passed:
             failures.append(trial)
+        held[0] += premise1
+        held[1] += premise2
     rep = Report("remark-2.1.3", params={"trials": trials, "seed": seed})
+    rep.verdict = FAIL if failures or not all(held) else PASS
     if failures:
-        rep.verdict = FAIL
         rep.witnesses = [{"failing_trials": failures[:16]}]
-    else:
-        rep.verdict = PASS
+    if not all(held):
+        rep.witnesses.append({"premise_trials": held})
     return rep
 
 

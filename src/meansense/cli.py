@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from pathlib import Path
 from typing import List, Optional
 
 from .constructions import (
@@ -131,28 +131,29 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def _write(path: Path, text: str) -> None:
+def _write(path: str, text: str) -> None:
     """Write one output file; an unusable output directory is bad input."""
     try:
-        path.write_text(text)
+        with open(path, "w") as fh:
+            fh.write(text)
     except OSError as exc:
         raise ParameterError(f"cannot write {path}: {exc}") from None
 
 
 def cmd_build(cfg: RunConfig) -> int:
-    out = Path(cfg.output_dir)
+    out = cfg.output_dir
     try:
-        out.mkdir(parents=True, exist_ok=True)
+        os.makedirs(out or os.curdir, exist_ok=True)  # '' is the cwd
     except OSError as exc:
         raise ParameterError(f"cannot make output directory {out}: {exc}") from None
     sched = cfg.schedule()
-    _write(out / "schedule.json", sched.to_json_str())
+    _write(os.path.join(out, "schedule.json"), sched.to_json_str())
     construction = construction_for(sched)
     manifest = {"config_hash": cfg.hash, "schedule_hash": schedule_hash(sched),
                 "emitted": [], "omitted": []}
     for n in range(1, cfg.depth + 1):
         a = construction.a_word(n)
-        _write(out / f"A_{n}.rle", a.to_text() + "\n")
+        _write(os.path.join(out, f"A_{n}.rle"), a.to_text() + "\n")
         manifest["emitted"].append(f"A_{n}")
         try:
             b = construction.b_word(n)
@@ -161,22 +162,23 @@ def cmd_build(cfg: RunConfig) -> int:
                 {"word": f"B_{n}", "reason": f"about {exc.required} runs"}
             )
             continue
-        _write(out / f"B_{n}.rle", b.to_text() + "\n")
+        _write(os.path.join(out, f"B_{n}.rle"), b.to_text() + "\n")
         manifest["emitted"].append(f"B_{n}")
-    _write(out / "build.json", canonical_json(manifest))
+    _write(os.path.join(out, "build.json"), canonical_json(manifest))
     print(f"built {cfg.construction} depth {cfg.depth} -> {out}")
     return EXIT_PASS
 
 
 def _require_build(cfg: RunConfig) -> Schedule:
-    path = Path(cfg.output_dir) / "schedule.json"
-    if not path.exists():
+    path = os.path.join(cfg.output_dir, "schedule.json")
+    if not os.path.exists(path):
         raise MissingArtifactError(
             f"{path} not found: run `meansense build` into this output "
             f"directory first"
         )
     try:
-        data = json.loads(path.read_text())
+        with open(path) as fh:
+            data = json.load(fh)
     except ValueError as exc:
         raise ParameterError(f"{path} is not JSON: {exc}") from None
     sched = Schedule.from_json(data)
@@ -197,7 +199,7 @@ def cmd_check(cfg: RunConfig, names: List[str]) -> int:
     every check runs."""
     from . import checks as _checks  # here, so that ``build`` never loads it
 
-    out = Path(cfg.output_dir)
+    out = cfg.output_dir
     sched = _require_build(cfg)
     family = sched.construction
     if names == ["all"]:
@@ -225,9 +227,9 @@ def cmd_check(cfg: RunConfig, names: List[str]) -> int:
             series = wit.get("csv_series")
             if series:
                 fname = f"series-{name}-{series['name']}.csv"
-                _write(out / fname, series["body"])
+                _write(os.path.join(out, fname), series["body"])
                 wit["csv_series"] = {"name": series["name"], "file": fname}
-        _write(out / f"report-{name}.json", rep.to_json_str())
+        _write(os.path.join(out, f"report-{name}.json"), rep.to_json_str())
         print(f"{rep.verdict:12s} {name}")
         if not rep.passed:
             failed.append(name)
@@ -235,16 +237,21 @@ def cmd_check(cfg: RunConfig, names: List[str]) -> int:
 
 
 def cmd_report(output_dir: str) -> int:
-    out = Path(output_dir)
-    reports = sorted(out.glob("report-*.json"))
+    try:
+        names = os.listdir(output_dir or os.curdir)
+    except OSError:  # no such directory: no reports
+        names = []
+    reports = sorted(os.path.join(output_dir, name) for name in names
+                     if name.startswith("report-") and name.endswith(".json"))
     if not reports:
-        print(f"no reports under {out}", file=sys.stderr)
+        print(f"no reports under {output_dir}", file=sys.stderr)
         return EXIT_USAGE
     rows = []
     failed = []
     for path in reports:
         try:
-            data = json.loads(path.read_text())
+            with open(path) as fh:
+                data = json.load(fh)
         except (OSError, ValueError) as exc:
             raise ParameterError(f"cannot read report {path}: {exc}") from None
         if not isinstance(data, dict) or not isinstance(data.get("check"), str):
@@ -256,7 +263,7 @@ def cmd_report(output_dir: str) -> int:
             failed.append(rep.check)
     summary = {"reports": rows, "failed": failed,
                "all_pass": not failed}
-    _write(out / "summary.json", canonical_json(summary))
+    _write(os.path.join(output_dir, "summary.json"), canonical_json(summary))
     width = max(len(r["check"]) for r in rows)
     for r in rows:
         print(f"{r['check']:<{width}}  {r['verdict']}")

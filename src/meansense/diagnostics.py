@@ -601,10 +601,7 @@ def mean_to_density_sides(a: Sequence[float], delta: float, M: float,
 
     Every input becomes an integer over one common denominator D (a finite
     float read by ``float.as_integer_ratio``, anything else by
-    ``_exact_ratio``).  A running maximum of prefix ratios is at most a
-    bound exactly when every prefix is, so each side compares every prefix
-    sum with the bound times its length: cross-multiplication, no
-    ``Fraction``.
+    ``_exact_ratio``), and ``scaled_sides`` decides the two sides on them.
 
     Returns (passed, sides, scaled): ``sides`` holds (premise, holds) of
     side (i), then of side (ii), and is empty for an empty sequence;
@@ -631,9 +628,22 @@ def mean_to_density_sides(a: Sequence[float], delta: float, M: float,
     # side (ii)'s (M + 1) delta = (nm + dm) nd / (dm dd)
     if (nm + dm) * nd > _FLOAT_MAX * dm * dd:
         raise ParameterError("(M + 1) delta must be finite within float range")
-    scaled = (D, seq, d, r, m)
+    return (*scaled_sides(D, seq, d, r, m), (D, seq, d, r, m))
+
+
+def scaled_sides(D: int, seq: Sequence[int], d: int, r: int, m: int) -> tuple:
+    """(passed, sides) of ``mean_to_density_sides`` from its inputs times
+    one common denominator D: the sequence, delta, sqrt_delta and M.
+
+    A running maximum of prefix ratios is at most a bound exactly when
+    every prefix is, so each side compares every prefix sum with the bound
+    times its length: cross-multiplication, no ``Fraction``.  Any common
+    denominator gives the same answer: each comparison is homogeneous in
+    D, of degree 1 in side (i) and in the premise of side (ii), of degree 2
+    in the conclusion of (ii), and the thresholds compare values with values.
+    """
     if not seq:
-        return True, (), scaled
+        return True, ()
 
     def within(terms, per) -> bool:
         # every prefix sum of terms is at most per times its length
@@ -651,7 +661,7 @@ def mean_to_density_sides(a: Sequence[float], delta: float, M: float,
     # most (M + 1) delta = (m + D) d / D^2
     premise2 = within(hits(d), d)
     holds2 = not premise2 or within(map(D.__mul__, seq), (m + D) * d)
-    return (holds1 and holds2), ((premise1, holds1), (premise2, holds2)), scaled
+    return (holds1 and holds2), ((premise1, holds1), (premise2, holds2))
 
 
 def _best_prefix_ratio(terms) -> tuple:

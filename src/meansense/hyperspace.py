@@ -106,7 +106,14 @@ class FiniteSet:
             for other in families:
                 if _family_shape(other) == _family_shape(item):
                     held = other.marks  # a range tests membership itself
-                    if not isinstance(held, range):
+                    if isinstance(held, range) and isinstance(marks, range):
+                        # both step 1: what is left below and above held
+                        below = range(marks.start, min(marks.stop, held.start))
+                        above = range(max(marks.start, held.stop), marks.stop)
+                        if not (below and above):
+                            marks = below or above
+                            continue
+                    elif not isinstance(held, range):
                         held = set(held)
                     marks = [m for m in marks if m not in held]
             dropped += len(item.marks) - len(marks)

@@ -493,14 +493,17 @@ def find_occurrences(text: Word, pattern: Word, cap: int = 10_000,
     turns it into the run where the scan stops, so no run past it is read.
     A pattern of three or more runs is matched only at the text copies of
     its second run, which ``tuple.index`` finds in C; the other runs are
-    compared as tuples.
+    compared as tuples.  A pattern as long as the text is one comparison.
     """
     if pattern.alphabet_size != text.alphabet_size:
         raise AlphabetMismatchError("alphabet mismatch in find_occurrences")
     if pattern.length == 0:
         raise ParameterError("empty pattern")
-    if pattern.length > text.length:
-        return []
+    if pattern.length >= text.length:
+        # only position 1 can hold it, and only when the runs are equal
+        return [1] if (pattern.length == text.length and start <= 1 <= cap
+                       and (last is None or last >= 1)
+                       and pattern.runs == text.runs) else []
     out = []
     pruns = pattern.runs
     truns = text.runs

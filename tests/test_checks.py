@@ -26,6 +26,7 @@ from meansense.checks import (
     check_hausdorff_axioms,
     check_remark_213,
 )
+from meansense.diagnostics import mean_to_density_sides
 from meansense.hyperspace import _hausdorff_first_difference
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -153,40 +154,90 @@ def test_hausdorff_axioms_never_imports_numpy_random():
     assert proc.stdout.strip() == "False"
 
 
+def _remark_213_floats(rng):
+    """One trial's float values as ``randint``/``choice`` draw them:
+    (a, delta, M, sqrt_delta)."""
+    length = rng.randint(1, 120)
+    M = rng.choice([1, 1, 2, 4])
+    a = [rng.randint(0, M * 1024) / 1024 for _ in range(length)]
+    r = rng.randint(1, 1024) / 1024
+    return a, r * r, M, r
+
+
 @pytest.mark.parametrize("seed", [0, 1, 12345])
 def test_remark_213_draws_what_randint_draws(monkeypatch, seed):
+    # compared after scaling by D = 2^20
     rng = random.Random(20_000 + seed)
     want = []
     for _ in range(1000):
-        length = rng.randint(1, 120)
-        M = rng.choice([1, 1, 2, 4])
-        a = [rng.randint(0, M * 1024) / 1024 for _ in range(length)]
-        r = rng.randint(1, 1024) / 1024
-        want.append((a, r * r, M, r))
+        a, delta, M, r = _remark_213_floats(rng)
+        want.append((1 << 20, [int(v * (1 << 20)) for v in a],
+                     int(delta * (1 << 20)), int(r * (1 << 20)), M << 20))
     got = []
-    right = checks.mean_to_density_sides
+    right = checks.scaled_sides
 
-    def recording(a, delta, M, sqrt_delta=None):
-        got.append((a, delta, M, sqrt_delta))
-        return right(a, delta, M, sqrt_delta=sqrt_delta)
+    def recording(*args):
+        got.append(args)
+        return right(*args)
 
-    monkeypatch.setattr(checks, "mean_to_density_sides", recording)
+    monkeypatch.setattr(checks, "scaled_sides", recording)
     assert check_remark_213(None, seed).verdict == "PASS"
     assert got == want
 
 
+@pytest.mark.parametrize("seed", [0, 1, 12345])
+def test_remark_213_integer_route_matches_the_float_route(monkeypatch, seed):
+    rng = random.Random(20_000 + seed)
+    want = [mean_to_density_sides(*_remark_213_floats(rng))[:2]
+            for _ in range(1000)]
+    got, made = [], []
+    right = checks.scaled_sides
+
+    class Kept(random.Random):
+        def __init__(self, x):
+            super().__init__(x)
+            made.append(self)
+
+    def recording(*args):
+        got.append(right(*args))
+        return got[-1]
+
+    monkeypatch.setattr(checks, "scaled_sides", recording)
+    monkeypatch.setattr(checks.random, "Random", Kept)
+    assert check_remark_213(None, seed).verdict == "PASS"
+    assert got == want
+    assert [m.getstate() for m in made] == [rng.getstate()]
+
+
 def test_remark_213_fails_on_a_wrong_route(monkeypatch):
-    right = checks.mean_to_density_sides
+    right = checks.scaled_sides
 
-    def side_i_at_delta(a, delta, M, sqrt_delta=None):
-        return right(a, delta, M, sqrt_delta=delta)
+    def side_i_at_delta(D, seq, d, r, m):
+        return right(D, seq, d, d, m)
 
-    monkeypatch.setattr(checks, "mean_to_density_sides", side_i_at_delta)
+    monkeypatch.setattr(checks, "scaled_sides", side_i_at_delta)
     rep = check_remark_213(None, 0)
     assert rep.verdict == "FAIL"
     trials = rep.witnesses[0]["failing_trials"]
     assert trials and trials == sorted(set(trials))
     assert all(0 <= t < rep.params["trials"] for t in trials)
+
+
+@pytest.mark.parametrize("unheld", [(0,), (1,), (0, 1)])
+def test_remark_213_fails_when_a_premise_never_holds(monkeypatch, unheld):
+    # a core whose premise never holds passes every trial vacuously
+    right = checks.scaled_sides
+
+    def premise_false(*args):
+        passed, sides = right(*args)
+        return passed, tuple((False, True) if i in unheld else side
+                             for i, side in enumerate(sides))
+
+    monkeypatch.setattr(checks, "scaled_sides", premise_false)
+    rep = check_remark_213(None, 0)
+    assert rep.verdict == "FAIL"
+    held = [0 if i in unheld else n for i, n in enumerate([89, 119])]
+    assert rep.witnesses == [{"premise_trials": held}]
 
 
 def test_banach_equi_fails_when_the_sweep_reports_zero(monkeypatch, s3):

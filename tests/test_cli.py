@@ -246,6 +246,30 @@ def test_runs_load_no_dataclasses(tmp_path, construction, checks, absent):
         assert (got / path.name).read_bytes() == path.read_bytes(), path.name
 
 
+@pytest.mark.parametrize("construction, checks", [
+    ("S4", ["all"]), ("S3", ["thm-1.3-cofinite", "thm-1.8-witness"])])
+def test_runs_load_no_pathlib(tmp_path, construction, checks):
+    # ``python -S`` skips ``site``, which may import pathlib itself; build,
+    # check and report then load none of it
+    root = Path(__file__).resolve().parents[1]
+    args = ["--construction", construction, "--depth", "4", "--out",
+            str(tmp_path)]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys\n"
+         "assert 'pathlib' not in sys.modules\n"
+         "from meansense.cli import main\n"
+         f"codes = [main({['build', *args]!r}),\n"
+         f"         main({['check', *checks, *args]!r}),\n"
+         f"         main({['report', '--out', str(tmp_path)]!r})]\n"
+         "print(codes, 'pathlib' in sys.modules)\n"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False"
+
+
 def test_usage_errors_exit_2(tmp_path):
     assert run("build", "--construction", "S3", "--depth", "0",
                "--out", str(tmp_path)) == 2

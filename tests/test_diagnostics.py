@@ -31,7 +31,11 @@ from meansense import (
 )
 from meansense import FiniteSet, diagnostics
 from meansense.checks import _thm18_points
-from meansense.diagnostics import DEFAULT_DEPTH, mean_to_density_sides
+from meansense.diagnostics import (
+    DEFAULT_DEPTH,
+    mean_to_density_sides,
+    scaled_sides,
+)
 from meansense.reports import FAIL, PASS, AverageReport, Report, fmt17
 
 from conftest import (
@@ -933,6 +937,16 @@ def test_integer_core_matches_fraction_oracle(args):
     assert passed == (want.verdict == PASS)
     assert sides == tuple((w["premise_holds"], w["holds"])
                           for w in want.witnesses)
+
+
+@settings(max_examples=200, deadline=None)
+@given(args=_conversion_inputs(), k=st.integers(1, 1 << 20))
+def test_scaled_core_takes_any_common_denominator(args, k):
+    a, delta, M, sqrt_delta = args
+    passed, sides, (D, seq, d, r, m) = mean_to_density_sides(
+        a, delta, M, sqrt_delta)
+    assert scaled_sides(k * D, [k * v for v in seq], k * d, k * r,
+                        k * m) == (passed, sides)
 
 
 _NON_FINITE = [

@@ -58,6 +58,29 @@ def test_finite_set_dedup():
     assert s.collapsed == 1
 
 
+@pytest.mark.parametrize("first, second", [
+    ((8, 14), (9, 12)),    # contained: nothing left
+    ((9, 12), (8, 14)),    # containing: two pieces, the list route
+    ((8, 12), (10, 15)),   # overlapping: the part above
+    ((10, 15), (8, 12)),   # overlapping: the part below
+    ((8, 10), (12, 15)),   # disjoint
+    ((8, 12), (12, 15)),   # adjacent
+    ((8, 15), (8, 15)),    # equal
+])
+def test_finite_set_of_range_marks_matches_the_list_route(first, second):
+    block = Word.from_string("1101")
+    plain = view("1101000100000000")  # the member at mark 8
+
+    def of(marks):
+        return FiniteSet.of([BlockFamily(block, marks(*first), 16),
+                             BlockFamily(block, marks(*second), 16), plain])
+
+    got, want = of(range), of(lambda lo, hi: list(range(lo, hi)))
+    assert not any(isinstance(fam.marks, range) for fam in want.families)
+    assert (got.members, got.collapsed, len(got)) == (
+        want.members, want.collapsed, len(want))
+
+
 def test_hausdorff_examples():
     A = FiniteSet.of([view("001111"), view("000000")])
     assert hausdorff_distance(A, A)[0] == 0.0

@@ -329,6 +329,17 @@ def test_find_occurrences_basics():
     assert find_occurrences(text, pat, start=3) == [5]
 
 
+@pytest.mark.parametrize("text", ["0110110", "1111", "0", "011"])
+def test_find_occurrences_pattern_as_long_as_text(text):
+    word = Word.from_string(text)
+    flipped = Word.from_string(text[:-1] + "10"[int(text[-1])])
+    assert find_occurrences(word, Word.from_string(text)) == [1]
+    assert find_occurrences(word, word, cap=1, last=1) == [1]
+    assert find_occurrences(word, flipped) == []
+    assert find_occurrences(word, word, start=2) == []
+    assert find_occurrences(word, word, last=0) == []
+
+
 def _run_spanning_pattern(rng, runs):
     """A substring of the text of ``runs`` covering 3 to 40 runs, its end
     runs cut at random; the whole text when there are too few runs."""
