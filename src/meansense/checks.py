@@ -475,7 +475,10 @@ def check_prop_devaney(c: S4Construction, seed: int = 0, n: int = 4) -> Report:
 
 def check_thm_unpos(c=None, seed: int = 0) -> Report:
     """The patched map collapses the {2,3} cylinder to one orbit after a
-    single step: its diameter sequence is exactly zero from step 1 on."""
+    single step: its diameter sequence is exactly zero from step 1 on.
+    Steps 0 and 1 are recomputed by ``point_metric`` from the all-2 and
+    all-3 members, before and after one ``patched_step`` each, so a route
+    that reports the collapse without making it fails."""
     steps = 64
     horizon = 2 * steps + 8
     y = GeneratorDescriptor("thue-morse")
@@ -489,7 +492,11 @@ def check_thm_unpos(c=None, seed: int = 0) -> Report:
     values, truncated = orbit_diam_sequence(
         members, steps, lambda p: patched_step(p, y_prefix)
     )
-    ok = values[0] == 1.0 and not any(values[1:])
+    a, b = members[:2]
+    ok = (values[0] == 1.0 and not any(values[1:])
+          and point_metric(a, b)[0] == 1.0
+          and point_metric(patched_step(a, y_prefix),
+                           patched_step(b, y_prefix))[0] == 0.0)
     rep = Report("thm-unpos", params={"steps": steps, "members": len(members)})
     rep.witnesses = [{"diam_step0": fmt17(values[0]),
                       "max_diam_after": fmt17(max(values[1:]))}]

@@ -24,7 +24,6 @@ before words are built.
 
 from __future__ import annotations
 
-import json
 from operator import itemgetter
 from typing import Dict, NamedTuple, Optional, Tuple
 
@@ -36,6 +35,7 @@ from .errors import (
     ResourceCapError,
     WitnessUnavailableError,
 )
+from .reports import canonical_json
 from .words import (
     MAX_LENGTH,
     BlockFamily,
@@ -164,7 +164,7 @@ class Schedule:
         return self.levels[n - 1]
 
     def to_json(self) -> dict:
-        d = {
+        return {
             "construction": self.construction,
             "base": self.base.to_json() if self.base else None,
             "levels": [
@@ -173,10 +173,9 @@ class Schedule:
                 for l in self.levels
             ],
         }
-        return d
 
     def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
+        return canonical_json(self.to_json())
 
     @staticmethod
     def from_json(d: dict) -> "Schedule":

@@ -172,16 +172,9 @@ def step_distance_array(x: PointView, y: PointView, n: int,
     return _gap_distances(los, his, n, depth)
 
 
-_HARMONIC_CACHE = {}
-
-
 def _harmonic_table(depth: int) -> list:
     """[H_0, ..., H_depth], each 1/k added in order, as a float cumsum does."""
-    tab = _HARMONIC_CACHE.get(depth)
-    if tab is None:
-        tab = [0.0, *itertools.accumulate(1.0 / k for k in range(1, depth + 1))]
-        _HARMONIC_CACHE[depth] = tab
-    return tab
+    return [0.0, *itertools.accumulate(1.0 / k for k in range(1, depth + 1))]
 
 
 def distance_sum(x: PointView, y: PointView, n: int,
@@ -599,9 +592,8 @@ def mean_to_density_sides(a: Sequence[float], delta: float, M: float,
                           sqrt_delta: Optional[float] = None) -> tuple:
     """The exact integer core of ``mean_to_density_check``.
 
-    Every input becomes an integer over one common denominator D (a finite
-    float read by ``float.as_integer_ratio``, anything else by
-    ``_exact_ratio``), and ``scaled_sides`` decides the two sides on them.
+    Every input becomes an integer over one common denominator D, read by
+    ``_exact_ratio``, and ``scaled_sides`` decides the two sides on them.
 
     Returns (passed, sides, scaled): ``sides`` holds (premise, holds) of
     side (i), then of side (ii), and is empty for an empty sequence;
@@ -614,12 +606,7 @@ def mean_to_density_sides(a: Sequence[float], delta: float, M: float,
     nm, dm = _exact_ratio(M, "M")
     nr, dr = _exact_ratio(math.sqrt(delta) if sqrt_delta is None else sqrt_delta,
                           "sqrt_delta")
-    a = list(a)  # read twice when a value is not a finite float
-    try:
-        ratios = list(map(float.as_integer_ratio, a))
-    except (TypeError, ValueError, OverflowError):
-        # not all finite floats: the checks of _exact_ratio, value by value
-        ratios = [_exact_ratio(v, "sequence value") for v in a]
+    ratios = [_exact_ratio(v, "sequence value") for v in a]
     D = math.lcm(dd, dm, dr, *{den for _, den in ratios})
     seq = [num * (D // den) for num, den in ratios]
     d, r, m = nd * (D // dd), nr * (D // dr), nm * (D // dm)

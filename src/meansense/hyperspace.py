@@ -88,10 +88,11 @@ class FiniteSet:
     def of(items: Sequence) -> "FiniteSet":
         """The set of the given views and ``BlockFamily`` members.
 
-        A family's extras join the plain views.  A mark already held by an
-        earlier part of the same shape (see ``_family_shape``) is dropped;
-        the remaining marks form a new part.  A plain view equal to a
-        marked member is dropped; of equal plain views the first is kept.
+        A family's extras join the plain views.  Of a family's range of
+        marks, only the pieces below and above each earlier part of the
+        same shape (see ``_family_shape``) are kept, each piece its own
+        part.  A plain view equal to a marked member is dropped; of equal
+        plain views the first is kept.
         """
         if not items:
             raise ParameterError("a hyperspace point needs at least one member")
@@ -102,23 +103,16 @@ class FiniteSet:
                 views.append(item)
                 continue
             views.extend(item.extras)
-            marks = item.marks
+            pieces = [item.marks]
             for other in families:
                 if _family_shape(other) == _family_shape(item):
-                    held = other.marks  # a range tests membership itself
-                    if isinstance(held, range) and isinstance(marks, range):
-                        # both step 1: what is left below and above held
-                        below = range(marks.start, min(marks.stop, held.start))
-                        above = range(max(marks.start, held.stop), marks.stop)
-                        if not (below and above):
-                            marks = below or above
-                            continue
-                    elif not isinstance(held, range):
-                        held = set(held)
-                    marks = [m for m in marks if m not in held]
-            dropped += len(item.marks) - len(marks)
-            if len(marks):
-                families.append(BlockFamily(item.block, marks, item.horizon))
+                    held = other.marks
+                    pieces = [piece for m in pieces for piece in (
+                        range(m.start, min(m.stop, held.start)),
+                        range(max(m.start, held.stop), m.stop)) if piece]
+            dropped += len(item.marks) - sum(map(len, pieces))
+            families += [BlockFamily(item.block, piece, item.horizon)
+                         for piece in pieces]
         # the sort is stable, so the first of equal views leads its group;
         # it stays, and every view equal to the one before it goes
         ranked = sorted(views, key=PointView.key)
@@ -213,40 +207,6 @@ def _family_cut(p: PointView, fam: BlockFamily) -> tuple:
     return k, (), d0
 
 
-def _first_difference_table(A: FiniteSet, B: FiniteSet) -> list:
-    """J[i][k], nested lists: the first 1-based position where member i of
-    one set and member k of the other differ, 0 where they agree through
-    the shared horizon.
-
-    Which set gives the rows is left open: both Hausdorff routes reduce
-    rows and columns alike.  Members are ordered plain first, then family
-    by family.  A family is compared with a plain view in closed form
-    (``_family_cut``, expanded here); only when both sides hold families is
-    one side, the smaller, expanded into rows.
-    """
-    views, rows, families = _table_parts(A, B)
-    for fam in families:
-        marks = fam.marks
-        for a, row in zip(views, rows):
-            k, head, tail = _family_cut(a, fam)
-            row += [*marks[:k], *head,
-                    *itertools.repeat(tail, len(marks) - k - len(head))]
-    return rows
-
-
-def _table_parts(A: FiniteSet, B: FiniteSet) -> tuple:
-    """(views, rows, families) of ``_first_difference_table``: the row
-    members, their first differences with the plain column members, and
-    the column families, each still to be compared in closed form."""
-    if A.families and (not B.families or len(A) > len(B)):
-        A, B = B, A
-    views = (list(itertools.chain(A.plain, *A.families)) if A.families
-             else A.plain)
-    cols = [b.prefix for b in B.plain]
-    rows = [[first_difference(a.prefix, b) or 0 for b in cols] for a in views]
-    return views, rows, B.families
-
-
 _AGREE = 2**63 - 1  # a pair agreeing throughout: distance 0
 
 
@@ -287,9 +247,14 @@ def _hausdorff_first_difference(A: FiniteSet, B: FiniteSet) -> tuple:
     values that hold its maximum and any 0 of its part: the last mark
     before the cut, the head, and the tail when a mark follows the head.
     """
-    views, J, families = _table_parts(A, B)
+    if A.families and (not B.families or len(A) > len(B)):
+        A, B = B, A  # rows: the side without families, or the smaller
+    views = (list(itertools.chain(A.plain, *A.families)) if A.families
+             else A.plain)
+    cols = [b.prefix for b in B.plain]
+    J = [[first_difference(a.prefix, b) or 0 for b in cols] for a in views]
     maxima = [*map(max, filter(all, zip(*J)))]
-    for fam in families:
+    for fam in B.families:
         marks = fam.marks
         cuts = [_family_cut(a, fam) for a in views]
         maxima += _family_columns(marks, cuts)
@@ -315,11 +280,13 @@ def hausdorff_distance_inf_formula(A: FiniteSet, B: FiniteSet) -> tuple:
     Scans the candidate radii (the pairwise distances) in increasing order
     and returns the first that covers both ways; on finite sets this equals
     the max-min formula, which the acceptance suite checks exhaustively.
-    The scan runs on the first differences: radius 1/c covers a point when
-    the point's nearest first difference is at least c, and agreement
-    (distance 0) reads as ``_AGREE``, past every first difference.
+    The scan runs on the first differences of every expanded member pair,
+    with no closed form: radius 1/c covers a point when the point's nearest
+    first difference is at least c, and agreement (distance 0) reads as
+    ``_AGREE``, past every first difference.
     """
-    J = _first_difference_table(A, B)
+    cols = [b.prefix for b in B.members]
+    J = [[first_difference(a.prefix, b) or 0 for b in cols] for a in A.members]
     K = [[j or _AGREE for j in row] for row in J]
     nearest = [*map(max, K), *map(max, zip(*K))]
     for c in sorted(set(itertools.chain(*K)), reverse=True):

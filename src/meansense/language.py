@@ -52,8 +52,9 @@ def cylinder_members(src: Word, u: Word, max_members: int = 32,
     Members are the shifts of the source prefix ``src`` at each occurrence
     of ``u`` at or after position ``start`` (RLE occurrence scan, left to
     right) whose view fits inside ``src``: the scan stops at the last such
-    start and after ``max_members`` occurrences.  An empty result is not an
-    error: it only means the approximation holds no witness.
+    start and after ``max_members`` occurrences, which must be at least 1.
+    An empty result is not an error: it only means the approximation holds
+    no witness.
     """
     if u.length == 0:
         raise ParameterError("empty cylinder word")

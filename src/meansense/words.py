@@ -499,9 +499,11 @@ def find_occurrences(text: Word, pattern: Word, cap: int = 10_000,
         raise AlphabetMismatchError("alphabet mismatch in find_occurrences")
     if pattern.length == 0:
         raise ParameterError("empty pattern")
+    if cap < 1:
+        raise ParameterError(f"cap must be at least 1, not {cap}")
     if pattern.length >= text.length:
         # only position 1 can hold it, and only when the runs are equal
-        return [1] if (pattern.length == text.length and start <= 1 <= cap
+        return [1] if (pattern.length == text.length and start <= 1
                        and (last is None or last >= 1)
                        and pattern.runs == text.runs) else []
     out = []
@@ -670,29 +672,22 @@ _SET_PREFIX, _SET_PROVENANCE, _SET_NOTE = (
 class BlockFamily(abc.Sequence):
     """The points ``w 0^(p-s-1) 1 0^(horizon-p)``, one per mark p, then extras.
 
-    A family sharing the block ``w`` (length s): ``marks`` holds the 1-based
-    position of each member's lone 1, at least one, strictly increasing
-    inside (s, horizon], as a ``range`` of step 1 when given one and as a
-    list of ints otherwise.  ``extras`` are further views appended with
-    ``+``.  A member is materialized only when indexed or iterated, marked
-    members first, with provenance ``explicit-limit``, detail ``j=<p-s-1>``
-    and no truncation note.
+    A family sharing the block ``w`` (length s): ``marks`` is a non-empty
+    ``range`` of step 1 inside (s, horizon], the 1-based position of each
+    member's lone 1.  ``extras`` are further views appended with ``+``.  A
+    member is materialized only when indexed or iterated, marked members
+    first, with provenance ``explicit-limit``, detail ``j=<p-s-1>`` and no
+    truncation note.
     """
 
     __slots__ = ("block", "marks", "horizon", "extras")
 
-    def __init__(self, block: Word, marks, horizon: int,
+    def __init__(self, block: Word, marks: range, horizon: int,
                  extras: Sequence[PointView] = ()):
-        if isinstance(marks, range) and marks.step == 1:
-            increasing = True
-        else:
-            marks = list(map(operator.index, marks))
-            increasing = all(map(operator.lt, marks,
-                                 itertools.islice(marks, 1, None)))
-        if (not increasing or not len(marks) or marks[0] <= block.length
-                or marks[-1] > horizon):
-            raise ParameterError(f"marks must be non-empty and increase "
-                                 f"strictly inside ({block.length}, {horizon}]")
+        if (not isinstance(marks, range) or marks.step != 1 or not marks
+                or marks.start <= block.length or marks.stop - 1 > horizon):
+            raise ParameterError(f"marks must be a non-empty step-1 range "
+                                 f"inside ({block.length}, {horizon}]")
         self.block = block
         self.marks = marks
         self.horizon = horizon
@@ -705,19 +700,10 @@ class BlockFamily(abc.Sequence):
                     self.block.runs + ((0, self.horizon - self.block.length),))
 
     def mark_runs(self, upto: int) -> tuple:
-        """(los, his): the maximal runs of consecutive marks up to ``upto``,
-        as lists; a ``range`` of marks is one run."""
-        marks = self.marks[:bisect.bisect_right(self.marks, upto)]
-        if isinstance(marks, range):
-            return ([marks.start], [marks.stop - 1]) if marks else ([], [])
-        los, his = [], []
-        for p in marks:
-            if his and p == his[-1] + 1:
-                his[-1] = p
-            else:
-                los.append(p)
-                his.append(p)
-        return los, his
+        """(los, his): the one run of marks, cut at ``upto``, as lists; no
+        run when no mark is at most ``upto``."""
+        hi = min(self.marks.stop - 1, upto)
+        return ([self.marks.start], [hi]) if hi >= self.marks.start else ([], [])
 
     def _member(self, p: int) -> PointView:
         s = self.block.length

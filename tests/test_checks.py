@@ -274,6 +274,17 @@ def test_thm18_witness_fails_when_family_columns_read_too_near(
     assert checks.check_thm18_witness(s3).verdict == "FAIL"
 
 
+def test_thm_unpos_fails_when_the_route_skips_the_members(monkeypatch):
+    # a patched map that only shifts keeps the all-2 and all-3 members
+    # apart, whatever the diameter route reports
+    assert checks.check_thm_unpos().verdict == "PASS"
+    monkeypatch.setattr(checks, "patched_step", lambda p, y_prefix: p.shift(1))
+    monkeypatch.setattr(checks, "orbit_diam_sequence",
+                        lambda members, steps, step_fn: ([1.0] + [0.0] * 63,
+                                                         [False] * 64))
+    assert checks.check_thm_unpos().verdict == "FAIL"
+
+
 def test_cofinite_builds_no_per_step_list(s3):
     # the tail test reads the disagreement intervals and the CSV takes
     # 2,000 diameters, so the traced peak stays below one list of pointers

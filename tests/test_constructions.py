@@ -307,7 +307,7 @@ def test_witness_family_shape(s3):
     assert len(more) == 5 and len(fam) == 4
     assert more[-1] is extra and list(more)[:4] == list(fam)
     with pytest.raises(ParameterError):
-        BlockFamily(a2, [27, 28], 64)  # a mark inside the block
+        BlockFamily(a2, range(27, 29), 64)  # a mark inside the block
     for bad in ([], range(30, 30), [28, 28], [29, 28], [28, 65], range(60, 66)):
         with pytest.raises(ParameterError):
             BlockFamily(a2, bad, 64)
@@ -316,18 +316,21 @@ def test_witness_family_shape(s3):
 
 
 def test_block_family_mark_runs(s3):
-    # a step-1 range of marks stays a range and is one run; other marks
-    # become a list, cut into maximal runs of consecutive marks
+    # marks are one step-1 range, read as one run cut at ``upto``; a list
+    # of marks, gapped or not, is rejected
     a2 = s3.a_word(2)
     assert s3.witness_family(0, 27, count=4, horizon=64).marks == range(28, 32)
-    for marks in (range(28, 40), [28, 29, 30, 33, 35, 36], range(30, 61, 3)):
+    for marks in (range(28, 40), range(30, 31), range(28, 65)):
         fam = BlockFamily(a2, marks, 64)
-        assert isinstance(fam.marks, range) == (marks == range(28, 40))
-        for upto in (0, 28, 31, 35, 64):
+        for upto in (0, 28, 31, 35, 64, 99):
             los, his = fam.mark_runs(upto)
             assert [p for lo, hi in zip(los, his)
                     for p in range(lo, hi + 1)] == [m for m in marks if m <= upto]
-            assert all(h + 1 < lo for h, lo in zip(his, los[1:]))
+            assert len(los) == len(his) <= 1
+    for marks in ([28, 29, 30, 33, 35, 36], list(range(28, 40)), [30],
+                  range(30, 61, 3)):
+        with pytest.raises(ParameterError):
+            BlockFamily(a2, marks, 64)
 
 
 def test_witness_family_level_one_block(s3):

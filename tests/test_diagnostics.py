@@ -590,6 +590,12 @@ def test_diam_sequence_matches_naive_pairwise():
             assert (got_t == want_t).all()
 
 
+def _random_marks(rng, s, horizon):
+    """A random step-1 range of marks inside (s, horizon]."""
+    first = rng.randint(s + 1, horizon)
+    return range(first, rng.randint(first, horizon) + 1)
+
+
 def test_block_family_diam_matches_list_and_naive():
     # the family route (marks plus extras, no members) against the member
     # list route and the expanded pairwise oracle
@@ -598,12 +604,7 @@ def test_block_family_diam_matches_list_and_naive():
         s = rng.randint(1, 8)
         block = random_view(rng, s).prefix
         horizon = rng.randint(s + 8, 60)
-        k = rng.randint(1, 6)
-        if rng.random() < 0.5:
-            first = rng.randint(s + 1, horizon - k + 1)
-            marks = list(range(first, first + k))
-        else:
-            marks = sorted(rng.sample(range(s + 1, horizon + 1), k))
+        marks = _random_marks(rng, s, horizon)
         extras = []
         for _ in range(rng.randint(0, 3)):
             n = rng.randint(horizon - 5, horizon + 5)
@@ -627,6 +628,14 @@ def _family(block, marks, horizon, extras=()):
                   Provenance("explicit-limit")) for t in extras]
 
 
+def _gapped(block, marks, horizon, extras=()):
+    # marks with gaps, which no family holds: the members as a plain list,
+    # one single-mark family per mark, the extras riding on the last one
+    return [m for p in marks[:-1]
+            for m in _family(block, range(p, p + 1), horizon)] + list(
+        _family(block, range(marks[-1], marks[-1] + 1), horizon, extras))
+
+
 @pytest.mark.parametrize("members, steps", [
     # no disagreement at all
     ([view("0110" * 8)] * 3, 32),
@@ -636,14 +645,16 @@ def _family(block, marks, horizon, extras=()):
     ([view("0" * 30), view("0" * 29 + "1" + "0101")], 30),
     # steps == H with disagreements throughout
     ([view("0011" * 8), view("0101" * 8), view("0110" * 8)], 32),
-    # family marks in several runs of consecutive positions
-    (_family("101", [4, 5, 6, 9, 12, 13, 20], 24), 24),
-    (_family("101", [4, 5, 6, 9, 12, 13, 24], 24, ["0" * 21]), 24),
-    (_family("11", [3, 5, 7, 8, 9], 30, ["0" * 4 + "1" + "0" * 23]), 30),
+    # a random range of marks
+    (_family("101", _random_marks(random.Random(239), 3, 24), 24), 24),
+    # marks in several runs of consecutive positions, as a member list
+    (_gapped("101", [4, 5, 6, 9, 12, 13, 24], 24, ["0" * 21]), 24),
+    # marks up to the horizon, an extra with a 1 among them
+    (_family("11", range(3, 31), 30, ["0" * 4 + "1" + "0" * 23]), 30),
     # every mark lies past a shorter extra's horizon: no mark enters
-    (_family("101", [50, 51, 55], 60, ["0" * 37]), 40),
-    (_family("101", [50, 51, 55], 60, ["0" * 30 + "1" * 7]), 40),
-    (_family("101", [50, 52], 60, ["0" * 37, "0" * 40]), 38),
+    (_family("101", range(50, 56), 60, ["0" * 37]), 40),
+    (_family("101", range(50, 56), 60, ["0" * 30 + "1" * 7]), 40),
+    (_family("101", range(50, 53), 60, ["0" * 37, "0" * 40]), 38),
 ])
 def test_diam_sequence_edge_cases_match_naive(members, steps):
     got_v, got_t = diam_sequence(members, steps)
@@ -722,8 +733,7 @@ def test_sensitivity_times_intervals_match_value_route(s3):
         else:
             s = rng.randint(1, 6)
             block = random_view(rng, s).prefix
-            marks = sorted(rng.sample(range(s + 1, n + 1),
-                                      rng.randint(1, min(5, n - s))))
+            marks = _random_marks(rng, s, n)
             members = BlockFamily(block, marks, n) + [
                 random_view(rng, rng.randint(n - 3, n + 3))
                 for _ in range(rng.randint(0, 2))]
@@ -792,7 +802,7 @@ def test_mean_to_density_rejects_bad_input():
 
 
 def test_integer_core_reads_an_iterator_once():
-    # a value that is not a float sends the core back over the values
+    # the core reads each value once, so an iterator reads as its list
     a = [0.5, Fraction(1, 3), 1, 0.25]
     want = mean_to_density_sides(a, 0.25, 1, 0.5)
     assert mean_to_density_sides(iter(a), 0.25, 1, 0.5) == want
@@ -964,7 +974,7 @@ _NON_FINITE = [
     pytest.param([0.5], 0.25, 10**400, None, id="M-beyond-float"),
     pytest.param([0.5], 0.25, 1, 10**400, id="sqrt_delta-beyond-float"),
     pytest.param([0.5], 1e200, 1e200, None, id="bound-beyond-float"),
-    # sequence values past finite floats, which skip _exact_ratio
+    # sequence values past finite floats, after finite ones
     pytest.param([0.25, 0.5, math.nan], 0.25, 1, 0.5, id="nan-after-floats"),
     pytest.param([0.25, math.inf, 0.5], 0.25, 1, 0.5, id="inf-after-floats"),
     pytest.param([0.5, np.float64(math.inf)], 0.25, 1, 0.5, id="numpy-inf"),

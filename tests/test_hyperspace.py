@@ -15,6 +15,7 @@ from meansense import (
     certified_separation_steps,
     de_bruijn_word,
     family_hausdorff,
+    first_difference,
     hausdorff_distance,
     hausdorff_distance_inf_formula,
     hyper_mean_avg,
@@ -28,7 +29,6 @@ from meansense import (
 from meansense.checks import _triangle_holds, check_thm18_witness
 from meansense.hyperspace import (
     _family_cut,
-    _first_difference_table,
     _hausdorff_first_difference,
 )
 from meansense.reports import fmt17
@@ -60,7 +60,7 @@ def test_finite_set_dedup():
 
 @pytest.mark.parametrize("first, second", [
     ((8, 14), (9, 12)),    # contained: nothing left
-    ((9, 12), (8, 14)),    # containing: two pieces, the list route
+    ((9, 12), (8, 14)),    # containing: two pieces, two parts
     ((8, 12), (10, 15)),   # overlapping: the part above
     ((10, 15), (8, 12)),   # overlapping: the part below
     ((8, 10), (12, 15)),   # disjoint
@@ -68,17 +68,19 @@ def test_finite_set_dedup():
     ((8, 15), (8, 15)),    # equal
 ])
 def test_finite_set_of_range_marks_matches_the_list_route(first, second):
+    # the range parts against the set of the expanded members
     block = Word.from_string("1101")
     plain = view("1101000100000000")  # the member at mark 8
-
-    def of(marks):
-        return FiniteSet.of([BlockFamily(block, marks(*first), 16),
-                             BlockFamily(block, marks(*second), 16), plain])
-
-    got, want = of(range), of(lambda lo, hi: list(range(lo, hi)))
-    assert not any(isinstance(fam.marks, range) for fam in want.families)
+    fams = [BlockFamily(block, range(*first), 16),
+            BlockFamily(block, range(*second), 16)]
+    got = FiniteSet.of([*fams, plain])
+    want = FiniteSet.of([*fams[0], *fams[1], plain])
+    assert not want.families
     assert (got.members, got.collapsed, len(got)) == (
         want.members, want.collapsed, len(want))
+    if (first, second) == ((9, 12), (8, 14)):
+        assert [fam.marks for fam in got.families] == [
+            range(9, 12), range(8, 9), range(12, 14)]
 
 
 def test_hausdorff_examples():
@@ -291,23 +293,24 @@ def naive_hausdorff(A_members, B_members):
 def random_family_items(rng, horizon, alphabet=2):
     """Families and views in one list, with the expanded oracle list.
 
-    Blocks share prefixes and trailing zeros, so families of different
-    blocks can share members; marks come from a narrow range, so they
-    overlap; plain views are family members, zero tails with ones put on
-    marks, and their one-symbol flips, so that marks land on a view's ones
-    and on its first disagreement with a zero tail.  On four letters a mark
-    may also carry 2 or 3.
+    Most families sit on one block, and the other blocks share its prefix
+    and trailing zeros, so families of different blocks can share members;
+    each family's range of marks comes from a narrow stretch, so the ranges
+    overlap, straddle and nest.  Plain views are family members, zero tails
+    with ones put on marks, and their one-symbol flips, so that marks land
+    on a view's ones and on its first disagreement with a zero tail.  On
+    four letters a mark may also carry 2 or 3.
     """
     blocks = [Word.from_string(t, alphabet)
               for t in ("1101", "110100", "11", "1100")]
     fams, views = [], []
-    for _ in range(rng.randint(1, 3)):
-        block = rng.choice(blocks)
+    shared = rng.choice(blocks)
+    for _ in range(rng.randint(1, 4)):
+        block = rng.choice([shared, shared, rng.choice(blocks)])
         h = rng.choice([horizon, horizon, horizon - 3])
-        lo = block.length + 1
-        marks = sorted(rng.sample(range(lo, h + 1), rng.randint(1, min(5, h - lo + 1))))
-        fam = BlockFamily(block, marks, h)
-        fams.append(fam)
+        first = rng.randint(block.length + 1, 8)
+        last = rng.randint(first, min(h, 12))
+        fams.append(BlockFamily(block, range(first, last + 1), h))
     pool = []
     for fam in fams:
         z = expand(fam.zero_tail).tolist()
@@ -344,7 +347,8 @@ def random_family_items(rng, horizon, alphabet=2):
 def expanded_first_difference(A, B):
     """``_hausdorff_first_difference`` on the expanded table: the maxima of
     every row and every column holding no 0, family columns included."""
-    J = _first_difference_table(A, B)
+    J = [[first_difference(a.prefix, b.prefix) or 0 for b in B.members]
+         for a in A.members]
     maxima = [*map(max, filter(all, J)), *map(max, filter(all, zip(*J)))]
     return min(maxima, default=None), not all(map(all, J))
 

@@ -329,6 +329,16 @@ def test_find_occurrences_basics():
     assert find_occurrences(text, pat, start=3) == [5]
 
 
+@pytest.mark.parametrize("pattern", ["11", "0110", "0110110110"])
+@pytest.mark.parametrize("cap", [0, -1])
+def test_find_occurrences_rejects_cap_below_one(pattern, cap):
+    # a single-run pattern, a multi-run pattern and the whole text
+    text = Word.from_string("0110110110")
+    with pytest.raises(ParameterError):
+        find_occurrences(text, Word.from_string(pattern), cap=cap)
+    assert find_occurrences(text, Word.from_string(pattern), cap=1) != []
+
+
 @pytest.mark.parametrize("text", ["0110110", "1111", "0", "011"])
 def test_find_occurrences_pattern_as_long_as_text(text):
     word = Word.from_string(text)
