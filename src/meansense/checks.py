@@ -710,9 +710,25 @@ def check_hausdorff_axioms(c=None, seed: int = 0, trials: int = 1000) -> Report:
     return rep
 
 
+def _witnesses_realized(r: Report, tup, text: Word) -> bool:
+    """Whether each position t of ``r``'s pattern witnesses realizes its
+    pattern in ``text``: the pattern's cylinder for j read back at the
+    1-based t + j + 1 for each j of J; a read past the word fails."""
+    J = r.params["J"]
+    for key, hit in r.witnesses[0]["pattern_witnesses"].items():
+        for j, ci in zip(J, key):
+            cyl = tup.cylinders[int(ci)]
+            start = hit["position"] + j + 1
+            if (start + cyl.length - 1 > text.length
+                    or text.subword(start, cyl.length) != cyl):
+                return False
+    return True
+
+
 def check_independence(c=None, seed: int = 0) -> Report:
     """Brute-force independence-set checks: the dense binary word realizes
-    every pattern, a two-point periodic orbit cannot."""
+    every pattern, at witness positions read back from the word, and a
+    two-point periodic orbit cannot."""
     from .hyperspace import CylinderTuple, independence_check
 
     rep = Report("independence")
@@ -722,7 +738,9 @@ def check_independence(c=None, seed: int = 0) -> Report:
     r_sub = independence_check(tup, [0, 2], dense)
     periodic = power(Word.from_string("01"), 64)
     r_per = independence_check(tup, [0, 1], periodic)
-    ok = (r_full.passed and r_sub.passed and r_per.verdict == FAIL)
+    ok = (r_full.passed and r_sub.passed and r_per.verdict == FAIL
+          and _witnesses_realized(r_full, tup, dense)
+          and _witnesses_realized(r_sub, tup, dense))
     rep.witnesses = [
         {"dense_J012": r_full.verdict, "dense_J02": r_sub.verdict,
          "periodic_J01": r_per.verdict},

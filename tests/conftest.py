@@ -1,4 +1,5 @@
-import numpy as np
+import itertools
+
 import pytest
 
 from meansense import (
@@ -34,12 +35,18 @@ def s3_language(s3_x4):
     return s3_x4.prefix
 
 
-def expand(word: Word) -> np.ndarray:
-    """The symbols of ``word`` as a uint8 array; guarded against huge words."""
+def expand(word: Word) -> bytes:
+    """The symbols of ``word`` as bytes, one per symbol; guarded against
+    huge words."""
     if word.length > EXPAND_LIMIT:
         raise ParameterError(f"refusing to expand {word.length} symbols")
-    syms, lens = np.array(word.runs, dtype=np.int64).reshape(-1, 2).T
-    return np.repeat(syms.astype(np.uint8), lens)
+    return b"".join(bytes((sym,)) * count for sym, count in word.runs)
+
+
+def first_disagreement(a, b):
+    """The 1-based first index at which the sequences ``a`` and ``b`` differ,
+    scanned over their common length; None when they agree there."""
+    return next((i for i, (p, q) in enumerate(zip(a, b), 1) if p != q), None)
 
 
 def index_set(it, horizon: int) -> IndexSet:
@@ -75,25 +82,22 @@ def separation_times(values, delta: float) -> IndexSet:
     return IndexSet(los, his, n)
 
 
-def naive_window_max(symbols: np.ndarray, window: int, target: int = 1):
-    """Sliding-window maximum count by direct cumsum, with first witness."""
-    hits = (symbols == target).astype(np.int64)
-    cs = np.concatenate([[0], np.cumsum(hits)])
-    counts = cs[window:] - cs[:-window]
-    best = int(counts.max())
-    return best, int(np.argmax(counts)) + 1
+def naive_window_max(symbols, window: int, target: int = 1):
+    """Sliding-window maximum count by direct prefix sums, with first
+    witness."""
+    cs = list(itertools.accumulate((s == target for s in symbols), initial=0))
+    counts = [cs[i + window] - cs[i] for i in range(len(cs) - window)]
+    best = max(counts)
+    return best, counts.index(best) + 1
 
 
-def naive_step_distances(a: np.ndarray, b: np.ndarray, steps: int, depth: int):
-    """Reference per-step distances from expanded symbol arrays."""
-    values = np.zeros(steps)
-    truncated = np.zeros(steps, dtype=bool)
+def naive_step_distances(a, b, steps: int, depth: int):
+    """Reference per-step distances, as two lists, from expanded symbol
+    sequences: 1/g for the first disagreement g of the depth symbols from
+    step i, else 0.0 and truncated."""
+    values, truncated = [], []
     for i in range(steps):
-        window_a = a[i:i + depth]
-        window_b = b[i:i + depth]
-        diff = np.nonzero(window_a != window_b)[0]
-        if len(diff):
-            values[i] = 1.0 / (int(diff[0]) + 1)
-        else:
-            truncated[i] = True
+        g = first_disagreement(a[i:i + depth], b[i:i + depth])
+        values.append(0.0 if g is None else 1.0 / g)
+        truncated.append(g is None)
     return values, truncated

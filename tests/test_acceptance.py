@@ -8,8 +8,6 @@ import itertools
 import random
 import time
 
-import numpy as np
-
 from meansense import (
     FiniteSet,
     IndexSet,
@@ -307,22 +305,22 @@ def test_criterion_13_rle_oracle_equivalence():
         sym = []
         while len(sym) < n:
             sym.extend([rng.randint(0, 1)] * rng.randint(1, 8))
-        return np.array(sym[:n], dtype=np.uint8)
+        return sym[:n]
 
     # occurrence counts
     for t in range(trials_each):
         n = rng.randint(1, 10_000 if t % 100 == 0 else 300)
         sym = rand_symbols(n)
-        idx = OccurrenceIndex(Word.from_symbols(sym.tolist()))
+        idx = OccurrenceIndex(Word.from_symbols(sym))
         i = rng.randint(1, n)
         j = rng.randint(i, n)
-        ok = ok and idx.count_range(i, j) == int((sym[i - 1:j] == 1).sum())
+        ok = ok and idx.count_range(i, j) == sym[i - 1:j].count(1)
     # window maxima
     for t in range(trials_each):
         n = rng.randint(2, 10_000 if t % 100 == 0 else 300)
         sym = rand_symbols(n)
         L = rng.randint(1, n)
-        got, _ = max_window_count(OccurrenceIndex(Word.from_symbols(sym.tolist())), L)
+        got, _ = max_window_count(OccurrenceIndex(Word.from_symbols(sym)), L)
         ok = ok and got == naive_window_max(sym, L)[0]
     # per-step distances
     for t in range(trials_each):
@@ -330,11 +328,10 @@ def test_criterion_13_rle_oracle_equivalence():
         depth = rng.choice([4, 16, 64])
         steps = rng.randint(1, n - depth)
         a, b = rand_symbols(n), rand_symbols(n)
-        x = PointView(Word.from_symbols(a.tolist()), Provenance("explicit-limit"))
-        y = PointView(Word.from_symbols(b.tolist()), Provenance("explicit-limit"))
+        x = PointView(Word.from_symbols(a), Provenance("explicit-limit"))
+        y = PointView(Word.from_symbols(b), Provenance("explicit-limit"))
         got_v, got_t = step_distance_array(x, y, steps, depth)
-        want_v, want_t = naive_step_distances(a.astype(np.int64),
-                                              b.astype(np.int64), steps, depth)
-        ok = ok and np.array_equal(got_v, want_v) and (got_t == want_t).all()
+        want_v, want_t = naive_step_distances(a, b, steps, depth)
+        ok = ok and got_v == want_v and got_t == want_t
     _verdict(13, ok, f"RLE counts, window maxima and per-step distances match "
                      f"naive expanded computation ({trials_each} trials each)")

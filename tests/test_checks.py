@@ -1,6 +1,7 @@
 """The two randomized checks: the data they draw, ``hausdorff-axioms``'
 exact packed-int oracle and member runs, and verdicts that fail when a
-library route is wrong; likewise the tightness witnesses of ``lemma-3.1``,
+library route is wrong; likewise ``independence``' witness positions,
+read back from its word, and the tightness witnesses of ``lemma-3.1``,
 ``lemma-3.2-density``, ``lemma-count-3``, ``prop-p-system``,
 ``thm-1.3-banach-equi`` and ``thm-1.3-cofinite``, and
 ``thm-1.8-witness``' closed-form family columns; and the work the S3
@@ -138,6 +139,24 @@ def test_hausdorff_axioms_fails_when_equal_words_seem_to_differ(monkeypatch):
     rep = check_hausdorff_axioms(None, 0, trials=40)
     assert rep.verdict == "FAIL"
     assert all(not f["checks"][2] for f in rep.witnesses[0]["failures"])
+
+
+@pytest.mark.parametrize("shift", [1, 10_000], ids=["by-one", "past-the-word"])
+def test_independence_fails_when_occurrences_shift(monkeypatch, shift):
+    # a scan that reports every occurrence late still finds every pattern
+    # of the dense word, all at wrong positions; reading the witnesses
+    # back from the word must catch them, and a read past its end fails
+    # as well, without an IndexRangeError
+    assert checks.check_independence().verdict == "PASS"
+    right = hyperspace.find_occurrences
+
+    def shifted(text, pattern, **kw):
+        return [p + shift for p in right(text, pattern, **kw)]
+
+    monkeypatch.setattr(hyperspace, "find_occurrences", shifted)
+    rep = checks.check_independence()
+    assert rep.verdict == "FAIL"
+    assert rep.witnesses[0]["dense_J012"] == "PASS"
 
 
 def test_hausdorff_axioms_never_imports_numpy_random():

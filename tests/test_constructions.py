@@ -275,7 +275,7 @@ def test_periodic_point_periodicity(s4):
     period = lv1.len_a + lv2.len_a
     pv = s4.periodic_point(1, 0, 2 * period)
     sym = expand(pv.prefix)
-    assert (sym[:period] == sym[period:2 * period]).all()
+    assert sym[:period] == sym[period:2 * period]
     assert pv.prefix.starts_with(s4.a_word(1))
     assert s4.periodic_point(1, 1, 4).prefix == Word.from_string("0100")
     with pytest.raises(ParameterError):

@@ -4,7 +4,6 @@ import random
 import tracemalloc
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,6 +39,7 @@ from meansense.reports import FAIL, PASS, AverageReport, Report, fmt17
 
 from conftest import (
     expand,
+    first_disagreement,
     index_set,
     naive_step_distances,
     separation_times,
@@ -82,7 +82,7 @@ def test_upper_density_of_x_meets_level_one_budget(s3):
     n = s3.schedule.level(3).len_a
     t1 = s3.schedule.level(1).t
     r = n // t1
-    count = int(np.searchsorted(E.members, n))
+    count = sum(p < n for p in E.members)
     assert count * (r * t1) <= (r + 1) * 6 * n
 
 
@@ -121,16 +121,15 @@ def test_index_sets_compare_and_hash_by_identity():
 
 def test_separation_times_match_flatnonzero():
     rng = random.Random(43)
-    cases = [np.zeros(0), np.ones(9), np.zeros(9), np.array([0.5, 0.7]),
-             np.array([0.7, 0.5, 0.7])]
+    cases = [[], [1.0] * 9, [0.0] * 9, [0.5, 0.7], [0.7, 0.5, 0.7]]
     for _ in range(200):
-        cases.append(np.array([rng.choice([0.0, 0.5, 1.0])
-                               for _ in range(rng.randint(1, 60))]))
+        cases.append([rng.choice([0.0, 0.5, 1.0])
+                      for _ in range(rng.randint(1, 60))])
     for values in cases:
         F = separation_times(values, 0.5)
-        want = np.flatnonzero(values > 0.5)
+        want = [i for i, v in enumerate(values) if v > 0.5]
         assert F.horizon == len(values)
-        assert F.members == want.tolist()
+        assert F.members == want
         assert len(F) == len(want)
         # the same maximal runs as the set built from its members
         G = index_set(want, len(values))
@@ -158,7 +157,7 @@ def test_banach_dominates_prefix_count():
             if L < 1 or L > horizon:
                 continue
             cnt, _ = banach_window_max(F, L)
-            prefix_cnt = int(np.searchsorted(F.members, L))
+            prefix_cnt = sum(p < L for p in F.members)
             assert cnt >= prefix_cnt
 
 
@@ -169,12 +168,13 @@ def test_banach_window_max_matches_naive():
         members = sorted(rng.sample(range(horizon),
                                     rng.randint(0, horizon - 1)))
         F = index_set(members, horizon)
-        mask = np.zeros(horizon, dtype=np.int64)
-        mask[members] = 1
-        cs = np.concatenate([[0], np.cumsum(mask)])
+        mask = [0] * horizon
+        for p in members:
+            mask[p] = 1
+        cs = list(itertools.accumulate(mask, initial=0))
         L = rng.randint(1, horizon)
-        counts = cs[L:] - cs[:-L]
-        want = (int(counts.max()), int(np.argmax(counts)))
+        counts = [cs[m + L] - cs[m] for m in range(horizon - L + 1)]
+        want = (max(counts), counts.index(max(counts)))
         assert banach_window_max(F, L) == want
 
 
@@ -232,10 +232,9 @@ def test_step_distances_match_naive_oracle():
         x, y = random_view(rng, n), random_view(rng, n)
         got_v, got_t = step_distance_array(x, y, steps, depth)
         want_v, want_t = naive_step_distances(
-            expand(x.prefix).astype(np.int64),
-            expand(y.prefix).astype(np.int64), steps, depth)
-        assert (got_t == want_t).all()
-        assert np.array_equal(got_v, want_v)
+            expand(x.prefix), expand(y.prefix), steps, depth)
+        assert got_t == want_t
+        assert got_v == want_v
 
 
 @pytest.mark.parametrize("x, y, depth", [
@@ -250,10 +249,9 @@ def test_step_distances_edge_cases_match_naive_oracle(x, y, depth):
     n = x.horizon - depth  # the last position compared is the horizon
     got_v, got_t = step_distance_array(x, y, n, depth)
     want_v, want_t = naive_step_distances(
-        expand(x.prefix).astype(np.int64),
-        expand(y.prefix).astype(np.int64), n, depth)
-    assert np.array_equal(got_t, want_t)
-    assert np.array_equal(got_v, want_v)
+        expand(x.prefix), expand(y.prefix), n, depth)
+    assert got_t == want_t
+    assert got_v == want_v
 
 
 def test_distance_sum_matches_array_path():
@@ -271,9 +269,9 @@ def test_distance_sum_matches_array_path():
         a, b = expand(x.prefix), expand(y.prefix)
         want = Fraction(0)
         for i in range(steps):
-            diff = np.flatnonzero(a[i:i + depth] != b[i:i + depth])
-            if len(diff):
-                want += Fraction(1, int(diff[0]) + 1)
+            g = first_disagreement(a[i:i + depth], b[i:i + depth])
+            if g:
+                want += Fraction(1, g)
         assert exact == want
 
 
@@ -322,20 +320,22 @@ def test_banach_avg_requires_window_room():
 
 
 def naive_banach_avg_distance(x, y, L, depth):
-    """The dense sweep: one distance per usable step, cumsum, window
-    differences and argmax."""
+    """The dense sweep: one distance per usable step, running sums added
+    in order, window differences and the first argmax."""
     steps = min(x.horizon, y.horizon) - depth
     d, trunc = step_distance_array(x, y, steps, depth)
-    cs = np.concatenate([[0.0], np.cumsum(d)])
-    ct = np.concatenate([[0], np.cumsum(trunc)])
-    sums = cs[L:] - cs[:-L]
-    tcounts = ct[L:] - ct[:-L]
-    value = float(sums.max()) / L
-    corrected = float((sums + tcounts / (depth + 1)).max()) / L
-    m = int(np.argmax(sums))
+    cs = list(itertools.accumulate(d, initial=0.0))
+    ct = list(itertools.accumulate(trunc, initial=0))
+    starts = range(steps - L + 1)
+    sums = [cs[m + L] - cs[m] for m in starts]
+    tcounts = [ct[m + L] - ct[m] for m in starts]
+    best = max(sums)
+    value = best / L
+    corrected = max(s + t / (depth + 1) for s, t in zip(sums, tcounts)) / L
+    m = sums.index(best)
     return AverageReport(value=value, window=(m, m + L),
                          truncation_correction=corrected - value,
-                         samples=int(len(sums)))
+                         samples=len(sums))
 
 
 def exact_banach_upper(x, y, L, depth):
@@ -346,8 +346,7 @@ def exact_banach_upper(x, y, L, depth):
     lcm = math.lcm(*range(1, depth + 2))
     weights = []
     for i in range(steps):
-        diff = np.flatnonzero(a[i:i + depth] != b[i:i + depth])
-        g = int(diff[0]) + 1 if len(diff) else depth + 1
+        g = first_disagreement(a[i:i + depth], b[i:i + depth]) or depth + 1
         weights.append(lcm // g)
     cs = [0, *itertools.accumulate(weights)]
     best = max(cs[m + L] - cs[m] for m in range(steps - L + 1))
@@ -475,12 +474,11 @@ def test_sweep_matches_dense_oracle_on_reversed_and_s3_pairs(s3):
             assert _report_fields(r) == _report_fields(want)
 
 
-def test_python_and_numpy_sweeps_report_alike(s3):
-    # there is no numpy batch path any more: every call, however many
-    # pairs it asks for, takes the per-pair Python sweep over flip points
-    # shared per member; so the same pairs asked alone and repeated past
-    # the old batch size (25 pairs) must report alike, on the oracle cases
-    # and on three pairs at horizon 2^62
+def test_repeated_pairs_report_as_single_pairs(s3):
+    # a call reports each pair on its own, however many pairs it asks for
+    # and however often one repeats: the same pairs asked once and
+    # repeated 25 times must report alike, on the oracle cases and on
+    # three pairs at horizon 2^62
     cases = list(_sweep_cases(s3))
     cases.append((_huge_trio(2 ** 62), [(0, 1), (0, 2), (1, 2)], 7, 16))
     for members, pairs, L, depth in cases:
@@ -563,17 +561,17 @@ def naive_diam_sequence(members, steps):
     values = []
     truncated = []
     H = min(m.horizon for m in members)
-    arrs = [expand(m.prefix).astype(np.int64)[:H] for m in members]
+    syms = [expand(m.prefix)[:H] for m in members]
     for i in range(steps):
         best = 0.0
-        for a in range(len(arrs)):
-            for b in range(a + 1, len(arrs)):
-                diff = np.nonzero(arrs[a][i:] != arrs[b][i:])[0]
-                if len(diff):
-                    best = max(best, 1.0 / (int(diff[0]) + 1))
+        for a in range(len(syms)):
+            for b in range(a + 1, len(syms)):
+                g = first_disagreement(syms[a][i:], syms[b][i:])
+                if g:
+                    best = max(best, 1.0 / g)
         values.append(best)
-        truncated.append(len(arrs) > 1 and best == 0.0)
-    return np.array(values), np.array(truncated)
+        truncated.append(len(syms) > 1 and best == 0.0)
+    return values, truncated
 
 
 def test_diam_sequence_matches_naive_pairwise():
@@ -585,9 +583,9 @@ def test_diam_sequence_matches_naive_pairwise():
         steps = rng.randint(1, n)
         got_v, got_t = diam_sequence(members, steps)
         want_v, want_t = naive_diam_sequence(members, steps)
-        assert np.array_equal(got_v, want_v)
+        assert got_v == want_v
         if count > 1:
-            assert (got_t == want_t).all()
+            assert got_t == want_t
 
 
 def _random_marks(rng, s, horizon):
@@ -617,8 +615,8 @@ def test_block_family_diam_matches_list_and_naive():
         got_v, got_t = diam_sequence(fam, steps)
         for want_v, want_t in (diam_sequence(list(fam), steps),
                                naive_diam_sequence(list(fam), steps)):
-            assert np.array_equal(got_v, want_v)
-            assert np.array_equal(got_t, want_t)
+            assert got_v == want_v
+            assert got_t == want_t
 
 
 def _family(block, marks, horizon, extras=()):
@@ -660,8 +658,8 @@ def test_diam_sequence_edge_cases_match_naive(members, steps):
     got_v, got_t = diam_sequence(members, steps)
     for want_v, want_t in (diam_sequence(list(members), steps),
                            naive_diam_sequence(list(members), steps)):
-        assert np.array_equal(got_v, want_v)
-        assert np.array_equal(got_t, want_t)
+        assert got_v == want_v
+        assert got_t == want_t
 
 
 def test_cofinite_diam_sequence_stays_within_four_step_arrays(s3):
@@ -959,6 +957,11 @@ def test_scaled_core_takes_any_common_denominator(args, k):
                         k * m) == (passed, sides)
 
 
+class _FloatSubclass(float):
+    """A float subclass, as numpy's float64 is: its non-finite values take
+    the float path and must be refused there too."""
+
+
 _NON_FINITE = [
     ([math.nan], 0.25, 1, None),
     ([0.5, math.inf], 0.25, 1, None),
@@ -977,8 +980,10 @@ _NON_FINITE = [
     # sequence values past finite floats, after finite ones
     pytest.param([0.25, 0.5, math.nan], 0.25, 1, 0.5, id="nan-after-floats"),
     pytest.param([0.25, math.inf, 0.5], 0.25, 1, 0.5, id="inf-after-floats"),
-    pytest.param([0.5, np.float64(math.inf)], 0.25, 1, 0.5, id="numpy-inf"),
-    pytest.param([0.5, np.float64(math.nan)], 0.25, 1, 0.5, id="numpy-nan"),
+    pytest.param([0.5, _FloatSubclass(math.inf)], 0.25, 1, 0.5,
+                 id="float-subclass-inf"),
+    pytest.param([0.5, _FloatSubclass(math.nan)], 0.25, 1, 0.5,
+                 id="float-subclass-nan"),
     pytest.param([0.5, 10**400], 0.25, 1, 0.5, id="int-beyond-float"),
     pytest.param([0.5, Fraction(10**400, 3)], 0.25, 1, 0.5,
                  id="fraction-beyond-float"),

@@ -313,7 +313,7 @@ def random_family_items(rng, horizon, alphabet=2):
         fams.append(BlockFamily(block, range(first, last + 1), h))
     pool = []
     for fam in fams:
-        z = expand(fam.zero_tail).tolist()
+        z = list(expand(fam.zero_tail))
         pool.append(z)
         pool.extend(list(expand(m.prefix)) for m in fam)
         on = z[:]

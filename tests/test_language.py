@@ -181,12 +181,12 @@ def expanded_periodic_witnesses(c, src, n):
         period_words[i] = (period, sym)
     table, missing = {}, []
     for w in subwords(src, n):
-        target = tuple(expand(w))
+        target = expand(w)
         found = None
         for i in levels:
             period, sym = period_words[i]
             for t in range(period):
-                if tuple(sym[t:t + n]) == target:
+                if sym[t:t + n] == target:
                     found = (i, t)
                     break
             if found:

@@ -1,7 +1,6 @@
 import itertools
 import random
 
-import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -26,7 +25,7 @@ from meansense import (
 from meansense.checks import _member_runs
 from meansense.words import RunBuilder, interval_window_max
 
-from conftest import expand, naive_window_max
+from conftest import expand, first_disagreement, naive_window_max
 
 words = st.lists(st.integers(0, 1), min_size=0, max_size=60).map(
     lambda xs: Word.from_symbols(xs)
@@ -45,7 +44,6 @@ def test_canonical_form_merges_runs():
 _feeds = {
     "list": list,
     "generator": lambda xs: (x for x in xs),
-    "int64": lambda xs: [np.int64(x) for x in xs],
 }
 
 
@@ -107,12 +105,12 @@ def test_occurrence_counts_match_naive_scan():
     rng = random.Random(13)
     for trial in range(1000):
         n = rng.randint(1, 10_000 if trial % 50 == 0 else 400)
-        sym = np.array([rng.randint(0, 1) for _ in range(n)], dtype=np.uint8)
-        w = Word.from_symbols(sym.tolist())
+        sym = [rng.randint(0, 1) for _ in range(n)]
+        w = Word.from_symbols(sym)
         idx = OccurrenceIndex(w)
         i = rng.randint(1, n)
         j = rng.randint(i, n)
-        assert idx.count_range(i, j) == int((sym[i - 1:j] == 1).sum())
+        assert idx.count_range(i, j) == sym[i - 1:j].count(1)
 
 
 def test_window_max_examples():
@@ -132,14 +130,14 @@ def test_window_max_matches_naive_sweep():
         sym = []
         while len(sym) < n:
             sym.extend([rng.randint(0, 1)] * rng.randint(1, 9))
-        sym = np.array(sym[:n], dtype=np.uint8)
-        w = Word.from_symbols(sym.tolist())
+        sym = sym[:n]
+        w = Word.from_symbols(sym)
         L = rng.randint(1, n)
         # the witness is the smallest optimal start, the naive first argmax
         assert max_window_count(OccurrenceIndex(w), L) == naive_window_max(sym, L)
     # marks {2, 3, 6, 7} of 10, window 5: starts 2 and 3 both hold 3
     # marks, and the smaller wins
-    sym = np.array([0, 0, 1, 1, 0, 0, 1, 1, 0, 0], dtype=np.uint8)
+    sym = [0, 0, 1, 1, 0, 0, 1, 1, 0, 0]
     assert naive_window_max(sym, 5) == (3, 3)  # 1-based
     assert interval_window_max([2, 6], [3, 7], 10, 5) == (3, 2)
 
@@ -183,7 +181,7 @@ def test_subword_matches_string_slice(data, w):
     assert w.subword(start, length).as_string() == s[start - 1:start - 1 + length]
     assert w.subword(1, len(s)) is w
     assert w.symbol_at(start) == int(s[start - 1])
-    assert "".join(map(str, expand(w).tolist())) == s
+    assert "".join(map(str, expand(w))) == s
     hi = data.draw(st.integers(0, len(s)))
     for sym in (0, 1):
         los, his = w.runs_of(sym, hi)
@@ -248,9 +246,7 @@ def _word_pairs(draw):
 @given(pair=_word_pairs())
 def test_first_difference_matches_expanded(pair):
     a, b = pair
-    limit = min(a.length, b.length)
-    diff = np.flatnonzero(expand(a)[:limit] != expand(b)[:limit])
-    want = int(diff[0]) + 1 if len(diff) else None
+    want = first_disagreement(expand(a), expand(b))
     assert first_difference(a, b) == want
     assert first_difference(b, a) == want
 
@@ -276,14 +272,14 @@ def test_constructors_return_canonical_runs(data, k):
     sub = w.subword(start, data.draw(st.integers(0, len(syms) - start + 1)))
     cases = [
         (w, syms),
-        (built, expand(built).tolist()),
-        (concat([w, built, w]), syms + expand(built).tolist() + syms),
-        (power(built, m), expand(built).tolist() * m),
+        (built, list(expand(built))),
+        (concat([w, built, w]), syms + list(expand(built)) + syms),
+        (power(built, m), list(expand(built)) * m),
         (sub, syms[start - 1:start - 1 + sub.length]),
     ]
     for word, want in cases:
         _assert_canonical(word)
-        assert expand(word).tolist() == want
+        assert list(expand(word)) == want
 
 
 @given(row=st.integers(1, 6).flatmap(lambda n: st.lists(
@@ -292,7 +288,7 @@ def test_member_runs_are_canonical(row):
     runs = _member_runs(int("".join(map(str, row)), 2), len(row))
     w = Word(2, runs, _length=len(row))
     _assert_canonical(w)
-    assert expand(w).tolist() == row
+    assert list(expand(w)) == row
 
 
 def test_rle_text_round_trip():
