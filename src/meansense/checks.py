@@ -42,12 +42,8 @@ from .diagnostics import (
     step_distance_array,
 )
 # ``hyperspace`` is imported inside the three checks that use it, so that
-# the S3 window checks never load it
-from .language import (
-    check_dense_periodic_desk,
-    check_transitive_desk,
-    cylinder_members,
-)
+# the S3 window checks never load it, and ``language`` inside the two that
+# use it, so that the S3 family checks never load it
 from .reports import FAIL, PASS, Report, fmt17, series_csv
 from .words import (
     BlockFamily,
@@ -221,6 +217,8 @@ def _cylinder_member_lists(src: Word, words, cap: int, member_horizon: int):
     occurrences after a full earlier list are unread: the scan resumes
     there, one position past its last member.
     """
+    from .language import cylinder_members
+
     members, start = [], 1  # start: the first position not read, if any
     for u in words:
         members = [m for m in members if m.starts_with(u)]
@@ -463,6 +461,8 @@ def check_prop_p_system(c: S4Construction, seed: int = 0,
 
 def check_prop_devaney(c: S4Construction, seed: int = 0, n: int = 4) -> Report:
     """Two-half recurrence plus periodic-prefix coverage for the S4 family."""
+    from .language import check_dense_periodic_desk, check_transitive_desk
+
     src = c.transitive_prefix(c.schedule.level(4).len_a).prefix
     r1 = check_transitive_desk(src, n)
     r2 = check_dense_periodic_desk(c, src, n)
@@ -603,27 +603,32 @@ def check_remark_213(c=None, seed: int = 0) -> Report:
     return rep
 
 
-#: the RLE runs of each byte, top bit first
-_BYTE_RUNS = tuple(
-    tuple((int(s), len(list(g))) for s, g in itertools.groupby(format(b, "08b")))
-    for b in range(256))
-#: the same runs without the first
-_BYTE_TAILS = tuple(runs[1:] for runs in _BYTE_RUNS)
+@functools.cache
+def _byte_runs():
+    """The RLE runs of each byte, top bit first, and the same runs without
+    the first; built on first use, so that a process that never runs
+    ``hausdorff-axioms`` never builds them."""
+    runs = tuple(
+        tuple((int(s), len(list(g)))
+              for s, g in itertools.groupby(format(b, "08b")))
+        for b in range(256))
+    return runs, tuple(r[1:] for r in runs)
 
 
 def _member_runs(x: int, width: int) -> tuple:
     """The RLE runs of the ``width``-bit member ``x``, position 1 at the top
     bit; ``width`` is a multiple of 8.  Each byte's runs come from
-    ``_BYTE_RUNS``; a byte whose first run continues the last run so far
+    ``_byte_runs``; a byte whose first run continues the last run so far
     lengthens it and adds only its other runs."""
+    byte_runs, byte_tails = _byte_runs()
     octets = iter(x.to_bytes(width // 8, "big"))
-    runs = [*_BYTE_RUNS[next(octets)]]
+    runs = [*byte_runs[next(octets)]]
     for b in octets:
-        more = _BYTE_RUNS[b]
+        more = byte_runs[b]
         last, head = runs[-1], more[0]
         if last[0] == head[0]:
             runs[-1] = (last[0], last[1] + head[1])
-            runs += _BYTE_TAILS[b]
+            runs += byte_tails[b]
         else:
             runs += more
     return tuple(runs)
@@ -667,14 +672,21 @@ def check_hausdorff_axioms(c=None, seed: int = 0, trials: int = 1000) -> Report:
 
     Each set draws its size ``rng.randint(1, 5)``, then that many members
     of ``rng.getrandbits(horizon)``; position 1 of a member is its top bit.
+    The size is drawn as CPython's ``randint`` draws it: ``getrandbits(3)``,
+    again while the value is 5 or more, plus 1.
     """
     # the routes are read through the module, where a test can swap them
     from . import hyperspace
 
     horizon = 48
     rng = random.Random(7 + seed)
-    bits, size = rng.getrandbits, rng.randint
+    bits = rng.getrandbits
     origin = Provenance("explicit-limit")
+
+    def size() -> int:
+        while (r := bits(3)) >= 5:
+            pass
+        return r + 1
 
     def point(packed) -> hyperspace.FiniteSet:
         return hyperspace.FiniteSet.of([
@@ -683,7 +695,7 @@ def check_hausdorff_axioms(c=None, seed: int = 0, trials: int = 1000) -> Report:
 
     bad = []
     for trial in range(trials):
-        pa, pb, pc = [[bits(horizon) for _ in range(size(1, 5))]
+        pa, pb, pc = [[bits(horizon) for _ in range(size())]
                       for _ in range(3)]
         A, B = point(pa), point(pb)
         j_ab = _packed_hausdorff_j(pa, pb, horizon)

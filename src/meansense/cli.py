@@ -15,6 +15,7 @@ byte-identical outputs; reports embed the config and schedule hashes.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -320,5 +321,21 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE
 
 
+def run() -> None:
+    """Process entry point, of the console script and of ``python -m
+    meansense.cli``: exit with the code of ``main`` on ``sys.argv``.
+
+    Before it exits it freezes the heap (``gc.freeze``), so that the
+    collections CPython runs at exit skip every object alive then; they
+    are most of a short process's teardown.  Every output file is
+    closed by then, standard output and error are still flushed and
+    ``atexit`` handlers still run.  ``main`` is the in-process API and
+    never freezes: tests and tools call it many times in one process.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -580,7 +580,7 @@ def _exact_ratio(value, name: str):
     float range only, since the report prints every input as a float."""
     try:
         if not hasattr(value, "as_integer_ratio"):
-            value = Fraction(value)  # numpy integers, decimal strings
+            value = Fraction(value)  # decimal strings such as "0.25"
         float(value)  # ints and Fractions beyond float range overflow here
         return value.as_integer_ratio()
     except (ValueError, OverflowError):

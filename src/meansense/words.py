@@ -135,6 +135,14 @@ class Word:
         # one ``%`` over the flattened runs: about 30 % faster than an
         # f-string per run on A_4's 27k runs
         runs = self.runs
+        if self.alphabet_size == 2 and runs:
+            # canonical binary runs alternate, so the symbols are literals
+            # of the format and ``%`` formats only the counts: about half
+            # the time again on A_4 and B_3
+            first, n = runs[0][0], len(runs)
+            fmt = (f" {first:d}:%d {1 - first:d}:%d" * (n >> 1)
+                   + (f" {first:d}:%d" if n & 1 else ""))
+            return "alphabet=2;" + fmt % tuple(map(_COUNT, runs))
         pairs = (" %d:%d" * len(runs)) % tuple(itertools.chain.from_iterable(runs))
         return f"alphabet={self.alphabet_size};" + pairs
 

@@ -20,7 +20,7 @@ import pytest
 
 from meansense import FiniteSet, OccurrenceIndex, PointView, Provenance, Word
 from meansense import AverageReport, IndexSet, diam_of_members
-from meansense import checks, hyperspace, words
+from meansense import checks, hyperspace, language, words
 from meansense.checks import (
     _member_runs,
     _packed_hausdorff_j,
@@ -382,8 +382,8 @@ def test_cylinder_member_lists_match_independent_scans(s3, s3_language):
             lists = checks._cylinder_member_lists(src, cylinders, cap,
                                                   member_h)
             for u, members in zip(cylinders, lists):
-                assert members == checks.cylinder_members(src, u, cap,
-                                                          member_h)
+                assert members == language.cylinder_members(src, u, cap,
+                                                            member_h)
 
 
 def test_lemma_windows_share_one_sweep_of_a4(monkeypatch, s3):

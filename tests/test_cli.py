@@ -203,7 +203,8 @@ def test_checks_load_no_numpy(tmp_path, config, checks):
 
 @pytest.mark.parametrize("construction, checks, absent", [
     ("S4", ["all"], ["inspect", "_hashlib"]),
-    ("S3", ["thm-1.3-cofinite", "thm-1.8-witness"], ["inspect", "_hashlib"]),
+    ("S3", ["thm-1.3-cofinite", "thm-1.8-witness"],
+     ["inspect", "_hashlib", "meansense.language"]),
     ("S3", ["lemma-3.1", "lemma-3.2-density", "thm-1.3-banach-equi"],
      ["numpy", "_hashlib", "meansense.hyperspace"]),
 ], ids=["s4", "s3-families", "s3-windows"])
@@ -211,7 +212,8 @@ def test_runs_load_no_dataclasses(tmp_path, construction, checks, absent):
     # the records are plain classes: with every dataclasses import made to
     # fail, build and check write the same bytes and exit with the same
     # codes as a normal run; the build loads no fractions and no _hashlib,
-    # and the checks none of the modules named in ``absent``.  Without a
+    # and the checks none of the modules named in ``absent`` (the S3
+    # family checks not even the language module).  Without a
     # built-in SHA-256, hashlib's OpenSSL route is the only one
     if not BUILTIN_SHA256:
         absent = [name for name in absent if name != "_hashlib"]
@@ -268,6 +270,52 @@ def test_runs_load_no_pathlib(tmp_path, construction, checks):
         cwd=root, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[0, 0, 0] False"
+
+
+@pytest.mark.parametrize("code", [0, 1, 2, 3])
+def test_process_entry_exits_with_the_code_of_main(monkeypatch, code):
+    # the heap is frozen after main returns, just before the exit
+    calls = []
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or code)
+    monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == code
+    assert calls == ["main", "freeze"]
+
+
+def test_process_entry_freezes_the_heap_before_exit(tmp_path):
+    # in a fresh process: atexit handlers still run, and see the frozen
+    # heap; standard output is still flushed
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    argv = ["meansense", "build", "--construction", "S3", "--depth", "2",
+            "--out", str(tmp_path)]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import atexit, gc, sys\n"
+         "from meansense import cli\n"
+         "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+         f"sys.argv = {argv!r}\n"
+         "cli.run()\n"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"built S3 depth 2 -> {tmp_path}",
+                                        "frozen True"]
+    assert (tmp_path / "build.json").is_file()
+
+
+def test_main_never_freezes_the_heap(tmp_path, monkeypatch):
+    # main is the in-process API, which tests and tools call many times
+    def freeze():
+        raise AssertionError("main froze the heap")
+
+    monkeypatch.setattr(cli.gc, "freeze", freeze)
+    args = ["--construction", "S4", "--depth", "4", "--out", str(tmp_path)]
+    assert run("build", *args) == 0
+    assert run("check", "all", *args) == 0
+    assert run("report", "--out", str(tmp_path)) == 0
 
 
 def test_usage_errors_exit_2(tmp_path):

@@ -303,14 +303,19 @@ def test_rle_text_round_trip():
 
 
 def test_rle_text_matches_the_per_run_format(s3):
-    # to_text formats every run with one ``%``; the .rle files keep the
-    # bytes of the former f-string per run
+    # to_text formats every run with one ``%``, a binary word's counts only;
+    # the .rle files keep the bytes of the former f-string per run
     def per_run(w):
         pairs = " ".join(f"{sym}:{count}" for sym, count in w.runs)
         return f"alphabet={w.alphabet_size};" + (f" {pairs}" if pairs else "")
 
-    for w in (Word.empty(2), Word(4, [(0, 1), (3, 2), (1, 7), (2, 10**15)]),
-              s3.a_word(4)):
+    binary = [Word.from_string(text) for text in (
+        "0", "1", "01", "10", "001", "110", "0110", "1001", "0100011",
+        "1011100")]  # one to four runs and seven, from each first symbol
+    for w in (Word.empty(2), *binary, Word(2, [(1, 3), (0, 10**15)]),
+              Word(4, [(0, 1), (3, 2), (1, 7), (2, 10**15)]),
+              Word(4, [(2, 5)]), Word(4, [(1, 2), (0, 3), (1, 4)]),
+              s3.a_word(4), s3.b_word(3)):
         assert w.to_text() == per_run(w)
     assert Word.empty(4).to_text() == "alphabet=4;"
 
