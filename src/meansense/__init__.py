@@ -20,7 +20,7 @@ _EXPORTS = {
         "minimal_generator", "patched_point", "patched_step",
         "verify_schedule"),
     "diagnostics": (
-        "AverageReport", "IndexSet", "banach_avg_distance",
+        "IndexSet", "banach_avg_distance",
         "banach_avg_distances", "banach_window_max", "cesaro_avg_distance",
         "diam_of_members", "diam_sequence", "distance_sum", "indicator_set_E",
         "mean_to_density_check", "orbit_diam_sequence", "sensitivity_times",
@@ -38,7 +38,7 @@ _EXPORTS = {
     "language": (
         "check_dense_periodic_desk", "check_transitive_desk",
         "cylinder_members", "subwords"),
-    "reports": ("Report", "fmt17", "series_csv"),
+    "reports": ("AverageReport", "Report", "fmt17", "series_csv"),
     "words": (
         "BlockFamily", "OccurrenceIndex", "PointView", "Provenance", "Word",
         "concat", "de_bruijn_word", "diff_intervals", "find_occurrences",

@@ -226,7 +226,6 @@ def cesaro_avg_distance(x: PointView, y: PointView, n: int,
         value=total / n,
         window=(0, n),
         truncation_correction=truncated / (depth + 1) / n,
-        samples=n,
         method="closed-form",
         upper_exact=(exact + Fraction(truncated, depth + 1)) / n,
     )
@@ -330,22 +329,6 @@ def banach_avg_distances(members: Sequence[PointView], pairs, L: int,
             for (los, his), s in zip(walks, steps)]
 
 
-def _average_report(best: float, corrected: float, m: int, K: int,
-                    steps: int, L: int) -> AverageReport:
-    """The report of one pair's sweep from its plain and corrected maximum
-    window sums, the smallest start m attaining the first, and its count K
-    of nonzero steps."""
-    value = best / L
-    return AverageReport(
-        value=value,
-        window=(m, m + L),
-        truncation_correction=corrected / L - value,
-        samples=steps - L + 1,
-        method="window-sweep",
-        rounding_bound=(3 * K * (K + 1) / L + 10) * 2.0 ** -53,
-    )
-
-
 def _sweep_pair(los, his, steps: int, L: int, depth: int,
                 table: list) -> AverageReport:
     """The window sweep of ``banach_avg_distances`` for one pair, over its
@@ -412,7 +395,14 @@ def _sweep_pair(los, his, steps: int, L: int, depth: int,
             corrected = max(corrected, total + (L - e + j) / (depth + 1))
             if total > best:
                 best, m = total, _tie_start(run, e, j, total, hi_s, group)
-    return _average_report(best, corrected, m, K, steps, L)
+    value = best / L
+    return AverageReport(
+        value=value,
+        window=(m, m + L),
+        truncation_correction=corrected / L - value,
+        method="window-sweep",
+        rounding_bound=(3 * K * (K + 1) / L + 10) * 2.0 ** -53,
+    )
 
 
 def _tie_start(run: list, e: int, j: int, total: float, s: int,
@@ -588,39 +578,11 @@ def _exact_ratio(value, name: str):
             f"{name} must be a finite number within float range") from None
 
 
-def mean_to_density_sides(a: Sequence[float], delta: float, M: float,
-                          sqrt_delta: Optional[float] = None) -> tuple:
-    """The exact integer core of ``mean_to_density_check``.
-
-    Every input becomes an integer over one common denominator D, read by
-    ``_exact_ratio``, and ``scaled_sides`` decides the two sides on them.
-
-    Returns (passed, sides, scaled): ``sides`` holds (premise, holds) of
-    side (i), then of side (ii), and is empty for an empty sequence;
-    ``scaled`` is (D, seq, d, r, m), the sequence, delta, sqrt_delta and M
-    each times D.
-    """
-    nd, dd = _exact_ratio(delta, "delta")
-    if nd <= 0:
-        raise ParameterError("delta must be positive")
-    nm, dm = _exact_ratio(M, "M")
-    nr, dr = _exact_ratio(math.sqrt(delta) if sqrt_delta is None else sqrt_delta,
-                          "sqrt_delta")
-    ratios = [_exact_ratio(v, "sequence value") for v in a]
-    D = math.lcm(dd, dm, dr, *{den for _, den in ratios})
-    seq = [num * (D // den) for num, den in ratios]
-    d, r, m = nd * (D // dd), nr * (D // dr), nm * (D // dm)
-    if seq and (min(seq) < 0 or max(seq) > m):
-        raise ParameterError("sequence values must lie in [0, M]")
-    # side (ii)'s (M + 1) delta = (nm + dm) nd / (dm dd)
-    if (nm + dm) * nd > _FLOAT_MAX * dm * dd:
-        raise ParameterError("(M + 1) delta must be finite within float range")
-    return (*scaled_sides(D, seq, d, r, m), (D, seq, d, r, m))
-
-
 def scaled_sides(D: int, seq: Sequence[int], d: int, r: int, m: int) -> tuple:
-    """(passed, sides) of ``mean_to_density_sides`` from its inputs times
-    one common denominator D: the sequence, delta, sqrt_delta and M.
+    """(passed, sides) as ``mean_to_density_check`` decides them, from its
+    inputs times one common denominator D: the sequence, delta, sqrt_delta
+    and M.  ``sides`` holds (premise, holds) of side (i), then of side (ii), and is
+    empty for an empty sequence.
 
     A running maximum of prefix ratios is at most a bound exactly when
     every prefix is, so each side compares every prefix sum with the bound
@@ -670,13 +632,29 @@ def mean_to_density_check(a: Sequence[float], delta: float, M: float,
     (ii) if the prefix-max density of {i : a_i >= delta} is <= delta then
          every prefix average is <= (M+1) delta.
 
-    Decided exactly by ``mean_to_density_sides``; the report adds the
-    running maxima and margins, each an exact ratio of integers whose int
-    division rounds as ``float(Fraction)`` does.  Pass ``sqrt_delta`` when
-    delta is a perfect square of a rational to keep side (i) exact too.
+    Every input becomes an integer over one common denominator D, read by
+    ``_exact_ratio``, and ``scaled_sides`` decides the two sides on them;
+    the report adds the running maxima and margins, each an exact ratio of
+    integers whose int division rounds as ``float(Fraction)`` does.  Pass
+    ``sqrt_delta`` when delta is a perfect square of a rational to keep
+    side (i) exact too.
     """
-    passed, sides, (D, seq, d, r, m) = mean_to_density_sides(
-        a, delta, M, sqrt_delta)
+    nd, dd = _exact_ratio(delta, "delta")
+    if nd <= 0:
+        raise ParameterError("delta must be positive")
+    nm, dm = _exact_ratio(M, "M")
+    nr, dr = _exact_ratio(math.sqrt(delta) if sqrt_delta is None else sqrt_delta,
+                          "sqrt_delta")
+    ratios = [_exact_ratio(v, "sequence value") for v in a]
+    D = math.lcm(dd, dm, dr, *{den for _, den in ratios})
+    seq = [num * (D // den) for num, den in ratios]
+    d, r, m = nd * (D // dd), nr * (D // dr), nm * (D // dm)
+    if seq and (min(seq) < 0 or max(seq) > m):
+        raise ParameterError("sequence values must lie in [0, M]")
+    # side (ii)'s (M + 1) delta = (nm + dm) nd / (dm dd)
+    if (nm + dm) * nd > _FLOAT_MAX * dm * dd:
+        raise ParameterError("(M + 1) delta must be finite within float range")
+    passed, sides = scaled_sides(D, seq, d, r, m)
     rep = Report("mean-to-density", params={
         "delta": fmt17(delta), "M": fmt17(M), "length": len(seq),
         "sqrt_delta": fmt17(r / D),

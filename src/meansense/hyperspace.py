@@ -73,13 +73,12 @@ class FiniteSet:
     with no member in common with each other or with ``plain``.
     ``members`` is the expanded view: every member, sorted by prefix, built
     on first use.  Distinct true points that agree through their horizons
-    collapse here; the ``collapsed`` counter records how many views were
-    merged away.
+    collapse here.  Two sets are equal when their members are.
     """
 
     def __init__(self, plain: Tuple[PointView, ...],
-                 families: Tuple[BlockFamily, ...] = (), collapsed: int = 0):
-        vars(self).update(plain=plain, families=families, collapsed=collapsed)
+                 families: Tuple[BlockFamily, ...] = ()):
+        vars(self).update(plain=plain, families=families)
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteSet is immutable")
@@ -97,7 +96,6 @@ class FiniteSet:
         if not items:
             raise ParameterError("a hyperspace point needs at least one member")
         views, families = [], []
-        dropped = 0  # marks already held by an earlier part
         for item in items:
             if isinstance(item, PointView):
                 views.append(item)
@@ -110,7 +108,6 @@ class FiniteSet:
                     pieces = [piece for m in pieces for piece in (
                         range(m.start, min(m.stop, held.start)),
                         range(max(m.start, held.stop), m.stop)) if piece]
-            dropped += len(item.marks) - sum(map(len, pieces))
             families += [BlockFamily(item.block, piece, item.horizon)
                          for piece in pieces]
         # the sort is stable, so the first of equal views leads its group;
@@ -122,8 +119,7 @@ class FiniteSet:
         if families:
             plain = [v for v in plain
                      if not any(_is_marked_member(v, fam) for fam in families)]
-        return FiniteSet(tuple(plain), tuple(families),
-                         dropped + len(views) - len(plain))
+        return FiniteSet(tuple(plain), tuple(families))
 
     @cached_property
     def members(self) -> Tuple[PointView, ...]:
@@ -143,19 +139,10 @@ class FiniteSet:
         return len(self.plain) + sum(len(fam.marks) for fam in self.families)
 
     def __eq__(self, other):
-        return (isinstance(other, FiniteSet)
-                and (self.members, self.collapsed)
-                == (other.members, other.collapsed))
+        return isinstance(other, FiniteSet) and self.members == other.members
 
     def __hash__(self):
-        return hash((self.members, self.collapsed))
-
-    def to_json(self) -> list:
-        return [
-            {"word": m.prefix.to_text(), "provenance": m.provenance.kind,
-             "offset": m.provenance.offset}
-            for m in self.members
-        ]
+        return hash(self.members)
 
 
 def tk_step(A: FiniteSet) -> FiniteSet:
@@ -489,7 +476,6 @@ def hyper_mean_avg(P: FiniteSet, Q: FiniteSet, n: int) -> AverageReport:
         value=len(cert) / n,
         window=(0, n),
         truncation_correction=0.0,
-        samples=n,
         method="certified-lower",
         upper_exact=Fraction(len(cert), n),
     )

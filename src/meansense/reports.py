@@ -81,14 +81,12 @@ class AverageReport:
     """
 
     def __init__(self, value: float, window: tuple,
-                 truncation_correction: float, samples: int,
-                 method: str = "exact",
+                 truncation_correction: float, method: str = "exact",
                  upper_exact: Optional[Fraction] = None,
                  rounding_bound: Optional[float] = None):
         self.value = value
         self.window = window
         self.truncation_correction = truncation_correction
-        self.samples = samples
         self.method = method
         self.upper_exact = upper_exact
         self.rounding_bound = rounding_bound

@@ -8,6 +8,8 @@ read back from its word, and the tightness witnesses of ``lemma-3.1``,
 window checks share: deep-cylinder members read from the cylinder before,
 and one cached sweep of A_4 at window t_2."""
 
+import itertools
+import operator
 import os
 import random
 import subprocess
@@ -19,7 +21,8 @@ from pathlib import Path
 import pytest
 
 from meansense import FiniteSet, OccurrenceIndex, PointView, Provenance, Word
-from meansense import AverageReport, IndexSet, diam_of_members
+from meansense import (AverageReport, IndexSet, diam_of_members,
+                       step_distance_array)
 from meansense import checks, hyperspace, language, words
 from meansense.checks import (
     _member_runs,
@@ -27,7 +30,7 @@ from meansense.checks import (
     check_hausdorff_axioms,
     check_remark_213,
 )
-from meansense.diagnostics import mean_to_density_sides
+from meansense.diagnostics import mean_to_density_check
 from meansense.hyperspace import _hausdorff_first_difference
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -204,10 +207,17 @@ def test_remark_213_draws_what_randint_draws(monkeypatch, seed):
     assert got == want
 
 
+def _sides(rep):
+    """(passed, sides) of ``scaled_sides`` as a conversion report prints
+    them."""
+    return rep.verdict == "PASS", tuple(
+        (w["premise_holds"], w["holds"]) for w in rep.witnesses)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 12345])
 def test_remark_213_integer_route_matches_the_float_route(monkeypatch, seed):
     rng = random.Random(20_000 + seed)
-    want = [mean_to_density_sides(*_remark_213_floats(rng))[:2]
+    want = [_sides(mean_to_density_check(*_remark_213_floats(rng)))
             for _ in range(1000)]
     got, made = [], []
     right = checks.scaled_sides
@@ -264,11 +274,36 @@ def test_banach_equi_fails_when_the_sweep_reports_zero(monkeypatch, s3):
     right = checks.banach_avg_distances
 
     def zeros(members, pairs, L, depth):
-        return [AverageReport(0.0, r.window, 0.0, r.samples, r.method,
-                              r.upper_exact, r.rounding_bound)
+        return [AverageReport(0.0, r.window, 0.0, r.method, r.upper_exact,
+                              r.rounding_bound)
                 for r in right(members, pairs, L, depth)]
 
     monkeypatch.setattr(checks, "banach_avg_distances", zeros)
+    assert checks.check_thm13_banach_equi(s3).verdict == "FAIL"
+
+
+def test_banach_equi_fails_when_the_sweep_reports_a_smaller_window(
+        monkeypatch, s3):
+    # each report swapped for the window of least sum with that window's
+    # true sum: the recomputed reported windows agree, and the dense sup
+    # of the pair with the largest upper does not
+    right = checks.banach_avg_distances
+
+    def smallest(members, pairs, L, depth):
+        out = []
+        for (i, j), r in zip(pairs, right(members, pairs, L, depth)):
+            x, y = members[i], members[j]
+            values, _ = step_distance_array(
+                x, y, min(x.horizon, y.horizon) - depth, depth)
+            run = list(itertools.accumulate(values, initial=0.0))
+            sums = list(map(operator.sub, run[L:], run))
+            m = sums.index(min(sums))
+            out.append(AverageReport(sums[m] / L, (m, m + L),
+                                     r.truncation_correction, r.method,
+                                     r.upper_exact, r.rounding_bound))
+        return out
+
+    monkeypatch.setattr(checks, "banach_avg_distances", smallest)
     assert checks.check_thm13_banach_equi(s3).verdict == "FAIL"
 
 
@@ -355,8 +390,7 @@ def test_prop_p_system_fails_when_the_route_reports_zero(monkeypatch, s4):
 
     def zero(x, y, n, depth):
         r = right(x, y, n, depth)
-        return AverageReport(0.0, r.window, 0.0, r.samples, r.method,
-                             Fraction(0))
+        return AverageReport(0.0, r.window, 0.0, r.method, Fraction(0))
 
     monkeypatch.setattr(checks, "cesaro_avg_distance", zero)
     assert checks.check_prop_p_system(s4).verdict == "FAIL"

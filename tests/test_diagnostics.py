@@ -32,7 +32,6 @@ from meansense import FiniteSet, diagnostics
 from meansense.checks import _thm18_points
 from meansense.diagnostics import (
     DEFAULT_DEPTH,
-    mean_to_density_sides,
     scaled_sides,
 )
 from meansense.reports import FAIL, PASS, AverageReport, Report, fmt17
@@ -334,8 +333,7 @@ def naive_banach_avg_distance(x, y, L, depth):
     corrected = max(s + t / (depth + 1) for s, t in zip(sums, tcounts)) / L
     m = sums.index(best)
     return AverageReport(value=value, window=(m, m + L),
-                         truncation_correction=corrected - value,
-                         samples=len(sums))
+                         truncation_correction=corrected - value)
 
 
 def exact_banach_upper(x, y, L, depth):
@@ -385,9 +383,8 @@ def test_banach_sweep_matches_dense_oracle_and_exact_upper():
     for x, y, L, depth in _banach_cases(rng):
         got = banach_avg_distance(x, y, L, depth)
         want = naive_banach_avg_distance(x, y, L, depth)
-        assert (got.value, got.truncation_correction, got.window,
-                got.samples) == (want.value, want.truncation_correction,
-                                 want.window, want.samples)
+        assert (got.value, got.truncation_correction, got.window) == (
+            want.value, want.truncation_correction, want.window)
         exact = exact_banach_upper(x, y, L, depth)
         assert abs(Fraction(got.upper) - exact) <= Fraction(got.rounding_bound)
 
@@ -433,9 +430,8 @@ def test_batched_sweep_matches_each_pair_dense_oracle():
         for (i, j), r in zip(pairs, got):
             x, y = members[i], members[j]
             want = naive_banach_avg_distance(x, y, L, depth)
-            assert (r.value, r.truncation_correction, r.window,
-                    r.samples) == (want.value, want.truncation_correction,
-                                   want.window, want.samples)
+            assert (r.value, r.truncation_correction, r.window) == (
+                want.value, want.truncation_correction, want.window)
             steps = min(x.horizon, y.horizon) - depth
             _, truncated = step_distance_array(x, y, steps, depth)
             K = truncated.count(False)
@@ -443,7 +439,7 @@ def test_batched_sweep_matches_each_pair_dense_oracle():
 
 
 def _report_fields(r):
-    return r.value, r.truncation_correction, r.window, r.samples
+    return r.value, r.truncation_correction, r.window
 
 
 def _sweep_cases(s3):
@@ -489,15 +485,15 @@ def test_repeated_pairs_report_as_single_pairs(s3):
         for k, b in enumerate(repeated):
             a = alone[k % len(pairs)]
             assert (a.value, a.window, a.truncation_correction,
-                    a.rounding_bound, a.samples) == (
+                    a.rounding_bound) == (
                 b.value, b.window, b.truncation_correction,
-                b.rounding_bound, b.samples)
+                b.rounding_bound)
 
 
 def test_batched_sweep_takes_huge_horizons_one_pair_at_a_time():
     # positions near 2^62 must not overflow; the reports equal those of the
-    # same pairs at a short horizon, which the dense oracle checks, apart
-    # from the window count; a call with no pairs returns none
+    # same pairs at a short horizon, which the dense oracle checks; a call
+    # with no pairs returns none
     pairs = [(0, 1), (1, 0), (0, 2), (1, 2), (2, 2)]
     short, huge = _huge_trio(200), _huge_trio(2 ** 62)
     for L in (1, 7, 60):
@@ -509,7 +505,6 @@ def test_batched_sweep_takes_huge_horizons_one_pair_at_a_time():
             assert (a.value, a.truncation_correction, a.window,
                     a.rounding_bound) == (b.value, b.truncation_correction,
                                           b.window, b.rounding_bound)
-            assert a.samples - b.samples == 2 ** 62 - 200
         assert banach_avg_distances(huge, [], L, 16) == []
 
 
@@ -793,27 +788,23 @@ def test_mean_to_density_boundary_case():
 
 
 def test_mean_to_density_rejects_bad_input():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=r"\[0, M\]"):
         mean_to_density_check([2.0], 0.5, 1)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=r"\[0, M\]"):
+        mean_to_density_check([0.5, 2.0], 0.5, 1)
+    with pytest.raises(ParameterError, match=r"\[0, M\]"):
+        mean_to_density_check([-0.25, 0.5], 0.5, 1)
+    with pytest.raises(ParameterError, match="positive"):
         mean_to_density_check([0.5], 0.0, 1)
 
 
 def test_integer_core_reads_an_iterator_once():
-    # the core reads each value once, so an iterator reads as its list
+    # the check reads each value once, so an iterator reads as its list
     a = [0.5, Fraction(1, 3), 1, 0.25]
-    want = mean_to_density_sides(a, 0.25, 1, 0.5)
-    assert mean_to_density_sides(iter(a), 0.25, 1, 0.5) == want
-    assert want[2][1] == [6, 4, 12, 3]  # a times D = 12
-
-
-def test_integer_core_rejects_bad_input():
-    with pytest.raises(ParameterError, match=r"\[0, M\]"):
-        mean_to_density_sides([0.5, 2.0], 0.5, 1)
-    with pytest.raises(ParameterError, match=r"\[0, M\]"):
-        mean_to_density_sides([-0.25, 0.5], 0.5, 1)
-    with pytest.raises(ParameterError, match="positive"):
-        mean_to_density_sides([0.5], 0.0, 1)
+    want = mean_to_density_check(a, 0.25, 1, 0.5)
+    got = mean_to_density_check(iter(a), 0.25, 1, 0.5)
+    assert got.to_json_str() == want.to_json_str()
+    assert want.params["length"] == 4
 
 
 def test_mean_to_density_randomized():
@@ -890,6 +881,18 @@ def naive_mean_to_density_check(a, delta, M, sqrt_delta=None):
     return rep
 
 
+def _scaled(a, delta, M, sqrt_delta):
+    """(D, seq, d, r, m): the sequence, delta, sqrt_delta (the nearest
+    float to sqrt(delta) when None) and M, each an integer over their least
+    common denominator D, by ``Fraction``."""
+    if sqrt_delta is None:
+        sqrt_delta = math.sqrt(delta)
+    values = [Fraction(v) for v in (delta, sqrt_delta, M, *a)]
+    D = math.lcm(*(v.denominator for v in values))
+    d, r, m, *seq = (int(v * D) for v in values)
+    return D, seq, d, r, m
+
+
 @st.composite
 def _conversion_inputs(draw):
     """Sequences on a dyadic grid (floats j/2^k), a non-dyadic float grid
@@ -941,7 +944,7 @@ def test_mean_to_density_matches_fraction_oracle(args):
 def test_integer_core_matches_fraction_oracle(args):
     a, delta, M, sqrt_delta = args
     want = naive_mean_to_density_check(a, delta, M, sqrt_delta=sqrt_delta)
-    passed, sides, _ = mean_to_density_sides(a, delta, M, sqrt_delta)
+    passed, sides = scaled_sides(*_scaled(a, delta, M, sqrt_delta))
     assert passed == (want.verdict == PASS)
     assert sides == tuple((w["premise_holds"], w["holds"])
                           for w in want.witnesses)
@@ -951,10 +954,9 @@ def test_integer_core_matches_fraction_oracle(args):
 @given(args=_conversion_inputs(), k=st.integers(1, 1 << 20))
 def test_scaled_core_takes_any_common_denominator(args, k):
     a, delta, M, sqrt_delta = args
-    passed, sides, (D, seq, d, r, m) = mean_to_density_sides(
-        a, delta, M, sqrt_delta)
+    D, seq, d, r, m = _scaled(a, delta, M, sqrt_delta)
     assert scaled_sides(k * D, [k * v for v in seq], k * d, k * r,
-                        k * m) == (passed, sides)
+                        k * m) == scaled_sides(D, seq, d, r, m)
 
 
 class _FloatSubclass(float):
@@ -998,5 +1000,6 @@ def test_mean_to_density_rejects_non_finite(a, delta, M, sqrt_delta):
 
 @pytest.mark.parametrize("a, delta, M, sqrt_delta", _NON_FINITE)
 def test_integer_core_rejects_non_finite(a, delta, M, sqrt_delta):
+    # the sequence read once, as an iterator, is refused alike
     with pytest.raises(ParameterError, match="finite"):
-        mean_to_density_sides(a, delta, M, sqrt_delta=sqrt_delta)
+        mean_to_density_check(iter(a), delta, M, sqrt_delta=sqrt_delta)

@@ -21,7 +21,7 @@ SURFACE = {
         "minimal_generator", "patched_point", "patched_step",
         "verify_schedule"],
     "diagnostics": [
-        "AverageReport", "IndexSet", "banach_avg_distance",
+        "IndexSet", "banach_avg_distance",
         "banach_avg_distances", "banach_window_max", "cesaro_avg_distance",
         "diam_of_members", "diam_sequence", "distance_sum", "indicator_set_E",
         "mean_to_density_check", "orbit_diam_sequence", "sensitivity_times",
@@ -39,7 +39,7 @@ SURFACE = {
     "language": [
         "check_dense_periodic_desk", "check_transitive_desk",
         "cylinder_members", "subwords"],
-    "reports": ["Report", "fmt17", "series_csv"],
+    "reports": ["AverageReport", "Report", "fmt17", "series_csv"],
     "words": [
         "BlockFamily", "OccurrenceIndex", "PointView", "Provenance", "Word",
         "concat", "de_bruijn_word", "diff_intervals", "find_occurrences",
@@ -73,3 +73,20 @@ def test_star_import_binds_the_names_and_their_modules():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert set(proc.stdout.split()) == set(SURFACE).union(*SURFACE.values())
+
+
+def test_average_report_loads_from_its_home_module():
+    # in a fresh process: the report class is defined in ``reports``, so
+    # reaching it loads neither the diagnostics nor the word algebra
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys, meansense\n"
+            "assert meansense.AverageReport.__module__ == 'meansense.reports'\n"
+            "print(' '.join(sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "meansense.reports" in loaded
+    assert not loaded & {"meansense.diagnostics", "meansense.words"}
