@@ -790,6 +790,13 @@ def test_mean_to_density_boundary_case():
 def test_mean_to_density_rejects_bad_input():
     with pytest.raises(ParameterError, match=r"\[0, M\]"):
         mean_to_density_check([2.0], 0.5, 1)
+    with pytest.raises(ParameterError, match="positive"):
+        mean_to_density_check([0.5], 0.0, 1)
+
+
+def test_integer_core_rejects_bad_input():
+    # the scaling that opens the check refuses a value past M or below 0
+    # after earlier values, and a non-positive delta
     with pytest.raises(ParameterError, match=r"\[0, M\]"):
         mean_to_density_check([0.5, 2.0], 0.5, 1)
     with pytest.raises(ParameterError, match=r"\[0, M\]"):
