@@ -57,6 +57,7 @@ from .words import (
     max_window_count,
     point_metric,
     power,
+    symbol_runs,
 )
 
 
@@ -390,11 +391,6 @@ def check_prop_p_system(c: S4Construction, seed: int = 0,
     c = s4_construction_sharpened(c.schedule.base, int(round(1 / epsilon)))
     K = math.floor(5.0 / epsilon)  # 1/(K+1) < eps/5
     eps_num, eps_den = epsilon.as_integer_ratio()
-
-    def below_quarter_eps(num: int, den: int) -> bool:
-        """num/den < epsilon/4, by integer cross-multiplication."""
-        return 4 * num * eps_den < eps_num * den
-
     rep = Report("prop-p-system", params={
         "epsilon": fmt17(epsilon), "K": K,
     })
@@ -404,8 +400,9 @@ def check_prop_p_system(c: S4Construction, seed: int = 0,
         lv = c.schedule.level(m)
         term_linear = 2 * K * (lv.len_a + lv.len_b) / lv.t
         chain_rows.append({"m": m, "term_linear": fmt17(term_linear)})
-        if chosen is None and below_quarter_eps(2 * K * (lv.len_a + lv.len_b),
-                                                lv.t):
+        # term_linear < epsilon/4, by integer cross-multiplication
+        if chosen is None and (8 * K * (lv.len_a + lv.len_b) * eps_den
+                               < eps_num * lv.t):
             chosen = m
     if chosen is None:
         rep.verdict = FAIL
@@ -452,9 +449,10 @@ def check_prop_p_system(c: S4Construction, seed: int = 0,
                  n * r.upper_exact >= _harmonic(min(DEFAULT_DEPTH, j0)))
         ones_z = z.prefix.count(1)
         # steps whose K-window sees a 1, counted exactly: the steps within
-        # cap K of the 1-runs, by the gap rule
-        covered = sum(end - near for _, near, _, end
-                      in _segments(*z.prefix.runs_of(1, n + K), n, K))
+        # cap K of the 1-runs, shifted to 1-based, by the gap rule
+        los, his = symbol_runs(z.prefix, 1)
+        covered = sum(end - near for _, near, _, end in _segments(
+            map((1).__add__, los), map((1).__add__, his), n, K))
         frac_nonzero = covered / n
         term_zero = (epsilon / 5) * (1 - frac_nonzero)
         rows.append({

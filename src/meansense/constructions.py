@@ -50,6 +50,10 @@ from .words import (
 #: run-count guard for materializing a word (S3 B_4 would need ~5.6e8 runs)
 BUILD_RUN_CAP = 2_000_000
 
+#: most continued-fraction terms of a sturmian descriptor, as ``cf_depth`` or
+#: ``cf_terms``: a build's time grows about quadratically with their number
+MAX_CF_TERMS = 10_000
+
 
 # ---------------------------------------------------------------------------
 # minimal generators
@@ -71,6 +75,9 @@ class GeneratorDescriptor:
             raise ParameterError(f"unknown generator kind {kind!r}")
         if not all(isinstance(v, int) for v in (*cf_terms, cf_depth)):
             raise ParameterError("continued-fraction terms and depth must be integers")
+        if not 1 <= cf_depth <= MAX_CF_TERMS or len(cf_terms) > MAX_CF_TERMS:
+            raise ParameterError(f"cf_depth must lie in [1, {MAX_CF_TERMS}] and "
+                                 f"cf_terms hold at most {MAX_CF_TERMS} terms")
         vars(self).update(kind=kind, cf_terms=cf_terms, cf_depth=cf_depth)
 
     def __setattr__(self, name, value):
@@ -92,24 +99,6 @@ class GeneratorDescriptor:
             raise ParameterError(f"malformed generator descriptor: {exc!r}") from None
 
 
-def _sturmian_slope(desc: GeneratorDescriptor) -> tuple:
-    """Rational p/q approximating the slope from below-machine noise.
-
-    Continued fraction [0; a_1, a_2, ...]; all-ones terms give the golden
-    slope (sqrt(5)-1)/2 via Fibonacci convergents.
-    """
-    terms = desc.cf_terms if desc.cf_terms else tuple([1] * desc.cf_depth)
-    num, den = 0, 1  # value of the empty tail
-    for a in reversed(terms):
-        if a < 1:
-            raise ParameterError("continued-fraction terms must be >= 1")
-        # x -> 1 / (a + x)
-        num, den = den, a * den + num
-    if not 0 < num < den:
-        raise ParameterError("sturmian slope must lie strictly in (0, 1)")
-    return num, den
-
-
 def minimal_generator(desc: GeneratorDescriptor, horizon: int) -> Word:
     """Prefix y_1 ... y_horizon of the seed point, deterministically."""
     if horizon < 1:
@@ -119,7 +108,16 @@ def minimal_generator(desc: GeneratorDescriptor, horizon: int) -> Word:
     if desc.kind == "thue-morse":
         syms = [bin(j).count("1") & 1 for j in range(horizon)]
         return Word.from_symbols(syms, 2)
-    p, q = _sturmian_slope(desc)
+    # the slope p/q is the continued fraction [0; a_1, a_2, ...], folded
+    # from the empty tail 0/1 by x -> 1 / (a + x); all-ones terms give the
+    # golden slope (sqrt(5)-1)/2 via Fibonacci convergents
+    p, q = 0, 1
+    for a in reversed(desc.cf_terms or (1,) * desc.cf_depth):
+        if a < 1:
+            raise ParameterError("continued-fraction terms must be >= 1")
+        p, q = q, a * q + p
+    if not 0 < p < q:
+        raise ParameterError("sturmian slope must lie strictly in (0, 1)")
     # y_j = floor((j+1) a) - floor(j a), exact in integers
     syms = [((j + 1) * p) // q - (j * p) // q for j in range(1, horizon + 1)]
     return Word.from_symbols(syms, 2)
@@ -201,9 +199,7 @@ class Schedule:
 def _checked(value: int, level: int, what: str) -> int:
     if value > MAX_LENGTH:
         raise LengthOverflowError(
-            f"{what} at level {level} is {value}, beyond the 64-bit limit",
-            level=level,
-        )
+            f"{what} at level {level} is {value}, beyond the 64-bit limit")
     return value
 
 

@@ -172,11 +172,6 @@ def step_distance_array(x: PointView, y: PointView, n: int,
     return _gap_distances(los, his, n, depth)
 
 
-def _harmonic_table(depth: int) -> list:
-    """[H_0, ..., H_depth], each 1/k added in order, as a float cumsum does."""
-    return [0.0, *itertools.accumulate(1.0 / k for k in range(1, depth + 1))]
-
-
 def distance_sum(x: PointView, y: PointView, n: int,
                  depth: int = DEFAULT_DEPTH) -> tuple:
     """(sum of step distances over [0, n), truncated step count, exact sum),
@@ -184,7 +179,8 @@ def distance_sum(x: PointView, y: PointView, n: int,
 
     Walks the segments of ``_segments`` instead of the steps, so n may be
     astronomically large as long as the views carry the runs.  The float
-    sum adds ``_harmonic_table`` differences.  The exact sum is a Fraction:
+    sum adds differences of [H_0, ..., H_depth], each 1/k added in order
+    as a float cumsum does.  The exact sum is a Fraction:
     the steps of a segment within the cap read each gap g in [lo - min(lo,
     end) + 1, lo - near] once, so an integer difference array over g counts
     c_g, and the sum is the steps inside disagreements plus sum_g c_g / g
@@ -192,7 +188,7 @@ def distance_sum(x: PointView, y: PointView, n: int,
     """
     _pair_limit(x, y, n, depth)
     los, his = diff_intervals(x.prefix, y.prefix, upto=n + depth)
-    table = _harmonic_table(depth)
+    table = [0.0, *itertools.accumulate(1.0 / k for k in range(1, depth + 1))]
     total = 0.0
     truncated = n
     inside = 0
@@ -432,14 +428,6 @@ def diam_of_members(members: Sequence[PointView]) -> tuple:
     return best, trunc
 
 
-def _shared_horizon(members: Sequence[PointView]) -> int:
-    """The shortest member horizon; a ``BlockFamily`` answers without
-    materializing its marked members."""
-    if isinstance(members, BlockFamily):
-        return min([members.horizon] + [e.horizon for e in members.extras])
-    return min(m.horizon for m in members)
-
-
 def _merge_intervals(pieces) -> tuple:
     """Union of (los, his) pairs of 1-based inclusive intervals, merged."""
     los, his = [], []
@@ -453,39 +441,41 @@ def _merge_intervals(pieces) -> tuple:
     return los, his
 
 
-def _union_diff_positions(members: Sequence[PointView], upto: int):
-    """Positions p <= upto where the members do not all agree.
+def _orbit_disagreements(members: Sequence[PointView], steps: int) -> tuple:
+    """(los, his, H): the merged positions p <= H where the members do not
+    all agree, H their shared horizon, which ``steps`` must not exceed.
 
     Any pairwise disagreement at p forces a disagreement with the base
     member at p, so the union over pairs equals the union over
     (base, other) pairs; the base is chosen with the fewest runs.
 
-    A ``BlockFamily`` with at least two marks needs no member at all.  Let
-    z = w 0^(horizon-s) be its zero-tail word.  At a position that is not a
-    mark every marked member equals z, so the members disagree there
-    exactly when some extra differs from z.  At a mark the member carrying
-    it reads 1 and every other marked member reads 0.  Hence the union is
-    the marks together with the disagreement sets of z and each extra.
+    A ``BlockFamily`` answers H without materializing a member, and with at
+    least two marks it needs no member at all.  Let z = w 0^(horizon-s) be
+    its zero-tail word.  At a position that is not a mark every marked
+    member equals z, so the members disagree there exactly when some extra
+    differs from z.  At a mark the member carrying it reads 1 and every
+    other marked member reads 0.  Hence the union is the marks together
+    with the disagreement sets of z and each extra.
     """
-    if isinstance(members, BlockFamily) and len(members.marks) >= 2:
-        z = members.zero_tail
-        return _merge_intervals([members.mark_runs(upto)] + [
-            diff_intervals(z, e.prefix, upto=upto) for e in members.extras])
-    members = list(members)
-    base = min(members, key=lambda m: len(m.prefix.runs))
-    return _merge_intervals([diff_intervals(base.prefix, m.prefix, upto=upto)
-                             for m in members if m is not base])
-
-
-def _orbit_disagreements(members: Sequence[PointView], steps: int) -> tuple:
-    """(los, his, H): the merged positions p <= H where the members do not
-    all agree, H their shared horizon, which ``steps`` must not exceed."""
     if not members:
         raise ParameterError("need at least one member")
-    H = _shared_horizon(members)
+    if isinstance(members, BlockFamily):
+        H = min([members.horizon] + [e.horizon for e in members.extras])
+    else:
+        H = min(m.horizon for m in members)
     if steps > H:
         raise HorizonError(f"{steps} steps exceed shared horizon {H}")
-    return (*_union_diff_positions(members, upto=H), H)
+    if isinstance(members, BlockFamily) and len(members.marks) >= 2:
+        z, marks = members.zero_tail, members.marks
+        pieces = [diff_intervals(z, e.prefix, upto=H) for e in members.extras]
+        if marks.start <= H:  # an extra may end before the marks
+            pieces.append(([marks.start], [min(marks.stop - 1, H)]))
+    else:
+        members = list(members)
+        base = min(members, key=lambda m: len(m.prefix.runs))
+        pieces = [diff_intervals(base.prefix, m.prefix, upto=H)
+                  for m in members if m is not base]
+    return (*_merge_intervals(pieces), H)
 
 
 def diam_sequence(members: Sequence[PointView], steps: int):

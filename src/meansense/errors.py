@@ -18,15 +18,7 @@ class ParameterError(MeansenseError):
 
 
 class LengthOverflowError(MeansenseError):
-    """A derived length exceeded the 64-bit limit.
-
-    ``level`` names the construction level at which the overflow happened,
-    when known.
-    """
-
-    def __init__(self, message, level=None):
-        super().__init__(message)
-        self.level = level
+    """A derived length exceeded the 64-bit limit."""
 
 
 class HorizonError(MeansenseError):

@@ -30,6 +30,7 @@ from .words import (
     diff_intervals,
     find_occurrences,
     first_difference,
+    symbol_runs,
 )
 
 #: occurrences of one cylinder scanned by ``independence_check``; a pattern
@@ -429,17 +430,21 @@ def hyper_witness_family(construction, P: FiniteSet, epsilon: float,
 
 
 def _ones_mask(S: FiniteSet, n: int) -> bytearray:
-    """Mask over positions 0..n, 1 at each 1-based p <= n where some member
-    carries a 1: the 1-runs of the plain members and of each family block,
-    and the runs of each family's marks, each set by one slice assignment;
-    none of a family's members is built."""
-    runs = ([m.prefix.runs_of(1, n) for m in S.plain]
-            + [fam.block.runs_of(1, n) for fam in S.families]
-            + [fam.mark_runs(n) for fam in S.families])
-    mask = bytearray(n + 1)
+    """Mask over the 0-based positions 0..n-1, 1 where some member carries
+    a 1: the ``symbol_runs`` of the plain members and of each family block,
+    and each family's mark range, each cut at n and set by one slice
+    assignment; none of a family's members is built."""
+    runs = ([symbol_runs(m.prefix, 1) for m in S.plain]
+            + [symbol_runs(fam.block, 1) for fam in S.families]
+            + [((fam.marks.start - 1,), (fam.marks.stop - 2,))
+               for fam in S.families])
+    mask = bytearray(n)
     for los, his in runs:
         for lo, hi in zip(los, his):
-            mask[lo:hi + 1] = b"\x01" * (hi + 1 - lo)
+            if lo >= n:
+                break
+            hi = min(hi + 1, n)
+            mask[lo:hi] = b"\x01" * (hi - lo)
     return mask
 
 
@@ -457,7 +462,7 @@ def certified_separation_steps(P: FiniteSet, Q: FiniteSet, n: int) -> list:
             fam.block.alphabet_size != 2 for fam in P.families + Q.families):
         raise ParameterError("certification needs the binary alphabet")
     return list(itertools.compress(range(n), map(
-        operator.ne, _ones_mask(P, n)[1:], _ones_mask(Q, n)[1:])))
+        operator.ne, _ones_mask(P, n), _ones_mask(Q, n))))
 
 
 def hyper_mean_avg(P: FiniteSet, Q: FiniteSet, n: int) -> AverageReport:

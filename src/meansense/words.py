@@ -33,7 +33,7 @@ _COUNT = operator.itemgetter(1)  # the count of a (symbol, count) run
 EXPAND_LIMIT = 50_000_000
 
 
-def _check_length(n: int, context: str = "word"):
+def _check_length(n: int, context: str):
     if n > MAX_LENGTH:
         raise LengthOverflowError(f"{context}: length {n} exceeds 64-bit limit")
     return n
@@ -115,14 +115,8 @@ class Word:
 
     @staticmethod
     def from_symbols(symbols: Iterable[int], alphabet_size: int = 2) -> "Word":
-        runs, total = [], 0
-        for s, group in itertools.groupby(symbols):
-            if not 0 <= s < alphabet_size:
-                raise ParameterError(f"symbol {s} outside alphabet {alphabet_size}")
-            c = len(list(group))
-            runs.append((s, c))
-            total += c
-        return Word(alphabet_size, tuple(runs), _length=_check_length(total))
+        return Word(alphabet_size, [(s, len(list(group)))
+                                    for s, group in itertools.groupby(symbols)])
 
     @staticmethod
     def from_string(text: str, alphabet_size: int = 2) -> "Word":
@@ -217,20 +211,6 @@ class Word:
             return sum(map(_COUNT, runs[runs[0][0] != symbol::2]))
         return sum(c for s, c in runs if s == symbol)
 
-    def runs_of(self, symbol: int = 1, hi: Optional[int] = None) -> tuple:
-        """(los, his): lists of the 1-based inclusive runs of ``symbol`` that
-        start at or before ``hi``, the last one cut at ``hi``."""
-        hi = self.length if hi is None else hi
-        ends = self.run_index
-        k = bisect.bisect_left(ends, hi) + 1 if hi > 0 else 0  # to hi's run
-        los = [e - c + 1 for (s, c), e
-               in zip(self.runs, itertools.islice(ends, k)) if s == symbol]
-        his = [e for (s, _), e
-               in zip(self.runs, itertools.islice(ends, k)) if s == symbol]
-        if his and his[-1] > hi:
-            his[-1] = hi
-        return los, his
-
     def subword(self, start: int, length: int) -> "Word":
         """Extract ``length`` symbols starting at 1-based ``start`` by run slicing."""
         if start == 1 and length == self.length:
@@ -256,9 +236,8 @@ class Word:
     def starts_with(self, prefix: "Word") -> bool:
         if prefix.alphabet_size != self.alphabet_size:
             raise AlphabetMismatchError("alphabet mismatch in starts_with")
-        if prefix.length > self.length:
-            return False
-        return self.subword(1, prefix.length) == prefix
+        return (prefix.length <= self.length
+                and first_difference(self, prefix) is None)
 
     def ends_with(self, suffix: "Word") -> bool:
         if suffix.length > self.length:
@@ -292,10 +271,7 @@ def power(w: Word, m: int) -> Word:
     if m < 0:
         raise ParameterError("negative power")
     _check_length(w.length * m, "power")
-    b = RunBuilder()
-    for _ in range(m):
-        b.extend(w)
-    return b.build(w.alphabet_size)
+    return concat([w] * m, w.alphabet_size)
 
 
 # ---------------------------------------------------------------------------
@@ -567,26 +543,22 @@ def de_bruijn_word(order: int, alphabet_size: int = 2) -> Word:
     """A linear word containing every length-``order`` word over the alphabet.
 
     Classic Lyndon-word concatenation, with the first order-1 symbols
-    appended so that the cyclic sequence reads off linearly.
+    appended so that the cyclic sequence reads off linearly.  Each Lyndon
+    word is the successor of the last: repeated to length ``order``, its
+    trailing largest symbols dropped and the last symbol left raised.
     """
     if order < 1:
         raise ParameterError("order must be >= 1")
     k, n = alphabet_size, order
-    seq = []
-    a = [0] * k * n
-
-    def db(t, p):
-        if t > n:
-            if n % p == 0:
-                seq.extend(a[1:p + 1])
-        else:
-            a[t] = a[t - p]
-            db(t + 1, p)
-            for j in range(a[t - p] + 1, k):
-                a[t] = j
-                db(t + 1, t)
-
-    db(1, 1)
+    seq, w = [], [-1]
+    while w:
+        w[-1] += 1
+        m = len(w)
+        if n % m == 0:
+            seq += w
+        w = [w[i % m] for i in range(n)]
+        while w and w[-1] >= k - 1:  # ends at once for an empty alphabet
+            w.pop()
     seq = seq + seq[:n - 1]
     return Word.from_symbols(seq, alphabet_size)
 
@@ -706,12 +678,6 @@ class BlockFamily(abc.Sequence):
         """The block followed by zeros up to the horizon, ``w 0^(horizon-s)``."""
         return Word(self.block.alphabet_size,
                     self.block.runs + ((0, self.horizon - self.block.length),))
-
-    def mark_runs(self, upto: int) -> tuple:
-        """(los, his): the one run of marks, cut at ``upto``, as lists; no
-        run when no mark is at most ``upto``."""
-        hi = min(self.marks.stop - 1, upto)
-        return ([self.marks.start], [hi]) if hi >= self.marks.start else ([], [])
 
     def _member(self, p: int) -> PointView:
         s = self.block.length

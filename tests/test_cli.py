@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from meansense import MeansenseError, Schedule, Word, cli, language
 from meansense.cli import main
+from meansense.constructions import MAX_CF_TERMS
 from meansense.reports import canonical_json
 
 # the fingerprints' SHA-256 comes from CPython's built-in module when there
@@ -572,6 +573,27 @@ def test_config_rejects_booleans_as_integers(tmp_path):
             assert run("build", "--config", str(cfg_path),
                        "--out", str(tmp_path / f"{key}-{value}")) == 2
     assert not list(tmp_path.glob("*/schedule.json"))
+
+
+def test_config_bounds_the_continued_fraction(tmp_path, capsys):
+    # a depth of 10^11 once died on allocating its terms with a MemoryError
+    # traceback and exit 1; now it is one error line and exit 2, like a
+    # depth below 1 or too many explicit terms
+    cfg_path = tmp_path / "cf.json"
+    for base in ({"cf_depth": 10 ** 11}, {"cf_depth": 0},
+                 {"cf_depth": MAX_CF_TERMS + 1},
+                 {"cf_terms": [1] * (MAX_CF_TERMS + 1)}):
+        cfg_path.write_text(json.dumps({"construction": "S4", "base": {
+            "kind": "sturmian", **base}}))
+        assert run("build", "--config", str(cfg_path),
+                   "--out", str(tmp_path / "bad")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "bad").exists()
+    cfg_path.write_text(json.dumps({"construction": "S4", "depth": 2, "base": {
+        "kind": "sturmian", "cf_depth": MAX_CF_TERMS}}))
+    assert run("build", "--config", str(cfg_path),
+               "--out", str(tmp_path / "edge")) == 0
 
 
 def test_check_reports_are_deterministic(tmp_path):

@@ -40,9 +40,8 @@ def test_s3_schedule_frozen_values():
 
 
 def test_s3_overflow_fails_loudly_naming_level():
-    with pytest.raises(LengthOverflowError) as exc:
+    with pytest.raises(LengthOverflowError, match="at level 5 "):
         build_schedule_s3(5)
-    assert exc.value.level == 5
 
 
 def test_s4_schedule_frozen_values():
@@ -315,18 +314,11 @@ def test_witness_family_shape(s3):
         s3.witness_family(1, 5, count=2, horizon=64)  # x[2..6] ends no A_i
 
 
-def test_block_family_mark_runs(s3):
-    # marks are one step-1 range, read as one run cut at ``upto``; a list
-    # of marks, gapped or not, is rejected
+def test_block_family_marks_are_one_range(s3):
+    # marks are one non-empty step-1 range; a list of marks, gapped or
+    # not, is rejected
     a2 = s3.a_word(2)
     assert s3.witness_family(0, 27, count=4, horizon=64).marks == range(28, 32)
-    for marks in (range(28, 40), range(30, 31), range(28, 65)):
-        fam = BlockFamily(a2, marks, 64)
-        for upto in (0, 28, 31, 35, 64, 99):
-            los, his = fam.mark_runs(upto)
-            assert [p for lo, hi in zip(los, his)
-                    for p in range(lo, hi + 1)] == [m for m in marks if m <= upto]
-            assert len(los) == len(his) <= 1
     for marks in ([28, 29, 30, 33, 35, 36], list(range(28, 40)), [30],
                   range(30, 61, 3)):
         with pytest.raises(ParameterError):

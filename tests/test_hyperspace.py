@@ -404,6 +404,22 @@ def test_family_route_matches_expanded_route():
     assert readings == {(0, True), (0, False), (1, False), (1, True)}
 
 
+def test_certified_steps_match_a_per_position_oracle_at_every_cut():
+    # every n up to the shared horizon cuts the members' 1-runs and the
+    # families' mark ranges somewhere: before, inside or past them
+    rng = random.Random(73)
+    for trial in range(150):
+        A_items, A_flat = random_family_items(rng, rng.randint(12, 20))
+        B_items, B_flat = random_family_items(rng, rng.randint(12, 20))
+        A, B = FiniteSet.of(A_items), FiniteSet.of(B_items)
+        # position p - 1 of each side: does some member carry a 1 at p
+        ones = [list(map(any, zip(*(expand(m.prefix) for m in flat))))
+                for flat in (A_flat, B_flat)]
+        for n in range(min(A.horizon, B.horizon) + 1):
+            want = [i for i in range(n) if ones[0][i] != ones[1][i]]
+            assert certified_separation_steps(A, B, n) == want, (trial, n)
+
+
 def test_thm18_witness_outputs_on_s3_depth_4(s3):
     rep = check_thm18_witness(s3)
     assert rep.passed

@@ -23,7 +23,7 @@ from meansense import (
     power,
 )
 from meansense.checks import _member_runs
-from meansense.words import RunBuilder, interval_window_max
+from meansense.words import RunBuilder, interval_window_max, symbol_runs
 
 from conftest import expand, first_disagreement, naive_window_max
 
@@ -182,21 +182,32 @@ def test_subword_matches_string_slice(data, w):
     assert w.subword(1, len(s)) is w
     assert w.symbol_at(start) == int(s[start - 1])
     assert "".join(map(str, expand(w))) == s
-    hi = data.draw(st.integers(0, len(s)))
     for sym in (0, 1):
-        los, his = w.runs_of(sym, hi)
-        # each run is maximal in the prefix cut at hi, and together they
-        # hold exactly its sym positions
-        cut = s[:hi]
+        los, his = symbol_runs(w, sym)
+        # each 0-based run is maximal, and together they hold exactly the
+        # sym positions
         assert [p for lo, h in zip(los, his)
                 for p in range(lo, h + 1)] == [
-                    p for p in range(1, hi + 1) if cut[p - 1] == str(sym)]
+                    p for p in range(len(s)) if s[p] == str(sym)]
         for lo, h in zip(los, his):
-            assert lo == 1 or cut[lo - 2] != str(sym)
-            assert h == hi or cut[h] != str(sym)
-        whole = w.runs_of(sym)
-        assert len(whole[0]) == sum(1 for x, _ in w.runs if x == sym)
+            assert lo == 0 or s[lo - 1] != str(sym)
+            assert h == len(s) - 1 or s[h + 1] != str(sym)
+        assert len(los) == sum(1 for x, _ in w.runs if x == sym)
         assert w.count(sym) == s.count(str(sym))
+
+
+@given(data=st.data(), w=words, u=words)
+def test_starts_with_matches_str_startswith(data, w, u):
+    s = w.as_string()
+    k = data.draw(st.integers(0, len(s)))
+    # a random word, a true prefix, a longer word and the empty prefix
+    for prefix in (u, w.subword(1, k), concat([w, u]), Word.empty(2)):
+        assert w.starts_with(prefix) == s.startswith(prefix.as_string())
+    # the alphabet check comes first, so another alphabet raises at any
+    # length, a longer prefix included
+    for n in (0, k, len(s) + 1):
+        with pytest.raises(AlphabetMismatchError):
+            w.starts_with(Word(4, [(0, n)]))
 
 
 def test_point_metric_examples():
