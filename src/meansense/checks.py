@@ -90,8 +90,8 @@ def s4_construction_sharpened(base: GeneratorDescriptor,
 def check_lemma31(c: S3Construction, seed: int = 0) -> Report:
     """Window 1-count bound: every window of t_n symbols inside a deeper
     level word holds at most |A_n| + |B_n| ones.  Exact RLE sweep; each
-    reported window is recounted from its subword's runs, so a sweep that
-    under-counts fails."""
+    reported window is recounted from its subword's runs, so a sweep whose
+    count disagrees with its window fails; the maximum is not witnessed."""
     rep = Report("lemma-3.1")
     rows = []
     ok = True
@@ -114,8 +114,8 @@ def check_lemma31(c: S3Construction, seed: int = 0) -> Report:
 def check_lemma32_density(c: S3Construction, seed: int = 0) -> Report:
     """Windowed frequency of the 1-positions of x decays through the level
     window lengths and meets the coarse level-3 budget exactly.  Each
-    reported window is recounted from its subword's runs, so a sweep that
-    under-counts or misplaces its window fails."""
+    reported window is recounted from its subword's runs, so a sweep whose
+    count disagrees with its window fails; the maximum is not witnessed."""
     E = indicator_set_E(c.transitive_prefix(c.schedule.level(4).len_a))
     t = [c.schedule.level(n).t for n in (1, 2, 3)]
     counts = []

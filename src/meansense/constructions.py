@@ -73,7 +73,9 @@ class GeneratorDescriptor:
                  cf_depth: int = 40):
         if kind not in ("constant-zero", "sturmian", "thue-morse"):
             raise ParameterError(f"unknown generator kind {kind!r}")
-        if not all(isinstance(v, int) for v in (*cf_terms, cf_depth)):
+        # bool is an int subclass, but true is no term and no depth
+        if not all(isinstance(v, int) and not isinstance(v, bool)
+                   for v in (*cf_terms, cf_depth)):
             raise ParameterError("continued-fraction terms and depth must be integers")
         if not 1 <= cf_depth <= MAX_CF_TERMS or len(cf_terms) > MAX_CF_TERMS:
             raise ParameterError(f"cf_depth must lie in [1, {MAX_CF_TERMS}] and "
@@ -93,6 +95,9 @@ class GeneratorDescriptor:
     @staticmethod
     def from_json(d: dict) -> "GeneratorDescriptor":
         try:
+            unknown = sorted(set(d) - {"kind", "cf_terms", "cf_depth"})
+            if unknown:
+                raise ParameterError(f"unknown generator descriptor keys {unknown}")
             return GeneratorDescriptor(d["kind"], tuple(d.get("cf_terms", ())),
                                        d.get("cf_depth", 40))
         except (KeyError, TypeError, AttributeError) as exc:

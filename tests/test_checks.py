@@ -439,3 +439,18 @@ def test_lemma_windows_share_one_sweep_of_a4(monkeypatch, s3):
         assert checks.banach_window_max(E, L) == sweep(E.los, E.his,
                                                        E.horizon, L)
     assert len(swept) == 5
+
+
+def test_s3_window_rows_are_pinned(s3):
+    # the recount witnesses only that each reported window holds its
+    # reported count; a sweep that reports the first window with its true
+    # count still PASSes both checks (3 at t_1 on A_3, B_3 and A_4, where
+    # the maximum is 4), so the rows themselves are pinned
+    words.symbol_window_max.cache_clear()
+    rows = checks.check_lemma31(s3).witnesses[0]["windows"]
+    assert [(r["word"], r["window"], r["max_count"], r["at"])
+            for r in rows] == [("A_3", 24, 4, 1796), ("B_3", 24, 4, 5),
+                               ("A_4", 4443, 117, 1)]
+    rows = checks.check_lemma32_density(s3).params["windows"]
+    assert [(r["L"], r["count"], r["start"]) for r in rows] == [
+        (24, 4, 1795), (4443, 117, 0), (140800719, 31419, 0)]

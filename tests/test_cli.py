@@ -11,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from meansense import MeansenseError, Schedule, Word, cli, language
+from meansense import (GeneratorDescriptor, MeansenseError, ParameterError,
+                       Schedule, Word, cli, language)
 from meansense.cli import main
 from meansense.constructions import MAX_CF_TERMS
 from meansense.reports import canonical_json
@@ -572,7 +573,31 @@ def test_config_rejects_booleans_as_integers(tmp_path):
             cfg_path.write_text(json.dumps({key: value}))
             assert run("build", "--config", str(cfg_path),
                        "--out", str(tmp_path / f"{key}-{value}")) == 2
+    # likewise inside an S4 base, where true once built as 1 under another
+    # hash; a key the generator never reads is refused too
+    for i, base in enumerate(({"kind": "sturmian", "cf_depth": True},
+                              {"kind": "sturmian", "cf_terms": [True, 2]},
+                              {"kind": "thue-morse", "bogus": 1},
+                              {"kind": "thue-morse", "cf_depth": True,
+                               "bogus": 1})):
+        cfg_path = tmp_path / f"base-{i}.json"
+        cfg_path.write_text(json.dumps({"construction": "S4", "base": base}))
+        assert run("build", "--config", str(cfg_path),
+                   "--out", str(tmp_path / f"base-{i}")) == 2
     assert not list(tmp_path.glob("*/schedule.json"))
+    with pytest.raises(ParameterError):
+        GeneratorDescriptor("sturmian", (True, 2))
+    # valid bases keep their config hashes
+    for base, digest in ((None, "f463ed2c42c94820"),
+                         ({"kind": "thue-morse"}, "10b506a0a3df8dbf"),
+                         ({"kind": "thue-morse", "cf_depth": 40},
+                          "58f36b12f3c63708"),
+                         ({"kind": "sturmian", "cf_terms": [1, 2]},
+                          "4a7941a9ba8b07b1")):
+        cfg = cli.RunConfig()
+        cfg.construction, cfg.base = "S4", base
+        cfg.validate()
+        assert cfg.hash == digest
 
 
 def test_config_bounds_the_continued_fraction(tmp_path, capsys):

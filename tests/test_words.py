@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meansense import (
@@ -163,6 +163,104 @@ def test_interval_window_max_matches_expanded_oracle():
             best = max(counts)
             assert interval_window_max(los, his, span, window) == (
                 best, counts.index(best))
+
+
+def _mask_window_max(los, his, span, window):
+    """The expanded-mask oracle of ``interval_window_max``: (count, 0-based
+    first start)."""
+    mask = [0] * span
+    for lo, hi in zip(los, his):
+        mask[lo:hi + 1] = [1] * (hi - lo + 1)
+    best, start = naive_window_max(mask, window)
+    return best, start - 1
+
+
+def _straddling_intervals(rng, window, span):
+    """Intervals whose start-to-start gaps mostly reach past the window
+    (lone starts) and now and then fall short of it (reaching starts)."""
+    los, his = [], []
+    p = rng.randint(0, window)
+    while p < span:
+        hi = min(span - 1, p + rng.randint(0, window + 1))
+        los.append(p)
+        his.append(hi)
+        step = window + rng.randint(-1, 3) if rng.random() < 0.85 else \
+            rng.randint(1, window)
+        p = max(hi + 2, p + step)
+    return los, his
+
+
+def test_sweep_bulk_bounds_match_expanded_oracle():
+    # most starts are lone, so their counts come from the bulk bound alone,
+    # and the few reaching starts are visited
+    rng = random.Random(37)
+    for trial in range(800):
+        window = rng.randint(1, 12)
+        span = rng.randint(window, 200)
+        los, his = _straddling_intervals(rng, window, span)
+        assert interval_window_max(los, his, span, window) == \
+            _mask_window_max(los, his, span, window)
+
+
+@pytest.mark.parametrize("los, his, span, window, want", [
+    # a reaching start ties with a later lone start: the earlier wins
+    ([0, 3, 10], [0, 3, 11], 20, 5, (2, 0)),
+    # a lone start ties with a later reaching start: the lone one stays
+    ([0, 10, 13], [1, 10, 13], 20, 5, (2, 0)),
+    # a reaching start ties with a lone start at each side of it
+    ([0, 6, 9, 15], [1, 6, 9, 16], 22, 5, (2, 0)),
+    # the reaching start beats every lone bound
+    ([0, 6, 8, 15], [1, 6, 9, 15], 22, 5, (3, 5)),
+    # window 1: every start is lone
+    ([2, 5, 9], [2, 7, 9], 12, 1, (1, 2)),
+    # window = span: the one start holds every mark
+    ([0, 5], [1, 6], 8, 8, (4, 0)),
+    ([3, 5], [3, 6], 8, 8, (3, 0)),
+    # a lone run at the last start, whose window slides left to the
+    # smallest optimal start
+    ([0, 16], [0, 18], 20, 4, (3, 15)),
+    ([0, 15], [0, 19], 20, 5, (5, 15)),
+], ids=["reach-then-lone", "lone-then-reach", "lone-reach-lone",
+        "reach-beats-lone", "window-1", "window-span", "window-span-late",
+        "last-start", "last-start-full"])
+def test_sweep_ties_and_edges(los, his, span, window, want):
+    assert _mask_window_max(los, his, span, window) == want
+    assert interval_window_max(los, his, span, window) == want
+
+
+@settings(deadline=None)
+@given(data=st.data(), window=st.integers(1, 16))
+def test_sweep_matches_expanded_oracle_property(data, window):
+    pieces = data.draw(st.lists(st.tuples(st.integers(1, 20),
+                                          st.integers(0, 20)), max_size=12))
+    los, his, p = [], [], data.draw(st.integers(0, 5))
+    for gap, length in pieces:
+        los.append(p)
+        his.append(p + length)
+        p += length + gap + 1
+    span = max(p, window) + data.draw(st.integers(0, 5))
+    assert interval_window_max(los, his, span, window) == \
+        _mask_window_max(los, his, span, window)
+
+
+def _compress_symbol_runs(word, symbol):
+    """The run-by-run form of ``symbol_runs``: pick the runs of ``symbol``
+    with ``itertools.compress``."""
+    hit = [s == symbol for s, _ in word.runs]
+    ends = list(itertools.accumulate(c for _, c in word.runs))
+    return (tuple(itertools.compress([0, *ends], hit)),
+            tuple(e - 1 for e in itertools.compress(ends, hit)))
+
+
+@pytest.mark.parametrize("word", [
+    Word.from_string("0011101"), Word.from_string("1100010"),
+    Word.from_string("0"), Word.from_string("1"), Word.empty(),
+    Word(4, [(0, 2), (3, 1), (1, 4), (3, 2), (2, 1)]),
+], ids=["from-0", "from-1", "single-0", "single-1", "empty", "alphabet-4"])
+def test_strided_symbol_runs_match_compress_form(word):
+    for symbol in range(word.alphabet_size):
+        assert symbol_runs(word, symbol) == \
+            _compress_symbol_runs(word, symbol)
 
 
 def test_subword_examples():
