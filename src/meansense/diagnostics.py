@@ -254,6 +254,13 @@ def banach_avg_distances(members: Sequence[PointView], pairs, L: int,
     pair's shorter horizon are exact, and ``_sweep_pair`` reads no interval
     that opens past it.  Other alphabets walk each pair directly.
 
+    The pairs of one call share one dict of running sums and window sums,
+    which lives as long as the call.  A pair's terms depend only on the
+    shapes of its segments, not on where they sit: the 1,000 pairs of
+    ``thm-1.3-banach-equi`` list 14 term sequences.  So each distinct one
+    is added up once, and each distinct run of window sums taken from it
+    is subtracted once; ``_sweep_pair`` says why every float stays the same.
+
     Swept over breakpoints, with no per-step array.  The nonzero steps are
     those within cap ``depth`` by the gap rule of ``_segments``; every
     other step is truncated.  Adding 0.0 is exact, so the running sum of
@@ -321,12 +328,13 @@ def banach_avg_distances(members: Sequence[PointView], pairs, L: int,
                                 upto=s + depth)
                  for (i, j), s in zip(pairs, steps))
     table = [0.0, *map((1.0).__truediv__, range(1, depth + 1))]  # 1/gap
-    return [_sweep_pair(los, his, s, L, depth, table)
+    runs = {}  # shared by this call's pairs, all under one table and depth
+    return [_sweep_pair(los, his, s, L, depth, table, runs)
             for (los, his), s in zip(walks, steps)]
 
 
-def _sweep_pair(los, his, steps: int, L: int, depth: int,
-                table: list) -> AverageReport:
+def _sweep_pair(los, his, steps: int, L: int, depth: int, table: list,
+                runs: Optional[dict] = None) -> AverageReport:
     """The window sweep of ``banach_avg_distances`` for one pair, over its
     merged disagreement intervals [los, his]; ``table[g]`` is 1.0/g for the
     gaps g <= depth, so an approach segment's terms are one slice of it.
@@ -338,8 +346,25 @@ def _sweep_pair(los, his, steps: int, L: int, depth: int,
     positions earlier.
     The candidates come in increasing start order, and only a strictly
     larger sum replaces the best, which keeps the smallest start.
+
+    A segment's terms depend only on its shape (lo - near, lo - end): the
+    gaps lo - near down to max(lo - end, 0) + 1 from ``table``, then
+    max(end - lo, 0) ones, end - near terms in all.  So ``runs`` maps the
+    tuple of a pair's shapes to its ``run``, built and added up only when
+    the tuple is new, and to the (max, first index of max) of each run of
+    window sums taken from that ``run``, keyed by its (e, j, length).
+    Equal shape tuples list the same terms in the same order, so their
+    running sums are the same floats, and so are the differences of equal
+    slices.  The length is part of the key, since equal shapes may still
+    group their steps into segments apart: an approach capped at ``depth``
+    joins the segment before it exactly when it opens on that segment's
+    end.  ``banach_avg_distances`` shares one dict among the pairs of a
+    call, all under its one ``table``; a call with no dict uses a fresh
+    one.  The ties, the corrected sum and the rounding bound are still
+    found for each pair.
     """
-    firsts, lasts, at, terms = [], [], [], []
+    firsts, lasts, at, shapes = [], [], [], []
+    K = 0  # the terms before the current segment
     for start, near, lo, end in _segments(los, his, steps, depth):
         if near == end:  # past the usable steps, as is every later interval
             break
@@ -348,12 +373,22 @@ def _sweep_pair(los, his, steps: int, L: int, depth: int,
         else:
             firsts.append(near)
             lasts.append(end - 1)
-            at.append(len(terms))
-        terms += table[lo - near:max(lo - end, 0):-1]
-        terms += itertools.repeat(1.0, end - lo)
-    K = len(terms)
-    run = list(itertools.accumulate(terms, initial=0.0))
+            at.append(K)
+        shapes.append((lo - near, lo - end))
+        K += end - near
     at.append(K)
+    key = tuple(shapes)
+    if runs is None:
+        runs = {}
+    shared = runs.get(key)
+    if shared is None:
+        terms = []
+        for top, cut in shapes:
+            terms += table[top:max(cut, 0):-1]
+            terms += itertools.repeat(1.0, -cut)
+        shared = runs[key] = (list(itertools.accumulate(terms, initial=0.0)),
+                              {})
+    run, window_best = shared
     # start 0: its window holds the nonzero steps below L
     q = bisect.bisect_left(firsts, L)
     j = at[q - 1] + min(lasts[q - 1], L - 1) - firsts[q - 1] + 1 if q else 0
@@ -375,12 +410,15 @@ def _sweep_pair(los, his, steps: int, L: int, depth: int,
             # the run of starts on the nonzero steps of segment r
             x, y = max(firsts[r], lo_s), min(lasts[r], hi_s)
             e, j = x + shift, at[r] + x - firsts[r]
-            sums = list(map(operator.sub, run[e:e + y - x + 1],
-                            run[j:j + y - x + 1]))
-            total = max(sums)
+            n = y - x + 1
+            got = window_best.get((e, j, n))
+            if got is None:
+                sums = list(map(operator.sub, run[e:e + n], run[j:j + n]))
+                total = max(sums)
+                got = window_best[e, j, n] = total, sums.index(total)
+            total, i = got
             corrected = max(corrected, total + (L - e + j) / (depth + 1))
             if total > best:
-                i = sums.index(total)
                 best, m = total, (x + i if i else
                                   _tie_start(run, e, j, total, x, group))
             group = y + 1

@@ -28,7 +28,7 @@ from meansense import (
     sensitivity_times,
     step_distance_array,
 )
-from meansense import FiniteSet, diagnostics
+from meansense import FiniteSet, checks, diagnostics
 from meansense.checks import _thm18_points
 from meansense.diagnostics import (
     DEFAULT_DEPTH,
@@ -508,6 +508,33 @@ def test_batched_sweep_takes_huge_horizons_one_pair_at_a_time():
         assert banach_avg_distances(huge, [], L, 16) == []
 
 
+def _random_walk(rng, n):
+    """Merged 1-based disagreement intervals up to n: short bursts apart."""
+    los, his, p = [], [], rng.randint(1, 6)
+    while p <= n:
+        q = min(n, p + rng.randint(0, 3))
+        los.append(p)
+        his.append(q)
+        p = q + rng.randint(2, 12)
+    return los, his
+
+
+def _dense_window_sums(los, his, steps, L, depth, table):
+    """Each start's window sum over the per-step terms: 1.0 inside a
+    disagreement, else table[gap] within the depth, else 0.0."""
+    terms = []
+    for k in range(steps):
+        lo = next((lo for lo, hi in zip(los, his) if hi > k), steps + 2 * depth)
+        terms.append(1.0 if k >= lo else
+                     table[lo - k] if lo - k <= depth else 0.0)
+    run = list(itertools.accumulate(terms, initial=0.0))
+    return [run[m + L] - run[m] for m in range(steps - L + 1)]
+
+
+def _sweep_fields(r):
+    return (*_report_fields(r), r.rounding_bound)
+
+
 def test_sweep_keeps_the_smallest_start_when_sums_tie():
     # real terms never tie, since each is at least 1/depth; a table of
     # zeros and equal terms makes window sums tie, and the plain sup and
@@ -519,23 +546,108 @@ def test_sweep_keeps_the_smallest_start_when_sums_tie():
         table = [0.0, *(rng.choice([0.0, 0.5, 1.0]) for _ in range(depth))]
         n = rng.randint(depth + 1, 90)
         steps = n - depth
-        los, his, p = [], [], rng.randint(1, 6)
-        while p <= n:
-            q = min(n, p + rng.randint(0, 3))
-            los.append(p)
-            his.append(q)
-            p = q + rng.randint(2, 12)
-        terms = []  # 1.0 inside a disagreement, else table[gap] or 0.0
-        for k in range(steps):
-            lo = next((lo for lo, hi in zip(los, his) if hi > k), n + depth)
-            terms.append(1.0 if k >= lo else
-                         table[lo - k] if lo - k <= depth else 0.0)
-        run = list(itertools.accumulate(terms, initial=0.0))
+        los, his = _random_walk(rng, n)
         L = rng.randint(1, steps)
-        sums = [run[m + L] - run[m] for m in range(steps - L + 1)]
+        sums = _dense_window_sums(los, his, steps, L, depth, table)
         r = diagnostics._sweep_pair(los, his, steps, L, depth, table)
         assert (r.value, r.window[0]) == (max(sums) / L,
                                           sums.index(max(sums)))
+
+
+def test_sweep_shares_its_sums_across_tied_walks():
+    # many walks over one tie-prone table through one shared dict, as the
+    # pairs of a call share it: a memoized (max, first index) and the
+    # running sums it came from must give each walk the report of a fresh
+    # dict and of no dict, and the smallest start of the dense window sums
+    rng = random.Random(139)
+    for _ in range(40):
+        depth = rng.choice([1, 2, 3, 5, 8])
+        table = [0.0, *(rng.choice([0.0, 0.5, 1.0]) for _ in range(depth))]
+        runs = {}
+        for _ in range(150):
+            n = rng.randint(depth + 1, 40)
+            steps = n - depth
+            los, his = _random_walk(rng, n)
+            L = rng.randint(1, steps)
+            r = diagnostics._sweep_pair(los, his, steps, L, depth, table, runs)
+            fresh = diagnostics._sweep_pair(los, his, steps, L, depth, table,
+                                            {})
+            alone = diagnostics._sweep_pair(los, his, steps, L, depth, table)
+            assert _sweep_fields(r) == _sweep_fields(fresh) == _sweep_fields(
+                alone)
+            sums = _dense_window_sums(los, his, steps, L, depth, table)
+            assert (r.value, r.window[0]) == (max(sums) / L,
+                                              sums.index(max(sums)))
+        assert len(runs) < 150  # some walks took a shared run
+    # an approach capped at depth 2 that starts on the previous interval's
+    # end joins its segment: these walks share their shapes, but not their
+    # segments of nonzero steps, so equal (e, j) slices differ in length
+    table, runs = [0.0, 1.0, 0.5], {}
+    for los, his, steps in (([3, 6, 9], [3, 7, 10], 9),
+                            ([3, 5, 10], [3, 6, 11], 10)):
+        r = diagnostics._sweep_pair(los, his, steps, 2, 2, table, runs)
+        alone = diagnostics._sweep_pair(los, his, steps, 2, 2, table)
+        assert _sweep_fields(r) == _sweep_fields(alone)
+    assert len(runs) == 1
+
+
+def _roaming_members(rng):
+    """(members, L, depth): views of one word of blocks, each block a
+    shared prefix and a zero stretch whose lone 1 roams one place further
+    per block, every view starting a whole number of blocks in, so the
+    pairs that lie equally many blocks apart share their segment shapes."""
+    for _ in range(12):
+        depth = rng.choice([2, 3, 5, 16])
+        prefix = [rng.randint(0, 1) for _ in range(rng.randint(1, 8))]
+        gap = rng.randint(3, 12)
+        blocks = [prefix + [0] * k + [1] + [0] * (gap - k)
+                  for k in range(gap + 1)] * 3
+        word = [sym for block in blocks for sym in block]
+        size = len(prefix) + gap + 1
+        h = rng.randint(3 * size, 5 * size)
+        members = [view(word[s * size:s * size + h])
+                   for s in range(len(blocks)) if (s + 5) * size <= len(word)]
+        steps = h - depth
+        yield members, rng.choice([1, steps, rng.randint(1, steps)]), depth
+
+
+def test_sweep_shares_runs_across_shifted_roaming_members(monkeypatch):
+    # the pairs of a call that repeat a segment shape take a shared run and
+    # memoized window sums; each must still match the dense oracle
+    sizes = []
+    sweep = diagnostics._sweep_pair
+
+    def counted(*args):
+        report = sweep(*args)
+        sizes.append(len(args[-1]))
+        return report
+
+    monkeypatch.setattr(diagnostics, "_sweep_pair", counted)
+    rng = random.Random(149)
+    for members, L, depth in _roaming_members(rng):
+        pairs = list(itertools.combinations(range(len(members)), 2))
+        sizes.clear()
+        got = banach_avg_distances(members, pairs, L, depth)
+        assert sizes[-1] < len(pairs)  # the cache hit
+        for (i, j), r in zip(pairs, got):
+            want = naive_banach_avg_distance(members[i], members[j], L, depth)
+            assert _report_fields(r) == _report_fields(want)
+
+
+def test_s3_cylinder_pairs_report_as_one_pair_calls(s3, s3_language):
+    # the 100 pairs of the first cylinder of thm-1.3-banach-equi share 14
+    # base walks and their runs in one call; one call per pair shares
+    # nothing, and must report every field alike
+    t2 = s3.schedule.level(2).t
+    u = checks._s3_deep_cylinders(s3, 1)
+    members = next(checks._cylinder_member_lists(
+        s3_language, u, 15, 3 * t2 + DEFAULT_DEPTH + 100))
+    pairs = list(itertools.combinations(range(len(members)), 2))[:100]
+    assert len(pairs) == 100
+    got = banach_avg_distances(members, pairs, t2, DEFAULT_DEPTH)
+    for (i, j), r in zip(pairs, got):
+        alone = banach_avg_distance(members[i], members[j], t2, DEFAULT_DEPTH)
+        assert _sweep_fields(r) == _sweep_fields(alone)
 
 
 def test_batched_sweep_checks_its_arguments():
