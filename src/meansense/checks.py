@@ -16,7 +16,6 @@ import itertools
 import math
 import operator
 import random
-from fractions import Fraction
 from typing import Dict, List
 
 from .constructions import (
@@ -279,41 +278,56 @@ def check_thm13_banach_equi(c: S3Construction, seed: int = 0) -> Report:
     under-reports fails; the first of them with the largest upper also
     takes ``_dense_sup_agrees``, so one that reports a smaller window
     fails.  The members of each cylinder are read from those of the one
-    before by ``_cylinder_member_lists``."""
+    before by ``_cylinder_member_lists``.
+
+    One ``banach_avg_distances`` call sweeps every cylinder's pairs, over
+    the member lists joined end to end, so all of them share its running
+    sums and window sums.  Every member has the same horizon, so each
+    flip point against the call's base member is exact: no pair's
+    intervals, and no float, depend on which member is the base."""
     pairs_per_cylinder, epsilon = 100, 0.05
     src = c.transitive_prefix(c.schedule.level(4).len_a).prefix
     t2 = c.schedule.level(2).t
     member_h = 3 * t2 + DEFAULT_DEPTH + 100
+    cylinders = _s3_deep_cylinders(c, 10)
+    lists = list(_cylinder_member_lists(src, cylinders, 15, member_h))
+    joined, pairs = [], []  # pairs: each cylinder's, offset into joined
+    for members in lists:
+        pairs += [(len(joined) + i, len(joined) + j)
+                  for i, j in itertools.islice(
+                      itertools.combinations(range(len(members)), 2),
+                      pairs_per_cylinder)]
+        joined += members
+    reports = banach_avg_distances(joined, pairs, t2, depth=DEFAULT_DEPTH)
     rows = []
     ok = True
     top = None  # (worst, x, y, report) of the first cylinder of largest worst
-    cylinders = _s3_deep_cylinders(c, 10)
-    for u, members in zip(cylinders, _cylinder_member_lists(
-            src, cylinders, 15, member_h)):
-        pairs = list(itertools.combinations(range(len(members)),
-                                            2))[:pairs_per_cylinder]
-        if len(pairs) < pairs_per_cylinder:
+    at = 0  # the cylinder's first pair and report
+    for u, members in zip(cylinders, lists):
+        count = min(pairs_per_cylinder, math.comb(len(members), 2))
+        if count < pairs_per_cylinder:
             ok = False
         worst = 0.0
         worst_pair = None
-        witness = 0  # index of the pair the dense sum recomputes
-        reports = banach_avg_distances(members, pairs, t2, depth=DEFAULT_DEPTH)
-        for k, ((i, j), r) in enumerate(zip(pairs, reports)):
+        witness = at  # index of the pair the dense sum recomputes
+        for k, ((i, j), r) in enumerate(zip(pairs[at:at + count],
+                                            reports[at:at + count]), at):
             if r.upper > worst:
                 worst = r.upper
-                worst_pair = (members[i].provenance.offset,
-                              members[j].provenance.offset)
+                worst_pair = (joined[i].provenance.offset,
+                              joined[j].provenance.offset)
                 witness = k
             if r.upper + r.rounding_bound >= epsilon:
                 ok = False
-        if pairs:
+        if count:
             i, j = pairs[witness]
-            ok = ok and _dense_window_agrees(members[i], members[j],
+            ok = ok and _dense_window_agrees(joined[i], joined[j],
                                              reports[witness], t2)
             if top is None or worst > top[0]:
-                top = (worst, members[i], members[j], reports[witness])
+                top = (worst, joined[i], joined[j], reports[witness])
+        at += count
         rows.append({"cylinder_len": u.length, "members": len(members),
-                     "pairs": len(pairs), "worst_upper": fmt17(worst),
+                     "pairs": count, "worst_upper": fmt17(worst),
                      "worst_pair": worst_pair})
     if top is not None:
         ok = ok and _dense_sup_agrees(*top[1:], t2)
@@ -368,6 +382,8 @@ def check_lemma_count3(c: S4Construction, seed: int = 0) -> Report:
 
 def _harmonic(k: int) -> Fraction:
     """The harmonic number H_k, exactly."""
+    from fractions import Fraction
+
     lcm = math.lcm(*range(1, k + 1))
     return Fraction(sum(lcm // g for g in range(1, k + 1)), lcm)
 
@@ -388,6 +404,8 @@ def check_prop_p_system(c: S4Construction, seed: int = 0,
     the step count, and ``term_zero_window`` is at most epsilon/5.  Each
     member's first difference from x bounds its Cesaro sum from below, so
     a route that reports too small an average fails."""
+    from fractions import Fraction
+
     c = s4_construction_sharpened(c.schedule.base, int(round(1 / epsilon)))
     K = math.floor(5.0 / epsilon)  # 1/(K+1) < eps/5
     eps_num, eps_den = epsilon.as_integer_ratio()
@@ -548,6 +566,8 @@ def check_thm18_witness(c: S3Construction, seed: int = 0) -> Report:
     whose induced orbit separates from P's on nearly every step, while the
     base-space pairs of P stay Banach-mean close: each pair's windowed
     upper, rounding bound included, below ``_CONTRAST_EPSILON``."""
+    from fractions import Fraction
+
     from .hyperspace import FiniteSet, hyper_mean_avg, hyper_witness_family
 
     epsilon, n = 0.1, 10_000

@@ -19,7 +19,6 @@ import itertools
 import math
 import operator
 import sys
-from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .errors import HorizonError, ParameterError
@@ -186,6 +185,8 @@ def distance_sum(x: PointView, y: PointView, n: int,
     c_g, and the sum is the steps inside disagreements plus sum_g c_g / g
     over lcm(1..depth).
     """
+    from fractions import Fraction
+
     _pair_limit(x, y, n, depth)
     los, his = diff_intervals(x.prefix, y.prefix, upto=n + depth)
     table = [0.0, *itertools.accumulate(1.0 / k for k in range(1, depth + 1))]
@@ -215,6 +216,8 @@ def cesaro_avg_distance(x: PointView, y: PointView, n: int,
                         depth: int = DEFAULT_DEPTH) -> AverageReport:
     """Cesaro average (1/n) sum d(sigma^i x, sigma^i y) over i in [0, n),
     with the exact rational upper bound in ``upper_exact``."""
+    from fractions import Fraction
+
     if n < 1:
         raise ParameterError("need at least one step")
     total, truncated, exact = distance_sum(x, y, n, depth)
@@ -596,6 +599,8 @@ def sensitivity_times(members: Sequence[PointView], delta: float,
 def _exact_ratio(value, name: str):
     """``value`` as an exact (numerator, denominator) pair; finite and within
     float range only, since the report prints every input as a float."""
+    from fractions import Fraction
+
     try:
         if not hasattr(value, "as_integer_ratio"):
             value = Fraction(value)  # decimal strings such as "0.25"

@@ -11,7 +11,6 @@ import bisect
 import itertools
 import math
 import operator
-from fractions import Fraction
 from functools import cached_property
 from typing import Sequence, Tuple
 
@@ -382,6 +381,8 @@ def hyper_witness_family(construction, P: FiniteSet, epsilon: float,
     Returns (Q, report); the report certifies d_H(P, Q) = 1/j < epsilon,
     decided exactly on the integer first difference j.
     """
+    from fractions import Fraction
+
     if epsilon <= 0 or epsilon >= 1:
         raise ParameterError("epsilon must lie in (0, 1)")
     for m in P.members:
@@ -474,6 +475,8 @@ def hyper_mean_avg(P: FiniteSet, Q: FiniteSet, n: int) -> AverageReport:
     large to walk step by step.  ``upper_exact`` holds the same count over
     n as a ``Fraction``, for verdicts to compare.
     """
+    from fractions import Fraction
+
     if n < 1:
         raise ParameterError("need at least one step")
     cert = certified_separation_steps(P, Q, n)

@@ -240,6 +240,8 @@ class Word:
                 and first_difference(self, prefix) is None)
 
     def ends_with(self, suffix: "Word") -> bool:
+        if suffix.alphabet_size != self.alphabet_size:
+            raise AlphabetMismatchError("alphabet mismatch in ends_with")
         if suffix.length > self.length:
             return False
         return self.subword(self.length - suffix.length + 1, suffix.length) == suffix

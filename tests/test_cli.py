@@ -208,7 +208,7 @@ def test_checks_load_no_numpy(tmp_path, config, checks):
     ("S3", ["thm-1.3-cofinite", "thm-1.8-witness"],
      ["inspect", "_hashlib", "meansense.language"]),
     ("S3", ["lemma-3.1", "lemma-3.2-density", "thm-1.3-banach-equi"],
-     ["numpy", "_hashlib", "meansense.hyperspace"]),
+     ["numpy", "_hashlib", "meansense.hyperspace", "fractions", "decimal"]),
 ], ids=["s4", "s3-families", "s3-windows"])
 def test_runs_load_no_dataclasses(tmp_path, construction, checks, absent):
     # the records are plain classes: with every dataclasses import made to

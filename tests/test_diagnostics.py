@@ -650,6 +650,97 @@ def test_s3_cylinder_pairs_report_as_one_pair_calls(s3, s3_language):
         assert _sweep_fields(r) == _sweep_fields(alone)
 
 
+def _joined_and_alone(lists, pairs_of, L, depth):
+    """(reports of one call over ``lists`` joined end to end, each list's
+    pairs offset into the join; reports of one call per list), in the same
+    order.  ``pairs_of(members)`` lists a list's own index pairs."""
+    joined, pairs = [], []
+    for members in lists:
+        pairs += [(len(joined) + i, len(joined) + j)
+                  for i, j in pairs_of(members)]
+        joined += members
+    batched = banach_avg_distances(joined, pairs, L, depth)
+    alone = [r for members in lists
+             for r in banach_avg_distances(members, pairs_of(members), L,
+                                           depth)]
+    assert len(batched) == len(alone) == len(pairs)
+    return batched, alone
+
+
+def test_joined_s3_cylinder_lists_report_as_one_call_per_list(s3,
+                                                              s3_language):
+    # thm-1.3-banach-equi sweeps its ten cylinders' pairs in one call over
+    # the member lists joined end to end; one call per cylinder must report
+    # every field alike
+    t2 = s3.schedule.level(2).t
+    cylinders = checks._s3_deep_cylinders(s3, 10)
+    lists = list(checks._cylinder_member_lists(
+        s3_language, cylinders, 15, 3 * t2 + DEFAULT_DEPTH + 100))
+    assert len(lists) == 10
+
+    def first_100(members):
+        return list(itertools.islice(
+            itertools.combinations(range(len(members)), 2), 100))
+
+    batched, alone = _joined_and_alone(lists, first_100, t2, DEFAULT_DEPTH)
+    assert len(batched) == 1000
+    assert list(map(_sweep_fields, batched)) == list(map(_sweep_fields, alone))
+
+
+def test_joined_lists_share_shapes_and_take_another_base(monkeypatch):
+    # two lists of one pattern with the same disagreement bursts, the
+    # second shifted by 7 places and 10 longer: their pairs repeat segment
+    # shapes at other positions, so the joined call keeps fewer runs than
+    # the two calls together, and it walks the first list against the
+    # second's base member, not the first's
+    depth, L = 3, 9
+    rng = random.Random(151)
+    pattern = [rng.randint(0, 1) for _ in range(60)]
+    bursts = [(), (12,), (12, 13, 20), (25, 35), (18, 19)]
+
+    def members(shift, h):
+        out = []
+        for burst in bursts:
+            w = pattern[:h]
+            for p in burst:
+                w[p + shift] ^= 1
+            out.append(view(w))
+        return out
+
+    lists = [members(0, 40), members(7, 50)]
+    sizes, bases = [], []
+    sweep, walk = diagnostics._sweep_pair, diagnostics.diff_intervals
+
+    def counted(*args):
+        report = sweep(*args)
+        sizes.append(len(args[-1]))
+        return report
+
+    def walked(a, b, upto=None):
+        bases.append(a)
+        return walk(a, b, upto)
+
+    monkeypatch.setattr(diagnostics, "_sweep_pair", counted)
+    monkeypatch.setattr(diagnostics, "diff_intervals", walked)
+
+    def every_pair(members):
+        return list(itertools.combinations(range(len(members)), 2))
+
+    batched, alone = _joined_and_alone(lists, every_pair, L, depth)
+    assert list(map(_sweep_fields, batched)) == list(map(_sweep_fields, alone))
+    n = len(every_pair(lists[0]))
+    assert sizes[2 * n - 1] < sizes[3 * n - 1] + sizes[4 * n - 1]
+    # the joined call walks its ten members against a member of the second
+    # list, then the call for the first list its five against one of its own
+    walks = 2 * len(bursts)
+    assert {len(b) for b in bases[:walks]} == {50}
+    assert {len(b) for b in bases[walks:walks + len(bursts)]} == {40}
+    for k, ((i, j), r) in enumerate(zip(every_pair(lists[0]) * 2, batched)):
+        x, y = lists[k // n][i], lists[k // n][j]
+        want = naive_banach_avg_distance(x, y, L, depth)
+        assert _report_fields(r) == _report_fields(want)
+
+
 def test_batched_sweep_checks_its_arguments():
     x, y = view("0" * 50), view("1" * 60)
     assert banach_avg_distances([x, y], [], 4, depth=16) == []

@@ -308,6 +308,26 @@ def test_starts_with_matches_str_startswith(data, w, u):
             w.starts_with(Word(4, [(0, n)]))
 
 
+@given(data=st.data(), w=words, u=words)
+def test_ends_with_matches_str_endswith(data, w, u):
+    s = w.as_string()
+    k = data.draw(st.integers(0, len(s)))
+    # a random word, a true suffix, a longer word and the empty suffix
+    for suffix in (u, w.subword(len(s) - k + 1, k), concat([u, w]),
+                   Word.empty(2)):
+        assert w.ends_with(suffix) == s.endswith(suffix.as_string())
+
+
+@pytest.mark.parametrize("method", ["starts_with", "ends_with"])
+def test_affix_tests_reject_another_alphabet(method):
+    # the alphabet check comes before the length check: a binary word
+    # against a longer, a shorter and an equally long word on 4 symbols
+    w = Word(2, [(0, 3)])
+    for n in (2, 3, 4):
+        with pytest.raises(AlphabetMismatchError):
+            getattr(w, method)(Word(4, [(0, n)]))
+
+
 def test_point_metric_examples():
     def view(text, h=None):
         w = Word.from_string(text)
